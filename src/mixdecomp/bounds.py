@@ -12,19 +12,23 @@ Carlo with Wilson 99% upper confidence bounds.
 
 from __future__ import annotations
 
-import itertools
 import math
 import warnings
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
+from scipy.sparse import csgraph, csr_matrix
 
-from . import rng as rngmod
-from .decomposition import Partition, escape_analysis, escape_tail_at, qualifying_subsets
+from .decomposition import (
+    Partition,
+    escape_analysis,
+    escape_tail_at,
+    qualifying_subsets,
+    sampled_subsets,
+)
 from .errors import (
     ContractionTooWeak,
-    DisconnectedGc,
     DriftViolated,
     EpsilonTooLarge,
     HypothesisUnverified,
@@ -241,13 +245,18 @@ def _t_grid(T: int, t_cap: int, points: int = 64) -> np.ndarray:
     return grid
 
 
-def _least_feasible_T(feasible: Callable[[int], bool], T_start: int, T_horizon: int) -> int:
-    """Least integer T with feasible(T), by doubling then bisection."""
+def least_horizon(feasible: Callable[[int], bool], T_start: int, T_horizon: int) -> int | None:
+    """Least integer T with feasible(T), by doubling then bisection.
+
+    Doubling starts at ``max(2, T_start)``; bisection then searches above
+    half the first feasible doubling, so ``feasible`` must be monotone in T.
+    Returns None when no doubling up to ``T_horizon`` is feasible.
+    """
     T = max(2, T_start)
     while T <= T_horizon and not feasible(T):
         T *= 2
     if T > T_horizon:
-        raise NoFeasibleT(f"no feasible horizon up to {T_horizon}")
+        return None
     lo, hi = T // 2, T
     while lo + 1 < hi:
         mid = (lo + hi) // 2
@@ -304,19 +313,10 @@ def bound_basic(
                 return True
         return False
 
-    try:
-        T_star = _least_feasible_T(feasible, 2, T_horizon)
-        value = (4.0 / 3.0) * constants.c_alpha * T_star
-        feasible_flag = True
-        note = ""
-    except NoFeasibleT as exc:
-        T_star = None
-        value = math.inf
-        feasible_flag = False
-        note = str(exc)
+    T_star = least_horizon(feasible, 2, T_horizon)
     return BoundResult(
         name="basic_occupation",
-        value=value,
+        value=math.inf if T_star is None else (4.0 / 3.0) * constants.c_alpha * T_star,
         ingredients={
             "T": T_star,
             "phi": phi.tolist(),
@@ -329,8 +329,8 @@ def bound_basic(
             "c_alpha_prime": constants.c_alpha_prime,
         },
         universal_constant_flag=not constants.calibrated,
-        feasible=feasible_flag,
-        notes=note,
+        feasible=T_star is not None,
+        notes="" if T_star is not None else f"no feasible horizon up to {T_horizon}",
     )
 
 
@@ -369,17 +369,8 @@ def bound_basic2(
             raise TooManyBlocks(f"exact subset enumeration capped at {max_exact_blocks} blocks")
         family = qualifying_subsets(masses, floor_mass)
     elif subset_mode == "sampled":
-        gen = rngmod.stream(seed, 0)
-        fam = set()
-        for _ in range(subset_budget * 4):
-            if len(fam) >= subset_budget:
-                break
-            size = int(gen.integers(1, n + 1))
-            I = tuple(sorted(gen.choice(n, size=size, replace=False).tolist()))
-            if masses[list(I)].sum() >= floor_mass:
-                fam.add(I)
-        fam.add(tuple(range(n)))
-        family = sorted(fam)
+        family = sampled_subsets(masses, floor_mass, subset_budget, seed)
+        family = sorted(set(family) | {tuple(range(n))})
     else:
         raise ValueError(f"unknown subset_mode {subset_mode!r}")
     if not family:
@@ -405,16 +396,10 @@ def bound_basic2(
                 return True
         return False
 
-    try:
-        T_star = _least_feasible_T(feasible, 2, T_horizon)
-        value = (4.0 / 3.0) * constants.c_alpha * T_star
-        ok = True
-        note = ""
-    except NoFeasibleT as exc:
-        T_star, value, ok, note = None, math.inf, False, str(exc)
+    T_star = least_horizon(feasible, 2, T_horizon)
     return BoundResult(
         name="basic_joint_occupation",
-        value=value,
+        value=math.inf if T_star is None else (4.0 / 3.0) * constants.c_alpha * T_star,
         ingredients={
             "T": T_star,
             "alpha": alpha,
@@ -425,8 +410,8 @@ def bound_basic2(
             "c_alpha_prime": constants.c_alpha_prime,
         },
         universal_constant_flag=not constants.calibrated,
-        feasible=ok,
-        notes=note,
+        feasible=T_star is not None,
+        notes="" if T_star is not None else f"no feasible horizon up to {T_horizon}",
     )
 
 
@@ -547,25 +532,10 @@ def bound_graph_hit(
 
 
 def _directed_diameter(n: int, edges: Sequence[tuple[int, int]]) -> float:
-    if n == 1:
-        return 0.0
-    adj = [[] for _ in range(n)]
+    adj = np.zeros((n, n), dtype=bool)
     for i, j in edges:
-        adj[i].append(j)
-    worst = 0
-    for s in range(n):
-        dist = [-1] * n
-        dist[s] = 0
-        queue = [s]
-        for u in queue:
-            for v in adj[u]:
-                if dist[v] < 0:
-                    dist[v] = dist[u] + 1
-                    queue.append(v)
-        if min(dist) < 0:
-            return math.inf
-        worst = max(worst, max(dist))
-    return float(worst)
+        adj[i, j] = True
+    return float(csgraph.shortest_path(csr_matrix(adj), unweighted=True).max())
 
 
 # ---------------------------------------------------------------------------
@@ -802,22 +772,9 @@ def peres_sousi_audit(
     if subset_mode == "exact":
         if n > 15:
             raise TooLarge("exact subset audit capped at 15 states")
-        sets = []
-        for r in range(1, n + 1):
-            for A in itertools.combinations(range(n), r):
-                if pi.weights[list(A)].sum() >= alpha:
-                    sets.append(A)
+        sets = qualifying_subsets(pi.weights, alpha)
     elif subset_mode == "sampled":
-        gen = rngmod.stream(seed, 0)
-        fam = set()
-        for _ in range(budget * 4):
-            if len(fam) >= budget:
-                break
-            r = int(gen.integers(1, n + 1))
-            A = tuple(sorted(gen.choice(n, size=r, replace=False).tolist()))
-            if pi.weights[list(A)].sum() >= alpha:
-                fam.add(A)
-        sets = sorted(fam)
+        sets = sampled_subsets(pi.weights, alpha, budget, seed)
     else:
         raise ValueError(f"unknown subset_mode {subset_mode!r}")
     if not sets:

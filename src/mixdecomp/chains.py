@@ -12,8 +12,10 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
+from scipy.sparse import csgraph, csr_matrix
 
 from . import rng as rngmod
+from .config import MAX_DENSE_STATES
 from .decomposition import Partition, trace_kernel
 from .errors import GraphGenerationFailed, StateSpaceTooLarge
 from .kernel import StationaryDistribution, StochasticKernel
@@ -294,9 +296,8 @@ def lattice3d_adjacency(L: int) -> np.ndarray:
 def kcip(
     adjacency: np.ndarray,
     c: float,
-    neighborhood: dict[int, Sequence[int]] | None = None,
     n_cap: int = 3,
-    explicit_limit: int = 2**20,
+    explicit_limit: int = MAX_DENSE_STATES,
 ) -> KcipChain:
     """Constrained single-spin chain on a graph at density ``p = c / |V|``.
 
@@ -314,24 +315,11 @@ def kcip(
     p = c / nv
     if not (0 < p < 1):
         raise ValueError("need 0 < c/|V| < 1")
-    seen = {0}
-    stack = [0]
-    while stack:
-        u = stack.pop()
-        for v in np.nonzero(adjacency[u])[0]:
-            if int(v) not in seen:
-                seen.add(int(v))
-                stack.append(int(v))
-    if len(seen) != nv:
+    if csgraph.connected_components(csr_matrix(adjacency), directed=False)[0] != 1:
         raise ValueError("graph must be connected")
-    if neighborhood is None:
-        nbr_masks = np.array(
-            [sum(1 << u for u in np.nonzero(adjacency[v])[0]) for v in range(nv)], dtype=np.uint64
-        )
-    else:
-        nbr_masks = np.array(
-            [sum(1 << int(u) for u in neighborhood.get(v, ())) for v in range(nv)], dtype=np.uint64
-        )
+    nbr_masks = np.array(
+        [sum(1 << u for u in np.nonzero(adjacency[v])[0]) for v in range(nv)], dtype=np.uint64
+    )
     sampler = KcipSampler(neighbor_masks=nbr_masks, n_vertices=nv, p=p)
     if 2**nv > explicit_limit:
         return KcipChain(sampler, None, None, None, None, p)
@@ -359,12 +347,11 @@ def kcip(
     weights = np.array([p ** bin(int(s)).count("1") * (1 - p) ** (nv - bin(int(s)).count("1")) for s in states])
     pi = StationaryDistribution(weights / weights.sum())
 
-    full_adj = adjacency if neighborhood is None else _neighborhood_matrix(nv, neighborhood)
     raw = np.empty(ns, dtype=int)
     for i, s in enumerate(states):
         bits = [v for v in range(nv) if int(s) >> v & 1]
         k = len(bits)
-        independent = all(not full_adj[u, v] for u, v in itertools.combinations(bits, 2))
+        independent = all(not adjacency[u, v] for u, v in itertools.combinations(bits, 2))
         raw[i] = (k - 1) if (independent and 1 <= k <= n_cap) else n_cap
     present = sorted(set(raw.tolist()))
     remap = {b: j for j, b in enumerate(present)}
@@ -373,14 +360,6 @@ def kcip(
         (f"{b + 1} non-adjacent particles" if b < n_cap else "remainder") for b in present
     )
     return KcipChain(sampler, kernel, Partition.from_block_of(block_of), states, pi, p, desc)
-
-
-def _neighborhood_matrix(nv: int, neighborhood: dict[int, Sequence[int]]) -> np.ndarray:
-    mat = np.zeros((nv, nv), dtype=bool)
-    for v, nbrs in neighborhood.items():
-        for u in nbrs:
-            mat[v, u] = True
-    return mat | mat.T
 
 
 # ---------------------------------------------------------------------------
@@ -443,7 +422,7 @@ def torus_product_mass(m: int, ell: int, C: float, coord_set: Sequence[int]) -> 
 
 
 def torus_metropolis(
-    m: int, ell: int, C: float, k_trace: int | None = None, explicit_limit: int = 10**6
+    m: int, ell: int, C: float, k_trace: int | None = None, explicit_limit: int = MAX_DENSE_STATES
 ) -> TorusChain:
     """Metropolis chain on ``Z_{2 ell}^m`` targeting a product measure.
 

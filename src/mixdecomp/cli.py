@@ -11,7 +11,8 @@ import sys
 from pathlib import Path
 
 from .errors import AssertionFailed, ConfigInvalid, MixdecompError
-from .report import ExperimentConfig, dump_trajectory, run_experiment
+from .io import dump_trajectory
+from .report import ExperimentConfig, reproduce, run_experiment
 from .suites import SUITE_NAMES
 
 
@@ -54,11 +55,9 @@ def _common_config(args, tasks: str, extra: dict | None = None) -> ExperimentCon
         "tasks": tasks,
         "seed": str(args.seed),
         "output_dir": args.out,
-        "format": getattr(args, "format", "json") or "json",
+        "format": args.format,
     }
-    if getattr(args, "suite", None):
-        sections["run"]["suite"] = args.suite
-    if getattr(args, "constants", None):
+    if args.constants:
         sections["constants"] = _constants_section(args.constants)
     if extra:
         for sec, kv in extra.items():
@@ -113,19 +112,7 @@ def main(argv=None) -> int:
             print(f"report written to {cfg.output_dir / 'report.json'}")
             return 0
         if args.command == "reproduce":
-
-            class _A:
-                chain = "pince_nez:m=8"  # placeholder instance; suites build their own
-                kernel = None
-                partition = None
-                seed = args.seed
-                out = args.out
-                suite = args.suite
-                constants = None
-
-            cfg = _common_config(_A, "reproduce")
-            report = run_experiment(cfg)
-            rep = report["tasks"]["reproduce"]
+            rep = reproduce(args.suite, args.seed, Path(args.out))
             status = "PASS" if rep["passed"] else "FAIL"
             print(f"{rep['suite']}: {status}  measured={rep['measured']}")
             return 0 if rep["passed"] else 2

@@ -37,9 +37,9 @@ class Tolerances:
 
 DEFAULT_TOLERANCES = Tolerances()
 
-# Dense-representation ceilings; larger problems need the sampler interface.
-MAX_DENSE_STATES = 50_000
-MAX_DIRECT_SOLVE_STATES = 5_000
+# Dense-representation ceiling: one n x n float64 matrix at the cap takes
+# 200 MB.  Larger chains need the sampler interface.
+MAX_DENSE_STATES = 5_000
 
 
 def thread_count() -> int:

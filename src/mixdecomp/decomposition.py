@@ -10,13 +10,12 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 import scipy.linalg
 
 from . import rng as rngmod
-from .config import DEFAULT_TOLERANCES, MAX_DIRECT_SOLVE_STATES, Tolerances, thread_count
+from .config import thread_count
 from .errors import (
     DimensionMismatch,
     NoExit,
@@ -142,7 +141,6 @@ def trace_kernel(
     kernel: StochasticKernel,
     partition: Partition,
     block: int,
-    tol: Tolerances = DEFAULT_TOLERANCES,
 ) -> StochasticKernel:
     """Trace (watched-on-a-block) kernel ``K_A + K_AB (I - K_BB)^{-1} K_BA``.
 
@@ -168,23 +166,11 @@ def trace_kernel(
     KAB = K[np.ix_(A, B)]
     KBB = K[np.ix_(B, B)]
     KBA = K[np.ix_(B, A)]
-    if B.size <= MAX_DIRECT_SOLVE_STATES:
-        try:
-            ret = scipy.linalg.solve(np.eye(B.size) - KBB, KBA)
-        except scipy.linalg.LinAlgError as exc:
-            raise SingularReturn(f"(I - K_BB) singular for block {block}: {exc}") from exc
-        rows = KAA + KAB @ ret
-    else:
-        # accumulate the excursion series for very large complements
-        rows = KAA.copy()
-        out = KAB.copy()
-        for _ in range(50_000_000):
-            rows += out @ KBA
-            out = out @ KBB
-            if out.sum(axis=1).max() < 1e-10:
-                break
-        else:  # pragma: no cover
-            raise SingularReturn(f"excursions out of block {block} do not die out")
+    try:
+        ret = scipy.linalg.solve(np.eye(B.size) - KBB, KBA)
+    except scipy.linalg.LinAlgError as exc:
+        raise SingularReturn(f"(I - K_BB) singular for block {block}: {exc}") from exc
+    rows = KAA + KAB @ ret
     err = np.abs(rows.sum(axis=1) - 1.0).max()
     if err > 1e-7:
         raise SingularReturn(f"trace rows sum to 1 +- {err:.2e}; block {block} may be escaping")
@@ -276,7 +262,6 @@ def escape_analysis(
     partition: Partition,
     block: int,
     horizon: int,
-    tol: Tolerances = DEFAULT_TOLERANCES,
 ) -> EscapeStatistics:
     """Exact escape-time expectations, tails and exit-block distribution.
 
@@ -419,6 +404,25 @@ def qualifying_subsets(masses: np.ndarray, floor: float) -> list[tuple[int, ...]
             if masses[list(I)].sum() >= floor:
                 out.append(I)
     return out
+
+
+def sampled_subsets(masses: np.ndarray, floor: float, budget: int, seed: int) -> list[tuple[int, ...]]:
+    """Up to ``budget`` distinct seeded random subsets with mass at least ``floor``.
+
+    Each of at most ``4 budget`` draws picks a uniform size, then a uniform
+    subset of that size; the family is returned sorted.
+    """
+    n = len(masses)
+    gen = rngmod.stream(seed, 0)
+    family = set()
+    for _ in range(budget * 4):
+        if len(family) >= budget:
+            break
+        size = int(gen.integers(1, n + 1))
+        I = tuple(sorted(gen.choice(n, size=size, replace=False).tolist()))
+        if masses[list(I)].sum() >= floor:
+            family.add(I)
+    return sorted(family)
 
 
 def avg_hit_time(

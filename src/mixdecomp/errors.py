@@ -45,10 +45,6 @@ class AbsorbingBlock(MixdecompError):
     """A projected kernel row has no off-diagonal mass."""
 
 
-class NoQualifyingSet(MixdecompError):
-    """No block subset meets the requested stationary-mass floor."""
-
-
 class NoFeasibleT(MixdecompError):
     """A horizon search exhausted its grid without finding a feasible T."""
 
@@ -87,10 +83,6 @@ class InvalidComparison(MixdecompError):
 
 class NoFixedPoint(MixdecompError):
     """Bootstrap search found no self-consistent horizon."""
-
-
-class DisconnectedGc(MixdecompError):
-    """The exit-probability graph has infinite diameter."""
 
 
 class HypothesisUnverified(UserWarning):

@@ -1,21 +1,31 @@
-"""Text file formats for kernels and partitions, plus JSON report helpers.
+"""File formats: kernels, partitions, trajectory dumps, JSON and CSV reports.
 
 Kernel format: first non-comment line is the state count n, followed either
 by n dense rows of n probabilities or by sparse `i j p` triples (0-indexed)
 whose missing row mass is assigned to the diagonal.  Comment lines start
 with '#'; lines of the form `# label: NAME` attach state labels in order.
+
+Trajectory dump (binary): a 16-byte header (magic ``MXDT``, u32 version,
+u32 state count, u32 T), then ``T + 1`` little-endian u32 state indices.
+
+JSON reports are strict JSON: non-finite numbers are written as the strings
+``"inf"``, ``"-inf"`` and ``"nan"``.
 """
 
 from __future__ import annotations
 
 import json
+import math
 import os
+import struct
 import tempfile
 from pathlib import Path
 
 import numpy as np
 
+from .config import MAX_DENSE_STATES
 from .decomposition import Partition
+from .errors import StateSpaceTooLarge
 from .kernel import StochasticKernel
 
 
@@ -35,6 +45,8 @@ def load_kernel(path: str | Path) -> StochasticKernel:
     if not data_lines:
         raise ValueError(f"{path}: no data lines")
     n = int(data_lines[0].split()[0])
+    if n > MAX_DENSE_STATES:
+        raise StateSpaceTooLarge(f"{path}: {n} states exceed the dense cap of {MAX_DENSE_STATES}")
     rows = data_lines[1:]
     dense = None
     if len(rows) == n and all(len(r.split()) == n for r in rows):
@@ -108,7 +120,22 @@ def _atomic_write_bytes(path: str | Path, payload: bytes) -> None:
 
 
 def write_json(path: str | Path, payload: dict) -> None:
-    _atomic_write(path, json.dumps(payload, indent=2, sort_keys=False, default=_js) + "\n")
+    _atomic_write(path, json.dumps(_plain(payload), indent=2, allow_nan=False) + "\n")
+
+
+def _plain(obj):
+    """JSON-ready copy: numpy values to Python ones, tuples to lists, non-finite floats to strings."""
+    if isinstance(obj, dict):
+        return {k: _plain(v) for k, v in obj.items()}
+    if isinstance(obj, np.ndarray):
+        obj = obj.tolist()
+    if isinstance(obj, (list, tuple)):
+        return [_plain(v) for v in obj]
+    if isinstance(obj, np.generic):
+        obj = obj.item()
+    if isinstance(obj, float) and not math.isfinite(obj):
+        return repr(obj)
+    return obj
 
 
 def write_csv(path: str | Path, header: list[str], rows: list[list]) -> None:
@@ -124,15 +151,21 @@ def _csv_cell(v) -> str:
     return str(v)
 
 
-def _js(obj):
-    if isinstance(obj, np.bool_):
-        return bool(obj)
-    if isinstance(obj, (np.integer,)):
-        return int(obj)
-    if isinstance(obj, (np.floating,)):
-        return float(obj)
-    if isinstance(obj, np.ndarray):
-        return obj.tolist()
-    if isinstance(obj, tuple):
-        return list(obj)
-    raise TypeError(f"not JSON-serializable: {type(obj)}")
+TRAJ_MAGIC = b"MXDT"
+
+
+def dump_trajectory(path: str | Path, trajectory: np.ndarray, n_states: int) -> None:
+    traj = np.asarray(trajectory, dtype="<u4")
+    header = struct.pack("<4sIII", TRAJ_MAGIC, 1, n_states, traj.size - 1)
+    _atomic_write_bytes(path, header + traj.tobytes())
+
+
+def load_trajectory(path: str | Path) -> tuple[np.ndarray, int]:
+    raw = Path(path).read_bytes()
+    magic, version, n_states, T = struct.unpack("<4sIII", raw[:16])
+    if magic != TRAJ_MAGIC or version != 1:
+        raise ValueError(f"{path}: not a trajectory dump")
+    traj = np.frombuffer(raw[16:], dtype="<u4")
+    if traj.size != T + 1:
+        raise ValueError(f"{path}: truncated trajectory")
+    return traj.astype(np.int64), n_states

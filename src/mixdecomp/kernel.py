@@ -15,13 +15,14 @@ import numpy as np
 import scipy.linalg
 from scipy.sparse import csgraph, csr_matrix
 
-from .config import DEFAULT_TOLERANCES, MAX_DENSE_STATES, MAX_DIRECT_SOLVE_STATES, Tolerances
+from .config import DEFAULT_TOLERANCES, MAX_DENSE_STATES, Tolerances
 from .errors import (
     DimensionMismatch,
     InvalidAlpha,
     NotReversible,
     ReducibleKernel,
     SingularSystem,
+    StateSpaceTooLarge,
     UnreachableTarget,
 )
 
@@ -56,7 +57,7 @@ class StochasticKernel:
         if n < 1:
             raise DimensionMismatch("kernel needs at least one state")
         if n > MAX_DENSE_STATES:
-            raise DimensionMismatch(f"dense kernels capped at {MAX_DENSE_STATES} states")
+            raise StateSpaceTooLarge(f"dense kernels capped at {MAX_DENSE_STATES} states, got {n}")
         tol = DEFAULT_TOLERANCES
         if rows.min(initial=0.0) < -1e-15:
             raise ValueError(f"negative transition probability {rows.min()}")
@@ -135,7 +136,6 @@ class MixingProfile:
     mixing_time: int | None
     horizon: int
     horizon_exceeded: bool = False
-    lower_bound_only: bool = False
 
     def tv_at(self, t: int) -> float:
         t = min(t, len(self.distances) - 1)
@@ -166,8 +166,7 @@ def stationary_distribution(
 ) -> StationaryDistribution:
     """Compute the stationary distribution of an irreducible kernel.
 
-    A direct solve of ``(K^T - I) pi = 0`` with a normalization row is used up
-    to a few thousand states; beyond that, power iteration to 1e-12.
+    A direct solve of ``(K^T - I) pi = 0`` with a normalization row.
 
     Raises
     ------
@@ -180,23 +179,14 @@ def stationary_distribution(
     n = kernel.n_states
     if n == 1:
         return StationaryDistribution(np.ones(1))
-    if n <= MAX_DIRECT_SOLVE_STATES:
-        A = K.T - np.eye(n)
-        A[-1, :] = 1.0
-        b = np.zeros(n)
-        b[-1] = 1.0
-        try:
-            pi = scipy.linalg.solve(A, b)
-        except scipy.linalg.LinAlgError as exc:  # pragma: no cover - irreducible => regular
-            raise SingularSystem(str(exc)) from exc
-    else:
-        pi = np.full(n, 1.0 / n)
-        for _ in range(1_000_000):
-            nxt = pi @ K
-            if np.abs(nxt - pi).sum() < 1e-12:
-                pi = nxt
-                break
-            pi = nxt
+    A = K.T - np.eye(n)
+    A[-1, :] = 1.0
+    b = np.zeros(n)
+    b[-1] = 1.0
+    try:
+        pi = scipy.linalg.solve(A, b)
+    except scipy.linalg.LinAlgError as exc:  # pragma: no cover - irreducible => regular
+        raise SingularSystem(str(exc)) from exc
     pi = np.clip(pi, 0.0, None)
     pi /= pi.sum()
     residual = float(np.abs(pi @ K - pi).sum())
@@ -247,7 +237,6 @@ def mixing_profile(
     pi: StationaryDistribution,
     horizon: int,
     epsilons: Sequence[float] = (0.25, 0.1, 0.05, 0.01),
-    start_states: Sequence[int] | None = None,
     full: bool = False,
 ) -> MixingProfile:
     """Exact TV mixing profile over all point-mass starts.
@@ -258,9 +247,6 @@ def mixing_profile(
         Maximum number of steps to iterate.
     epsilons : sequence of float
         Thresholds for which crossing times are reported.
-    start_states : sequence of int, optional
-        Restrict the max over starts to this list; the result is then only
-        a lower bound on the true profile and is flagged as such.
     full : bool
         Iterate all the way to the horizon even after every threshold is met.
 
@@ -277,12 +263,7 @@ def mixing_profile(
         raise DimensionMismatch("pi length must equal the kernel's state count")
     K = kernel.rows
     n = kernel.n_states
-    lower_bound_only = start_states is not None
-    if start_states is None:
-        P = np.eye(n)
-    else:
-        idx = np.asarray(start_states, dtype=int)
-        P = np.eye(n)[idx]
+    P = np.eye(n)
     w = pi.weights[None, :]
     distances = [float(0.5 * np.abs(P - w).sum(axis=1).max())]
     eps_sorted = sorted(set(epsilons))
@@ -306,7 +287,6 @@ def mixing_profile(
         mixing_time=mix,
         horizon=horizon,
         horizon_exceeded=mix is None,
-        lower_bound_only=lower_bound_only,
     )
 
 
@@ -343,20 +323,14 @@ def relaxation_time(
 
 
 def _reachable_from_all(kernel: StochasticKernel, target: np.ndarray) -> bool:
-    # BFS on the reversed support graph starting from the target set.
-    adj = kernel.support()
-    n = kernel.n_states
-    seen = np.zeros(n, dtype=bool)
-    seen[target] = True
-    frontier = list(target)
-    while frontier:
-        nxt = []
-        for y in frontier:
-            preds = np.nonzero(adj[:, y] & ~seen)[0]
-            seen[preds] = True
-            nxt.extend(preds.tolist())
-        frontier = nxt
-    return bool(seen.all())
+    # Breadth-first search on the reversed support graph from the target set,
+    # which is joined to its first state so that one search covers it.
+    reverse = kernel.support().T
+    reverse[target[0], target] = True
+    order = csgraph.breadth_first_order(
+        csr_matrix(reverse), int(target[0]), directed=True, return_predecessors=False
+    )
+    return order.size == kernel.n_states
 
 
 def hitting_analysis(

@@ -12,8 +12,6 @@ from __future__ import annotations
 
 import configparser
 import json
-import math
-import struct
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -144,12 +142,10 @@ def _load_instance(cfg: ExperimentConfig) -> tuple[StochasticKernel, Partition]:
         made = generate(cfg.chain)
         if isinstance(made, tuple):
             return made[0], made[1]
-        # generator-specific result objects
-        kernel = made.kernel
-        partition = made.partition
-        if kernel is None:
+        # generator-specific result objects; samplers carry no kernel
+        if getattr(made, "kernel", None) is None:
             raise ConfigInvalid("chain family has no explicit kernel at this size")
-        return kernel, partition
+        return made.kernel, made.partition
     kernel = iomod.load_kernel(cfg.kernel_path)
     if cfg.partition_path:
         partition = iomod.load_partition(cfg.partition_path, kernel.n_states)
@@ -195,21 +191,24 @@ def run_experiment(cfg: ExperimentConfig) -> dict:
     if "audit" in cfg.tasks:
         report["tasks"]["audit"] = _task_audit(kernel, pi, partition, cfg)
     if "reproduce" in cfg.tasks:
-        res = run_suite(cfg.suite, seed=cfg.seed)
-        iomod.write_csv(
-            cfg.output_dir / f"suite_{res.name}.csv", res.header, res.rows
-        )
-        report["tasks"]["reproduce"] = {
-            "suite": res.name,
-            "passed": res.passed,
-            "measured": res.measured,
-            "threshold": res.threshold,
-            "seconds": round(res.seconds, 3),
-        }
+        report["tasks"]["reproduce"] = reproduce(cfg.suite, cfg.seed, cfg.output_dir)
     iomod.write_json(cfg.output_dir / "report.json", report)
     if cfg.fmt == "csv":
         _emit_csv_views(cfg, report)
     return report
+
+
+def reproduce(suite: str, seed: int, output_dir: Path) -> dict:
+    """Run one reproduction suite, write its CSV and return its summary."""
+    res = run_suite(suite, seed=seed)
+    iomod.write_csv(Path(output_dir) / f"suite_{res.name}.csv", res.header, res.rows)
+    return {
+        "suite": res.name,
+        "passed": res.passed,
+        "measured": res.measured,
+        "threshold": res.threshold,
+        "seconds": round(res.seconds, 3),
+    }
 
 
 def _emit_csv_views(cfg: ExperimentConfig, report: dict) -> None:
@@ -320,7 +319,7 @@ def _task_bounds(kernel, pi, partition, cfg) -> dict:
                     f"formula(universal_constant={str(flag).lower()})",
                 ),
                 "feasible": r.feasible,
-                "ingredients": _jsonable(r.ingredients),
+                "ingredients": r.ingredients,
                 "universal_constant_flag": r.universal_constant_flag,
             }
             for r in results
@@ -364,40 +363,3 @@ def _task_audit(kernel, pi, partition, cfg) -> dict:
             for r in rows
         ],
     }
-
-
-def _jsonable(obj):
-    if isinstance(obj, dict):
-        return {k: _jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_jsonable(v) for v in obj]
-    if isinstance(obj, (np.integer,)):
-        return int(obj)
-    if isinstance(obj, (np.floating, float)):
-        v = float(obj)
-        return v if math.isfinite(v) else repr(v)
-    return obj
-
-
-# ---------------------------------------------------------------------------
-# Trajectory dumps (binary) -- header: magic, version, n_states, T
-# ---------------------------------------------------------------------------
-
-TRAJ_MAGIC = b"MXDT"
-
-
-def dump_trajectory(path, trajectory: np.ndarray, n_states: int) -> None:
-    traj = np.asarray(trajectory, dtype="<u4")
-    header = struct.pack("<4sIII", TRAJ_MAGIC, 1, n_states, traj.size - 1)
-    iomod._atomic_write_bytes(path, header + traj.tobytes())
-
-
-def load_trajectory(path) -> tuple[np.ndarray, int]:
-    raw = Path(path).read_bytes()
-    magic, version, n_states, T = struct.unpack("<4sIII", raw[:16])
-    if magic != TRAJ_MAGIC or version != 1:
-        raise ValueError(f"{path}: not a trajectory dump")
-    traj = np.frombuffer(raw[16:], dtype="<u4")
-    if traj.size != T + 1:
-        raise ValueError(f"{path}: truncated trajectory")
-    return traj.astype(np.int64), n_states

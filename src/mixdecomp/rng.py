@@ -19,8 +19,3 @@ def stream(seed: int, stream_id: int = 0) -> np.random.Generator:
         raise ValueError("seed and stream_id must be nonnegative")
     key = (seed & _MASK64) | ((stream_id & _MASK64) << 64)
     return np.random.Generator(np.random.Philox(key=key))
-
-
-def substreams(seed: int, n: int, base: int = 0) -> list[np.random.Generator]:
-    """Independent generators for replicas ``base .. base + n - 1``."""
-    return [stream(seed, base + i) for i in range(n)]

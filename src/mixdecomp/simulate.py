@@ -152,14 +152,7 @@ def simulate(
         raise ValueError("T must be >= 1")
     if isinstance(chain, StochasticKernel):
         part = partition or Partition.single_block(chain.n_states)
-        sampler = RowSampler(chain)
-        gen = rngmod.stream(seed, 0)
-        traj = np.empty(T + 1, dtype=np.int64)
-        traj[0] = x0
-        state = np.array([x0], dtype=np.int64)
-        for t in range(1, T + 1):
-            state = sampler.step(state, gen)
-            traj[t] = state[0]
+        traj = simulate_states(chain, [x0], T, seed)[0]
         blocks = part.block_of[traj]
         nb = part.n_blocks
     else:

@@ -52,13 +52,7 @@ from .decomposition import (
     trace_kernel,
 )
 from .errors import SuiteFailed
-from .kernel import (
-    StationaryDistribution,
-    StochasticKernel,
-    check_reversible,
-    mixing_profile,
-    stationary_distribution,
-)
+from .kernel import StationaryDistribution, mixing_profile, stationary_distribution
 from .simulate import occupation_tail_table, simulate_states
 from .wellcovering import (
     WellCoveringQuery,
@@ -203,20 +197,6 @@ def toy_kcip_scaling(seed: int = 0, ms=(4, 8, 16), d: int = 1) -> SuiteResult:
     )
 
 
-class _SampledJointTails:
-    """Joint occupation tails straight from a cached-path MC provider."""
-
-    def __init__(self, mc: MCTailProvider):
-        self.mc = mc
-        self.provenance = f"mc-joint({mc.provenance})"
-
-    def max_t(self):
-        return self.mc.max_t()
-
-    def query_joint(self, I, T, t):
-        return self.mc.query_joint(I, T, t)
-
-
 def expander_separation(seed: int = 0, m: int = 64, d: int = 8) -> SuiteResult:
     """Joint-occupation bound beats the per-block bound on the pair chain.
 
@@ -251,13 +231,12 @@ def expander_separation(seed: int = 0, m: int = 64, d: int = 8) -> SuiteResult:
 
     T_budget = int(50 * math.log(m) / eps)
     mc = MCTailProvider(K, part, T_max=8192, reps_per_start=240, seed=seed + 11)
-    joint = _SampledJointTails(mc)
 
     # (2) joint ingredient certified within the budget
     r_joint = bound_basic2(
         phis,
         masses,
-        joint,
+        mc,
         alpha,
         constants,
         subset_mode="sampled",

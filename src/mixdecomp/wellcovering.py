@@ -22,8 +22,9 @@ from typing import Callable, Sequence
 
 import numpy as np
 import scipy.optimize
+from scipy.sparse import csgraph, csr_matrix
 
-from .bounds import BoundResult, PeresSousiConstants
+from .bounds import BoundResult, PeresSousiConstants, least_horizon
 from .decomposition import Partition, block_mixing_times, projected_kernel
 from .errors import (
     InvalidComparison,
@@ -195,21 +196,15 @@ def oracle_wc_time(
     query: WellCoveringQuery, grid_resolution: int = 64, T_horizon: int = 2**40
 ) -> WellCoveringCertificate:
     """Least horizon the oracle certifies as covered (integer bisection)."""
-    lo_seed = max(2, int(query.thresholds.max()) if query.thresholds.max() >= 1 else 2)
-    T = lo_seed
-    while T <= T_horizon and not feasibility_oracle(query, T, grid_resolution).covered:
-        T *= 2
-    if T > T_horizon:
+    T = least_horizon(
+        lambda horizon: feasibility_oracle(query, horizon, grid_resolution).covered,
+        int(query.thresholds.max()),
+        T_horizon,
+    )
+    if T is None:
         raise NoFiniteT(f"oracle found no covered horizon up to {T_horizon}")
-    lo, hi = T // 2, T
-    while lo + 1 < hi:
-        mid = (lo + hi) // 2
-        if feasibility_oracle(query, mid, grid_resolution).covered:
-            hi = mid
-        else:
-            lo = mid
     return WellCoveringCertificate(
-        value=float(hi),
+        value=float(T),
         method="oracle",
         thresholds=tuple(query.thresholds.tolist()),
         B=query.B,
@@ -252,9 +247,10 @@ def tree_bound(q: StochasticKernel, phi: float, B: float) -> WellCoveringCertifi
         if degrees.max() > delta:
             raise NotTreeWalk("maximum degree exceeds Delta implied by the rate")
         n_edges = int(adj.sum()) // 2
-        if n_edges != n - 1 or not _connected(adj):
+        dist = csgraph.shortest_path(csr_matrix(adj), unweighted=True)
+        if n_edges != n - 1 or np.isinf(dist).any():
             raise NotTreeWalk("support graph is not a tree")
-        D = _graph_diameter(adj)
+        D = int(dist.max())
     else:
         delta, D = 1, 0
     value = n * max(1000.0 * delta**2 * B**2 * D**2, 4.0 * phi)
@@ -266,35 +262,6 @@ def tree_bound(q: StochasticKernel, phi: float, B: float) -> WellCoveringCertifi
         kernel=q,
         provenance=(f"tree(n={n},Delta={delta},D={D})",),
     )
-
-
-def _connected(adj: np.ndarray) -> bool:
-    n = adj.shape[0]
-    seen = np.zeros(n, dtype=bool)
-    seen[0] = True
-    stack = [0]
-    while stack:
-        u = stack.pop()
-        for v in np.nonzero(adj[u] & ~seen)[0]:
-            seen[v] = True
-            stack.append(v)
-    return bool(seen.all())
-
-
-def _graph_diameter(adj: np.ndarray) -> int:
-    n = adj.shape[0]
-    worst = 0
-    for s in range(n):
-        dist = np.full(n, -1)
-        dist[s] = 0
-        queue = [s]
-        for u in queue:
-            for v in np.nonzero(adj[u])[0]:
-                if dist[v] < 0:
-                    dist[v] = dist[u] + 1
-                    queue.append(v)
-        worst = max(worst, int(dist.max()))
-    return worst
 
 
 def propagation_bound(
@@ -351,20 +318,11 @@ def propagation_bound(
                 return False
         return True
 
-    T = 2
-    while T <= T_horizon and not covered(T):
-        T *= 2
-    if T > T_horizon:
+    T = least_horizon(covered, 2, T_horizon)
+    if T is None:
         raise NoFiniteT(f"propagation found no covering horizon up to {T_horizon}")
-    lo, hi = T // 2, T
-    while lo + 1 < hi:
-        mid = (lo + hi) // 2
-        if covered(mid):
-            hi = mid
-        else:
-            lo = mid
     return WellCoveringCertificate(
-        value=float(hi),
+        value=float(T),
         method="propagation",
         thresholds=tuple(query.thresholds.tolist()),
         B=query.B,
@@ -511,31 +469,22 @@ def bootstrap_mixing_bound(
     def ok(T: int) -> bool:
         return T > wc_provider(thresholds, B_of(T))
 
-    T = 2
-    while T <= T_horizon and not ok(T):
-        T *= 2
-    if T > T_horizon:
+    T = least_horizon(ok, 2, T_horizon)
+    if T is None:
         raise NoFixedPoint(f"no self-consistent horizon up to {T_horizon}")
-    lo, hi = T // 2, T
-    while lo + 1 < hi:
-        mid = (lo + hi) // 2
-        if ok(mid):
-            hi = mid
-        else:
-            lo = mid
-    value = (4.0 / 3.0) * constants.c_alpha * hi
+    value = (4.0 / 3.0) * constants.c_alpha * T
     return BoundResult(
         name="bootstrap_well_covering",
         value=value,
         ingredients={
-            "T": hi,
+            "T": T,
             "phi": phi.tolist(),
             "phi_max": phi_max,
             "I": I,
             "alpha": alpha,
             "beta": beta,
             "gamma": gamma,
-            "B_at_T": B_of(hi),
+            "B_at_T": B_of(T),
             "c_alpha": constants.c_alpha,
             "c_alpha_prime": cp,
         },

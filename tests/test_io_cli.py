@@ -10,15 +10,18 @@ from mixdecomp import rng as rngmod
 from mixdecomp.chains import pince_nez
 from mixdecomp.cli import main
 from mixdecomp.decomposition import Partition
-from mixdecomp.errors import ConfigInvalid
-from mixdecomp.io import load_kernel, load_partition, save_kernel, save_partition
-from mixdecomp.kernel import StochasticKernel
-from mixdecomp.report import (
-    ExperimentConfig,
+from mixdecomp.errors import ConfigInvalid, StateSpaceTooLarge
+from mixdecomp.io import (
     dump_trajectory,
+    load_kernel,
+    load_partition,
     load_trajectory,
-    run_experiment,
+    save_kernel,
+    save_partition,
+    write_json,
 )
+from mixdecomp.kernel import StochasticKernel
+from mixdecomp.report import ExperimentConfig, run_experiment
 
 
 def test_kernel_file_roundtrip_dense(tmp_path):
@@ -41,6 +44,31 @@ def test_kernel_file_labels(tmp_path):
     path.write_text("# label: a\n# label: b\n2\n0.5 0.5\n0.5 0.5\n")
     k = load_kernel(path)
     assert k.labels == ("a", "b")
+
+
+def test_kernel_file_over_dense_cap_rejected_before_allocation(tmp_path):
+    path = tmp_path / "big.txt"
+    path.write_text("5001\n0 1 0.5\n")
+    with pytest.raises(StateSpaceTooLarge):
+        load_kernel(path)
+
+
+def _refuse_constant(name):
+    raise ValueError(f"non-standard JSON constant {name}")
+
+
+def test_write_json_is_strict(tmp_path):
+    path = tmp_path / "r.json"
+    payload = {
+        "value": float("inf"),
+        "x": np.float64("nan"),
+        "b": np.bool_(True),
+        "a": np.arange(2),
+        "t": (1, 2.5),
+    }
+    write_json(path, payload)
+    back = json.loads(path.read_text(), parse_constant=_refuse_constant)
+    assert back == {"value": "inf", "x": "nan", "b": True, "a": [0, 1], "t": [1, 2.5]}
 
 
 def test_partition_file_roundtrip(tmp_path):
@@ -229,3 +257,19 @@ def test_reproduce_suite_csv_rows(tmp_path):
     lines = (tmp_path / "suite_pince_nez_scaling.csv").read_text().strip().splitlines()
     assert lines[0].split(",")[0] == "m"
     assert len(lines) == 1 + 3  # header + one row per chain size
+
+
+def test_cli_oversized_chain_is_config_error(tmp_path):
+    code = main(["analyze", "--chain", "torus_metropolis:m=8,l=3,C=7", "--out", str(tmp_path)])
+    assert code == 1
+
+
+def test_cli_reproduce_builds_no_chain_instance(tmp_path, monkeypatch):
+    def refuse(spec):
+        raise AssertionError(f"reproduce built a chain instance: {spec}")
+
+    monkeypatch.setattr("mixdecomp.report.generate", refuse)
+    code = main(["reproduce", "--suite", "toy_kcip_scaling", "--seed", "0", "--out", str(tmp_path)])
+    assert code == 0
+    assert (tmp_path / "suite_toy_kcip_scaling.csv").exists()
+    assert not (tmp_path / "report.json").exists()

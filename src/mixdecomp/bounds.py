@@ -237,11 +237,18 @@ class MinMarginalJointTails:
 # ---------------------------------------------------------------------------
 
 
-def _t_grid(T: int, t_cap: int, points: int = 64) -> np.ndarray:
+# Occupation thresholds t probed per horizon T: a geometric grid on [1, T).
+T_GRID_POINTS = 64
+
+# Exact subset enumeration in bound_basic2 is capped at this many blocks.
+MAX_EXACT_BLOCKS = 12
+
+
+def _t_grid(T: int, t_cap: int) -> np.ndarray:
     hi = min(T - 1, t_cap)
     if hi < 1:
         return np.array([], dtype=int)
-    grid = np.unique(np.round(np.geomspace(1, hi, num=min(points, hi))).astype(int))
+    grid = np.unique(np.round(np.geomspace(1, hi, num=min(T_GRID_POINTS, hi))).astype(int))
     return grid
 
 
@@ -276,7 +283,6 @@ def bound_basic(
     constants: PeresSousiConstants,
     block_masses: Sequence[float] | None = None,
     T_horizon: int = 2**26,
-    t_points: int = 64,
 ) -> BoundResult:
     """Mixing bound from per-block occupation tails.
 
@@ -302,7 +308,7 @@ def bound_basic(
     t_cap = tails.max_t()
 
     def feasible(T: int) -> bool:
-        for t in _t_grid(T, t_cap, t_points)[::-1]:
+        for t in _t_grid(T, t_cap)[::-1]:
             worst = 0.0
             for i in I:
                 term = phi[i] / (cpg * t) + tails.query(i, T, t)
@@ -344,8 +350,6 @@ def bound_basic2(
     subset_budget: int = 32,
     seed: int = 0,
     T_horizon: int = 2**26,
-    t_points: int = 64,
-    max_exact_blocks: int = 12,
 ) -> BoundResult:
     """Mixing bound from joint occupation tails over heavy block subsets.
 
@@ -365,8 +369,8 @@ def bound_basic2(
     n = masses.size
     floor_mass = alpha / 2.0
     if subset_mode == "exact":
-        if n > max_exact_blocks:
-            raise TooManyBlocks(f"exact subset enumeration capped at {max_exact_blocks} blocks")
+        if n > MAX_EXACT_BLOCKS:
+            raise TooManyBlocks(f"exact subset enumeration capped at {MAX_EXACT_BLOCKS} blocks")
         family = qualifying_subsets(masses, floor_mass)
     elif subset_mode == "sampled":
         family = sampled_subsets(masses, floor_mass, subset_budget, seed)
@@ -382,7 +386,7 @@ def bound_basic2(
         return float(sum(math.exp(-math.floor(cpo * t / (math.e * phi[i]))) for i in I))
 
     def feasible(T: int) -> bool:
-        for t in _t_grid(T, t_cap, t_points)[::-1]:
+        for t in _t_grid(T, t_cap)[::-1]:
             worst = 0.0
             for I in family:
                 s = exp_sum(I, t)
@@ -578,14 +582,22 @@ def verify_drift(
     )
 
 
-def fit_drift(kernel: StochasticKernel, V: np.ndarray, k: int, a_grid: int = 64) -> DriftCertificate:
-    """Largest-contraction drift certificate for a given V and step count."""
+# Size of the grid of contraction rates searched by fit_drift.
+DRIFT_A_GRID = 64
+
+
+def fit_drift(kernel: StochasticKernel, V: np.ndarray, k: int) -> DriftCertificate:
+    """Largest-contraction drift certificate for a given V and step count.
+
+    The contraction rate a is chosen from a uniform grid of ``DRIFT_A_GRID``
+    values in (0, 1].
+    """
     V = np.asarray(V, dtype=float)
     KV = V.copy()
     for _ in range(k):
         KV = kernel.rows @ KV
     best = None
-    for a in np.linspace(1.0 / a_grid, 1.0, a_grid):
+    for a in np.linspace(1.0 / DRIFT_A_GRID, 1.0, DRIFT_A_GRID):
         b = float((KV - (1.0 - a) * V).max())
         if b < 0:
             b = 0.0

@@ -17,8 +17,8 @@ from scipy.sparse import csgraph, csr_matrix
 from . import rng as rngmod
 from .config import MAX_DENSE_STATES
 from .decomposition import Partition, trace_kernel
-from .errors import GraphGenerationFailed, StateSpaceTooLarge
-from .kernel import StationaryDistribution, StochasticKernel
+from .errors import AssertionFailed, GraphGenerationFailed, StateSpaceTooLarge
+from .kernel import StationaryDistribution, StochasticKernel, require_dense
 
 
 @dataclass(frozen=True)
@@ -46,6 +46,7 @@ def pince_nez(m: int) -> tuple[StochasticKernel, Partition]:
     if m < 3:
         raise ValueError("pince_nez needs m >= 3")
     n = 2 * m
+    require_dense(n)
     K = np.zeros((n, n))
 
     def link(a, b):
@@ -134,6 +135,7 @@ def expander_pair(m: int, d: int, epsilon: float, seed: int = 0) -> ExpanderPair
         raise ValueError("m * d must be even")
     if not (0 < epsilon <= min(0.25, 1.0 / np.log(m))):
         raise ValueError("epsilon must lie in (0, min(1/4, 1/log m)]")
+    require_dense(2 * m)
     adj = None
     for attempt in range(100):
         gen = rngmod.stream(seed, attempt)
@@ -157,7 +159,7 @@ def expander_pair(m: int, d: int, epsilon: float, seed: int = 0) -> ExpanderPair
     np.fill_diagonal(K, 0.0)
     np.fill_diagonal(K, 1.0 - K.sum(axis=1))
     if K.diagonal().min() < 0.25 - 1e-12:
-        raise AssertionError("pair-chain diagonal fell below 1/4")
+        raise AssertionFailed("pair-chain-diagonal-at-least-1/4", f"min {K.diagonal().min():.3e}")
     block_of = np.concatenate([np.arange(m), np.arange(m)])
     return ExpanderPair(
         kernel=StochasticKernel(K),
@@ -179,6 +181,7 @@ def toy_kcip(m: int, d: int) -> tuple[StochasticKernel, Partition]:
     if m < 2 or d < 1:
         raise ValueError("need m >= 2, d >= 1")
     n = 3 * m
+    require_dense(n)
     K = np.zeros((n, n))
     slow = 1.0 / (6.0 * m**d)
 

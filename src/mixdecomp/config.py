@@ -1,4 +1,4 @@
-"""Centralized numeric tolerances and runtime knobs.
+"""Centralized numeric tolerances and size budgets.
 
 All validation thresholds used across the package live in one frozen
 object so that tests can reference the exact values the library enforces.
@@ -6,7 +6,6 @@ object so that tests can reference the exact values the library enforces.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 
 
@@ -41,13 +40,5 @@ DEFAULT_TOLERANCES = Tolerances()
 # 200 MB.  Larger chains need the sampler interface.
 MAX_DENSE_STATES = 5_000
 
-
-def thread_count() -> int:
-    """Worker count for parallelizable loops (env var MIXDECOMP_THREADS)."""
-    env = os.environ.get("MIXDECOMP_THREADS", "").strip()
-    if env:
-        value = int(env)
-        if value < 1:
-            raise ValueError(f"MIXDECOMP_THREADS must be >= 1, got {value}")
-        return value
-    return os.cpu_count() or 1
+# Budget for one batch of simulated int64 paths, (paths, T + 1) * 8 bytes.
+MAX_PATH_BYTES = 2**31

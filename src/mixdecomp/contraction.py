@@ -23,7 +23,7 @@ import scipy.optimize
 
 from . import rng as rngmod
 from .decomposition import Partition, escape_analysis, escape_tail_at
-from .errors import DimensionMismatch
+from .errors import AssertionFailed, DimensionMismatch
 from .kernel import StochasticKernel
 
 
@@ -225,13 +225,16 @@ def _alpha_candidates(pairs: list[tuple[float, float]]) -> np.ndarray:
     return arr
 
 
+# Number of worst pairs kept as evidence in a contraction estimate.
+KEEP_WORST = 8
+
+
 def estimate_contraction(
     kernel: StochasticKernel,
     partition: Partition,
     metric: BlockMetric,
     pair_budget: int | None = None,
     seed: int = 0,
-    keep_worst: int = 8,
 ) -> ContractionEstimate:
     """Fit the tightest certified (factor, slack) pair from exit couplings.
 
@@ -240,7 +243,8 @@ def estimate_contraction(
     certificate); otherwise a seeded sample stratified by block pair is used
     and the result is labeled non-certified coverage.  Among factors alpha
     with fitted slack ``beta(alpha)``, the returned pair maximizes the
-    coupling-bound margin ``(1 - alpha) - 2 beta``.
+    coupling-bound margin ``(1 - alpha) - 2 beta``.  The ``KEEP_WORST``
+    pairs with the largest excess over ``alpha d`` are kept as evidence.
     """
     n = kernel.n_states
     if metric.n != partition.n_blocks:
@@ -267,18 +271,11 @@ def estimate_contraction(
                     chosen.add((min(int(x), int(y)), max(int(x), int(y))))
         pair_iter = sorted(chosen)
         coverage = "sampled"
-    cache: dict[tuple[bytes, bytes], float] = {}
     evidence: list[PairEvidence] = []
     wd_pairs: list[tuple[float, float]] = []
     for x, y in pair_iter:
         bx, by = int(lab[x]), int(lab[y])
-        mx, my = mus[x], mus[y]
-        ka = np.round(mx, 12).tobytes()
-        kb = np.round(my, 12).tobytes()
-        key = (ka, kb) if ka <= kb else (kb, ka)
-        if key not in cache:
-            cache[key] = wasserstein(mx, my, metric)
-        w = cache[key]
+        w = wasserstein(mus[x], mus[y], metric)
         dist = float(metric.d[bx, by])
         wd_pairs.append((w, dist))
         evidence.append(PairEvidence(int(x), int(y), bx, by, dist, w))
@@ -302,9 +299,11 @@ def estimate_contraction(
         margin = (1.0 - alpha) - 2.0 * beta
     violations = ws - (alpha * ds + beta) > 1e-9
     if violations.any():  # pragma: no cover - excluded by construction
-        raise AssertionError("fitted certificate violated by its own evidence")
+        raise AssertionFailed(
+            "contraction-fit-covers-evidence", f"{int(violations.sum())} pairs above alpha d + beta"
+        )
     order = np.argsort(-(ws - alpha * ds))
-    worst = tuple(evidence[k] for k in order[:keep_worst])
+    worst = tuple(evidence[k] for k in order[:KEEP_WORST])
     return ContractionEstimate(
         alpha=float(alpha),
         beta=float(beta),
@@ -339,16 +338,16 @@ def occupation_regularity(
     a1: float,
     a2: float,
     phi_max: float,
-    n_for_log: int | None = None,
 ) -> RegularityReport:
     """Exact escape-tail regularity constants via squared block powers.
 
     Binary exponentiation evaluates ``P_x[tau_esc > s]`` exactly at any
-    integer threshold, so no horizon cap applies.
+    integer threshold, so no horizon cap applies.  ``n`` in the thresholds
+    is the number of blocks.
     """
     if a1 < 0 or a2 < 0:
         raise ValueError("a1 and a2 must be nonnegative")
-    n = n_for_log if n_for_log is not None else partition.n_blocks
+    n = partition.n_blocks
     logn = math.log(n) if n >= 2 else 0.0
     s1 = a1 * phi_max * logn
     s2 = a2 * phi_max * logn

@@ -15,7 +15,6 @@ import numpy as np
 import scipy.linalg
 
 from . import rng as rngmod
-from .config import thread_count
 from .errors import (
     DimensionMismatch,
     NoExit,
@@ -73,9 +72,6 @@ class Partition:
     def members(self, block: int) -> np.ndarray:
         return np.nonzero(self.block_of == block)[0]
 
-    def all_members(self) -> list[np.ndarray]:
-        return [self.members(i) for i in range(self.n_blocks)]
-
     def masses(self, pi: StationaryDistribution) -> np.ndarray:
         if pi.n_states != self.n_states:
             raise DimensionMismatch("pi length must equal partition size")
@@ -97,13 +93,6 @@ class EscapeStatistics:
     expected: np.ndarray
     tail: np.ndarray
     exit_block_distribution: np.ndarray
-
-    def tail_at(self, t: float, state_row: int | None = None) -> float:
-        """P[tau_esc > t] (max over in-block starts unless one is given)."""
-        s = int(np.floor(t))
-        s = min(max(s, 0), self.tail.shape[0] - 1)
-        col = self.tail[s]
-        return float(col.max() if state_row is None else col[state_row])
 
 
 @dataclass(frozen=True)
@@ -342,33 +331,17 @@ def block_mixing_times(
     partition: Partition,
     horizon: int,
 ) -> tuple[tuple[int | None, ...], tuple[MixingProfile, ...], tuple[StochasticKernel, ...]]:
-    """Mixing time of every block trace (the per-block time scale phi_i).
-
-    Blocks are independent; with MIXDECOMP_THREADS > 1 they are analyzed in a
-    thread pool (results are collected in block order, so the output does not
-    depend on scheduling).
-    """
-
-    def one(i: int):
+    """Mixing time of every block trace (the per-block time scale phi_i)."""
+    traces = []
+    profiles = []
+    for i in range(partition.n_blocks):
         A = partition.members(i)
         Ki = trace_kernel(kernel, partition, i)
         sub = pi.weights[A]
-        pii = StationaryDistribution(sub / sub.sum())
-        prof = mixing_profile(Ki, pii, horizon)
-        return Ki, prof
-
-    workers = min(thread_count(), partition.n_blocks)
-    if workers > 1 and partition.n_blocks > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(one, range(partition.n_blocks)))
-    else:
-        results = [one(i) for i in range(partition.n_blocks)]
-    traces = tuple(r[0] for r in results)
-    profiles = tuple(r[1] for r in results)
+        traces.append(Ki)
+        profiles.append(mixing_profile(Ki, StationaryDistribution(sub / sub.sum()), horizon))
     phis = tuple(p.mixing_time for p in profiles)
-    return phis, profiles, traces
+    return phis, tuple(profiles), tuple(traces)
 
 
 def decompose(
@@ -438,8 +411,9 @@ def avg_hit_time(
 
     For every subset I of blocks with stationary mass at least ``alpha / 2``,
     the worst-start expected hitting time of the union is computed exactly;
-    the result is the max over subsets.  ``mode='sampled'`` draws random
-    subsets instead and returns a flagged lower bound.
+    the result is the max over subsets.  ``mode='sampled'`` checks only the
+    seeded family of :func:`sampled_subsets` plus the full set, and returns a
+    flagged lower bound.
 
     Raises
     ------
@@ -455,16 +429,9 @@ def avg_hit_time(
         subsets = qualifying_subsets(masses, floor)
         lower_bound_only = False
     elif mode == "sampled":
-        gen = rngmod.stream(seed, 0)
-        seen = set()
-        for _ in range(sample_budget):
-            mask = gen.random(n) < gen.uniform(0.2, 0.9)
-            I = tuple(np.nonzero(mask)[0].tolist())
-            if I and masses[list(I)].sum() >= floor:
-                seen.add(I)
+        subsets = sampled_subsets(masses, floor, sample_budget, seed)
         if masses.sum() >= floor:
-            seen.add(tuple(range(n)))
-        subsets = sorted(seen)
+            subsets = sorted(set(subsets) | {tuple(range(n))})
         lower_bound_only = True
     else:
         raise ValueError(f"unknown mode {mode!r}")

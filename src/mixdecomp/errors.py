@@ -98,7 +98,11 @@ class StateSpaceTooLarge(MixdecompError):
 
 
 class ProductSpaceTooLarge(MixdecompError):
-    """State x counter dynamic program exceeds its size budget."""
+    """A product array exceeds its size budget.
+
+    Raised for the (state, counter) tables of the exact occupation dynamic
+    programs and for the (paths, steps) array of batched simulation.
+    """
 
 
 class HorizonCap(MixdecompError):
@@ -115,7 +119,3 @@ class AssertionFailed(MixdecompError):
     def __init__(self, invariant: str, detail: str = ""):
         self.invariant = invariant
         super().__init__(f"internal assertion failed: {invariant}" + (f" ({detail})" if detail else ""))
-
-
-class SuiteFailed(MixdecompError):
-    """A reproduction suite measured a value outside its threshold."""

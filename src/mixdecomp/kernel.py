@@ -15,8 +15,9 @@ import numpy as np
 import scipy.linalg
 from scipy.sparse import csgraph, csr_matrix
 
-from .config import DEFAULT_TOLERANCES, MAX_DENSE_STATES, Tolerances
+from .config import DEFAULT_TOLERANCES, MAX_DENSE_STATES
 from .errors import (
+    AssertionFailed,
     DimensionMismatch,
     InvalidAlpha,
     NotReversible,
@@ -31,6 +32,12 @@ def _frozen(a: np.ndarray) -> np.ndarray:
     a = np.asarray(a, dtype=float)
     a.setflags(write=False)
     return a
+
+
+def require_dense(n: int) -> None:
+    """Raise StateSpaceTooLarge when an n x n dense matrix exceeds the cap."""
+    if n > MAX_DENSE_STATES:
+        raise StateSpaceTooLarge(f"dense kernels capped at {MAX_DENSE_STATES} states, got {n}")
 
 
 @dataclass(frozen=True)
@@ -56,8 +63,7 @@ class StochasticKernel:
         n = rows.shape[0]
         if n < 1:
             raise DimensionMismatch("kernel needs at least one state")
-        if n > MAX_DENSE_STATES:
-            raise StateSpaceTooLarge(f"dense kernels capped at {MAX_DENSE_STATES} states, got {n}")
+        require_dense(n)
         tol = DEFAULT_TOLERANCES
         if rows.min(initial=0.0) < -1e-15:
             raise ValueError(f"negative transition probability {rows.min()}")
@@ -137,10 +143,6 @@ class MixingProfile:
     horizon: int
     horizon_exceeded: bool = False
 
-    def tv_at(self, t: int) -> float:
-        t = min(t, len(self.distances) - 1)
-        return float(self.distances[t])
-
 
 @dataclass(frozen=True)
 class HittingTimeTable:
@@ -161,9 +163,7 @@ class HittingTimeTable:
         return float(self.expected.max())
 
 
-def stationary_distribution(
-    kernel: StochasticKernel, tol: Tolerances = DEFAULT_TOLERANCES
-) -> StationaryDistribution:
+def stationary_distribution(kernel: StochasticKernel) -> StationaryDistribution:
     """Compute the stationary distribution of an irreducible kernel.
 
     A direct solve of ``(K^T - I) pi = 0`` with a normalization row.
@@ -190,22 +190,19 @@ def stationary_distribution(
     pi = np.clip(pi, 0.0, None)
     pi /= pi.sum()
     residual = float(np.abs(pi @ K - pi).sum())
-    if residual > tol.stationary_residual:
-        raise SingularSystem(f"stationary residual {residual:.3e} > {tol.stationary_residual:.0e}")
+    tol = DEFAULT_TOLERANCES.stationary_residual
+    if residual > tol:
+        raise SingularSystem(f"stationary residual {residual:.3e} > {tol:.0e}")
     return StationaryDistribution(pi)
 
 
-def check_reversible(
-    kernel: StochasticKernel,
-    pi: StationaryDistribution,
-    tol: Tolerances = DEFAULT_TOLERANCES,
-) -> ReversibilityReport:
+def check_reversible(kernel: StochasticKernel, pi: StationaryDistribution) -> ReversibilityReport:
     """Detailed-balance check; returns (is_reversible, max residual)."""
     if pi.n_states != kernel.n_states:
         raise DimensionMismatch("pi length must equal the kernel's state count")
     flux = pi.weights[:, None] * kernel.rows
     residual = float(np.abs(flux - flux.T).max())
-    return ReversibilityReport(residual <= tol.detailed_balance, residual)
+    return ReversibilityReport(residual <= DEFAULT_TOLERANCES.detailed_balance, residual)
 
 
 def lazify(kernel: StochasticKernel, alpha: float) -> StochasticKernel:
@@ -290,11 +287,7 @@ def mixing_profile(
     )
 
 
-def relaxation_time(
-    kernel: StochasticKernel,
-    pi: StationaryDistribution,
-    tol: Tolerances = DEFAULT_TOLERANCES,
-) -> float:
+def relaxation_time(kernel: StochasticKernel, pi: StationaryDistribution) -> float:
     """Reciprocal spectral gap ``1 / (1 - lambda_2)`` of a reversible kernel.
 
     The kernel is symmetrized as ``D^{1/2} K D^{-1/2}`` with ``D = diag(pi)``,
@@ -306,7 +299,7 @@ def relaxation_time(
         If detailed balance fails beyond tolerance, making the
         symmetrization invalid.
     """
-    ok, residual = check_reversible(kernel, pi, tol)
+    ok, residual = check_reversible(kernel, pi)
     if not ok:
         raise NotReversible(f"detailed-balance residual {residual:.3e}")
     d = np.sqrt(pi.weights)
@@ -317,7 +310,7 @@ def relaxation_time(
         return 1.0
     lam2 = float(eigs[-2])
     gap = 1.0 - lam2
-    if gap <= tol.eigen:
+    if gap <= DEFAULT_TOLERANCES.eigen:
         return float("inf")
     return 1.0 / gap
 
@@ -337,7 +330,6 @@ def hitting_analysis(
     kernel: StochasticKernel,
     target: Sequence[int],
     horizon: int = 0,
-    tol: Tolerances = DEFAULT_TOLERANCES,
 ) -> HittingTimeTable:
     """Expected hitting times of a state set, plus exact tail probabilities.
 
@@ -370,7 +362,7 @@ def hitting_analysis(
             raise SingularSystem(str(exc)) from exc
         expected[B] = h
         residual = float(np.abs((np.eye(B.size) - KBB) @ h - 1.0).max())
-        if residual > tol.linear_solve:
+        if residual > DEFAULT_TOLERANCES.linear_solve:
             raise SingularSystem(f"hitting solve residual {residual:.3e}")
     tail = None
     if horizon > 0:
@@ -400,9 +392,9 @@ def _assert_subgeometric(tails: np.ndarray, max_k: int = 4) -> None:
             if k * t > T:
                 break
             if worst[k * t] > worst[t] ** k + 1e-12:
-                raise AssertionError(
-                    f"hitting tail submultiplicativity violated at t={t}, k={k}: "
-                    f"{worst[k * t]:.3e} > {worst[t] ** k:.3e}"
+                raise AssertionFailed(
+                    "hitting-tail-submultiplicativity",
+                    f"t={t}, k={k}: {worst[k * t]:.3e} > {worst[t] ** k:.3e}",
                 )
 
 

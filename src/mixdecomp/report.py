@@ -19,6 +19,7 @@ import numpy as np
 
 from . import io as iomod
 from .bounds import (
+    MAX_EXACT_BLOCKS,
     MCTailProvider,
     MinMarginalJointTails,
     PeresSousiConstants,
@@ -27,7 +28,6 @@ from .bounds import (
     bound_regular,
 )
 from .chains import ChainSpec, generate
-from .config import thread_count
 from .decomposition import Partition, avg_hit_time, block_mixing_times, decompose
 from .errors import AssertionFailed, ConfigInvalid
 from .kernel import (
@@ -171,7 +171,6 @@ def run_experiment(cfg: ExperimentConfig) -> dict:
         "n_states": kernel.n_states,
         "n_blocks": partition.n_blocks,
         "seed": cfg.seed,
-        "threads": thread_count(),
         "constants": {
             "c_alpha": cfg.constants.c_alpha,
             "c_alpha_prime": cfg.constants.c_alpha_prime,
@@ -281,7 +280,7 @@ def _task_bounds(kernel, pi, partition, cfg) -> dict:
         phi, mc, alpha, beta, I, cfg.constants, block_masses=masses, T_horizon=t_max
     )
     results.append(r1)
-    if partition.n_blocks <= 12:
+    if partition.n_blocks <= MAX_EXACT_BLOCKS:
         r2 = bound_basic2(
             phi, masses, MinMarginalJointTails(mc), alpha, cfg.constants, T_horizon=t_max
         )

@@ -15,8 +15,9 @@ from typing import Sequence
 import numpy as np
 
 from . import rng as rngmod
+from .config import MAX_PATH_BYTES
 from .decomposition import Partition
-from .errors import HorizonCap, ProductSpaceTooLarge
+from .errors import AssertionFailed, HorizonCap, ProductSpaceTooLarge
 from .kernel import StochasticKernel
 
 # 99% two-sided normal quantile, used by every Wilson interval here.
@@ -68,7 +69,9 @@ class OccupationRecord:
 
     def __post_init__(self):
         if int(self.kappa.sum()) != self.T:
-            raise AssertionError("occupation counts must sum to the horizon")
+            raise AssertionFailed(
+                "occupation-counts-sum-to-horizon", f"sum {int(self.kappa.sum())} != T = {self.T}"
+            )
 
 
 @dataclass(frozen=True)
@@ -79,7 +82,6 @@ class HittingEstimate:
     half_width: float
     reps: int
     capped: int
-    tail: TailEstimate | None = None
 
 
 class RowSampler:
@@ -179,13 +181,26 @@ def simulate(
 def simulate_states(
     kernel: StochasticKernel, x0: Sequence[int] | int, T: int, seed: int, reps: int | None = None
 ) -> np.ndarray:
-    """Batched trajectories; returns an int array of shape (reps, T + 1)."""
+    """Batched trajectories; returns an int array of shape (reps, T + 1).
+
+    Raises
+    ------
+    ProductSpaceTooLarge
+        If the path array would exceed ``MAX_PATH_BYTES``; checked before
+        anything is allocated.
+    """
     if np.isscalar(x0):
         if reps is None:
             raise ValueError("reps required for a scalar start")
         starts = np.full(reps, int(x0), dtype=np.int64)
     else:
         starts = np.asarray(x0, dtype=np.int64)
+    nbytes = starts.size * (T + 1) * 8
+    if nbytes > MAX_PATH_BYTES:
+        raise ProductSpaceTooLarge(
+            f"{starts.size} paths x {T} steps need {nbytes:,} B of int64 states "
+            f"> budget {MAX_PATH_BYTES:,} B"
+        )
     sampler = RowSampler(kernel)
     gen = rngmod.stream(seed, 0)
     out = np.empty((starts.size, T + 1), dtype=np.int64)
@@ -204,9 +219,8 @@ def empirical_hitting(
     reps: int,
     seed: int,
     step_cap: int = 10**9,
-    tail_t: int | None = None,
 ) -> HittingEstimate:
-    """Monte Carlo hitting-time mean (3 SE band) and optional tail point."""
+    """Monte Carlo hitting-time mean with a 3-standard-error band."""
     if reps < 1:
         raise ValueError("reps must be >= 1")
     in_target = np.zeros(kernel.n_states, dtype=bool)
@@ -233,10 +247,7 @@ def empirical_hitting(
         raise HorizonCap(f"{capped} replicates exceeded {step_cap} steps")
     mean = float(times.mean())
     se = float(times.std(ddof=1) / math.sqrt(reps)) if reps > 1 else 0.0
-    tail = None
-    if tail_t is not None:
-        tail = TailEstimate.from_counts(int((times > tail_t).sum()), reps)
-    return HittingEstimate(mean=mean, half_width=3.0 * se, reps=reps, capped=capped, tail=tail)
+    return HittingEstimate(mean=mean, half_width=3.0 * se, reps=reps, capped=capped)
 
 
 def empirical_occupation_tail(

@@ -51,7 +51,6 @@ from .decomposition import (
     projected_kernel,
     trace_kernel,
 )
-from .errors import SuiteFailed
 from .kernel import StationaryDistribution, mixing_profile, stationary_distribution
 from .simulate import occupation_tail_table, simulate_states
 from .wellcovering import (
@@ -79,10 +78,6 @@ class SuiteResult:
     header: list[str]
     rows: list[list]
     seconds: float = 0.0
-
-    def raise_if_failed(self):
-        if not self.passed:
-            raise SuiteFailed(f"{self.name}: measured {self.measured} vs threshold [{self.threshold}]")
 
 
 def _tv_crossing(profile) -> float:

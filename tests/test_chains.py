@@ -202,6 +202,20 @@ def test_generators_validate():
         expander_pair(16, 4, 0.5)
 
 
+def test_generators_check_dense_cap_before_allocating(monkeypatch):
+    with pytest.raises(StateSpaceTooLarge):
+        pince_nez(10**6)
+    with pytest.raises(StateSpaceTooLarge):
+        toy_kcip(10**6, 1)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("base graph drawn before the size check")
+
+    monkeypatch.setattr("mixdecomp.chains.random_regular_graph", refuse)
+    with pytest.raises(StateSpaceTooLarge):
+        expander_pair(2502, 4, 0.1)
+
+
 def test_expander_spectral_floor():
     ep = expander_pair(32, 6, 0.2, seed=1)
     walk_second = np.linalg.eigvalsh(ep.adjacency.astype(float) / 6)[-2]

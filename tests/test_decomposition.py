@@ -11,6 +11,7 @@ from mixdecomp.decomposition import (
     escape_analysis,
     less_lazy_projection,
     projected_kernel,
+    sampled_subsets,
     trace_kernel,
     trace_kernel_dp_oracle,
 )
@@ -188,6 +189,15 @@ def test_avg_hit_sampled_below_exact(seed):
     sampled = avg_hit_time(k, pi, part, alpha=0.3, mode="sampled", seed=seed)
     assert sampled.lower_bound_only
     assert sampled.value <= exact.value + 1e-9
+
+
+def test_avg_hit_sampled_uses_shared_subset_sampler():
+    k, part = toy_kcip(8, 1)
+    pi = stationary_distribution(k)
+    res = avg_hit_time(k, pi, part, alpha=0.3, mode="sampled", sample_budget=16, seed=5)
+    family = set(sampled_subsets(part.masses(pi), 0.15, 16, 5)) | {tuple(range(8))}
+    assert res.n_qualifying == len(family)
+    assert res.argmax_subset in family
 
 
 def test_avg_hit_no_qualifying_marker():

@@ -1,8 +1,10 @@
-"""Every module of the package uses each name it imports.
+"""Static checks over the package source.
 
-No linter runs on this repository, so the check is made here with the
-standard library's ``ast``.  ``__init__.py`` is skipped: its imports are the
-package's public re-exports.
+Every module uses each name it imports, and no module reads the process
+environment: the package's behaviour depends only on its arguments.  No
+linter runs on this repository, so the checks are made here with the
+standard library's ``ast``.  The unused-import check skips ``__init__.py``:
+its imports are the package's public re-exports.
 """
 
 import ast
@@ -38,3 +40,26 @@ def test_no_unused_imports():
         if path.name != "__init__.py" and (unused := _unused_imports(path.read_text()))
     }
     assert not found, f"unused imports: {found}"
+
+
+def _environment_reads(source: str) -> list[str]:
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Attribute) and node.attr in ("environ", "getenv"):
+            found.append((node.lineno, node.attr))
+        elif isinstance(node, ast.ImportFrom) and node.module == "os":
+            found += [(node.lineno, a.name) for a in node.names if a.name in ("environ", "getenv")]
+    return [f"line {line}: {name}" for line, name in sorted(found)]
+
+
+def test_no_environment_reads():
+    assert _environment_reads("import os\nos.environ.get('X')\nfrom os import getenv\n") == [
+        "line 2: environ",
+        "line 3: getenv",
+    ]
+    found = {
+        path.name: reads
+        for path in sorted(PACKAGE.glob("*.py"))
+        if (reads := _environment_reads(path.read_text()))
+    }
+    assert not found, f"environment reads: {found}"

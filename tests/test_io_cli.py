@@ -264,6 +264,19 @@ def test_cli_oversized_chain_is_config_error(tmp_path):
     assert code == 1
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        # 216 starts x 200 reps x 16,385 int64 states: 5.7 GB of paths
+        ["bounds", "--chain", "torus_metropolis:m=3,l=3,C=7"],
+        # 2,000,000 dense states, refused before np.zeros
+        ["analyze", "--chain", "pince_nez:m=1000000"],
+    ],
+)
+def test_cli_over_size_budget_is_config_error(tmp_path, argv):
+    assert main(argv + ["--out", str(tmp_path)]) == 1
+
+
 def test_cli_reproduce_builds_no_chain_instance(tmp_path, monkeypatch):
     def refuse(spec):
         raise AssertionError(f"reproduce built a chain instance: {spec}")

@@ -5,6 +5,7 @@ from conftest import random_partition, random_reversible_kernel
 from mixdecomp import rng as rngmod
 from mixdecomp.chains import pince_nez
 from mixdecomp.errors import (
+    AssertionFailed,
     DimensionMismatch,
     InvalidAlpha,
     ReducibleKernel,
@@ -21,6 +22,7 @@ from mixdecomp.kernel import (
     stationary_distribution,
     time_reversal,
 )
+from mixdecomp.kernel import _assert_subgeometric
 
 K3 = StochasticKernel([[0.5, 0.5, 0.0], [0.25, 0.5, 0.25], [0.0, 0.5, 0.5]])
 
@@ -178,6 +180,12 @@ def test_hitting_submultiplicative_tails(seed):
         for kk in (2, 3, 4, 5):
             if kk * t < len(worst):
                 assert worst[kk * t] <= worst[t] ** kk + 1e-12
+
+
+def test_subgeometric_violation_raises_typed_error():
+    # worst tail 0.9 at t = 2 exceeds 0.9 ** 2 from t = 1
+    with pytest.raises(AssertionFailed, match="submultiplicativity"):
+        _assert_subgeometric(np.array([[1.0], [0.9], [0.9]]))
 
 
 @pytest.mark.parametrize("seed", range(10))

@@ -6,7 +6,7 @@ from conftest import random_partition, random_reversible_kernel
 from mixdecomp import rng as rngmod
 from mixdecomp.chains import pince_nez
 from mixdecomp.decomposition import Partition
-from mixdecomp.errors import HorizonCap, ProductSpaceTooLarge
+from mixdecomp.errors import AssertionFailed, HorizonCap, ProductSpaceTooLarge
 from mixdecomp.kernel import StochasticKernel, hitting_analysis, lazify
 from mixdecomp.simulate import (
     OccupationRecord,
@@ -226,3 +226,8 @@ def test_empirical_hitting_step_cap():
     k, part = pince_nez(8)
     with pytest.raises(HorizonCap):
         empirical_hitting(k, [12], x0=0, reps=50, seed=3, step_cap=2)
+
+
+def test_occupation_record_counts_must_sum_to_horizon():
+    with pytest.raises(AssertionFailed, match="occupation-counts"):
+        OccupationRecord(T=3, start=0, kappa=np.array([1, 1]), transitions=np.zeros((2, 2), dtype=np.int64))

@@ -20,6 +20,7 @@ from typing import Callable, Sequence
 import numpy as np
 from scipy.sparse import csgraph, csr_matrix
 
+from .config import MAX_PATH_BYTES
 from .decomposition import (
     Partition,
     escape_analysis,
@@ -34,6 +35,7 @@ from .errors import (
     HypothesisUnverified,
     MTooSmall,
     NoFeasibleT,
+    ProductSpaceTooLarge,
     TooLarge,
     TooManyBlocks,
 )
@@ -43,7 +45,7 @@ from .kernel import (
     hitting_analysis,
     mixing_profile,
 )
-from .simulate import occupation_tail_table, simulate_states, wilson_interval
+from .simulate import index_dtype, occupation_tail_table, simulate_states, wilson_interval
 
 
 @dataclass(frozen=True)
@@ -95,6 +97,10 @@ class BoundResult:
 # Occupation-tail providers
 # ---------------------------------------------------------------------------
 
+# Label entries relabelled or counted per chunk; relabelling a chunk takes
+# 8 MB of intp index temporaries.
+_CHUNK_ENTRIES = 1 << 20
+
 
 class ExactTailProvider:
     """Worst-start occupation tails by exact DP, one sweep per block.
@@ -141,9 +147,17 @@ class MCTailProvider:
     """Occupation tails from cached simulated paths, Wilson 99% upper bounds.
 
     Paths are simulated once from every start state (``reps_per_start``
-    replicas each, independent streams); queries count per-path block
-    occupations and return the largest per-start Wilson upper bound, which is
-    a sound (conservative) ingredient for the bound searches.
+    replicas each, independent streams) and kept only as block labels, one
+    contiguous row per time step.  The occupation counts of every block are
+    cached per horizon T; a new T is filled from the nearest cached horizon
+    by counting the label rows in between.  Queries return the largest
+    per-start Wilson upper bound, which is a sound (conservative) ingredient
+    for the bound searches.
+
+    The states and the labels are held together for a moment, so before
+    simulating ``paths x (T_max + 1) x (state bytes + label bytes)`` is
+    checked against ``MAX_PATH_BYTES``; over it, queries raise
+    ``ProductSpaceTooLarge``.
     """
 
     def __init__(
@@ -163,8 +177,10 @@ class MCTailProvider:
         if starts is None:
             starts = range(kernel.n_states)
         self.start_list = [int(s) for s in starts]
-        self._labels: np.ndarray | None = None
-        self._counts: dict[tuple[int, int], np.ndarray] = {}
+        self._chunk_rows = max(1, _CHUNK_ENTRIES // max(len(self.start_list) * self.reps, 1))
+        self._labels: np.ndarray | None = None  # (T_max + 1, paths)
+        self._counts: dict[int, np.ndarray] = {}  # T -> (n_blocks, paths)
+        self._wilson_hi = np.array([wilson_interval(k, self.reps)[1] for k in range(self.reps + 1)])
 
     @property
     def provenance(self) -> str:
@@ -173,44 +189,72 @@ class MCTailProvider:
     def max_t(self) -> int:
         return self.T_max
 
-    def _ensure_paths(self):
+    def _ensure_labels(self):
         if self._labels is not None:
             return
+        n_paths = len(self.start_list) * self.reps
+        label_dtype = index_dtype(self.partition.n_blocks)
+        item = index_dtype(self.kernel.n_states).itemsize + label_dtype.itemsize
+        nbytes = n_paths * (self.T_max + 1) * item
+        if nbytes > MAX_PATH_BYTES:
+            raise ProductSpaceTooLarge(
+                f"{n_paths} paths x {self.T_max} steps need {nbytes:,} B of states and "
+                f"block labels > budget {MAX_PATH_BYTES:,} B"
+            )
         starts = np.repeat(np.asarray(self.start_list, dtype=np.int64), self.reps)
-        paths = simulate_states(self.kernel, starts, self.T_max, self.seed)
-        self._labels = self.partition.block_of[paths].astype(np.int16)
+        states = simulate_states(self.kernel, starts, self.T_max, self.seed).T
+        lut = self.partition.block_of.astype(label_dtype)
+        labels = np.empty(states.shape, dtype=label_dtype)
+        rows = self._chunk_rows
+        for r in range(0, labels.shape[0], rows):
+            labels[r : r + rows] = lut[states[r : r + rows]]
+        self._labels = labels
+        self._counts[0] = np.zeros(
+            (self.partition.n_blocks, n_paths), dtype=index_dtype(self.T_max + 1)
+        )
 
-    def _kappa(self, i: int, T: int) -> np.ndarray:
-        key = (i, T)
-        if key not in self._counts:
-            self._ensure_paths()
-            self._counts[key] = (self._labels[:, 1 : T + 1] == i).sum(axis=1)
-        return self._counts[key]
+    def _count_rows(self, a: int, b: int) -> np.ndarray:
+        """Per-path visits to every block at times ``a .. b - 1``."""
+        counts = np.zeros((self.partition.n_blocks, self._labels.shape[1]), dtype=np.int64)
+        for r in range(a, b, self._chunk_rows):
+            chunk = self._labels[r : min(r + self._chunk_rows, b)]
+            for i, row in enumerate(counts):
+                row += (chunk == i).sum(axis=0, dtype=np.int32)
+        return counts
+
+    def _kappa(self, T: int) -> np.ndarray:
+        """Occupation counts ``kappa_i(T)`` of every block i, one column per path."""
+        if T not in self._counts:
+            self._ensure_labels()
+            near = min(self._counts, key=lambda h: abs(h - T))
+            base = self._counts[near]
+            if T > near:
+                kappa = base + self._count_rows(near + 1, T + 1)
+            else:
+                kappa = base - self._count_rows(T + 1, near + 1)
+            self._counts[T] = kappa.astype(base.dtype)
+        return self._counts[T]
 
     def _max_wilson(self, hits: np.ndarray) -> float:
-        per_start = hits.reshape(len(self.start_list), self.reps)
-        worst = 0.0
-        for row in per_start:
-            _, hi = wilson_interval(int(row.sum()), self.reps)
-            worst = max(worst, hi)
-        return worst
+        per_start = hits.reshape(len(self.start_list), self.reps).sum(axis=1)
+        return float(self._wilson_hi[per_start].max(initial=0.0))
 
     def query(self, i: int, T: int, t: float) -> float:
         if t <= 0:
             return 0.0
         if T > self.T_max:
             return 1.0
-        hits = self._kappa(i, T) < t
-        return self._max_wilson(hits)
+        return self._max_wilson(self._kappa(T)[i] < t)
 
     def query_joint(self, I: Sequence[int], T: int, t: float) -> float:
         if t <= 0:
             return 0.0
         if T > self.T_max:
             return 1.0
-        hits = np.ones(len(self.start_list) * self.reps, dtype=bool)
+        kappa = self._kappa(T)
+        hits = np.ones(kappa.shape[1], dtype=bool)
         for i in I:
-            hits &= self._kappa(int(i), T) < t
+            hits &= kappa[int(i)] < t
         return self._max_wilson(hits)
 
 

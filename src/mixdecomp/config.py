@@ -24,7 +24,8 @@ class Tolerances:
     eigen : float
         Tolerance used when interpreting eigenvalues (e.g. gap > eigen).
     linear_solve : float
-        Maximum allowed residual of hitting/escape-time linear systems.
+        Relative residual bound of the hitting-time linear system:
+        ``||(I - K_BB) h - 1||_inf <= linear_solve * (1 + ||h||_inf)``.
     """
 
     row_sum: float = 1e-9
@@ -40,5 +41,7 @@ DEFAULT_TOLERANCES = Tolerances()
 # 200 MB.  Larger chains need the sampler interface.
 MAX_DENSE_STATES = 5_000
 
-# Budget for one batch of simulated int64 paths, (paths, T + 1) * 8 bytes.
+# Budget for stored simulated paths, in bytes.  simulate_states counts
+# (paths, T + 1) states in the smallest integer dtype that holds them;
+# MCTailProvider counts those states plus the block labels it derives from them.
 MAX_PATH_BYTES = 2**31

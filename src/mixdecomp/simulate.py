@@ -87,8 +87,11 @@ class HittingEstimate:
 class RowSampler:
     """Vectorized next-state sampling from a transition matrix.
 
-    Rows with more than 8 support points are sampled with Vose alias tables
-    (O(1) per draw); sparser rows fall back to inverse-CDF search.
+    If any row has more than 8 support points, every row is sampled with
+    Vose alias tables (O(1) per draw).  Otherwise each row is sampled by
+    inverse CDF over its own nonzeros: with the same uniform this picks the
+    state the full-row search ``(cumsum(K)[s] < u).sum()`` would, and never
+    a column of probability 0.
     """
 
     def __init__(self, kernel: StochasticKernel):
@@ -98,8 +101,22 @@ class RowSampler:
         self._dense = bool((nnz > 8).any())
         if self._dense:
             self._prob, self._alias = _build_alias(K)
-        self._cum = np.cumsum(K, axis=1)
-        self._cum[:, -1] = 1.0
+            return
+        # Padded (n, d) tables over each row's nonzeros: column indices and
+        # full-row cumulative sums, the last nonzero forced to 1.0.  Padding
+        # repeats the last nonzero.
+        cum = np.cumsum(K, axis=1)
+        d = int(nnz.max())
+        cols = np.empty((self.n, d), dtype=np.intp)
+        cums = np.ones((d, self.n))
+        for x in range(self.n):
+            nz = np.flatnonzero(K[x] > 0)
+            cols[x, : nz.size] = nz
+            cols[x, nz.size :] = nz[-1]
+            cums[: nz.size - 1, x] = cum[x, nz[:-1]]
+        self._d = d
+        self._cols = cols.ravel()
+        self._cums = cums[:-1]  # the last cumsum is 1.0 > u for every row
 
     def step(self, states: np.ndarray, gen: np.random.Generator) -> np.ndarray:
         if self._dense:
@@ -108,8 +125,12 @@ class RowSampler:
             slot = np.minimum(slot, self.n - 1)
             take = u < self._prob[states, slot]
             return np.where(take, slot, self._alias[states, slot])
-        u = gen.random((states.shape[0], 1))
-        return (self._cum[states] < u).sum(axis=1)
+        states = states.astype(np.intp, copy=False)
+        u = gen.random(states.shape[0])
+        pos = states * self._d
+        for cum in self._cums:
+            pos += cum[states] < u
+        return self._cols[pos]
 
 
 def _build_alias(K: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -154,7 +175,7 @@ def simulate(
         raise ValueError("T must be >= 1")
     if isinstance(chain, StochasticKernel):
         part = partition or Partition.single_block(chain.n_states)
-        traj = simulate_states(chain, [x0], T, seed)[0]
+        traj = simulate_states(chain, [x0], T, seed)[0].astype(np.int64)
         blocks = part.block_of[traj]
         nb = part.n_blocks
     else:
@@ -178,10 +199,22 @@ def simulate(
     return traj, OccupationRecord(T=T, start=x0, kappa=kappa, transitions=trans)
 
 
+def index_dtype(n: int) -> np.dtype:
+    """Smallest signed integer dtype that holds the indices ``0 .. n - 1``."""
+    for dt in (np.int8, np.int16, np.int32):
+        if n - 1 <= np.iinfo(dt).max:
+            return np.dtype(dt)
+    return np.dtype(np.int64)
+
+
 def simulate_states(
     kernel: StochasticKernel, x0: Sequence[int] | int, T: int, seed: int, reps: int | None = None
 ) -> np.ndarray:
     """Batched trajectories; returns an int array of shape (reps, T + 1).
+
+    States are stored in ``index_dtype(n_states)``.  Each step is written as
+    one contiguous row of a time-major ``(T + 1, reps)`` array, and its
+    transpose is returned.
 
     Raises
     ------
@@ -195,21 +228,22 @@ def simulate_states(
         starts = np.full(reps, int(x0), dtype=np.int64)
     else:
         starts = np.asarray(x0, dtype=np.int64)
-    nbytes = starts.size * (T + 1) * 8
+    dtype = index_dtype(kernel.n_states)
+    nbytes = starts.size * (T + 1) * dtype.itemsize
     if nbytes > MAX_PATH_BYTES:
         raise ProductSpaceTooLarge(
-            f"{starts.size} paths x {T} steps need {nbytes:,} B of int64 states "
+            f"{starts.size} paths x {T} steps need {nbytes:,} B of {dtype} states "
             f"> budget {MAX_PATH_BYTES:,} B"
         )
     sampler = RowSampler(kernel)
     gen = rngmod.stream(seed, 0)
-    out = np.empty((starts.size, T + 1), dtype=np.int64)
-    out[:, 0] = starts
-    state = starts.copy()
+    out = np.empty((T + 1, starts.size), dtype=dtype)
+    out[0] = starts
+    state = starts
     for t in range(1, T + 1):
         state = sampler.step(state, gen)
-        out[:, t] = state
-    return out
+        out[t] = state
+    return out.T
 
 
 def empirical_hitting(

@@ -267,14 +267,29 @@ def test_cli_oversized_chain_is_config_error(tmp_path):
 @pytest.mark.parametrize(
     "argv",
     [
-        # 216 starts x 200 reps x 16,385 int64 states: 5.7 GB of paths
-        ["bounds", "--chain", "torus_metropolis:m=3,l=3,C=7"],
+        # 6,400 paths x 16,385 steps over a path budget lowered to 1 MiB,
+        # refused before anything is simulated
+        ["bounds", "--chain", "pince_nez:m=16"],
         # 2,000,000 dense states, refused before np.zeros
         ["analyze", "--chain", "pince_nez:m=1000000"],
     ],
 )
-def test_cli_over_size_budget_is_config_error(tmp_path, argv):
+def test_cli_over_size_budget_is_config_error(tmp_path, monkeypatch, argv):
+    def refuse(*args, **kwargs):
+        raise AssertionError("simulated paths over the budget")
+
+    monkeypatch.setattr("mixdecomp.bounds.MAX_PATH_BYTES", 1 << 20)
+    monkeypatch.setattr("mixdecomp.bounds.simulate_states", refuse)
     assert main(argv + ["--out", str(tmp_path)]) == 1
+
+
+def test_cli_bounds_on_216_state_torus_completes(tmp_path):
+    # 216 starts x 200 reps x 16,385 steps x (2 B states + 1 B labels) < 2 GiB
+    argv = ["bounds", "--chain", "torus_metropolis:m=3,l=3,C=7", "--out", str(tmp_path)]
+    assert main(argv) == 0
+    report = json.loads((tmp_path / "report.json").read_text())
+    names = [r["name"] for r in report["tasks"]["bounds"]["comparison"]]
+    assert "basic_occupation" in names
 
 
 def test_cli_reproduce_builds_no_chain_instance(tmp_path, monkeypatch):

@@ -3,7 +3,7 @@ import pytest
 
 from conftest import random_partition, random_reversible_kernel
 from mixdecomp import rng as rngmod
-from mixdecomp.chains import pince_nez
+from mixdecomp.chains import pince_nez, torus_metropolis
 from mixdecomp.errors import (
     AssertionFailed,
     DimensionMismatch,
@@ -220,3 +220,10 @@ def test_subgeometric_scaled_tail_bound():
             t = int(np.ceil(np.e * kk * emax))
             if t < len(worst):
                 assert worst[t] <= np.exp(-kk) + 1e-12
+
+
+def test_hitting_residual_is_relative_to_the_solution():
+    # max h is about 5e10, so an absolute 1e-8 residual bound is round-off
+    table = hitting_analysis(torus_metropolis(4, 3, 7).kernel, [0])
+    assert table.residual > 1e-8
+    assert table.residual <= 1e-8 * (1.0 + max(table.expected))

@@ -1,5 +1,9 @@
+import importlib
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from scipy.stats import binom
 
 from conftest import random_partition, random_reversible_kernel
@@ -208,6 +212,63 @@ def test_batched_paths_shape_and_determinism():
     paths2 = simulate_states(K3, 1, 64, seed=3, reps=10)
     assert paths.shape == (10, 65)
     assert np.array_equal(paths, paths2)
+
+
+def test_batched_paths_stored_compact_and_budgeted(monkeypatch):
+    # the package exports the function simulate under the module's name
+    module = importlib.import_module("mixdecomp.simulate")
+    paths = simulate_states(K3, 1, 64, seed=3, reps=10)
+    assert paths.dtype == np.int8
+    monkeypatch.setattr(module, "MAX_PATH_BYTES", 10 * 65)
+    assert simulate_states(K3, 1, 64, seed=3, reps=10).shape == (10, 65)
+    monkeypatch.setattr(module, "MAX_PATH_BYTES", 10 * 65 - 1)
+    with pytest.raises(ProductSpaceTooLarge):
+        simulate_states(K3, 1, 64, seed=3, reps=10)
+
+
+class _FixedUniform:
+    """Generator stand-in whose ``random`` returns one value everywhere."""
+
+    def __init__(self, u):
+        self.u = u
+
+    def random(self, size=None):
+        return np.full(size, self.u)
+
+
+@st.composite
+def _sparse_row_draw(draw):
+    n = draw(st.integers(1, 12))
+    K = np.zeros((n, n))
+    for x in range(n):
+        support = draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=min(8, n), unique=True))
+        w = np.array(draw(st.lists(st.floats(0.01, 1.0), min_size=len(support), max_size=len(support))))
+        K[x, support] = w / w.sum()
+    s = draw(st.integers(0, n - 1))
+    # the largest uniform a generator draws is 1 - 2**-53
+    u = draw(st.floats(0.0, 1.0, exclude_min=True, exclude_max=True) | st.just(np.nextafter(1.0, 0.0)))
+    return K, s, u
+
+
+# This row's cumsum ends at 0.9999999999999998, below the largest uniform:
+# the full-row search with its last column forced to 1.0 drew column 3.
+_ZERO_TAIL_ROW = [0.41391896417788415, 0.3947212968057879, 0.19135973901632777, 0.0]
+
+
+@settings(max_examples=300, deadline=None)
+@given(_sparse_row_draw())
+@example((np.array([_ZERO_TAIL_ROW] + [[0.25] * 4] * 3), 0, np.nextafter(1.0, 0.0)))
+def test_sparse_sampler_matches_full_row_search(case):
+    K, s, u = case
+    got = int(RowSampler(StochasticKernel(K)).step(np.array([s]), _FixedUniform(u))[0])
+    cum = np.cumsum(K, axis=1)[s]
+    nonzero = np.flatnonzero(K[s])
+    # u = 0 is excluded: there the full-row rule picks column 0 whatever its probability
+    if u <= cum[nonzero[-1]]:
+        assert got == int((cum < u).sum())
+    else:
+        assert got == nonzero[-1]
+    assert K[s, got] > 0
 
 
 def test_pince_nez_occupation_symmetry():

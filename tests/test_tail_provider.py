@@ -1,0 +1,119 @@
+"""Property tests of the Monte Carlo occupation-tail provider.
+
+The reference recount below is the provider's original rule: rescan the
+block labels of the paths ``simulate_states`` returns for the same seed and
+count, per path, the steps ``1 .. T`` spent in block i.  The provider caches
+counts per horizon and fills a new one from the nearest cached horizon, so
+queries are probed in random order to reach cached horizons from below and
+from above.
+"""
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from conftest import random_partition, random_reversible_kernel
+from mixdecomp import rng as rngmod
+from mixdecomp.bounds import (
+    MCTailProvider,
+    MinMarginalJointTails,
+    PeresSousiConstants,
+    bound_basic,
+    bound_basic2,
+)
+from mixdecomp.chains import pince_nez
+from mixdecomp.decomposition import block_mixing_times
+from mixdecomp.errors import ProductSpaceTooLarge
+from mixdecomp.kernel import stationary_distribution
+from mixdecomp.simulate import simulate_states, wilson_interval
+
+T_MAX = 96
+REPS = 6
+STARTS = [0, 2, 5]
+N_BLOCKS = 3
+
+
+def _chain(seed):
+    gen = rngmod.stream(seed, 0)
+    return random_reversible_kernel(7, gen), random_partition(7, gen, n_blocks=N_BLOCKS)
+
+
+class _Recount:
+    """The old rescan rule, kept as the reference."""
+
+    def __init__(self, kernel, partition, seed):
+        starts = np.repeat(STARTS, REPS)
+        self.labels = partition.block_of[simulate_states(kernel, starts, T_MAX, seed)]
+
+    def kappa(self, i, T):
+        return (self.labels[:, 1 : T + 1] == i).sum(axis=1)
+
+    def max_wilson(self, hits):
+        return max(wilson_interval(int(row.sum()), REPS)[1] for row in hits.reshape(len(STARTS), REPS))
+
+
+_probe = st.tuples(st.integers(0, N_BLOCKS - 1), st.integers(0, T_MAX), st.floats(0.5, T_MAX + 1.0))
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**16), probes=st.lists(_probe, min_size=1, max_size=30))
+def test_mc_queries_match_brute_force_recount(seed, probes):
+    kernel, partition = _chain(seed)
+    mc = MCTailProvider(kernel, partition, T_max=T_MAX, reps_per_start=REPS, seed=seed, starts=STARTS)
+    ref = _Recount(kernel, partition, seed)
+    for i, T, t in probes:
+        assert mc.query(i, T, t) == ref.max_wilson(ref.kappa(i, T) < t)
+        joint = [i, (i + 1) % N_BLOCKS]
+        hits = (ref.kappa(joint[0], T) < t) & (ref.kappa(joint[1], T) < t)
+        assert mc.query_joint(joint, T, t) == ref.max_wilson(hits)
+    assert mc.query(0, T_MAX + 1, 1) == 1.0 and mc.query_joint([0], 5, 0) == 0.0
+
+
+_MONOTONE = MCTailProvider(*_chain(11), T_max=T_MAX, reps_per_start=REPS, seed=11, starts=STARTS)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    i=st.integers(0, N_BLOCKS - 1),
+    Ts=st.tuples(st.integers(0, T_MAX), st.integers(0, T_MAX)),
+    ts=st.tuples(st.floats(0.5, T_MAX + 1.0), st.floats(0.5, T_MAX + 1.0)),
+)
+def test_mc_tails_monotone_in_horizon_and_threshold(i, Ts, ts):
+    (T_lo, T_hi), (t_lo, t_hi) = sorted(Ts), sorted(ts)
+    assert _MONOTONE.query(i, T_lo, t_lo) >= _MONOTONE.query(i, T_hi, t_lo)
+    assert _MONOTONE.query(i, T_lo, t_lo) <= _MONOTONE.query(i, T_lo, t_hi)
+    assert _MONOTONE.query_joint([0, 1], T_lo, t_lo) >= _MONOTONE.query_joint([0, 1], T_hi, t_lo)
+
+
+def test_mc_provider_checks_path_budget_before_simulating(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("simulated paths over the budget")
+
+    monkeypatch.setattr("mixdecomp.bounds.simulate_states", refuse)
+    k, part = pince_nez(8)
+    huge = MCTailProvider(k, part, T_max=10**12, reps_per_start=200, seed=0)
+    with pytest.raises(ProductSpaceTooLarge):
+        huge.query(0, 10, 5)
+    # 16 starts x 50 reps x 101 steps x (1 B states + 1 B labels), less one byte
+    monkeypatch.setattr("mixdecomp.bounds.MAX_PATH_BYTES", 16 * 50 * 101 * 2 - 1)
+    with pytest.raises(ProductSpaceTooLarge):
+        MCTailProvider(k, part, T_max=100, reps_per_start=50, seed=0).query_joint([0, 1], 10, 5)
+
+
+def test_mc_bounds_reproduce_pinned_seeded_values():
+    # Values of the provider's seeded searches; a change to sampling, path
+    # storage or occupation counting must reproduce them bit for bit.
+    k, part = pince_nez(8)
+    pi = stationary_distribution(k)
+    masses = part.masses(pi)
+    phis, _, _ = block_mixing_times(k, pi, part, horizon=10**5)
+    phi = [float(p) for p in phis]
+    mc = MCTailProvider(k, part, T_max=1024, reps_per_start=100, seed=5)
+    ones = PeresSousiConstants()
+    r1 = bound_basic(phi, mc, 1 / 3, 0.75, [0, 1], ones, block_masses=masses, T_horizon=1024)
+    r2 = bound_basic2(phi, masses, mc, 1 / 3, ones, T_horizon=1024)
+    r3 = bound_basic2(phi, masses, MinMarginalJointTails(mc), 1 / 3, ones, T_horizon=1024)
+    assert (r1.value, r1.ingredients["T"]) == (980.0, 735)
+    assert (r2.value, r2.ingredients["T"]) == (801.3333333333333, 601)
+    assert (r3.value, r3.ingredients["T"]) == (836.0, 627)

@@ -192,7 +192,7 @@ def wasserstein(mu: np.ndarray, nu: np.ndarray, metric: BlockMetric) -> float:
         c=cost.ravel(), A_eq=A_eq[:-1], b_eq=b_eq[:-1], bounds=(0, None), method="highs"
     )
     if res.status != 0:  # pragma: no cover - transportation LP is always feasible
-        raise RuntimeError(f"transport LP failed with status {res.status}")
+        raise AssertionFailed("transport-lp-solved", f"HiGHS status {res.status}: {res.message}")
     return float(res.fun)
 
 
@@ -210,8 +210,8 @@ def wasserstein_dual(mu: np.ndarray, nu: np.ndarray, metric: BlockMetric) -> flo
     res = scipy.optimize.linprog(
         c=-diff, A_ub=A_ub, b_ub=b_ub, bounds=(None, None), method="highs"
     )
-    if res.status != 0:  # pragma: no cover
-        raise RuntimeError(f"dual LP failed with status {res.status}")
+    if res.status != 0:  # pragma: no cover - the potential LP is feasible and bounded
+        raise AssertionFailed("dual-transport-lp-solved", f"HiGHS status {res.status}: {res.message}")
     return float(-res.fun)
 
 

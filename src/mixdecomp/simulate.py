@@ -1,9 +1,11 @@
 """Seeded Monte Carlo engine: trajectories, occupation records, tails.
 
-Replicas draw from independent counter-based streams keyed by
-(seed, replica_id), so results are reproducible across any scheduling.
-Occupation counts follow the convention that time 0 is excluded:
-``kappa_i(T)`` counts steps ``u = 1 .. T`` with ``X_u`` in block i.
+Batched paths advance together through :class:`RowSampler`, which maps
+one uniform per path and step to the next state by inverse CDF over the
+row's nonzeros; the uniforms come from a counter-based stream keyed by the
+seed, so a seed fixes every path.  Occupation counts follow the
+convention that time 0 is excluded: ``kappa_i(T)`` counts steps
+``u = 1 .. T`` with ``X_u`` in block i.
 """
 
 from __future__ import annotations
@@ -81,78 +83,57 @@ class HittingEstimate:
     mean: float
     half_width: float
     reps: int
-    capped: int
 
 
 class RowSampler:
     """Vectorized next-state sampling from a transition matrix.
 
-    If any row has more than 8 support points, every row is sampled with
-    Vose alias tables (O(1) per draw).  Otherwise each row is sampled by
-    inverse CDF over its own nonzeros: with the same uniform this picks the
-    state the full-row search ``(cumsum(K)[s] < u).sum()`` would, and never
-    a column of probability 0.
+    Each row is sampled by inverse CDF over its own nonzeros: with the same
+    uniform this picks the state the full-row search
+    ``(cumsum(K)[s] < u).sum()`` would, and never a column of probability 0.
+    The slot is found by a branch-free binary search over the row's
+    cumulative sums, padded with 1.0 to a power-of-two width ``w``, so a
+    step costs ``log2(w)`` gathers whatever the row's width.
     """
 
     def __init__(self, kernel: StochasticKernel):
         K = kernel.rows
-        self.n = kernel.n_states
-        nnz = (K > 0).sum(axis=1)
-        self._dense = bool((nnz > 8).any())
-        if self._dense:
-            self._prob, self._alias = _build_alias(K)
-            return
-        # Padded (n, d) tables over each row's nonzeros: column indices and
-        # full-row cumulative sums, the last nonzero forced to 1.0.  Padding
-        # repeats the last nonzero.
-        cum = np.cumsum(K, axis=1)
-        d = int(nnz.max())
-        cols = np.empty((self.n, d), dtype=np.intp)
-        cums = np.ones((d, self.n))
-        for x in range(self.n):
+        n = kernel.n_states
+        d = int((K > 0).sum(axis=1).max())
+        w = 1 << (d - 1).bit_length()
+        # The search probes sum pos + h - 1 for h = w/2 .. 1 and adds h to
+        # pos where that sum is below u.  The table of level h holds the sums
+        # h - 1 + 2hk of every row, row-major, so the flat index into the
+        # next level is 2 * index + (sum < u): it starts at the row and ends
+        # at row * w + slot.  Sum w - 1 (1.0 > u) is never probed.
+        halves = [w >> k for k in range(1, w.bit_length())]
+        levels = [np.empty((n, w // (2 * h))) for h in halves]
+        # Per row: the columns of its nonzeros, padded to d by repeating the
+        # last, and the full-row cumulative sums at them, with the last
+        # nonzero and the padding up to w set to 1.0.
+        cols = np.empty((n, d), dtype=index_dtype(n))
+        for x in range(n):
             nz = np.flatnonzero(K[x] > 0)
             cols[x, : nz.size] = nz
             cols[x, nz.size :] = nz[-1]
-            cums[: nz.size - 1, x] = cum[x, nz[:-1]]
-        self._d = d
+            cums = np.ones(w)
+            cums[: nz.size - 1] = np.cumsum(K[x])[nz[:-1]]
+            for h, keys in zip(halves, levels):
+                keys[x] = cums[h - 1 :: 2 * h]
+        self._levels = [keys.ravel() for keys in levels]
         self._cols = cols.ravel()
-        self._cums = cums[:-1]  # the last cumsum is 1.0 > u for every row
+        self._pad = w - d
 
     def step(self, states: np.ndarray, gen: np.random.Generator) -> np.ndarray:
-        if self._dense:
-            u = gen.random(states.shape[0])
-            slot = (gen.random(states.shape[0]) * self.n).astype(np.int64)
-            slot = np.minimum(slot, self.n - 1)
-            take = u < self._prob[states, slot]
-            return np.where(take, slot, self._alias[states, slot])
         states = states.astype(np.intp, copy=False)
         u = gen.random(states.shape[0])
-        pos = states * self._d
-        for cum in self._cums:
-            pos += cum[states] < u
-        return self._cols[pos]
-
-
-def _build_alias(K: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    n = K.shape[0]
-    prob = np.zeros((n, n))
-    alias = np.zeros((n, n), dtype=np.int64)
-    for x in range(n):
-        scaled = K[x] * n
-        small = [j for j in range(n) if scaled[j] < 1.0]
-        large = [j for j in range(n) if scaled[j] >= 1.0]
-        scaled = scaled.copy()
-        while small and large:
-            s, l = small.pop(), large[-1]
-            prob[x, s] = scaled[s]
-            alias[x, s] = l
-            scaled[l] -= 1.0 - scaled[s]
-            if scaled[l] < 1.0:
-                small.append(large.pop())
-        for j in large + small:
-            prob[x, j] = 1.0
-            alias[x, j] = j
-    return prob, alias
+        idx = states.copy()
+        for keys in self._levels:
+            below = keys[idx] < u
+            idx <<= 1
+            idx += below
+        idx -= states * self._pad  # row * w + slot -> row * d + slot
+        return self._cols[idx].astype(np.intp)
 
 
 def simulate(
@@ -265,23 +246,18 @@ def empirical_hitting(
     times = np.zeros(reps, dtype=np.int64)
     active = ~in_target[state]
     t = 0
-    capped = 0
     while active.any():
         t += 1
         if t > step_cap:
-            capped = int(active.sum())
-            times[active] = step_cap
-            break
+            raise HorizonCap(f"{int(active.sum())} replicates exceeded {step_cap} steps")
         idx = np.nonzero(active)[0]
         state[idx] = sampler.step(state[idx], gen)
         done = in_target[state[idx]]
         times[idx[done]] = t
         active[idx[done]] = False
-    if capped:
-        raise HorizonCap(f"{capped} replicates exceeded {step_cap} steps")
     mean = float(times.mean())
     se = float(times.std(ddof=1) / math.sqrt(reps)) if reps > 1 else 0.0
-    return HittingEstimate(mean=mean, half_width=3.0 * se, reps=reps, capped=capped)
+    return HittingEstimate(mean=mean, half_width=3.0 * se, reps=reps)
 
 
 def empirical_occupation_tail(

@@ -27,6 +27,7 @@ from scipy.sparse import csgraph, csr_matrix
 from .bounds import BoundResult, PeresSousiConstants, least_horizon
 from .decomposition import Partition, block_mixing_times, projected_kernel
 from .errors import (
+    HorizonCap,
     InvalidComparison,
     NoFiniteT,
     NoFixedPoint,
@@ -596,5 +597,8 @@ def _transition_ratio_sample(
         visits[idx] += arrived_clock.astype(np.int64)
         active[idx[done_now]] = False
     if active.any():
-        raise RuntimeError("transition audit exceeded its step cap")
+        raise HorizonCap(
+            f"{int(active.sum())} of {reps} audit replicates did not reach {t} visits to "
+            f"block {clock_block} within {cap} steps"
+        )
     return crossings / (t + 1.0)

@@ -2,7 +2,10 @@
 
 Every module uses each name it imports, and no module reads the process
 environment: the package's behaviour depends only on its arguments.  No
-linter runs on this repository, so the checks are made here with the
+module raises ``RuntimeError`` or ``AssertionError`` or uses an ``assert``
+statement: a broken invariant raises the typed ``AssertionFailed``, which
+the CLI turns into exit code 2, and ``python -O`` would skip an ``assert``.
+No linter runs on this repository, so the checks are made here with the
 standard library's ``ast``.  The unused-import check skips ``__init__.py``:
 its imports are the package's public re-exports.
 """
@@ -63,3 +66,27 @@ def test_no_environment_reads():
         if (reads := _environment_reads(path.read_text()))
     }
     assert not found, f"environment reads: {found}"
+
+
+def _untyped_failures(source: str) -> list[str]:
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Assert):
+            found.append(f"line {node.lineno}: assert")
+        elif isinstance(node, ast.Raise) and node.exc is not None:
+            exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+            if isinstance(exc, ast.Name) and exc.id in ("RuntimeError", "AssertionError"):
+                found.append(f"line {node.lineno}: {exc.id}")
+    return found
+
+
+def test_no_untyped_invariant_failures():
+    assert _untyped_failures(
+        "assert x\nraise RuntimeError('a')\nraise AssertionError\nraise ValueError('b')\n"
+    ) == ["line 1: assert", "line 2: RuntimeError", "line 3: AssertionError"]
+    found = {
+        path.name: sites
+        for path in sorted(PACKAGE.glob("*.py"))
+        if (sites := _untyped_failures(path.read_text()))
+    }
+    assert not found, f"untyped invariant failures: {found}"

@@ -7,7 +7,7 @@ from mixdecomp import rng as rngmod
 from mixdecomp.bounds import PeresSousiConstants
 from mixdecomp.chains import pince_nez
 from mixdecomp.decomposition import Partition, block_mixing_times, projected_kernel
-from mixdecomp.errors import InvalidComparison, NotTreeWalk, TooManyBlocks
+from mixdecomp.errors import HorizonCap, InvalidComparison, NotTreeWalk, TooManyBlocks
 from mixdecomp.kernel import StochasticKernel, stationary_distribution
 from mixdecomp.simulate import simulate_states
 from mixdecomp.wellcovering import (
@@ -243,6 +243,18 @@ def test_concentration_audit_trivial_threshold():
     assert all(r.empirical == 0.0 for r in rows)
     assert all(r.empirical <= r.bound for r in rows)
     assert {r.orientation for r in rows} == {"ij", "ji"}
+
+
+def test_concentration_audit_step_cap_is_typed():
+    # state 0 is left once in 1e9 steps: started there, no replica reaches
+    # 100 visits to block 1 within the audit's step cap
+    k = StochasticKernel([[1 - 1e-9, 1e-9], [0.5, 0.5]])
+    part = Partition(np.array([0, 1]), 2)
+    pi = stationary_distribution(k)
+    with pytest.raises(HorizonCap, match="within"):
+        concentration_audit(
+            k, pi, part, 0, 1, t_grid=(100,), c_grid=(0.1,), reps=1000, seed=0, phi_max=1.0
+        )
 
 
 def test_certificate_json_provenance_chain():

@@ -23,6 +23,7 @@ from scipy.sparse import csgraph, csr_matrix
 from .config import MAX_PATH_BYTES
 from .decomposition import (
     Partition,
+    avg_hit_time,
     escape_analysis,
     escape_tail_at,
     qualifying_subsets,
@@ -39,12 +40,7 @@ from .errors import (
     TooLarge,
     TooManyBlocks,
 )
-from .kernel import (
-    StationaryDistribution,
-    StochasticKernel,
-    hitting_analysis,
-    mixing_profile,
-)
+from .kernel import StationaryDistribution, StochasticKernel, mixing_profile
 from .simulate import index_dtype, occupation_tail_table, simulate_states, wilson_interval
 
 
@@ -318,6 +314,27 @@ def least_horizon(feasible: Callable[[int], bool], T_start: int, T_horizon: int)
     return hi
 
 
+def _least_occupation_horizon(
+    family: Sequence, hit_term: Callable, tail: Callable, t_cap: int, T_horizon: int
+) -> int | None:
+    """Least horizon T at which some grid time t < T meets the 1/4 criterion.
+
+    T is feasible when, for some t on ``_t_grid(T, t_cap)``, every x in
+    ``family`` has ``hit_term(x, t) < 1/4`` and
+    ``hit_term(x, t) + tail(x, T, t) < 1/4``.  Tails are nonnegative, so
+    ``tail`` is queried only where the hitting term alone does not decide.
+    """
+
+    def meets(x, T: int, t) -> bool:
+        h = hit_term(x, t)
+        return h < 0.25 and h + tail(x, T, t) < 0.25
+
+    def feasible(T: int) -> bool:
+        return any(all(meets(x, T, t) for x in family) for t in _t_grid(T, t_cap)[::-1])
+
+    return least_horizon(feasible, 2, T_horizon)
+
+
 def bound_basic(
     phi: Sequence[float],
     tails,
@@ -349,21 +366,9 @@ def bound_basic(
     gamma = min(0.5, (alpha + beta - 1.0) / beta)
     cpg = constants.c_alpha_prime
     phi = np.asarray(phi, dtype=float)
-    t_cap = tails.max_t()
-
-    def feasible(T: int) -> bool:
-        for t in _t_grid(T, t_cap)[::-1]:
-            worst = 0.0
-            for i in I:
-                term = phi[i] / (cpg * t) + tails.query(i, T, t)
-                worst = max(worst, term)
-                if worst >= 0.25:
-                    break
-            if worst < 0.25:
-                return True
-        return False
-
-    T_star = least_horizon(feasible, 2, T_horizon)
+    T_star = _least_occupation_horizon(
+        I, lambda i, t: phi[i] / (cpg * t), tails.query, tails.max_t(), T_horizon
+    )
     return BoundResult(
         name="basic_occupation",
         value=math.inf if T_star is None else (4.0 / 3.0) * constants.c_alpha * T_star,
@@ -424,27 +429,13 @@ def bound_basic2(
     if not family:
         raise NoFeasibleT("no block subset reaches mass alpha / 2")
     cpo = constants.c_alpha_prime  # constant at level alpha / 2
-    t_cap = joint_tails.max_t()
 
     def exp_sum(I, t: float) -> float:
         return float(sum(math.exp(-math.floor(cpo * t / (math.e * phi[i]))) for i in I))
 
-    def feasible(T: int) -> bool:
-        for t in _t_grid(T, t_cap)[::-1]:
-            worst = 0.0
-            for I in family:
-                s = exp_sum(I, t)
-                if s >= 0.25:
-                    worst = 1.0
-                    break
-                worst = max(worst, s + joint_tails.query_joint(I, T, t))
-                if worst >= 0.25:
-                    break
-            if worst < 0.25:
-                return True
-        return False
-
-    T_star = least_horizon(feasible, 2, T_horizon)
+    T_star = _least_occupation_horizon(
+        family, exp_sum, joint_tails.query_joint, joint_tails.max_t(), T_horizon
+    )
     return BoundResult(
         name="basic_joint_occupation",
         value=math.inf if T_star is None else (4.0 / 3.0) * constants.c_alpha * T_star,
@@ -498,6 +489,60 @@ def bound_regular(
     )
 
 
+# The regularity bound's exact hitting scale solves one system per heavy
+# block subset, so occupation_bounds attempts it up to this many blocks.
+MAX_REGULAR_BLOCKS = 16
+
+
+def occupation_bounds(
+    kernel: StochasticKernel,
+    pi: StationaryDistribution,
+    partition: Partition,
+    phi: Sequence[float],
+    I: Sequence[int],
+    alpha: float,
+    beta: float,
+    constants: PeresSousiConstants,
+    T_max: int,
+    seed: int,
+) -> list[BoundResult]:
+    """Every occupation bound that applies to one instance.
+
+    One Monte Carlo tail provider (``T_max`` steps, 200 replicas per start)
+    feeds ``basic_occupation`` over the blocks I and, up to
+    ``MAX_EXACT_BLOCKS`` blocks, ``basic_joint_occupation`` over min-marginal
+    joint tails; both searches stop at ``T_max``.  Up to
+    ``MAX_REGULAR_BLOCKS`` blocks, ``regular_escape`` follows with
+    ``epsilon = 1 / phi_max``, so its stay threshold ``epsilon phi_max`` is
+    one step, and delta the least one-step stay probability.  It is left out
+    when delta is 0 or no block subset reaches the hitting scale's mass floor.
+    """
+    masses = partition.masses(pi)
+    nb = partition.n_blocks
+    mc = MCTailProvider(kernel, partition, T_max, reps_per_start=200, seed=seed)
+    results = [bound_basic(phi, mc, alpha, beta, I, constants, masses, T_horizon=T_max)]
+    if nb <= MAX_EXACT_BLOCKS:
+        joint = MinMarginalJointTails(mc)
+        results.append(bound_basic2(phi, masses, joint, alpha, constants, T_horizon=T_max))
+    if nb > MAX_REGULAR_BLOCKS:
+        return results
+    delta = min(float(escape_tail_at(kernel, partition, i, 1).min()) for i in range(nb))
+    hit_scale = avg_hit_time(kernel, pi, partition, alpha).value if delta > 0 else None
+    if hit_scale is not None:
+        results.append(
+            bound_regular(
+                1.0 / max(phi),
+                delta,
+                hit_scale,
+                nb,
+                constants,
+                envelope=constants.c_alpha,
+                hypothesis_verified=True,
+            )
+        )
+    return results
+
+
 @dataclass(frozen=True)
 class GraphHitResult:
     edges: tuple[tuple[int, int], ...]
@@ -541,7 +586,7 @@ def bound_graph_hit(
     worst_stay = 0.0
     edges = []
     for i in range(nb):
-        stats = escape_analysis(kernel, partition, i, horizon=0)
+        stats = escape_analysis(kernel, partition, i)
         worst_stay = max(worst_stay, float(escape_tail_at(kernel, partition, i, threshold).max()))
         mins = stats.exit_block_distribution.min(axis=0)
         for j in range(nb):
@@ -819,33 +864,27 @@ def peres_sousi_audit(
 ) -> HittingMixingAudit:
     """Measure the ratio between the mixing time and worst heavy-set hitting.
 
-    Exact mode enumerates every state subset with stationary mass >= alpha
-    (capped at 15 states); sampled mode draws a seeded family.  The ratio
-    ``tau_mix / max_hit`` is the instance-level value of the universal
+    The heavy-set hitting maximum is ``avg_hit_time`` over singleton blocks
+    at level 2 alpha, whose mass floor is alpha: exact mode enumerates every
+    state subset with stationary mass >= alpha (capped at 15 states), sampled
+    mode draws a seeded family plus the full set, which is hit at time 0.  The
+    ratio ``tau_mix / max_hit`` is the instance-level value of the universal
     constant tying the two time scales together.
     """
     n = kernel.n_states
-    if subset_mode == "exact":
-        if n > 15:
-            raise TooLarge("exact subset audit capped at 15 states")
-        sets = qualifying_subsets(pi.weights, alpha)
-    elif subset_mode == "sampled":
-        sets = sampled_subsets(pi.weights, alpha, budget, seed)
-    else:
-        raise ValueError(f"unknown subset_mode {subset_mode!r}")
-    if not sets:
-        raise TooLarge(f"no subset reaches stationary mass {alpha}")
-    max_hit, arg = 0.0, sets[0]
-    for A in sets:
-        worst = hitting_analysis(kernel, list(A)).worst_expected()
-        if worst > max_hit:
-            max_hit, arg = worst, A
+    if subset_mode == "exact" and n > 15:
+        raise TooLarge("exact subset audit capped at 15 states")
+    hit = avg_hit_time(kernel, pi, Partition(np.arange(n), n), 2 * alpha, subset_mode, budget, seed)
+    if not hit.value:
+        raise TooLarge(f"no proper state subset reaches stationary mass {alpha}")
     tau = exact_mixing_time(kernel, pi)
-    ratio = tau / max_hit if max_hit > 0 else math.inf
-    if not (ratio > 0):
-        raise ValueError("mixing/hitting ratio must be positive")
     return HittingMixingAudit(
-        tau_mix=tau, max_hit=max_hit, ratio=ratio, n_sets=len(sets), mode=subset_mode, argmax_set=arg
+        tau_mix=tau,
+        max_hit=hit.value,
+        ratio=tau / hit.value,
+        n_sets=hit.n_qualifying,
+        mode=subset_mode,
+        argmax_set=hit.argmax_subset,
     )
 
 

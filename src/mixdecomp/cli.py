@@ -12,7 +12,8 @@ from pathlib import Path
 
 from .errors import AssertionFailed, ConfigInvalid, MixdecompError
 from .io import dump_trajectory
-from .report import ExperimentConfig, reproduce, run_experiment
+from .report import ExperimentConfig, _load_instance, reproduce, run_experiment
+from .simulate import simulate
 from .suites import SUITE_NAMES
 
 
@@ -117,9 +118,6 @@ def main(argv=None) -> int:
             print(f"{rep['suite']}: {status}  measured={rep['measured']}")
             return 0 if rep["passed"] else 2
         if args.command == "simulate":
-            from .report import _load_instance
-            from .simulate import simulate
-
             cfg = _common_config(args, "analyze")
             kernel, partition = _load_instance(cfg)
             traj, record = simulate(kernel, args.start, args.steps, args.seed, partition)

@@ -140,7 +140,7 @@ class ContractionEstimate:
 def exit_distribution(kernel: StochasticKernel, partition: Partition, x: int) -> np.ndarray:
     """Exit mixture ``mu_x``: half the block of x, half its first-exit block."""
     i = int(partition.block_of[x])
-    stats = escape_analysis(kernel, partition, i, horizon=0)
+    stats = escape_analysis(kernel, partition, i)
     row = int(np.nonzero(stats.members == x)[0][0])
     mu = 0.5 * stats.exit_block_distribution[row]
     mu[i] += 0.5
@@ -153,7 +153,7 @@ def exit_distributions_all(kernel: StochasticKernel, partition: Partition) -> np
     nb = partition.n_blocks
     out = np.zeros((n, nb))
     for i in range(nb):
-        stats = escape_analysis(kernel, partition, i, horizon=0)
+        stats = escape_analysis(kernel, partition, i)
         mus = 0.5 * stats.exit_block_distribution
         mus[:, i] += 0.5
         out[stats.members] = mus

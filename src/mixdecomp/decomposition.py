@@ -9,6 +9,7 @@ transition rates.  Escape statistics and the subset hitting scale
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -16,6 +17,7 @@ import scipy.linalg
 
 from . import rng as rngmod
 from .errors import (
+    AbsorbingBlock,
     DimensionMismatch,
     NoExit,
     SingularReturn,
@@ -83,15 +85,14 @@ class EscapeStatistics:
     """Exact escape-time data for one partition block.
 
     ``expected[k]`` is the mean first exit time from the block started at its
-    k-th member state; ``tail[t, k] = P[tau_esc > t]``;
-    ``exit_block_distribution[k, j]`` is the probability the first state
-    outside the block lies in block j.
+    k-th member state; ``exit_block_distribution[k, j]`` is the probability
+    the first state outside the block lies in block j.  Escape tails come
+    from :func:`escape_tail_at`.
     """
 
     block: int
     members: np.ndarray
     expected: np.ndarray
-    tail: np.ndarray
     exit_block_distribution: np.ndarray
 
 
@@ -231,8 +232,6 @@ def less_lazy_projection(projected: StochasticKernel) -> StochasticKernel:
     AbsorbingBlock
         If some diagonal entry equals 1 (no off-diagonal mass to scale).
     """
-    from .errors import AbsorbingBlock
-
     K = projected.rows
     n = projected.n_states
     diag = np.diag(K)
@@ -250,9 +249,8 @@ def escape_analysis(
     kernel: StochasticKernel,
     partition: Partition,
     block: int,
-    horizon: int,
 ) -> EscapeStatistics:
-    """Exact escape-time expectations, tails and exit-block distribution.
+    """Exact escape-time expectations and exit-block distribution.
 
     Raises
     ------
@@ -271,13 +269,6 @@ def escape_analysis(
         expected = scipy.linalg.solve(np.eye(A.size) - KII, np.ones(A.size))
     except scipy.linalg.LinAlgError as exc:
         raise NoExit(f"block {block}: escape system singular ({exc})") from exc
-    # tails: P[tau_esc > t] = (K_II^t 1)(x), exact
-    tails = np.zeros((horizon + 1, A.size))
-    u = np.ones(A.size)
-    tails[0] = u
-    for t in range(1, horizon + 1):
-        u = KII @ u
-        tails[t] = u
     # exit-block distribution: first outside state aggregated by block
     KIB = K[np.ix_(A, B)]
     hit_outside = scipy.linalg.solve(np.eye(A.size) - KII, KIB)  # (|A| x |B|)
@@ -298,7 +289,6 @@ def escape_analysis(
         block=block,
         members=A,
         expected=expected,
-        tail=tails,
         exit_block_distribution=exit_blocks,
     )
 
@@ -306,10 +296,15 @@ def escape_analysis(
 def escape_tail_at(
     kernel: StochasticKernel, partition: Partition, block: int, t: float
 ) -> np.ndarray:
-    """Exact ``P[tau_esc > floor(t)]`` per in-block start, via squaring."""
+    """Exact ``P[tau_esc > floor(t)]`` per in-block start, via squaring.
+
+    A threshold within 4 ulp below an integer counts as that integer, so a
+    product such as ``(1 / 49) * 49`` is one step, not zero.
+    """
     A = partition.members(block)
     KII = kernel.rows[np.ix_(A, A)]
-    s = int(np.floor(max(t, 0.0)))
+    t = max(float(t), 0.0)
+    s = math.floor(t + 4 * math.ulp(t))
     if s == 0:
         return np.ones(A.size)
     # binary exponentiation on the substochastic block

@@ -8,6 +8,7 @@ exact linear algebra at desk scale.
 
 from __future__ import annotations
 
+import hashlib
 from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
@@ -402,8 +403,6 @@ def _assert_subgeometric(tails: np.ndarray, max_k: int = 4) -> None:
 
 def kernel_hash(kernel: StochasticKernel) -> str:
     """Stable hex digest of the transition matrix (for report provenance)."""
-    import hashlib
-
     h = hashlib.sha256()
     h.update(np.ascontiguousarray(kernel.rows).tobytes())
     h.update(str(kernel.n_states).encode())

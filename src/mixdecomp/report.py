@@ -18,17 +18,9 @@ from pathlib import Path
 import numpy as np
 
 from . import io as iomod
-from .bounds import (
-    MAX_EXACT_BLOCKS,
-    MCTailProvider,
-    MinMarginalJointTails,
-    PeresSousiConstants,
-    bound_basic,
-    bound_basic2,
-    bound_regular,
-)
+from .bounds import PeresSousiConstants, occupation_bounds
 from .chains import ChainSpec, generate
-from .decomposition import Partition, avg_hit_time, block_mixing_times, decompose
+from .decomposition import Partition, block_mixing_times, decompose
 from .errors import AssertionFailed, ConfigInvalid
 from .kernel import (
     StochasticKernel,
@@ -271,43 +263,10 @@ def _task_bounds(kernel, pi, partition, cfg) -> dict:
     cum = np.cumsum(masses[order])
     take = int(np.searchsorted(cum, 0.75)) + 1
     I = sorted(int(b) for b in order[:take])
-    alpha = 1.0 / 3.0
     beta = min(0.9, max(0.70, float(masses[I].sum()) - 1e-9))
-    t_max = 1 << 14
-    mc = MCTailProvider(kernel, partition, T_max=t_max, reps_per_start=200, seed=cfg.seed + 1)
-    results = []
-    r1 = bound_basic(
-        phi, mc, alpha, beta, I, cfg.constants, block_masses=masses, T_horizon=t_max
+    results = occupation_bounds(
+        kernel, pi, partition, phi, I, 1.0 / 3.0, beta, cfg.constants, 1 << 14, cfg.seed + 1
     )
-    results.append(r1)
-    if partition.n_blocks <= MAX_EXACT_BLOCKS:
-        r2 = bound_basic2(
-            phi, masses, MinMarginalJointTails(mc), alpha, cfg.constants, T_horizon=t_max
-        )
-        results.append(r2)
-    if partition.n_blocks <= 16:
-        hit = avg_hit_time(kernel, pi, partition, alpha, mode="exact")
-        if hit.value is not None:
-            from .decomposition import escape_tail_at
-
-            phi_max = max(phi)
-            eps_reg = 1.0 / phi_max
-            delta = min(
-                float(escape_tail_at(kernel, partition, i, 1.0).min())
-                for i in range(partition.n_blocks)
-            )
-            if delta > 0:
-                results.append(
-                    bound_regular(
-                        eps_reg,
-                        delta,
-                        hit.value,
-                        partition.n_blocks,
-                        cfg.constants,
-                        envelope=cfg.constants.c_alpha,
-                        hypothesis_verified=True,
-                    )
-                )
     flag = not cfg.constants.calibrated
     return {
         "comparison": [

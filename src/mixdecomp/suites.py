@@ -16,7 +16,6 @@ import numpy as np
 
 from .bounds import (
     MCTailProvider,
-    MinMarginalJointTails,
     PeresSousiConstants,
     bound_basic,
     bound_basic2,
@@ -27,6 +26,7 @@ from .bounds import (
     calibrate_constants,
     exact_mixing_time,
     fit_drift,
+    occupation_bounds,
 )
 from .chains import (
     cycle_adjacency,
@@ -45,7 +45,6 @@ from .contraction import (
 )
 from .decomposition import (
     Partition,
-    avg_hit_time,
     block_mixing_times,
     escape_analysis,
     projected_kernel,
@@ -286,7 +285,7 @@ def torus_constants(seed: int = 0) -> SuiteResult:
         est.certified and est.alpha >= 1.0 - 1.0 / m - 1e-9 and est.beta <= 0.05
     )
     # regularity at the matched thresholds: fast = E/8, slow = 2E
-    esc = escape_analysis(tc.kernel, tc.partition, 0, horizon=0)
+    esc = escape_analysis(tc.kernel, tc.partition, 0)
     center_row = int(np.nonzero((tc.states[esc.members] == 0).all(axis=1))[0][0])
     e_escape = float(esc.expected[center_row])
     phis, _, _ = block_mixing_times(tc.kernel, tc.pi, tc.partition, horizon=10**6)
@@ -377,20 +376,6 @@ class BoundRow:
     note: str = ""
 
 
-def _stationary_floor_epsilon(phi_max: float) -> float:
-    # threshold of one step: makes the stay-probability condition generous
-    return 1.0 / phi_max if phi_max > 0 else 1.0
-
-
-def _min_escape_delta(kernel, partition, threshold: float) -> float:
-    from .decomposition import escape_tail_at
-
-    return min(
-        float(escape_tail_at(kernel, partition, i, threshold).min())
-        for i in range(partition.n_blocks)
-    )
-
-
 def calibrated_bound_table(seed: int = 0) -> tuple[list[BoundRow], PeresSousiConstants]:
     """Every applicable mixing bound, calibrated on the m=8 two-loop chain.
 
@@ -411,54 +396,36 @@ def calibrated_bound_table(seed: int = 0) -> tuple[list[BoundRow], PeresSousiCon
     for name, K, part, I, t_max in targets:
         pi = stationary_distribution(K)
         tau = exact_mixing_time(K, pi)
-        masses = part.masses(pi)
         phis, _, _ = block_mixing_times(K, pi, part, horizon=10**6)
         phi = [float(p) for p in phis]
         phi_max = max(phi)
         alpha, beta = 1.0 / 3.0, 0.75
 
-        mc = MCTailProvider(K, part, T_max=t_max, reps_per_start=200, seed=seed + 21)
-        r = bound_basic(phi, mc, alpha, beta, I, constants, block_masses=masses, T_horizon=t_max)
-        rows.append(BoundRow(name, r.name, r.value, tau, r.value >= tau))
-
-        r2 = bound_basic2(
-            phi, masses, MinMarginalJointTails(mc), alpha, constants, T_horizon=t_max
+        occupation = occupation_bounds(
+            K, pi, part, phi, I, alpha, beta, constants, t_max, seed + 21
         )
-        rows.append(BoundRow(name, r2.name, r2.value, tau, r2.value >= tau))
-
-        hit = avg_hit_time(K, pi, part, alpha, mode="exact")
-        eps_reg = _stationary_floor_epsilon(phi_max)
-        delta_reg = _min_escape_delta(K, part, eps_reg * phi_max)
-        rr = bound_regular(
-            eps_reg,
-            delta_reg,
-            hit.value,
-            part.n_blocks,
-            constants,
-            envelope=constants.c_alpha,
-            hypothesis_verified=True,
-        )
-        rows.append(BoundRow(name, rr.name, rr.value, tau, rr.value >= tau))
+        rows += [BoundRow(name, r.name, r.value, tau, r.value >= tau) for r in occupation]
 
         # graph-hit route: bound the hitting scale, then reuse the
-        # escape-regularity formula with it
+        # escape-regularity formula with it in place of the exact scale
+        reg = {r.name: r for r in occupation}["regular_escape"].ingredients
+        hit_scale = reg["phi_bar_hit"]
         worst_escape = max(
-            float(escape_analysis(K, part, i, horizon=0).expected.max())
-            for i in range(part.n_blocks)
+            float(escape_analysis(K, part, i).expected.max()) for i in range(part.n_blocks)
         )
         eps_gh = 4.0 * worst_escape / phi_max
         gh = bound_graph_hit(K, part, c=0.3 if part.n_blocks > 2 else 0.99, epsilon=eps_gh, phi_max=phi_max, constants=constants)
         if gh.bound.feasible:
             rg = bound_regular(
-                eps_reg,
-                delta_reg,
+                reg["epsilon"],
+                reg["delta"],
                 gh.bound.value,
                 part.n_blocks,
                 constants,
                 envelope=constants.c_alpha,
                 hypothesis_verified=True,
             )
-            dominates_hit = gh.bound.value >= hit.value
+            dominates_hit = gh.bound.value >= hit_scale
             rows.append(
                 BoundRow(
                     name,
@@ -466,7 +433,7 @@ def calibrated_bound_table(seed: int = 0) -> tuple[list[BoundRow], PeresSousiCon
                     rg.value,
                     tau,
                     rg.value >= tau and dominates_hit,
-                    note=f"graph hit scale {gh.bound.value:.3g} vs exact {hit.value:.3g}",
+                    note=f"graph hit scale {gh.bound.value:.3g} vs exact {hit_scale:.3g}",
                 )
             )
 

@@ -20,6 +20,7 @@ from mixdecomp.bounds import (
     calibrate_constants,
     exact_mixing_time,
     fit_drift,
+    occupation_bounds,
     peres_sousi_audit,
     verify_drift,
 )
@@ -261,6 +262,51 @@ def test_bound_coupling_point():
     assert bound_coupling_point(1.0, 0.24).value > bound_coupling_point(1.0, 0.1).value
     with pytest.raises(EpsilonTooLarge):
         bound_coupling_point(1.0, 0.25)
+
+
+def test_occupation_bounds_reproduce_pinned_seeded_rows():
+    # The rows of the explicit bound_basic, bound_basic2 over min-marginal
+    # joint tails and bound_regular calls that occupation_bounds replaces.
+    k, part = pince_nez(8)
+    pi = stationary_distribution(k)
+    phis, _, _ = block_mixing_times(k, pi, part, horizon=10**6)
+    phi = [float(p) for p in phis]
+    rows = occupation_bounds(k, pi, part, phi, [0, 1], 1 / 3, 0.9, ONES, 1024, 5)
+    assert [(r.name, r.value, r.ingredients.get("T"), r.feasible) for r in rows] == [
+        ("basic_occupation", 844.0, 633, True),
+        ("basic_joint_occupation", 722.6666666666666, 542, True),
+        ("regular_escape", 1437.3099936091103, None, True),
+    ]
+    assert rows[2].ingredients["delta"] == pytest.approx(5 / 6)
+
+
+def _cycle(n: int, stay: float) -> StochasticKernel:
+    shift = np.roll(np.eye(n), 1, axis=1)
+    return StochasticKernel(stay * np.eye(n) + (1 - stay) / 2 * (shift + shift.T))
+
+
+@pytest.mark.parametrize(
+    "kernel, block_of, names",
+    [
+        # 13 blocks: no joint row; the walk leaves every singleton block in
+        # one step, so delta = 0 and the regular row goes too
+        (_cycle(13, 0.0), np.arange(13), ["basic_occupation"]),
+        (_cycle(17, 0.5), np.arange(17), ["basic_occupation"]),
+        (  # every state of block 0 leaves it in one step, so delta = 0
+            StochasticKernel([[0.0, 0.5, 0.5], [0.25, 0.5, 0.25], [0.25, 0.25, 0.5]]),
+            np.array([0, 1, 1]),
+            ["basic_occupation", "basic_joint_occupation"],
+        ),
+    ],
+)
+def test_occupation_bounds_gates(kernel, block_of, names):
+    part = Partition.from_block_of(block_of)
+    pi = stationary_distribution(kernel)
+    phi = [1.0] * part.n_blocks
+    rows = occupation_bounds(
+        kernel, pi, part, phi, list(range(part.n_blocks)), 1 / 3, 0.9, ONES, 64, 0
+    )
+    assert [r.name for r in rows] == names
 
 
 def test_peres_sousi_audit_two_state():

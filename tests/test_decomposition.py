@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -9,6 +11,7 @@ from mixdecomp.decomposition import (
     avg_hit_time,
     decompose,
     escape_analysis,
+    escape_tail_at,
     less_lazy_projection,
     projected_kernel,
     sampled_subsets,
@@ -120,9 +123,9 @@ def test_less_lazy_is_half_lazy():
 def test_escape_singleton_geometric():
     k = StochasticKernel([[0.5, 0.5], [0.5, 0.5]])
     part = Partition.from_block_of([0, 1])
-    stats = escape_analysis(k, part, 0, horizon=10)
+    stats = escape_analysis(k, part, 0)
     assert stats.expected[0] == pytest.approx(2.0)
-    assert stats.tail[3, 0] == pytest.approx(0.5**3)
+    assert escape_tail_at(k, part, 0, 3)[0] == pytest.approx(0.5**3)
     assert np.allclose(stats.exit_block_distribution.sum(axis=1), 1.0)
 
 
@@ -130,7 +133,7 @@ def test_escape_closed_block_raises():
     k = StochasticKernel([[1.0, 0.0], [0.5, 0.5]])
     part = Partition.from_block_of([0, 1])
     with pytest.raises(NoExit):
-        escape_analysis(k, part, 0, horizon=4)
+        escape_analysis(k, part, 0)
 
 
 def test_escape_ladder_block_scales_like_slow_clock():
@@ -139,12 +142,22 @@ def test_escape_ladder_block_scales_like_slow_clock():
     expectations = {}
     for m in (4, 8):
         k, part = toy_kcip(m, 1)
-        stats = escape_analysis(k, part, 1, horizon=0)
+        stats = escape_analysis(k, part, 1)
         far_row = int(np.nonzero(stats.members == 3 * 1 + 2)[0][0])
         expectations[m] = stats.expected[far_row]
         assert np.allclose(stats.exit_block_distribution.sum(axis=1), 1.0)
     ratio = expectations[8] / expectations[4]
     assert 1.5 <= ratio <= 2.6  # Theta(m) growth at d = 1
+
+
+def test_escape_tail_at_counts_near_integer_thresholds_as_integers():
+    k = StochasticKernel([[0.5, 0.5], [0.5, 0.5]])
+    part = Partition.from_block_of([0, 1])
+    one_step = [(1 / 49) * 49, (1 / (29 * math.log(2))) * 29 * math.log(2)]
+    assert max(one_step) < 1.0  # both products round to just below 1
+    for t in one_step:
+        assert escape_tail_at(k, part, 0, t)[0] == 0.5
+    assert escape_tail_at(k, part, 0, 3 - 1e-9)[0] == 0.25
 
 
 @pytest.mark.parametrize("seed", range(8))
@@ -154,10 +167,11 @@ def test_escape_exit_rows_sum_to_one(seed):
     k = random_reversible_kernel(n, gen)
     part = random_partition(n, gen)
     for b in range(part.n_blocks):
-        stats = escape_analysis(k, part, b, horizon=5)
+        stats = escape_analysis(k, part, b)
         assert np.allclose(stats.exit_block_distribution.sum(axis=1), 1.0, atol=1e-9)
         assert (stats.expected >= 1.0 - 1e-12).all()
-        assert (np.diff(stats.tail, axis=0) <= 1e-12).all()
+        tail = np.array([escape_tail_at(k, part, b, t) for t in range(6)])
+        assert (np.diff(tail, axis=0) <= 1e-12).all()
 
 
 def test_avg_hit_single_block_zero():

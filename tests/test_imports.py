@@ -1,7 +1,8 @@
 """Static checks over the package source.
 
-Every module uses each name it imports, and no module reads the process
-environment: the package's behaviour depends only on its arguments.  No
+Every module uses each name it imports, imports only at its top level, and
+no module reads the process environment: the package's behaviour depends
+only on its arguments.  No
 module raises ``RuntimeError`` or ``AssertionError`` or uses an ``assert``
 statement: a broken invariant raises the typed ``AssertionFailed``, which
 the CLI turns into exit code 2, and ``python -O`` would skip an ``assert``.
@@ -43,6 +44,32 @@ def test_no_unused_imports():
         if path.name != "__init__.py" and (unused := _unused_imports(path.read_text()))
     }
     assert not found, f"unused imports: {found}"
+
+
+def _local_imports(source: str) -> list[str]:
+    lines = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            lines.update(
+                inner.lineno
+                for inner in ast.walk(node)
+                if isinstance(inner, (ast.Import, ast.ImportFrom))
+            )
+    return [f"line {line}" for line in sorted(lines)]
+
+
+def test_local_import_check_sees_one():
+    source = "import os\ndef f():\n    def g():\n        import sys\n    return os, g\n"
+    assert _local_imports(source) == ["line 4"]
+
+
+def test_no_function_local_imports():
+    found = {
+        path.name: sites
+        for path in sorted(PACKAGE.glob("*.py"))
+        if (sites := _local_imports(path.read_text()))
+    }
+    assert not found, f"function-local imports: {found}"
 
 
 def _environment_reads(source: str) -> list[str]:

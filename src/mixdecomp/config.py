@@ -25,7 +25,9 @@ class Tolerances:
         Tolerance used when interpreting eigenvalues (e.g. gap > eigen).
     linear_solve : float
         Relative residual bound of the hitting-time linear system:
-        ``||(I - K_BB) h - 1||_inf <= linear_solve * (1 + ||h||_inf)``.
+        ``||(I - K_BB) h - 1||_inf <= linear_solve * (1 + ||h||_inf)``.  The
+        row sums of trace kernels and exit distributions may miss 1 by the
+        same bound, with h the mean return or escape time.
     """
 
     row_sum: float = 1e-9

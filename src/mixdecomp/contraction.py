@@ -14,9 +14,9 @@ consumed by ``bounds.bound_contraction`` is ``1 - alpha``.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 import scipy.optimize
@@ -25,6 +25,14 @@ from . import rng as rngmod
 from .decomposition import Partition, escape_analysis, escape_tail_at
 from .errors import AssertionFailed, DimensionMismatch
 from .kernel import StochasticKernel
+
+
+# Largest level of integer 1-Lipschitz functions listed while building a
+# metric's dual vertex table; above it ``wasserstein`` solves transport LPs.
+MAX_LIPSCHITZ_POINTS = 1 << 18
+
+# Entries of one ``(pairs x vertices)`` product block in ``wasserstein``.
+_PRODUCT_ENTRIES = 1 << 22
 
 
 @dataclass(frozen=True)
@@ -61,6 +69,55 @@ class BlockMetric:
         if self.n == 1:
             return 0.0
         return float(self.d[~np.eye(self.n, dtype=bool)].max())
+
+    @cached_property
+    def lipschitz_vertices(self) -> np.ndarray | None:
+        """Vertices of ``{f : f_0 = 0, f_i - f_j <= d_ij}``, one per row.
+
+        Built only for an integral metric: its difference constraints form a
+        network matrix, so every vertex is an integer point.  The integer
+        1-Lipschitz functions are listed coordinate by coordinate (each
+        partial function extends, so no level dead-ends), and a point is a
+        vertex exactly when its tight pairs ``|f_i - f_j| = d_ij`` connect
+        all points.  None for a non-integral metric or when a level would
+        exceed ``MAX_LIPSCHITZ_POINTS`` (checked before it is allocated).
+        """
+        if not np.array_equal(self.d, np.round(self.d)):
+            return None
+        d = self.d.astype(np.int64)
+        f = np.zeros((1, 1), dtype=np.int64)
+        for k in range(1, self.n):
+            lo = (f - d[:k, k]).max(axis=1)
+            counts = (f + d[:k, k]).min(axis=1) - lo + 1
+            size = int(counts.sum())
+            if size > MAX_LIPSCHITZ_POINTS:
+                return None
+            parent = np.repeat(np.arange(f.shape[0]), counts)
+            offset = np.arange(size) - np.repeat(np.cumsum(counts) - counts, counts)
+            f = np.column_stack([f[parent], lo[parent] + offset])
+        # Tight pairs as bitmasks, then breadth-first search from point 0 on
+        # bitmasks.  Every 0/1 function is 1-Lipschitz, so within the budget
+        # n - 1 <= 18 and a mask fits an int64.
+        bits = 1 << np.arange(self.n, dtype=np.int64)
+        small = np.min_scalar_type(-int(d.max()) - 1)  # holds every |f_i - f_j| <= d_max
+        d_small = d.astype(small)
+        keep = np.empty(f.shape[0], dtype=bool)
+        chunk = 4096
+        for s in range(0, f.shape[0], chunk):
+            g = f[s : s + chunk].astype(small)
+            tight = (np.abs(g[:, :, None] - g[:, None, :]) == d_small) @ bits
+            reach = np.ones(g.shape[0], dtype=np.int64)
+            for _ in range(self.n - 1):
+                grown = reach.copy()
+                for i in range(self.n):
+                    grown |= np.where(reach >> i & 1, tight[:, i], 0)
+                if (grown == reach).all():
+                    break
+                reach = grown
+            keep[s : s + chunk] = reach == bits.sum()
+        vertices = f[keep].astype(float)
+        vertices.setflags(write=False)
+        return vertices
 
     @classmethod
     def uniform(cls, n: int) -> "BlockMetric":
@@ -160,25 +217,49 @@ def exit_distributions_all(kernel: StochasticKernel, partition: Partition) -> np
     return out
 
 
-def wasserstein(mu: np.ndarray, nu: np.ndarray, metric: BlockMetric) -> float:
+def wasserstein(mu: np.ndarray, nu: np.ndarray, metric: BlockMetric) -> float | np.ndarray:
     """Exact optimal-transport distance between distributions on blocks.
 
-    Solved as the transportation linear program with the HiGHS simplex;
-    supports up to a couple thousand points, which covers every use here.
+    ``mu`` and ``nu`` are probability vectors on the metric's points, or
+    stacked ``(k, n)`` rows of them; a batch returns the ``(k,)`` distances.
+    By Kantorovich-Rubinstein duality ``W(mu, nu)`` is the largest
+    ``f . (mu - nu)`` over 1-Lipschitz f with ``f(0) = 0``, attained at a
+    vertex of that polytope.  When the metric has a vertex table
+    (:attr:`BlockMetric.lipschitz_vertices`: integral distances, table
+    within its budget) every row is one product with the table and a row
+    max.  Other metrics solve the transportation LP with the HiGHS simplex,
+    one pair at a time.
     """
     mu = np.asarray(mu, dtype=float)
     nu = np.asarray(nu, dtype=float)
     n = metric.n
-    if mu.shape != (n,) or nu.shape != (n,):
+    if mu.shape != nu.shape or mu.ndim not in (1, 2) or mu.shape[-1] != n:
         raise DimensionMismatch("distributions must live on the metric's points")
-    if abs(mu.sum() - 1.0) > 1e-9 or abs(nu.sum() - 1.0) > 1e-9:
+    mus, nus = np.atleast_2d(mu), np.atleast_2d(nu)
+    if (np.abs(mus.sum(axis=1) - 1.0) > 1e-9).any() or (np.abs(nus.sum(axis=1) - 1.0) > 1e-9).any():
         raise ValueError("inputs must be probability vectors")
-    if np.abs(mu - nu).max(initial=0.0) < 1e-15:
-        return 0.0
-    # restrict to the union support for speed
+    diff = mus - nus
+    moved = np.abs(diff).max(axis=1, initial=0.0) >= 1e-15
+    w = np.zeros(diff.shape[0])
+    vertices = metric.lipschitz_vertices
+    if vertices is None:
+        for k in np.nonzero(moved)[0]:
+            w[k] = _transport_lp(mus[k], nus[k], metric.d)
+    else:
+        # einsum's own loops, not BLAS: each row is summed in one fixed order
+        # whatever the batch size, so a pair's W does not depend on its batch
+        rows = max(1, _PRODUCT_ENTRIES // vertices.shape[0])
+        for s in range(0, diff.shape[0], rows):
+            w[s : s + rows] = np.einsum("kn,vn->kv", diff[s : s + rows], vertices).max(axis=1)
+        w[~moved] = 0.0
+    return float(w[0]) if mu.ndim == 1 else w
+
+
+def _transport_lp(mu: np.ndarray, nu: np.ndarray, d: np.ndarray) -> float:
+    """Transportation LP over the union support, solved with HiGHS."""
     supp = np.nonzero((mu > 0) | (nu > 0))[0]
     m = supp.size
-    cost = metric.d[np.ix_(supp, supp)]
+    cost = d[np.ix_(supp, supp)]
     A_eq = np.zeros((2 * m, m * m))
     b_eq = np.concatenate([mu[supp], nu[supp]])
     for k in range(m):
@@ -215,11 +296,11 @@ def wasserstein_dual(mu: np.ndarray, nu: np.ndarray, metric: BlockMetric) -> flo
     return float(-res.fun)
 
 
-def _alpha_candidates(pairs: list[tuple[float, float]]) -> np.ndarray:
+def _alpha_candidates(ws: np.ndarray, ds: np.ndarray) -> np.ndarray:
     # dyadic-fraction family, a uniform grid, and the data-driven ratios
     grid = {1.0 - 2.0**-k / m for k in range(11) for m in range(1, 17)}
     grid.update(np.linspace(1.0 / 256.0, 1.0, 256).tolist())
-    grid.update(w / d for w, d in pairs if d > 0)
+    grid.update((ws[ds > 0] / ds[ds > 0]).tolist())
     grid.add(1e-6)
     arr = np.asarray(sorted(g for g in grid if 0 < g <= 1.0))
     return arr
@@ -253,7 +334,7 @@ def estimate_contraction(
     lab = partition.block_of
     exact = n * n <= 10**6
     if exact and pair_budget is None:
-        pair_iter = itertools.combinations(range(n), 2)
+        xs, ys = np.triu_indices(n, 1)
         coverage = "exact-all-pairs"
     else:
         gen = rngmod.stream(seed, 0)
@@ -269,20 +350,13 @@ def estimate_contraction(
             for x, y in zip(xs, ys):
                 if x != y:
                     chosen.add((min(int(x), int(y)), max(int(x), int(y))))
-        pair_iter = sorted(chosen)
+        xs, ys = np.array(sorted(chosen), dtype=np.intp).reshape(-1, 2).T
         coverage = "sampled"
-    evidence: list[PairEvidence] = []
-    wd_pairs: list[tuple[float, float]] = []
-    for x, y in pair_iter:
-        bx, by = int(lab[x]), int(lab[y])
-        w = wasserstein(mus[x], mus[y], metric)
-        dist = float(metric.d[bx, by])
-        wd_pairs.append((w, dist))
-        evidence.append(PairEvidence(int(x), int(y), bx, by, dist, w))
-    ws = np.asarray([e.w for e in evidence])
-    ds = np.asarray([e.distance for e in evidence])
+    bx, by = lab[xs], lab[ys]
+    ws = wasserstein(mus[xs], mus[ys], metric)
+    ds = metric.d[bx, by]
     fits = []
-    for a in _alpha_candidates(wd_pairs):
+    for a in _alpha_candidates(ws, ds):
         beta = max(float((ws - a * ds).max(initial=0.0)), 1e-12)
         fits.append(((1.0 - a) - 2.0 * beta, a, beta))
     best_margin = max(m for m, _, _ in fits)
@@ -302,15 +376,18 @@ def estimate_contraction(
         raise AssertionFailed(
             "contraction-fit-covers-evidence", f"{int(violations.sum())} pairs above alpha d + beta"
         )
-    order = np.argsort(-(ws - alpha * ds))
-    worst = tuple(evidence[k] for k in order[:KEEP_WORST])
+    order = np.argsort(-(ws - alpha * ds), kind="stable")
+    worst = tuple(
+        PairEvidence(int(xs[k]), int(ys[k]), int(bx[k]), int(by[k]), float(ds[k]), float(ws[k]))
+        for k in order[:KEEP_WORST]
+    )
     return ContractionEstimate(
         alpha=float(alpha),
         beta=float(beta),
         margin=float(margin),
         certified=bool(margin > 0 and coverage == "exact-all-pairs"),
         coverage=coverage,
-        n_pairs=len(evidence),
+        n_pairs=len(ws),
         worst_pairs=worst,
     )
 

@@ -350,55 +350,3 @@ def occupation_tail_table(
         cum = np.cumsum(counter_mass[:-1], axis=0)  # P[kappa < u] per start
         table[s - 1] = cum.max(axis=1)
     return table
-
-
-def exact_joint_occupation_tail(
-    kernel: StochasticKernel,
-    partition: Partition,
-    blocks: Sequence[int],
-    T: int,
-    t: int,
-    start: int | None = None,
-) -> float:
-    """Exact ``P[kappa_i(T) < t for all i in blocks]`` for at most 2 blocks."""
-    blocks = [int(b) for b in blocks]
-    if len(blocks) == 1:
-        return exact_occupation_tail(kernel, partition, blocks[0], T, t, start)
-    if len(blocks) != 2:
-        raise ProductSpaceTooLarge("exact joint tails support at most 2 blocks")
-    n = kernel.n_states
-    if n * t * t > 10**7:
-        raise ProductSpaceTooLarge(f"n * t^2 = {n * t * t} > 1e7")
-    K = kernel.rows
-    in1 = (partition.block_of == blocks[0]).astype(float)
-    in2 = (partition.block_of == blocks[1]).astype(float)
-    starts = range(n) if start is None else [start]
-    worst = 0.0
-    cap = t
-    for z in starts:
-        p = np.zeros((cap + 1, cap + 1, n))
-        p[0, 0, z] = 1.0
-        for _ in range(T):
-            q = p.reshape(-1, n) @ K
-            q = q.reshape(cap + 1, cap + 1, n)
-            stay = q * (1.0 - in1) * (1.0 - in2)
-            nxt = stay.copy()
-            inc1 = q * in1
-            inc2 = q * in2
-            nxt[1:, :] += inc1[:-1, :]
-            nxt[cap, :] += inc1[cap, :]
-            nxt[:, 1:] += inc2[:, :-1]
-            nxt[:, cap] += inc2[:, cap]
-            p = nxt
-        prob = p[:t, :t].sum()
-        worst = max(worst, float(prob))
-    return worst
-
-
-def stream_correlation(seed: int, n_draws: int = 10**6) -> float:
-    """Lag-1 cross-correlation between two replica streams (sanity check)."""
-    a = rngmod.stream(seed, 0).random(n_draws)
-    b = rngmod.stream(seed, 1).random(n_draws)
-    a = a - a.mean()
-    b = b - b.mean()
-    return float((a[:-1] * b[1:]).sum() / math.sqrt((a * a).sum() * (b * b).sum()))

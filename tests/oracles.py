@@ -1,0 +1,116 @@
+"""Independent oracles used only by the tests.
+
+Each recomputes a package quantity by a different route: the trace law by
+absorbing power iteration, joint occupation tails by a product-space
+dynamic program, stream independence by a lag-1 correlation, and transport
+distances by the full n x n transportation LP.
+"""
+
+from __future__ import annotations
+
+import math
+from typing import Sequence
+
+import numpy as np
+import scipy.optimize
+
+from mixdecomp import rng as rngmod
+from mixdecomp.decomposition import Partition
+from mixdecomp.errors import ProductSpaceTooLarge
+from mixdecomp.kernel import StochasticKernel
+from mixdecomp.simulate import exact_occupation_tail
+
+
+def trace_kernel_dp_oracle(
+    kernel: StochasticKernel, partition: Partition, block: int, eps: float = 1e-13
+) -> np.ndarray:
+    """One-step trace law by absorbing power iteration (independent oracle).
+
+    Accumulates ``K_AB K_BB^t K_BA`` until the surviving excursion mass drops
+    below ``eps``; avoids the matrix inverse used by :func:`trace_kernel`.
+    """
+    A = partition.members(block)
+    n = kernel.n_states
+    B = np.setdiff1d(np.arange(n), A)
+    K = kernel.rows
+    rows = K[np.ix_(A, A)].copy()
+    if B.size == 0:
+        return rows
+    KAB = K[np.ix_(A, B)]
+    KBB = K[np.ix_(B, B)]
+    KBA = K[np.ix_(B, A)]
+    out = KAB.copy()  # mass currently wandering outside, per outside state
+    for _ in range(10_000_000):
+        rows += out @ KBA
+        out = out @ KBB
+        if out.sum(axis=1).max() < eps:
+            break
+    return rows
+
+
+def exact_joint_occupation_tail(
+    kernel: StochasticKernel,
+    partition: Partition,
+    blocks: Sequence[int],
+    T: int,
+    t: int,
+    start: int | None = None,
+) -> float:
+    """Exact ``P[kappa_i(T) < t for all i in blocks]`` for at most 2 blocks."""
+    blocks = [int(b) for b in blocks]
+    if len(blocks) == 1:
+        return exact_occupation_tail(kernel, partition, blocks[0], T, t, start)
+    if len(blocks) != 2:
+        raise ProductSpaceTooLarge("exact joint tails support at most 2 blocks")
+    n = kernel.n_states
+    if n * t * t > 10**7:
+        raise ProductSpaceTooLarge(f"n * t^2 = {n * t * t} > 1e7")
+    K = kernel.rows
+    in1 = (partition.block_of == blocks[0]).astype(float)
+    in2 = (partition.block_of == blocks[1]).astype(float)
+    starts = range(n) if start is None else [start]
+    worst = 0.0
+    cap = t
+    for z in starts:
+        p = np.zeros((cap + 1, cap + 1, n))
+        p[0, 0, z] = 1.0
+        for _ in range(T):
+            q = p.reshape(-1, n) @ K
+            q = q.reshape(cap + 1, cap + 1, n)
+            stay = q * (1.0 - in1) * (1.0 - in2)
+            nxt = stay.copy()
+            inc1 = q * in1
+            inc2 = q * in2
+            nxt[1:, :] += inc1[:-1, :]
+            nxt[cap, :] += inc1[cap, :]
+            nxt[:, 1:] += inc2[:, :-1]
+            nxt[:, cap] += inc2[:, cap]
+            p = nxt
+        prob = p[:t, :t].sum()
+        worst = max(worst, float(prob))
+    return worst
+
+
+def stream_correlation(seed: int, n_draws: int = 10**6) -> float:
+    """Lag-1 cross-correlation between two replica streams (sanity check)."""
+    a = rngmod.stream(seed, 0).random(n_draws)
+    b = rngmod.stream(seed, 1).random(n_draws)
+    a = a - a.mean()
+    b = b - b.mean()
+    return float((a[:-1] * b[1:]).sum() / math.sqrt((a * a).sum() * (b * b).sum()))
+
+
+def full_transport_lp(mu: np.ndarray, nu: np.ndarray, d: np.ndarray) -> float:
+    """Optimal transport cost as the full n x n transportation LP (HiGHS)."""
+    n = d.shape[0]
+    rows = np.kron(np.eye(n), np.ones((1, n)))  # sum_j plan[i, j] = mu_i
+    cols = np.kron(np.ones((1, n)), np.eye(n))  # sum_i plan[i, j] = nu_j
+    res = scipy.optimize.linprog(
+        c=d.ravel(),
+        A_eq=np.vstack([rows, cols]),
+        b_eq=np.concatenate([mu, nu]),
+        bounds=(0, None),
+        method="highs",
+    )
+    assert res.status == 0, res.message
+    return float(res.fun)

@@ -17,7 +17,6 @@ from mixdecomp.decomposition import (
     Partition,
     projected_kernel,
     trace_kernel,
-    trace_kernel_dp_oracle,
 )
 from mixdecomp.kernel import (
     StochasticKernel,
@@ -40,6 +39,7 @@ from mixdecomp.wellcovering import (
     propagation_bound,
     tree_bound,
 )
+from oracles import trace_kernel_dp_oracle
 
 
 def _report(num, name, passed, detail):

@@ -1,7 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import random_partition, random_reversible_kernel
+from mixdecomp import contraction
 from mixdecomp import rng as rngmod
 from mixdecomp.chains import pince_nez, torus_metropolis, toy_kcip
 from mixdecomp.contraction import (
@@ -14,8 +17,10 @@ from mixdecomp.contraction import (
     wasserstein_dual,
 )
 from mixdecomp.decomposition import Partition
+from mixdecomp.errors import DimensionMismatch
 from mixdecomp.kernel import StochasticKernel, stationary_distribution
 from mixdecomp.simulate import RowSampler
+from oracles import full_transport_lp
 
 K3 = StochasticKernel([[0.5, 0.5, 0.0], [0.25, 0.5, 0.25], [0.0, 0.5, 0.5]])
 
@@ -68,6 +73,97 @@ def test_wasserstein_metric_axioms_and_duality(seed):
     tv = 0.5 * np.abs(mu - nu).sum()
     off = d[~np.eye(n, dtype=bool)]
     assert off.min() * tv - 1e-9 <= w(mu, nu) <= metric.d_max * tv + 1e-9
+
+
+@st.composite
+def _integral_metric_case(draw):
+    """Shortest-path closure of random integer weights, plus stacked pairs."""
+    n = draw(st.integers(2, 8))
+    weights = draw(st.lists(st.integers(1, 3), min_size=n * n, max_size=n * n))
+    d = np.triu(np.asarray(weights, dtype=float).reshape(n, n), 1)
+    d = d + d.T
+    for k in range(n):
+        d = np.minimum(d, d[:, [k]] + d[[k], :])
+    np.fill_diagonal(d, 0.0)
+    gen = rngmod.stream(draw(st.integers(0, 2**31)), 0)
+    k = draw(st.integers(1, 6))
+    mus = gen.dirichlet(np.full(n, 0.7), size=k)
+    nus = gen.dirichlet(np.full(n, 0.7), size=k)
+    return BlockMetric(d), mus, nus
+
+
+@settings(max_examples=60, deadline=None)
+@given(_integral_metric_case())
+def test_vertex_dual_matches_transport_lps(case):
+    metric, mus, nus = case
+    # distances of at most 3 keep every level within 4 * 4^k points
+    assert metric.lipschitz_vertices is not None
+    ws = wasserstein(mus, nus, metric)
+    assert ws.shape == (mus.shape[0],)
+    for w, mu, nu in zip(ws, mus, nus):
+        assert w == pytest.approx(wasserstein_dual(mu, nu, metric), abs=1e-7)
+        assert w == pytest.approx(contraction._transport_lp(mu, nu, metric.d), abs=1e-7)
+        assert wasserstein(mu, nu, metric) == w
+
+
+@pytest.mark.parametrize("n", range(1, 10))
+def test_vertex_counts_path_and_uniform(n):
+    assert BlockMetric.path(n).lipschitz_vertices.shape == (2 ** (n - 1), n)
+    if n >= 2:
+        assert BlockMetric.uniform(n).lipschitz_vertices.shape == (2**n - 2, n)
+
+
+@pytest.mark.parametrize("bits, count", [(3, 38), (4, 990)])
+def test_vertex_counts_hypercube(bits, count):
+    vertices = BlockMetric.hamming_on_bitmasks(bits).lipschitz_vertices
+    assert vertices.shape == (count, 1 << bits)
+    assert not vertices[:, 0].any()
+    assert len(np.unique(vertices, axis=0)) == count
+
+
+def test_non_integral_metric_has_no_vertex_table():
+    assert BlockMetric(np.array([[0.0, 1.5], [1.5, 0.0]])).lipschitz_vertices is None
+
+
+def test_vertex_budget_checked_before_allocating(monkeypatch):
+    monkeypatch.setattr(contraction, "MAX_LIPSCHITZ_POINTS", 40)
+    levels = []
+    column_stack = np.column_stack
+
+    def spy(arrays):
+        out = column_stack(arrays)
+        levels.append(out.shape[0])
+        return out
+
+    monkeypatch.setattr(np, "column_stack", spy)
+    # level 1 alone would hold 2 * 10**6 + 1 points
+    assert BlockMetric(np.array([[0.0, 1e6], [1e6, 0.0]])).lipschitz_vertices is None
+    assert levels == []
+    metric = BlockMetric.hamming_on_bitmasks(3)  # levels 3, 9, 19, 63, ...
+    assert metric.lipschitz_vertices is None
+    assert levels and max(levels) <= 40
+    # the transport LPs take over and agree with the full-budget vertex dual
+    gen = rngmod.stream(1300, 0)
+    mus, nus = gen.dirichlet(np.ones(8), size=(2, 12))
+    monkeypatch.undo()
+    exact = wasserstein(mus, nus, BlockMetric.hamming_on_bitmasks(3))
+    assert np.abs(wasserstein(mus, nus, metric) - exact).max() <= 1e-7
+
+
+def test_batched_wasserstein_checks_every_row():
+    metric = BlockMetric.path(3)
+    mus = np.array([[0.5, 0.5, 0.0], [1.0, 0.0, 0.0]])
+    nus = np.array([[0.5, 0.5, 0.0], [0.0, 0.0, 1.0]])
+    assert wasserstein(mus, nus, metric).tolist() == [0.0, 2.0]
+    assert wasserstein(mus[:0], nus[:0], metric).shape == (0,)
+    with pytest.raises(DimensionMismatch):
+        wasserstein(mus, nus[0], metric)
+    with pytest.raises(DimensionMismatch):
+        wasserstein(mus[:, :2], nus[:, :2], metric)
+    bad = nus.copy()
+    bad[1, 2] = 0.9
+    with pytest.raises(ValueError):
+        wasserstein(mus, bad, metric)
 
 
 def test_exit_distribution_three_state():
@@ -124,6 +220,22 @@ def test_estimate_torus_trace_certifies():
     # the fitted pair re-verifies on its own evidence by construction
     worst = est.worst_pairs[0]
     assert worst.w <= est.alpha * worst.distance + est.beta + 1e-9
+
+
+def test_torus_certificate_pinned_and_pairs_match_transport_lp():
+    # the exact vertex dual moved alpha and beta from the LP-tolerance values
+    # 0.6668696400470662 and 2.0308219e-4
+    tc = torus_metropolis(3, 3, 7.0, k_trace=1)
+    metric = BlockMetric.hamming_on_bitmasks(3)
+    est = estimate_contraction(tc.kernel, tc.partition, metric)
+    assert est.alpha == pytest.approx(0.6668697019572006, abs=1e-12)
+    assert est.beta == pytest.approx(2.0309671264686504e-4, abs=1e-12)
+    assert est.n_pairs == 64 * 63 // 2 and len(est.worst_pairs) == contraction.KEEP_WORST
+    for pair in est.worst_pairs:
+        mu = exit_distribution(tc.kernel, tc.partition, pair.x)
+        nu = exit_distribution(tc.kernel, tc.partition, pair.y)
+        assert pair.w == pytest.approx(full_transport_lp(mu, nu, metric.d), abs=1e-7)
+        assert pair.distance == metric.d[pair.block_x, pair.block_y]
 
 
 def test_estimate_untraced_torus_not_usefully_contracting():

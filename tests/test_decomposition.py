@@ -5,7 +5,7 @@ import pytest
 
 from conftest import random_partition, random_reversible_kernel
 from mixdecomp import rng as rngmod
-from mixdecomp.chains import pince_nez, toy_kcip
+from mixdecomp.chains import pince_nez, torus_metropolis, toy_kcip
 from mixdecomp.decomposition import (
     Partition,
     avg_hit_time,
@@ -16,9 +16,8 @@ from mixdecomp.decomposition import (
     projected_kernel,
     sampled_subsets,
     trace_kernel,
-    trace_kernel_dp_oracle,
 )
-from mixdecomp.errors import AbsorbingBlock, NoExit, TooManyBlocks
+from mixdecomp.errors import AbsorbingBlock, NoExit, SingularReturn, TooManyBlocks
 from mixdecomp.kernel import (
     StationaryDistribution,
     StochasticKernel,
@@ -26,6 +25,7 @@ from mixdecomp.kernel import (
     stationary_distribution,
 )
 from mixdecomp.simulate import RowSampler
+from oracles import trace_kernel_dp_oracle
 
 K3 = StochasticKernel([[0.5, 0.5, 0.0], [0.25, 0.5, 0.25], [0.0, 0.5, 0.5]])
 
@@ -72,6 +72,25 @@ def test_trace_against_dp_oracle_and_inherits_structure(seed):
         # trace dominates the plain restriction off the diagonal
         off = ~np.eye(A.size, dtype=bool)
         assert (t.rows[off] >= k.rows[np.ix_(A, A)][off] - 1e-12).all()
+
+
+def test_trace_and_escape_checks_scale_with_metastable_solves():
+    # every excursion of the m=4 torus returns, but leaving a well takes
+    # ~1e9 steps and returning ~4e10, so the solved row sums carry ~2.6e-7 of
+    # round-off, more than an absolute 1e-7 bound would allow
+    tc = torus_metropolis(4, 3, 7.0)
+    for b in range(tc.partition.n_blocks):
+        t = trace_kernel(tc.kernel, tc.partition, b)
+        assert np.allclose(t.rows.sum(axis=1), 1.0, atol=1e-12)
+        stats = escape_analysis(tc.kernel, tc.partition, b)
+        assert np.allclose(stats.exit_block_distribution.sum(axis=1), 1.0, atol=1e-12)
+
+
+def test_trace_escaping_block_raises():
+    # state 2 is absorbing: excursions from block {0} that reach it never return
+    k = StochasticKernel([[0.5, 0.5, 0.0], [0.25, 0.5, 0.25], [0.0, 0.0, 1.0]])
+    with pytest.raises(SingularReturn):
+        trace_kernel(k, Partition.from_block_of([0, 1, 1]), 0)
 
 
 def test_projected_single_block():

@@ -18,14 +18,13 @@ from mixdecomp.simulate import (
     TailEstimate,
     empirical_hitting,
     empirical_occupation_tail,
-    exact_joint_occupation_tail,
     exact_occupation_tail,
     occupation_tail_table,
     simulate,
     simulate_states,
-    stream_correlation,
     wilson_interval,
 )
+from oracles import exact_joint_occupation_tail, stream_correlation
 
 K3 = StochasticKernel([[0.5, 0.5, 0.0], [0.25, 0.5, 0.25], [0.0, 0.5, 0.5]])
 

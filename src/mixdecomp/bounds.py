@@ -7,7 +7,8 @@ chain instead.
 
 Occupation-tail ingredients come in two flavors with explicit provenance:
 exact dynamic programming over (state, counter) product chains, and Monte
-Carlo with Wilson 99% upper confidence bounds.
+Carlo with Wilson 99% upper confidence bounds.  A search that an exact
+escape probability already decides runs on vacuous tails instead.
 """
 
 from __future__ import annotations
@@ -41,7 +42,13 @@ from .errors import (
     TooManyBlocks,
 )
 from .kernel import StationaryDistribution, StochasticKernel, mixing_profile
-from .simulate import index_dtype, occupation_tail_table, simulate_states, wilson_interval
+from .simulate import (
+    WILSON_LEVEL,
+    PathStream,
+    index_dtype,
+    occupation_tail_table,
+    wilson_interval,
+)
 
 
 @dataclass(frozen=True)
@@ -93,8 +100,10 @@ class BoundResult:
 # Occupation-tail providers
 # ---------------------------------------------------------------------------
 
-# Label entries relabelled or counted per chunk; relabelling a chunk takes
-# 8 MB of intp index temporaries.
+# Label entries counted per chunk, which bounds the int32 temporaries of
+# _count_rows.  The path budget is a separate, deliberately conservative
+# check: it still counts a state byte per stored label, although only the
+# labels are kept.
 _CHUNK_ENTRIES = 1 << 20
 
 
@@ -142,17 +151,19 @@ class ExactTailProvider:
 class MCTailProvider:
     """Occupation tails from cached simulated paths, Wilson 99% upper bounds.
 
-    Paths are simulated once from every start state (``reps_per_start``
-    replicas each, independent streams) and kept only as block labels, one
-    contiguous row per time step.  The occupation counts of every block are
-    cached per horizon T; a new T is filled from the nearest cached horizon
-    by counting the label rows in between.  Queries return the largest
-    per-start Wilson upper bound, which is a sound (conservative) ingredient
-    for the bound searches.
+    Paths start from every start state (``reps_per_start`` replicas each)
+    and come from one resumable :class:`PathStream`.  They are kept only as
+    block labels, one contiguous row per time step, and simulated lazily:
+    a query at horizon T extends them to the next power of two at least T,
+    capped at ``T_max``, which is as far as a doubling search looks.  The
+    occupation counts of every block are cached per horizon T; a new T is
+    filled from the nearest cached horizon by counting the label rows in
+    between.  Queries return the largest per-start Wilson 99% upper bound
+    (a per-query confidence level), which is a sound (conservative)
+    ingredient for the bound searches.
 
-    The states and the labels are held together for a moment, so before
-    simulating ``paths x (T_max + 1) x (state bytes + label bytes)`` is
-    checked against ``MAX_PATH_BYTES``; over it, queries raise
+    Before the first step, ``paths x (T_max + 1) x (state bytes + label
+    bytes)`` is checked against ``MAX_PATH_BYTES``; over it, queries raise
     ``ProductSpaceTooLarge``.
     """
 
@@ -174,40 +185,55 @@ class MCTailProvider:
             starts = range(kernel.n_states)
         self.start_list = [int(s) for s in starts]
         self._chunk_rows = max(1, _CHUNK_ENTRIES // max(len(self.start_list) * self.reps, 1))
-        self._labels: np.ndarray | None = None  # (T_max + 1, paths)
+        self._lut = partition.block_of.astype(index_dtype(partition.n_blocks))
+        self._stream: PathStream | None = None
+        self._labels: np.ndarray | None = None  # (simulated_T + 1, paths)
         self._counts: dict[int, np.ndarray] = {}  # T -> (n_blocks, paths)
         self._wilson_hi = np.array([wilson_interval(k, self.reps)[1] for k in range(self.reps + 1)])
 
     @property
     def provenance(self) -> str:
-        return f"mc(reps={self.reps},seed={self.seed})"
+        return (
+            f"mc(reps={self.reps},seed={self.seed},level={WILSON_LEVEL}/query,"
+            f"T_sim={self.simulated_T})"
+        )
+
+    @property
+    def simulated_T(self) -> int:
+        """Steps simulated so far (0 before the first query)."""
+        return 0 if self._labels is None else self._labels.shape[0] - 1
 
     def max_t(self) -> int:
         return self.T_max
 
-    def _ensure_labels(self):
-        if self._labels is not None:
-            return
-        n_paths = len(self.start_list) * self.reps
-        label_dtype = index_dtype(self.partition.n_blocks)
-        item = index_dtype(self.kernel.n_states).itemsize + label_dtype.itemsize
-        nbytes = n_paths * (self.T_max + 1) * item
-        if nbytes > MAX_PATH_BYTES:
-            raise ProductSpaceTooLarge(
-                f"{n_paths} paths x {self.T_max} steps need {nbytes:,} B of states and "
-                f"block labels > budget {MAX_PATH_BYTES:,} B"
+    def _ensure_labels(self, T: int) -> None:
+        """Extend the labels to ``min(T_max, next power of two >= T)`` steps."""
+        if self._stream is None:
+            n_paths = len(self.start_list) * self.reps
+            item = index_dtype(self.kernel.n_states).itemsize + self._lut.itemsize
+            nbytes = n_paths * (self.T_max + 1) * item
+            if nbytes > MAX_PATH_BYTES:
+                raise ProductSpaceTooLarge(
+                    f"{n_paths} paths x {self.T_max} steps need {nbytes:,} B of states and "
+                    f"block labels > budget {MAX_PATH_BYTES:,} B"
+                )
+            starts = np.repeat(np.asarray(self.start_list, dtype=np.int64), self.reps)
+            self._stream = PathStream(self.kernel, starts, self.seed)
+            self._labels = self._lut[starts][None, :]
+            self._counts[0] = np.zeros(
+                (self.partition.n_blocks, n_paths), dtype=index_dtype(self.T_max + 1)
             )
-        starts = np.repeat(np.asarray(self.start_list, dtype=np.int64), self.reps)
-        states = simulate_states(self.kernel, starts, self.T_max, self.seed).T
-        lut = self.partition.block_of.astype(label_dtype)
-        labels = np.empty(states.shape, dtype=label_dtype)
-        rows = self._chunk_rows
-        for r in range(0, labels.shape[0], rows):
-            labels[r : r + rows] = lut[states[r : r + rows]]
+        have = self.simulated_T
+        if T <= have:
+            return
+        # least_horizon doubles from 2 and bisects below its first feasible
+        # doubling, so power-of-two growth never simulates past 2x its probes
+        grow = min(self.T_max, 1 << (int(T) - 1).bit_length())
+        labels = np.empty((grow + 1, self._labels.shape[1]), dtype=self._labels.dtype)
+        labels[: have + 1] = self._labels
+        for t, state in enumerate(self._stream.extend(grow - have), have + 1):
+            labels[t] = self._lut[state]
         self._labels = labels
-        self._counts[0] = np.zeros(
-            (self.partition.n_blocks, n_paths), dtype=index_dtype(self.T_max + 1)
-        )
 
     def _count_rows(self, a: int, b: int) -> np.ndarray:
         """Per-path visits to every block at times ``a .. b - 1``."""
@@ -221,7 +247,7 @@ class MCTailProvider:
     def _kappa(self, T: int) -> np.ndarray:
         """Occupation counts ``kappa_i(T)`` of every block i, one column per path."""
         if T not in self._counts:
-            self._ensure_labels()
+            self._ensure_labels(T)
             near = min(self._counts, key=lambda h: abs(h - T))
             base = self._counts[near]
             if T > near:
@@ -254,6 +280,35 @@ class MCTailProvider:
         return self._max_wilson(hits)
 
 
+class EscapeCertifiedTails:
+    """Vacuous tails for a search that an exact escape bound has decided.
+
+    A start in block j that never leaves j has ``kappa_i = 0`` for every
+    ``i != j``, so ``P_z[kappa_i(T) < t] >= P_z[tau_esc(j) > T_max]`` for
+    every ``T <= T_max`` and ``t >= 1``.  Once that probability reaches 1/4
+    no probe of a search over such an i can pass, and every query returns
+    the vacuous upper bound 1.0, so the unchanged search reports the
+    horizon infeasible without simulating anything.
+    """
+
+    def __init__(self, block: int, stay: float, T_max: int):
+        self.T_max = T_max
+        self.provenance = f"exact-escape(block={block},stay={stay:.6g},T={T_max})"
+        self.notes = (
+            f"exact escape certificate: block {block} is kept through T = {T_max} "
+            f"with probability {stay:.6g} >= 1/4"
+        )
+
+    def max_t(self) -> int:
+        return self.T_max
+
+    def query(self, i: int, T: int, t: float) -> float:
+        return 1.0
+
+    def query_joint(self, I: Sequence[int], T: int, t: float) -> float:
+        return 1.0
+
+
 class MinMarginalJointTails:
     """Joint tails upper-bounded by the smallest per-block tail.
 
@@ -263,7 +318,10 @@ class MinMarginalJointTails:
 
     def __init__(self, per_block):
         self.per_block = per_block
-        self.provenance = f"min-marginal({per_block.provenance})"
+
+    @property
+    def provenance(self) -> str:
+        return f"min-marginal({self.per_block.provenance})"
 
     def max_t(self) -> int:
         return self.per_block.max_t()
@@ -511,7 +569,12 @@ def occupation_bounds(
     One Monte Carlo tail provider (``T_max`` steps, 200 replicas per start)
     feeds ``basic_occupation`` over the blocks I and, up to
     ``MAX_EXACT_BLOCKS`` blocks, ``basic_joint_occupation`` over min-marginal
-    joint tails; both searches stop at ``T_max``.  Up to
+    joint tails; both searches stop at ``T_max``.  A search is first checked
+    against the exact probability ``stay_j`` of never leaving block j by
+    ``T_max``: when ``stay_j >= 1/4`` for a block j outside some searched
+    block (basic) or outside some qualifying subset (joint), no horizon can
+    be feasible, and the search runs on :class:`EscapeCertifiedTails`
+    instead, which names the certificate and simulates nothing.  Up to
     ``MAX_REGULAR_BLOCKS`` blocks, ``regular_escape`` follows with
     ``epsilon = 1 / phi_max``, so its stay threshold ``epsilon phi_max`` is
     one step, and delta the least one-step stay probability.  It is left out
@@ -519,11 +582,36 @@ def occupation_bounds(
     """
     masses = partition.masses(pi)
     nb = partition.n_blocks
+    stay = [float(escape_tail_at(kernel, partition, j, T_max).max()) for j in range(nb)]
     mc = MCTailProvider(kernel, partition, T_max, reps_per_start=200, seed=seed)
-    results = [bound_basic(phi, mc, alpha, beta, I, constants, masses, T_horizon=T_max)]
+
+    def run(search, tails, leaves_out: Callable[[int], bool]) -> BoundResult:
+        """Run search on tails, or on the escape certificate of the first
+        block j with ``stay_j >= 1/4`` that the search's family leaves out."""
+        j = next((j for j in range(nb) if stay[j] >= 0.25 and leaves_out(j)), None)
+        if j is None:
+            return search(tails)
+        cert = EscapeCertifiedTails(j, stay[j], T_max)
+        result = search(cert)
+        result.notes = f"{result.notes}; {cert.notes}"
+        return result
+
+    results = [
+        run(
+            lambda tails: bound_basic(phi, tails, alpha, beta, I, constants, masses, T_horizon=T_max),
+            mc,
+            lambda j: any(i != j for i in I),
+        )
+    ]
     if nb <= MAX_EXACT_BLOCKS:
-        joint = MinMarginalJointTails(mc)
-        results.append(bound_basic2(phi, masses, joint, alpha, constants, T_horizon=T_max))
+        # the complement of j is qualifying_subsets' own sum, so it is in the family
+        results.append(
+            run(
+                lambda tails: bound_basic2(phi, masses, tails, alpha, constants, T_horizon=T_max),
+                MinMarginalJointTails(mc),
+                lambda j: masses[np.arange(nb) != j].sum() >= alpha / 2.0,
+            )
+        )
     if nb > MAX_REGULAR_BLOCKS:
         return results
     delta = min(float(escape_tail_at(kernel, partition, i, 1).min()) for i in range(nb))

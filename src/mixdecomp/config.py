@@ -44,6 +44,8 @@ DEFAULT_TOLERANCES = Tolerances()
 MAX_DENSE_STATES = 5_000
 
 # Budget for stored simulated paths, in bytes.  simulate_states counts
-# (paths, T + 1) states in the smallest integer dtype that holds them;
-# MCTailProvider counts those states plus the block labels it derives from them.
+# (paths, T + 1) states in the smallest integer dtype that holds them.
+# MCTailProvider keeps only block labels, yet counts a state and a label
+# per path and step up to T_max, however far it simulates: a deliberately
+# conservative bound, checked before its first step.
 MAX_PATH_BYTES = 2**31

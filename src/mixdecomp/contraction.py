@@ -309,6 +309,9 @@ def _alpha_candidates(ws: np.ndarray, ds: np.ndarray) -> np.ndarray:
 # Number of worst pairs kept as evidence in a contraction estimate.
 KEEP_WORST = 8
 
+# (candidate factor, distance) entries evaluated per chunk of the margin fit.
+_FIT_ENTRIES = 1 << 20
+
 
 def estimate_contraction(
     kernel: StochasticKernel,
@@ -355,21 +358,32 @@ def estimate_contraction(
     bx, by = lab[xs], lab[ys]
     ws = wasserstein(mus[xs], mus[ys], metric)
     ds = metric.d[bx, by]
-    fits = []
-    for a in _alpha_candidates(ws, ds):
-        beta = max(float((ws - a * ds).max(initial=0.0)), 1e-12)
-        fits.append(((1.0 - a) - 2.0 * beta, a, beta))
-    best_margin = max(m for m, _, _ in fits)
-    best_beta = min(b for m, _, b in fits if m == best_margin)
+    # beta(a) = max over pairs of w - a d needs only the largest w at each
+    # distinct d: float subtraction is monotone, so the maximum is the same
+    dist, at = np.unique(ds, return_inverse=True)
+    w_top = np.full(dist.size, -np.inf)
+    np.maximum.at(w_top, at, ws)
+
+    def slack(a: np.ndarray) -> np.ndarray:
+        out = np.empty(a.size)
+        rows = max(1, _FIT_ENTRIES // dist.size)
+        for r in range(0, a.size, rows):
+            excess = w_top - a[r : r + rows, None] * dist
+            out[r : r + rows] = excess.max(axis=1, initial=0.0)
+        return np.maximum(out, 1e-12)
+
+    alphas = _alpha_candidates(ws, ds)  # sorted ascending, distinct
+    betas = slack(alphas)
+    margins = (1.0 - alphas) - 2.0 * betas
+    best_margin = margins.max()
+    best_beta = betas[margins == best_margin].min()
     # margins within the slack's own scale are indistinguishable evidence-wise;
     # prefer the largest (most conservative) certified factor among them
-    window = best_margin - 2.0 * best_beta
-    margin, alpha, beta = max(
-        (f for f in fits if f[0] >= window - 1e-15), key=lambda f: f[1]
-    )
+    k = np.flatnonzero(margins >= (best_margin - 2.0 * best_beta) - 1e-15)[-1]
+    margin, alpha, beta = float(margins[k]), float(alphas[k]), float(betas[k])
     if alpha < 2.0 * beta:  # keep 0 < beta < alpha in degenerate fits
         alpha = min(1.0, 2.0 * beta + 1e-9)
-        beta = max(float((ws - alpha * ds).max(initial=0.0)), 1e-12)
+        beta = float(slack(np.array([alpha]))[0])
         margin = (1.0 - alpha) - 2.0 * beta
     violations = ws - (alpha * ds + beta) > 1e-9
     if violations.any():  # pragma: no cover - excluded by construction

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -23,6 +23,7 @@ from .errors import AssertionFailed, HorizonCap, ProductSpaceTooLarge
 from .kernel import StochasticKernel
 
 # 99% two-sided normal quantile, used by every Wilson interval here.
+WILSON_LEVEL = 0.99
 _Z99 = 2.5758293035489004
 
 
@@ -188,6 +189,30 @@ def index_dtype(n: int) -> np.dtype:
     return np.dtype(np.int64)
 
 
+class PathStream:
+    """Resumable batched trajectories from one seeded stream.
+
+    Holds a :class:`RowSampler`, the generator ``rng.stream(seed, 0)`` and
+    the current state of every path.  Each step draws one uniform per path
+    from that generator, so paths extended in segments are bit-identical to
+    paths simulated in one go.
+    """
+
+    def __init__(self, kernel: StochasticKernel, starts: np.ndarray, seed: int):
+        self._sampler = RowSampler(kernel)
+        self._gen = rngmod.stream(seed, 0)
+        self.states = np.asarray(starts, dtype=np.intp)
+
+    def extend(self, k: int) -> Iterator[np.ndarray]:
+        """Advance every path k steps, yielding the states after each step.
+
+        The stream advances only as far as the caller iterates.
+        """
+        for _ in range(k):
+            self.states = self._sampler.step(self.states, self._gen)
+            yield self.states
+
+
 def simulate_states(
     kernel: StochasticKernel, x0: Sequence[int] | int, T: int, seed: int, reps: int | None = None
 ) -> np.ndarray:
@@ -216,13 +241,9 @@ def simulate_states(
             f"{starts.size} paths x {T} steps need {nbytes:,} B of {dtype} states "
             f"> budget {MAX_PATH_BYTES:,} B"
         )
-    sampler = RowSampler(kernel)
-    gen = rngmod.stream(seed, 0)
     out = np.empty((T + 1, starts.size), dtype=dtype)
     out[0] = starts
-    state = starts
-    for t in range(1, T + 1):
-        state = sampler.step(state, gen)
+    for t, state in enumerate(PathStream(kernel, starts, seed).extend(T), 1):
         out[t] = state
     return out.T
 

@@ -280,6 +280,34 @@ def test_occupation_bounds_reproduce_pinned_seeded_rows():
     assert rows[2].ingredients["delta"] == pytest.approx(5 / 6)
 
 
+def test_occupation_bounds_escape_certificate_replaces_simulation(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("simulated paths the escape certificate rules out")
+
+    # each state is a block, kept through T = 1024 with probability
+    # (1 - 1e-6)^1024
+    part = Partition(np.array([0, 1]), 2)
+    k = StochasticKernel([[1 - 1e-6, 1e-6], [1e-6, 1 - 1e-6]])
+    pi = stationary_distribution(k)
+    with monkeypatch.context() as m:
+        m.setattr("mixdecomp.bounds.PathStream", refuse)
+        rows = occupation_bounds(k, pi, part, [1.0, 1.0], [0, 1], 1 / 3, 0.9, ONES, 1024, 0)
+    for r in rows[:2]:
+        assert (r.feasible, r.value, r.ingredients["T"]) == (False, math.inf, None)
+        assert r.ingredients["tail_provenance"] == "exact-escape(block=0,stay=0.998977,T=1024)"
+        assert r.notes == (
+            "no feasible horizon up to 1024; exact escape certificate: block 0 is kept "
+            "through T = 1024 with probability 0.998977 >= 1/4"
+        )
+    # block 1 is now left within T with probability 1 - 2^-1024: I = {0}
+    # leaves out no sticky block, and the only subset without block 0 is too
+    # light to qualify, so both searches simulate
+    k = StochasticKernel([[1 - 1e-6, 1e-6], [0.5, 0.5]])
+    pi = stationary_distribution(k)
+    rows = occupation_bounds(k, pi, part, [1.0, 1.0], [0], 1 / 3, 0.9, ONES, 1024, 0)
+    assert [r.ingredients["tail_provenance"][:3] for r in rows[:2]] == ["mc(", "min"]
+
+
 def _cycle(n: int, stay: float) -> StochasticKernel:
     shift = np.roll(np.eye(n), 1, axis=1)
     return StochasticKernel(stay * np.eye(n) + (1 - stay) / 2 * (shift + shift.T))

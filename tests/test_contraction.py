@@ -238,6 +238,44 @@ def test_torus_certificate_pinned_and_pairs_match_transport_lp():
         assert pair.distance == metric.d[pair.block_x, pair.block_y]
 
 
+def _loop_margin_fit(ws, ds):
+    """The margin fit as one pass over every pair per candidate factor."""
+    fits = []
+    for a in contraction._alpha_candidates(ws, ds):
+        beta = max(float((ws - a * ds).max(initial=0.0)), 1e-12)
+        fits.append(((1.0 - a) - 2.0 * beta, a, beta))
+    best_margin = max(m for m, _, _ in fits)
+    best_beta = min(b for m, _, b in fits if m == best_margin)
+    window = best_margin - 2.0 * best_beta
+    margin, alpha, beta = max((f for f in fits if f[0] >= window - 1e-15), key=lambda f: f[1])
+    if alpha < 2.0 * beta:
+        alpha = min(1.0, 2.0 * beta + 1e-9)
+        beta = max(float((ws - alpha * ds).max(initial=0.0)), 1e-12)
+        margin = (1.0 - alpha) - 2.0 * beta
+    return margin, alpha, beta
+
+
+@pytest.mark.parametrize(
+    "n, metric",
+    [
+        (100, BlockMetric.hamming_on_bitmasks(3)),
+        (200, BlockMetric.hamming_on_bitmasks(3)),
+        (100, BlockMetric.path(8)),
+    ],
+)
+def test_margin_fit_matches_loop_over_pairs(n, metric):
+    # random 8-block chains, density 0.05: 4,950 and 19,900 pairs
+    gen = rngmod.stream(n, 0)
+    k = random_reversible_kernel(n, gen, density=0.05)
+    part = random_partition(n, gen, n_blocks=8)
+    est = estimate_contraction(k, part, metric)
+    xs, ys = np.triu_indices(n, 1)
+    mus = exit_distributions_all(k, part)
+    ws = wasserstein(mus[xs], mus[ys], metric)
+    ds = metric.d[part.block_of[xs], part.block_of[ys]]
+    assert (est.margin, est.alpha, est.beta) == _loop_margin_fit(ws, ds)
+
+
 def test_estimate_untraced_torus_not_usefully_contracting():
     # without the inner trace, exits from the boundary leak sideways and the
     # additive slack stays macroscopic

@@ -22,6 +22,7 @@ from mixdecomp.io import (
 )
 from mixdecomp.kernel import StochasticKernel
 from mixdecomp.report import ExperimentConfig, run_experiment
+from mixdecomp.simulate import RowSampler
 
 
 def test_kernel_file_roundtrip_dense(tmp_path):
@@ -279,17 +280,29 @@ def test_cli_over_size_budget_is_config_error(tmp_path, monkeypatch, argv):
         raise AssertionError("simulated paths over the budget")
 
     monkeypatch.setattr("mixdecomp.bounds.MAX_PATH_BYTES", 1 << 20)
-    monkeypatch.setattr("mixdecomp.bounds.simulate_states", refuse)
+    # the provider's stream, and every sampler step anywhere
+    monkeypatch.setattr("mixdecomp.bounds.PathStream", refuse)
+    monkeypatch.setattr(RowSampler, "step", refuse)
     assert main(argv + ["--out", str(tmp_path)]) == 1
 
 
-def test_cli_bounds_on_216_state_torus_completes(tmp_path):
-    # 216 starts x 200 reps x 16,385 steps x (2 B states + 1 B labels) < 2 GiB
+def test_cli_bounds_on_216_state_torus_completes(tmp_path, monkeypatch):
+    # Every block of this torus is kept through T = 16,384 with probability
+    # 0.9994, so the exact escape certificate decides both basic bounds and
+    # none of the 216 x 200 paths is simulated.
+    def refuse(*args, **kwargs):
+        raise AssertionError("simulated paths the escape certificate rules out")
+
+    monkeypatch.setattr("mixdecomp.bounds.PathStream", refuse)
+    monkeypatch.setattr(RowSampler, "step", refuse)
     argv = ["bounds", "--chain", "torus_metropolis:m=3,l=3,C=7", "--out", str(tmp_path)]
     assert main(argv) == 0
     report = json.loads((tmp_path / "report.json").read_text())
-    names = [r["name"] for r in report["tasks"]["bounds"]["comparison"]]
-    assert "basic_occupation" in names
+    rows = {r["name"]: r for r in report["tasks"]["bounds"]["comparison"]}
+    for name in ("basic_occupation", "basic_joint_occupation"):
+        assert rows[name]["feasible"] is False
+        assert rows[name]["value"]["value"] == "inf"
+        assert rows[name]["ingredients"]["tail_provenance"].startswith("exact-escape(block=")
 
 
 def test_cli_reproduce_builds_no_chain_instance(tmp_path, monkeypatch):

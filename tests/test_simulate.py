@@ -14,6 +14,7 @@ from mixdecomp.errors import AssertionFailed, HorizonCap, ProductSpaceTooLarge
 from mixdecomp.kernel import StochasticKernel, hitting_analysis, lazify
 from mixdecomp.simulate import (
     OccupationRecord,
+    PathStream,
     RowSampler,
     TailEstimate,
     empirical_hitting,
@@ -210,6 +211,16 @@ def test_batched_paths_shape_and_determinism():
     paths2 = simulate_states(K3, 1, 64, seed=3, reps=10)
     assert paths.shape == (10, 65)
     assert np.array_equal(paths, paths2)
+
+
+@pytest.mark.parametrize("a, b", [(0, 40), (1, 39), (13, 27), (40, 0)])
+def test_path_stream_segments_match_one_simulation(a, b):
+    starts = np.repeat([0, 1, 2], 5)
+    whole = simulate_states(K3, starts, a + b, seed=9)
+    stream = PathStream(K3, starts, seed=9)
+    steps = list(stream.extend(a)) + list(stream.extend(b))
+    assert np.array_equal(np.array(steps, dtype=whole.dtype).reshape(a + b, -1).T, whole[:, 1:])
+    assert np.array_equal(stream.states, whole[:, -1])
 
 
 def test_batched_paths_stored_compact_and_budgeted(monkeypatch):

@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 from conftest import random_partition, random_reversible_kernel
 from mixdecomp import rng as rngmod
 from mixdecomp.bounds import (
+    ExactTailProvider,
     MCTailProvider,
     MinMarginalJointTails,
     PeresSousiConstants,
@@ -26,7 +27,7 @@ from mixdecomp.chains import pince_nez
 from mixdecomp.decomposition import block_mixing_times
 from mixdecomp.errors import ProductSpaceTooLarge
 from mixdecomp.kernel import stationary_distribution
-from mixdecomp.simulate import simulate_states, wilson_interval
+from mixdecomp.simulate import RowSampler, simulate_states, wilson_interval
 
 T_MAX = 96
 REPS = 6
@@ -86,11 +87,63 @@ def test_mc_tails_monotone_in_horizon_and_threshold(i, Ts, ts):
     assert _MONOTONE.query_joint([0, 1], T_lo, t_lo) >= _MONOTONE.query_joint([0, 1], T_hi, t_lo)
 
 
+def test_lazy_horizons_count_as_one_full_simulation():
+    # up, down, past an earlier extension, and the cap at T_max
+    probes = [5, 3, 17, 2, 64, 33, 0, 65, 96, 50]
+    grown = [8, 8, 32, 32, 64, 64, 64, 96, 96, 96]
+    full = MCTailProvider(*_chain(4), T_max=T_MAX, reps_per_start=REPS, seed=4, starts=STARTS)
+    full._kappa(T_MAX)
+    lazy = MCTailProvider(*_chain(4), T_max=T_MAX, reps_per_start=REPS, seed=4, starts=STARTS)
+    assert lazy.simulated_T == 0
+    for T, T_sim in zip(probes, grown):
+        assert np.array_equal(lazy._kappa(T), full._kappa(T))
+        assert lazy.simulated_T == T_sim
+    assert full.simulated_T == T_MAX
+
+
+def test_mc_provider_simulates_only_as_far_as_queried():
+    k, part = pince_nez(8)
+    mc = MCTailProvider(k, part, T_max=16384, reps_per_start=4, seed=0, starts=[0])
+    mc.query(0, 2048, 100)
+    mc.query_joint([0, 1], 1500, 100)
+    assert mc.simulated_T == 2048
+    assert mc.provenance == "mc(reps=4,seed=0,level=0.99/query,T_sim=2048)"
+    joint = MinMarginalJointTails(mc)
+    joint.query_joint([0], 2049, 100)
+    assert mc.simulated_T == 4096
+    assert joint.provenance == "min-marginal(mc(reps=4,seed=0,level=0.99/query,T_sim=4096))"
+
+
+# A per-query miss rate near 6e-7: a miss means the providers disagree, not chance.
+_WIDE_Z = 5.0
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(
+    seed=st.integers(0, 2**16),
+    i=st.integers(0, 1),
+    T=st.integers(1, 48),
+    frac=st.floats(0.0, 1.0),
+)
+def test_exact_tails_lie_in_mc_wilson_band(seed, i, T, frac):
+    gen = rngmod.stream(seed, 0)
+    kernel, partition = random_reversible_kernel(6, gen), random_partition(6, gen, n_blocks=2)
+    t = 1 + int(frac * (T - 1))
+    exact = ExactTailProvider(kernel, partition, T_max=48, t_cap=48).query(i, T, t)
+    mc = MCTailProvider(kernel, partition, T_max=48, reps_per_start=400, seed=seed)
+    per_start = (mc._kappa(T)[i] < t).reshape(6, 400).sum(axis=1)
+    bands = [wilson_interval(int(h), 400, z=_WIDE_Z) for h in per_start]
+    # max_z P_z lies between the largest per-start lower and upper bounds
+    assert max(lo for lo, _ in bands) <= exact <= max(hi for _, hi in bands)
+
+
 def test_mc_provider_checks_path_budget_before_simulating(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("simulated paths over the budget")
 
-    monkeypatch.setattr("mixdecomp.bounds.simulate_states", refuse)
+    # the provider's stream, and every sampler step anywhere
+    monkeypatch.setattr("mixdecomp.bounds.PathStream", refuse)
+    monkeypatch.setattr(RowSampler, "step", refuse)
     k, part = pince_nez(8)
     huge = MCTailProvider(k, part, T_max=10**12, reps_per_start=200, seed=0)
     with pytest.raises(ProductSpaceTooLarge):

@@ -85,6 +85,7 @@ from .wellcovering import (
     concentration_audit,
     feasibility_oracle,
     propagation_bound,
+    propagation_covers,
     tree_bound,
 )
 

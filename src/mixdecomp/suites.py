@@ -55,8 +55,8 @@ from .simulate import occupation_tail_table, simulate_states
 from .wellcovering import (
     WellCoveringQuery,
     bootstrap_mixing_bound,
-    oracle_wc_time,
-    propagation_bound,
+    feasibility_oracle,
+    propagation_covers,
 )
 
 SUITE_NAMES = (
@@ -439,13 +439,13 @@ def calibrated_bound_table(seed: int = 0) -> tuple[list[BoundRow], PeresSousiCon
 
         proj = projected_kernel(K, pi, part)
         if part.n_blocks <= 3:
-            def provider(thresholds, B, _proj=proj):
-                return oracle_wc_time(WellCoveringQuery(_proj, thresholds, B), 64).value
+            def covers(thresholds, B, T, _proj=proj):
+                return feasibility_oracle(WellCoveringQuery(_proj, thresholds, B), T).covered
         else:
-            def provider(thresholds, B, _proj=proj):
-                return propagation_bound(WellCoveringQuery(_proj, thresholds, B)).value
+            def covers(thresholds, B, T, _proj=proj):
+                return propagation_covers(WellCoveringQuery(_proj, thresholds, B), T)
         rb = bootstrap_mixing_bound(
-            K, pi, part, I, alpha, beta, provider, constants, phi=phi
+            K, pi, part, I, alpha, beta, covers, constants, phi=phi
         )
         rows.append(BoundRow(name, rb.name, rb.value, tau, rb.value >= tau))
 

@@ -12,10 +12,21 @@ threshold ``t_i / T``.  Plausibility constraints, for all ordered pairs
     |sum_j N(i,j) - kappa(i)| <= 1/T,  |sum_i N(i,j) - kappa(j)| <= 1/T
 
 with kappa in the simplex and N summing to 1.
+
+The oracle and the propagation bound are covering predicates ("is horizon
+T covered?"), monotone in T and False at every ``T <= max_i t_i``: there a
+share ``t_i / T`` is at least 1, which no occupation clears.
+:func:`feasibility_oracle` answers such T without solving (its threshold
+guard); the bounds of :func:`propagation_covers` never get that far.  :func:`oracle_wc_time` and :func:`propagation_bound` search the
+least covered T; :func:`bootstrap_mixing_bound` takes such a predicate as
+``covers(thresholds, B, T)`` and probes it once per outer horizon, since T
+exceeds the least covered horizon exactly when ``T >= 3`` and ``T - 1`` is
+covered.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
@@ -100,19 +111,35 @@ class WellCoveringCertificate:
 # ---------------------------------------------------------------------------
 
 
+@functools.lru_cache(maxsize=None)
 def _kappa_grid(n: int, resolution: int) -> np.ndarray:
+    """Grid points ``k / resolution`` of the n-simplex, built once per (n, resolution)."""
     if n == 1:
-        return np.array([[1.0]])
-    if n == 2:
+        grid = np.array([[1.0]])
+    elif n == 2:
         k = np.arange(resolution + 1) / resolution
-        return np.stack([k, 1.0 - k], axis=1)
-    if n == 3:
-        pts = []
-        for a in range(resolution + 1):
-            for b in range(resolution + 1 - a):
-                pts.append((a / resolution, b / resolution, (resolution - a - b) / resolution))
-        return np.asarray(pts)
-    raise TooManyBlocks("feasibility oracle supports n <= 3")
+        grid = np.stack([k, 1.0 - k], axis=1)
+    elif n == 3:
+        a, b = np.meshgrid(np.arange(resolution + 1), np.arange(resolution + 1), indexing="ij")
+        keep = a + b <= resolution
+        a, b = a[keep], b[keep]
+        grid = np.stack([a, b, resolution - a - b], axis=1) / resolution
+    else:
+        raise TooManyBlocks("feasibility oracle supports n <= 3")
+    grid.setflags(write=False)
+    return grid
+
+
+@functools.lru_cache(maxsize=None)
+def _marginal_rows(n: int) -> np.ndarray:
+    """``(4n, n^2)`` LP rows bounding each row sum, then each column sum, of N."""
+    eye = np.eye(n)
+    rows, cols = np.repeat(eye, n, axis=1), np.tile(eye, n)
+    A = np.empty((4 * n, n * n))
+    A[0 : 2 * n : 2], A[1 : 2 * n : 2] = rows, -rows
+    A[2 * n :: 2], A[2 * n + 1 :: 2] = cols, -cols
+    A.setflags(write=False)
+    return A
 
 
 def _n_feasible(kappa: np.ndarray, Q: np.ndarray, B: float, T: float) -> bool:
@@ -135,28 +162,13 @@ def _n_feasible(kappa: np.ndarray, Q: np.ndarray, B: float, T: float) -> bool:
         return False
     # Interval transportation feasibility; small LP decides exactly.
     nn = n * n
-    A_ub = np.zeros((4 * n, nn))
-    b_ub = np.zeros(4 * n)
-    for i in range(n):
-        row = np.zeros((n, n))
-        row[i, :] = 1.0
-        A_ub[2 * i] = row.ravel()
-        b_ub[2 * i] = row_hi[i]
-        A_ub[2 * i + 1] = -row.ravel()
-        b_ub[2 * i + 1] = -row_lo[i]
-        col = np.zeros((n, n))
-        col[:, i] = 1.0
-        A_ub[2 * n + 2 * i] = col.ravel()
-        b_ub[2 * n + 2 * i] = row_hi[i]
-        A_ub[2 * n + 2 * i + 1] = -col.ravel()
-        b_ub[2 * n + 2 * i + 1] = -row_lo[i]
     res = scipy.optimize.linprog(
         c=np.zeros(nn),
-        A_ub=A_ub,
-        b_ub=b_ub,
+        A_ub=_marginal_rows(n),
+        b_ub=np.tile(np.stack([row_hi, -row_lo], axis=1).ravel(), 2),
         A_eq=np.ones((1, nn)),
         b_eq=np.array([1.0]),
-        bounds=list(zip(lo.ravel(), hi.ravel())),
+        bounds=np.stack([lo.ravel(), hi.ravel()], axis=1),
         method="highs",
     )
     return res.status == 0
@@ -169,18 +181,22 @@ def feasibility_oracle(
 
     A violation is a plausible (kappa, N) pair with some block occupation at
     or below its threshold share ``t_i / T``.  Coverage is certified only up
-    to the grid tolerance ``2 / grid_resolution``, which is reported.
+    to the grid tolerance ``2 / grid_resolution``, which is reported.  At
+    ``T <= max_i t_i`` some share is at least 1, which no occupation clears,
+    so the horizon is not covered whatever the LPs say (and no witness is
+    listed); this guard makes the outcome monotone from the first T on.
     """
     if query.n > 3:
         raise TooManyBlocks("feasibility oracle supports n <= 3")
     if grid_resolution < 64:
         raise ValueError("grid_resolution must be >= 64")
+    if T <= query.thresholds.max():
+        return OracleOutcome(False, (), 2.0 / grid_resolution, T)
     Q = query.q.rows
     shares = query.thresholds / T
+    grid = _kappa_grid(query.n, grid_resolution)
     witnesses = []
-    for kappa in _kappa_grid(query.n, grid_resolution):
-        if not (kappa <= shares + 1e-15).any():
-            continue
+    for kappa in grid[(grid <= shares + 1e-15).any(axis=1)]:
         if _n_feasible(kappa, Q, query.B, T):
             witnesses.append(tuple(np.round(kappa, 9)))
             if len(witnesses) >= max_witnesses:
@@ -196,7 +212,12 @@ def feasibility_oracle(
 def oracle_wc_time(
     query: WellCoveringQuery, grid_resolution: int = 64, T_horizon: int = 2**40
 ) -> WellCoveringCertificate:
-    """Least horizon the oracle certifies as covered (integer bisection)."""
+    """Least horizon the oracle certifies as covered (integer bisection).
+
+    The search starts at ``max_i t_i``, below which the oracle's threshold
+    guard already rules every horizon out, so for a monotone oracle
+    ``T > value`` holds exactly when ``T >= 3`` and ``T - 1`` is covered.
+    """
     T = least_horizon(
         lambda horizon: feasibility_oracle(query, horizon, grid_resolution).covered,
         int(query.thresholds.max()),
@@ -265,12 +286,18 @@ def tree_bound(q: StochasticKernel, phi: float, B: float) -> WellCoveringCertifi
     )
 
 
-def propagation_bound(
-    query: WellCoveringQuery,
-    T_horizon: int = 2**60,
-    mu: StationaryDistribution | None = None,
-) -> WellCoveringCertificate:
-    """Covering bound by propagating occupation lower bounds along edges.
+def _propagation_measure(
+    q: StochasticKernel, mu: StationaryDistribution | None
+) -> StationaryDistribution:
+    if not q.is_irreducible():
+        raise InvalidComparison("propagation requires an irreducible kernel")
+    return stationary_distribution(q) if mu is None else mu
+
+
+def propagation_covers(
+    query: WellCoveringQuery, T: int, mu: StationaryDistribution | None = None
+) -> bool:
+    """Do propagated occupation lower bounds clear every threshold at horizon T?
 
     Some block holds occupation share at least 1/n; from any such root the
     plausibility constraints force, for each support edge (l, j),
@@ -278,32 +305,38 @@ def propagation_bound(
         kappa(j) >= (mu(j)/mu(l)) kappa(l) (1 - c_lj B / (sqrt(kappa(l) T)))
 
     with ``c_lj = 4 / Q(l, j)`` (a weakening of the interval constraints, so
-    every step is sound for reversible Q).  The returned value is the least
-    integer horizon at which the propagated bounds from every possible root
-    clear all thresholds.  This extends the tree induction to arbitrary
-    irreducible kernels and is labeled as such in the provenance.
+    every step is sound for reversible Q).  T is covered when the propagated
+    bounds from every possible root exceed all threshold shares ``t_i / T``.
+    The bounds only grow with T, and from the heaviest root none exceeds
+    1/n, so the answer is monotone in T and False at ``T <= max_i t_i``.
+    A given ``mu`` must be the stationary distribution of the irreducible
+    ``query.q``; without it both are computed here.
     """
     q = query.q
     n = query.n
-    if not q.is_irreducible():
-        raise InvalidComparison("propagation requires an irreducible kernel")
     if mu is None:
-        mu = stationary_distribution(q)
-    w = mu.weights
-    Q = q.rows
-    B = query.B
-    edges = [(l, j) for l in range(n) for j in range(n) if l != j and Q[l, j] > 0]
+        mu = _propagation_measure(q, None)
+    w = mu.weights.tolist()
+    Q = q.rows.tolist()
+    sqrt_T = math.sqrt(T)
+    # per support edge (l, j): mu(j)/mu(l) and c_lj B, as Python floats
+    edges = [
+        (l, j, w[j] / w[l], (4.0 / Q[l][j]) * query.B)
+        for l in range(n)
+        for j in range(n)
+        if l != j and Q[l][j] > 0
+    ]
 
-    def lower_bounds(root: int, T: int) -> np.ndarray:
-        lb = np.zeros(n)
+    def lower_bounds(root: int) -> list[float]:
+        lb = [0.0] * n
         lb[root] = 1.0 / n
         for _ in range(n):
             improved = False
-            for l, j in edges:
+            for l, j, ratio, cB in edges:
                 if lb[l] <= 0:
                     continue
-                shrink = 1.0 - (4.0 / Q[l, j]) * B / (math.sqrt(lb[l]) * math.sqrt(T))
-                cand = (w[j] / w[l]) * lb[l] * max(0.0, shrink)
+                shrink = 1.0 - cB / (math.sqrt(lb[l]) * sqrt_T)
+                cand = ratio * lb[l] * max(0.0, shrink)
                 if cand > lb[j] + 1e-18:
                     lb[j] = cand
                     improved = True
@@ -311,15 +344,22 @@ def propagation_bound(
                 break
         return lb
 
-    def covered(T: int) -> bool:
-        shares = query.thresholds / T
-        for root in range(n):
-            lb = lower_bounds(root, T)
-            if not (lb > shares).all():
-                return False
-        return True
+    shares = query.thresholds / T
+    return all((np.asarray(lower_bounds(root)) > shares).all() for root in range(n))
 
-    T = least_horizon(covered, 2, T_horizon)
+
+def propagation_bound(
+    query: WellCoveringQuery,
+    T_horizon: int = 2**60,
+    mu: StationaryDistribution | None = None,
+) -> WellCoveringCertificate:
+    """Least integer horizon :func:`propagation_covers` certifies as covered.
+
+    This extends the tree induction to arbitrary irreducible kernels and is
+    labeled as such in the provenance.
+    """
+    mu = _propagation_measure(query.q, mu)
+    T = least_horizon(lambda horizon: propagation_covers(query, horizon, mu), 2, T_horizon)
     if T is None:
         raise NoFiniteT(f"propagation found no covering horizon up to {T_horizon}")
     return WellCoveringCertificate(
@@ -327,7 +367,7 @@ def propagation_bound(
         method="propagation",
         thresholds=tuple(query.thresholds.tolist()),
         B=query.B,
-        kernel=q,
+        kernel=query.q,
         provenance=("propagation(extension beyond trees)",),
     )
 
@@ -430,7 +470,7 @@ def bootstrap_mixing_bound(
     I: Sequence[int],
     alpha: float,
     beta: float,
-    wc_provider: Callable[[np.ndarray, float], float],
+    covers: Callable[[np.ndarray, float, int], bool],
     constants: PeresSousiConstants,
     phi: Sequence[float] | None = None,
     phi_horizon: int = 2**20,
@@ -438,12 +478,16 @@ def bootstrap_mixing_bound(
 ) -> BoundResult:
     """Mixing bound through a certified well-covering horizon.
 
-    ``wc_provider(thresholds, B)`` must return a certified covering value for
-    the projected kernel.  The search finds the least integer T exceeding the
-    certified value at thresholds ``8 c' phi_i`` (phi zeroed off I) and
-    concentration constant ``B(T) = sqrt(8 phi_max log(64 n^2 T))``; the
-    mixing time is then at most ``(4/3) c_alpha T``.  The B term grows only
-    logarithmically in T, so the crossing exists and doubling finds it.
+    ``covers(thresholds, B, T)`` must certify that the projected kernel is
+    well covered at horizon T; it must be monotone in T and False at every
+    ``T <= max(thresholds)`` (:func:`feasibility_oracle` and
+    :func:`propagation_covers` both are).  The search finds the least
+    integer T exceeding the least covered horizon at thresholds
+    ``8 c' phi_i`` (phi zeroed off I) and concentration constant
+    ``B(T) = sqrt(8 phi_max log(64 n^2 T))``, which is the least T >= 3 with
+    ``covers(thresholds, B(T), T - 1)``: one covering probe per horizon.
+    The mixing time is then at most ``(4/3) c_alpha T``.  The B term grows
+    only logarithmically in T, so the crossing exists and doubling finds it.
     """
     I = [int(i) for i in I]
     masses = partition.masses(pi)
@@ -468,7 +512,7 @@ def bootstrap_mixing_bound(
         return math.sqrt(8.0 * phi_max * math.log(64.0 * n * n * T))
 
     def ok(T: int) -> bool:
-        return T > wc_provider(thresholds, B_of(T))
+        return T >= 3 and covers(thresholds, B_of(T), T - 1)
 
     T = least_horizon(ok, 2, T_horizon)
     if T is None:

@@ -2,19 +2,21 @@
 
 Each recomputes a package quantity by a different route: the trace law by
 absorbing power iteration, joint occupation tails by a product-space
-dynamic program, stream independence by a lag-1 correlation, and transport
-distances by the full n x n transportation LP.
+dynamic program, stream independence by a lag-1 correlation, transport
+distances by the full n x n transportation LP, and the bootstrap horizon by
+a nested search that finds a whole covering time at every outer probe.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 import scipy.optimize
 
 from mixdecomp import rng as rngmod
+from mixdecomp.bounds import PeresSousiConstants, least_horizon
 from mixdecomp.decomposition import Partition
 from mixdecomp.errors import ProductSpaceTooLarge
 from mixdecomp.kernel import StochasticKernel
@@ -114,3 +116,26 @@ def full_transport_lp(mu: np.ndarray, nu: np.ndarray, d: np.ndarray) -> float:
     )
     assert res.status == 0, res.message
     return float(res.fun)
+
+
+def nested_bootstrap_horizon(
+    n_blocks: int,
+    I: Sequence[int],
+    phi: Sequence[float],
+    wc_time: Callable[[np.ndarray, float], float],
+    constants: PeresSousiConstants,
+) -> tuple[int, float]:
+    """Bootstrap horizon T and value, one full covering-time search per probe.
+
+    The least T with ``T > wc_time(thresholds, B(T))``, thresholds
+    ``8 c' phi_i`` on I and ``B(T) = sqrt(8 phi_max log(64 n^2 T))``; the
+    value is ``(4/3) c_alpha T``.
+    """
+    phi = np.asarray(phi, dtype=float)
+    thresholds = np.where(np.isin(np.arange(n_blocks), I), 8.0 * constants.c_alpha_prime * phi, 0.0)
+
+    def B_of(T: int) -> float:
+        return math.sqrt(8.0 * phi.max() * math.log(64.0 * n_blocks * n_blocks * T))
+
+    T = least_horizon(lambda T: T > wc_time(thresholds, B_of(T)), 2, 2**60)
+    return T, (4.0 / 3.0) * constants.c_alpha * T

@@ -2,10 +2,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from conftest import random_reversible_kernel
 from mixdecomp import rng as rngmod
-from mixdecomp.bounds import PeresSousiConstants
-from mixdecomp.chains import pince_nez
+from mixdecomp import suites, wellcovering
+from mixdecomp.bounds import PeresSousiConstants, exact_mixing_time, least_horizon
+from mixdecomp.chains import pince_nez, toy_kcip
 from mixdecomp.decomposition import Partition, block_mixing_times, projected_kernel
 from mixdecomp.errors import HorizonCap, InvalidComparison, NotTreeWalk, TooManyBlocks
 from mixdecomp.kernel import StochasticKernel, stationary_distribution
@@ -19,8 +23,10 @@ from mixdecomp.wellcovering import (
     feasibility_oracle,
     oracle_wc_time,
     propagation_bound,
+    propagation_covers,
     tree_bound,
 )
+from oracles import nested_bootstrap_horizon
 
 Q2 = StochasticKernel([[0.5, 0.5], [0.5, 0.5]])
 Q3_PATH = StochasticKernel([[0.75, 0.25, 0.0], [0.25, 0.5, 0.25], [0.0, 0.25, 0.75]])
@@ -155,18 +161,27 @@ def test_compare_wc_validates():
         compare_wc(skewed, "monotone", target=StochasticKernel([[0.6, 0.4], [0.4, 0.6]]))
 
 
+def oracle_predicate(kernel: StochasticKernel):
+    def covers(thresholds, B, T):
+        return feasibility_oracle(WellCoveringQuery(kernel, thresholds, B), T).covered
+
+    return covers
+
+
+def propagation_predicate(kernel: StochasticKernel):
+    def covers(thresholds, B, T):
+        return propagation_covers(WellCoveringQuery(kernel, thresholds, B), T)
+
+    return covers
+
+
 def test_bootstrap_single_block_constant_multiple_of_phi():
     k = StochasticKernel([[0.6, 0.4], [0.4, 0.6]])
     pi = stationary_distribution(k)
     part = Partition.single_block(2)
-
-    def provider(thresholds, B):
-        q = WellCoveringQuery(StochasticKernel([[1.0]]), thresholds, B)
-        return oracle_wc_time(q).value
-
     res = bootstrap_mixing_bound(
-        k, pi, part, I=[0], alpha=1.0 / 3.0, beta=0.75, wc_provider=provider,
-        constants=PeresSousiConstants(),
+        k, pi, part, I=[0], alpha=1.0 / 3.0, beta=0.75,
+        covers=oracle_predicate(StochasticKernel([[1.0]])), constants=PeresSousiConstants(),
     )
     phi1 = res.ingredients["phi"][0]
     assert res.value <= 40.0 * max(phi1, 1.0)
@@ -176,32 +191,137 @@ def test_bootstrap_pince_nez_oracle_provider():
     k, part = pince_nez(8)
     pi = stationary_distribution(k)
     proj = projected_kernel(k, pi, part)
-
-    def provider(thresholds, B):
-        return oracle_wc_time(WellCoveringQuery(proj, thresholds, B), 64).value
-
     res = bootstrap_mixing_bound(
         k, pi, part, I=[0, 1], alpha=1.0 / 3.0, beta=0.75,
-        wc_provider=provider, constants=PeresSousiConstants(),
+        covers=oracle_predicate(proj), constants=PeresSousiConstants(),
     )
     assert res.feasible and math.isfinite(res.value)
-    from mixdecomp.bounds import exact_mixing_time
-
     assert res.value >= exact_mixing_time(k, pi)  # loose even uncalibrated
 
 
 def test_bootstrap_monotone_in_phi_and_n():
-    def provider(thresholds, B):
+    def covers(thresholds, B, T):
         n = len(thresholds)
         kern = StochasticKernel(np.full((n, n), 1.0 / n)) if n > 1 else StochasticKernel([[1.0]])
-        return propagation_bound(WellCoveringQuery(kern, np.asarray(thresholds), B)).value
+        return propagation_covers(WellCoveringQuery(kern, np.asarray(thresholds), B), T)
 
     k, part = pince_nez(6)
     pi = stationary_distribution(k)
     cons = PeresSousiConstants()
-    lo = bootstrap_mixing_bound(k, pi, part, [0, 1], 1 / 3, 0.75, provider, cons, phi=[5.0, 5.0])
-    hi = bootstrap_mixing_bound(k, pi, part, [0, 1], 1 / 3, 0.75, provider, cons, phi=[9.0, 9.0])
+    lo = bootstrap_mixing_bound(k, pi, part, [0, 1], 1 / 3, 0.75, covers, cons, phi=[5.0, 5.0])
+    hi = bootstrap_mixing_bound(k, pi, part, [0, 1], 1 / 3, 0.75, covers, cons, phi=[9.0, 9.0])
     assert hi.value >= lo.value
+
+
+@pytest.mark.parametrize(
+    "chain,I,covering",
+    [
+        (pince_nez(8), [0, 1], "oracle"),
+        (toy_kcip(8, 1), [0, 1, 2], "propagation"),
+    ],
+    ids=["pince_nez8-oracle", "toy_kcip8-propagation"],
+)
+def test_bootstrap_matches_nested_covering_search(chain, I, covering):
+    k, part = chain
+    pi = stationary_distribution(k)
+    proj = projected_kernel(k, pi, part)
+    phis, _, _ = block_mixing_times(k, pi, part, horizon=10**6)
+    phi = [float(p) for p in phis]
+    cons = PeresSousiConstants()
+    if covering == "oracle":
+        covers = oracle_predicate(proj)
+        wc_time = lambda t, B: oracle_wc_time(WellCoveringQuery(proj, t, B), 64).value
+    else:
+        covers = propagation_predicate(proj)
+        wc_time = lambda t, B: propagation_bound(WellCoveringQuery(proj, t, B)).value
+    res = bootstrap_mixing_bound(k, pi, part, I, 1 / 3, 0.75, covers, cons, phi=phi)
+    T, value = nested_bootstrap_horizon(part.n_blocks, I, phi, wc_time, cons)
+    assert (res.ingredients["T"], res.value) == (T, value)
+
+
+def test_oracle_threshold_guard():
+    # at T <= max t_i some share t_i / T is at least 1, which no occupation
+    # clears; with so small a B the LPs alone would call T = 8 and 9 covered
+    q = WellCoveringQuery(StochasticKernel([[0.6, 0.4], [0.3, 0.7]]), np.array([0.0, 9.5]), 0.01)
+    for T in (1, 5, 9):
+        out = feasibility_oracle(q, T)
+        assert not out.covered and out.witnesses == () and out.T == T
+    assert oracle_wc_time(q).value > 9.5
+
+
+@st.composite
+def _covering_case(draw, max_blocks: int):
+    n = draw(st.integers(2, max_blocks))
+    q = random_reversible_kernel(n, rngmod.stream(draw(st.integers(0, 2**31)), 0))
+    thresholds = draw(
+        st.lists(
+            st.one_of(st.just(0.0), st.floats(0.5, 30.0)), min_size=n, max_size=n
+        )
+    )
+    B = draw(st.floats(0.1, 3.0))
+    return WellCoveringQuery(q, np.asarray(thresholds), B)
+
+
+def _check_equivalence_and_monotonicity(query, covered, wc_time, data):
+    # T > wc_time  <=>  T >= 3 and covered(T - 1), at the boundary and off it
+    value = int(wc_time)
+    drawn = data.draw(st.integers(1, 2 * value + 4))
+    for T in sorted({1, 2, 3, value - 1, value, value + 1, value + 2, drawn} - {0}):
+        assert (T > value) == (T >= 3 and covered(T - 1)), T
+    # covering, once reached, persists for every larger horizon
+    T1 = data.draw(st.integers(1, 4 * value + 8))
+    T2 = data.draw(st.integers(T1, 8 * value + 16))
+    assert not covered(T1) or covered(T2)
+
+
+@settings(max_examples=30, deadline=None)
+@given(query=_covering_case(3), data=st.data())
+def test_oracle_predicate_matches_covering_time(query, data):
+    _check_equivalence_and_monotonicity(
+        query,
+        lambda T: feasibility_oracle(query, T).covered,
+        oracle_wc_time(query).value,
+        data,
+    )
+
+
+@settings(max_examples=60, deadline=None)
+@given(query=_covering_case(6), data=st.data())
+def test_propagation_predicate_matches_covering_time(query, data):
+    _check_equivalence_and_monotonicity(
+        query,
+        lambda T: propagation_covers(query, T),
+        propagation_bound(query).value,
+        data,
+    )
+
+
+def test_calibrated_table_bootstrap_pinned_one_probe_each(monkeypatch):
+    probes = []  # [T, covering calls made while probing T]
+
+    def counting(fn):
+        def wrapped(*args, **kwargs):
+            if probes:
+                probes[-1][1] += 1
+            return fn(*args, **kwargs)
+
+        return wrapped
+
+    def least_horizon_counted(feasible, T_start, T_horizon):
+        def probe(T):
+            probes.append([T, 0])
+            return feasible(T)
+
+        return least_horizon(probe, T_start, T_horizon)
+
+    monkeypatch.setattr(wellcovering, "least_horizon", least_horizon_counted)
+    monkeypatch.setattr(suites, "feasibility_oracle", counting(feasibility_oracle))
+    monkeypatch.setattr(suites, "propagation_covers", counting(propagation_covers))
+    rows, _ = suites.calibrated_bound_table(seed=0)
+    boot = {r.chain: r.value for r in rows if r.bound == "bootstrap_well_covering"}
+    assert boot == {"pince_nez_m16": 56835.99999999988, "toy_kcip_m8": 5140547464063.989}
+    # the search opens at T = 2, which no covering time can be below
+    assert probes and all(calls == (T >= 3) for T, calls in probes)
 
 
 def test_local_to_global_spreading_on_pince_nez():
@@ -217,8 +337,8 @@ def test_local_to_global_spreading_on_pince_nez():
     T = 64
     while True:
         B_conc = math.sqrt(8.0 * phi.max() * math.log(8 * 4 * T / eps))
-        wc = oracle_wc_time(WellCoveringQuery(proj, B_occ * phi, B_conc), 64).value
-        if T > wc:
+        # T exceeds the oracle's covering time exactly when T - 1 is covered
+        if feasibility_oracle(WellCoveringQuery(proj, B_occ * phi, B_conc), T - 1).covered:
             break
         T *= 2
     reps = 4000

@@ -8,6 +8,7 @@ exact linear algebra at desk scale.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 from dataclasses import dataclass
 from typing import NamedTuple, Sequence
@@ -87,8 +88,12 @@ class StochasticKernel:
         return self.rows > 0.0
 
     def is_irreducible(self) -> bool:
-        n = self.n_states
-        if n == 1:
+        return self._strongly_connected
+
+    @functools.cached_property
+    def _strongly_connected(self) -> bool:
+        # the rows are frozen, so the support digraph is searched once
+        if self.n_states == 1:
             return True
         graph = csr_matrix(self.support())
         ncomp, _ = csgraph.connected_components(graph, directed=True, connection="strong")

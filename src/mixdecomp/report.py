@@ -20,7 +20,7 @@ import numpy as np
 from . import io as iomod
 from .bounds import PeresSousiConstants, occupation_bounds
 from .chains import ChainSpec, generate
-from .decomposition import Partition, block_mixing_times, decompose
+from .decomposition import Partition, decompose
 from .errors import AssertionFailed, ConfigInvalid
 from .kernel import (
     StochasticKernel,
@@ -175,12 +175,16 @@ def run_experiment(cfg: ExperimentConfig) -> dict:
     if resid > 1e-8:
         raise AssertionFailed("stationary-fixed-point", f"residual {resid:.3e}")
 
+    # analyze (on more than one block), bounds and audit share one decomposition
+    dec = None
+    if {"bounds", "audit"} & set(cfg.tasks) or ("analyze" in cfg.tasks and partition.n_blocks > 1):
+        dec = decompose(kernel, pi, partition, horizon=cfg.horizon)
     if "analyze" in cfg.tasks:
-        report["tasks"]["analyze"] = _task_analyze(kernel, pi, partition, cfg)
+        report["tasks"]["analyze"] = _task_analyze(kernel, pi, partition, cfg, dec)
     if "bounds" in cfg.tasks:
-        report["tasks"]["bounds"] = _task_bounds(kernel, pi, partition, cfg)
+        report["tasks"]["bounds"] = _task_bounds(kernel, pi, partition, cfg, dec)
     if "audit" in cfg.tasks:
-        report["tasks"]["audit"] = _task_audit(kernel, pi, partition, cfg)
+        report["tasks"]["audit"] = _task_audit(kernel, pi, partition, cfg, dec)
     if "reproduce" in cfg.tasks:
         report["tasks"]["reproduce"] = reproduce(cfg.suite, cfg.seed, cfg.output_dir)
     iomod.write_json(cfg.output_dir / "report.json", report)
@@ -221,7 +225,7 @@ def _emit_csv_views(cfg: ExperimentConfig, report: dict) -> None:
         )
 
 
-def _task_analyze(kernel, pi, partition, cfg) -> dict:
+def _task_analyze(kernel, pi, partition, cfg, dec) -> dict:
     rev = check_reversible(kernel, pi)
     prof = mixing_profile(kernel, pi, horizon=cfg.horizon, epsilons=(0.25, 0.1, 0.05))
     out = {
@@ -236,7 +240,6 @@ def _task_analyze(kernel, pi, partition, cfg) -> dict:
         "detailed_balance_residual": _val(rev.residual, "exact"),
     }
     if partition.n_blocks > 1:
-        dec = decompose(kernel, pi, partition, horizon=cfg.horizon)
         if rev.is_reversible:
             pb = partition.masses(pi)
             flux = pb[:, None] * dec.projected.rows
@@ -253,9 +256,9 @@ def _task_analyze(kernel, pi, partition, cfg) -> dict:
     return out
 
 
-def _task_bounds(kernel, pi, partition, cfg) -> dict:
+def _task_bounds(kernel, pi, partition, cfg, dec) -> dict:
     masses = partition.masses(pi)
-    phis, _, _ = block_mixing_times(kernel, pi, partition, horizon=cfg.horizon)
+    phis = dec.block_mixing_times
     if any(p is None for p in phis):
         raise AssertionFailed("block-mixing-horizon", "a trace never crossed 1/4")
     phi = [float(p) for p in phis]
@@ -285,10 +288,9 @@ def _task_bounds(kernel, pi, partition, cfg) -> dict:
     }
 
 
-def _task_audit(kernel, pi, partition, cfg) -> dict:
+def _task_audit(kernel, pi, partition, cfg, dec) -> dict:
     i, j = cfg.audit_blocks
-    phis, _, _ = block_mixing_times(kernel, pi, partition, horizon=cfg.horizon)
-    phi_max = float(max(p for p in phis if p is not None))
+    phi_max = float(max(p for p in dec.block_mixing_times if p is not None))
     rows = concentration_audit(
         kernel,
         pi,

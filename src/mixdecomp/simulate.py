@@ -95,6 +95,9 @@ class RowSampler:
     The slot is found by a branch-free binary search over the row's
     cumulative sums, padded with 1.0 to a power-of-two width ``w``, so a
     step costs ``log2(w)`` gathers whatever the row's width.
+
+    :meth:`step` takes its uniforms from the caller, one per state in the
+    same order, so each caller decides which generator feeds which path.
     """
 
     def __init__(self, kernel: StochasticKernel):
@@ -125,9 +128,9 @@ class RowSampler:
         self._cols = cols.ravel()
         self._pad = w - d
 
-    def step(self, states: np.ndarray, gen: np.random.Generator) -> np.ndarray:
+    def step(self, states: np.ndarray, u: np.ndarray) -> np.ndarray:
+        """Next state of each ``states[k]`` drawn with the uniform ``u[k]``."""
         states = states.astype(np.intp, copy=False)
-        u = gen.random(states.shape[0])
         idx = states.copy()
         for keys in self._levels:
             below = keys[idx] < u
@@ -209,7 +212,8 @@ class PathStream:
         The stream advances only as far as the caller iterates.
         """
         for _ in range(k):
-            self.states = self._sampler.step(self.states, self._gen)
+            u = self._gen.random(self.states.shape[0])
+            self.states = self._sampler.step(self.states, u)
             yield self.states
 
 
@@ -272,7 +276,7 @@ def empirical_hitting(
         if t > step_cap:
             raise HorizonCap(f"{int(active.sum())} replicates exceeded {step_cap} steps")
         idx = np.nonzero(active)[0]
-        state[idx] = sampler.step(state[idx], gen)
+        state[idx] = sampler.step(state[idx], gen.random(idx.size))
         done = in_target[state[idx]]
         times[idx[done]] = t
         active[idx[done]] = False

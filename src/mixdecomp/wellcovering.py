@@ -36,6 +36,7 @@ import scipy.optimize
 from scipy.sparse import csgraph, csr_matrix
 
 from .bounds import BoundResult, PeresSousiConstants, least_horizon
+from .config import MAX_PATH_BYTES
 from .decomposition import Partition, block_mixing_times, projected_kernel
 from .errors import (
     HorizonCap,
@@ -43,10 +44,11 @@ from .errors import (
     NoFiniteT,
     NoFixedPoint,
     NotTreeWalk,
+    ProductSpaceTooLarge,
     TooManyBlocks,
 )
 from .kernel import StationaryDistribution, StochasticKernel, stationary_distribution
-from .simulate import RowSampler, wilson_interval
+from .simulate import RowSampler, index_dtype, wilson_interval
 from . import rng as rngmod
 
 
@@ -576,16 +578,33 @@ def concentration_audit(
     projected rate, and the frequency of deviations above each c is tabled
     against ``4 exp(-c^2 (t+1) / (8 phi_max))``.  Both orientations (clocked
     by i against Kbar(i,j), clocked by j against Kbar(j,i)) are audited.
+    Every (orientation, t) run draws from its own stream
+    ``rng.stream(seed + 7 * idx_t, 1)``, and all runs step together in one
+    loop (:func:`_transition_ratio_samples`).
+
+    Raises
+    ------
+    ProductSpaceTooLarge
+        If the replicas' slot arrays would exceed ``MAX_PATH_BYTES``;
+        checked before anything is allocated.
+    HorizonCap
+        If a run's replicas do not all finish within its step cap; the
+        first such run in (orientation, t) order is named.
     """
     if reps < 1000:
         raise ValueError("need reps >= 1000 for a meaningful audit")
     proj = projected_kernel(kernel, pi, partition)
+    orientations = (("ij", i, proj.rows[i, j]), ("ji", j, proj.rows[j, i]))
+    runs = [
+        (clock, int(t), seed + 7 * idx_t)
+        for _, clock, _ in orientations
+        for idx_t, t in enumerate(t_grid)
+    ]
+    samples = iter(_transition_ratio_samples(kernel, partition, i, j, runs, reps, start))
     rows: list[AuditRow] = []
-    for orient, clock, target in (("ij", i, proj.rows[i, j]), ("ji", j, proj.rows[j, i])):
-        for idx_t, t in enumerate(t_grid):
-            stats = _transition_ratio_sample(
-                kernel, partition, i, j, clock, int(t), reps, seed + 7 * idx_t, start
-            )
+    for orient, _, target in orientations:
+        for t in t_grid:
+            stats = next(samples)
             for c in c_grid:
                 exceed = int((np.abs(stats - target) > c).sum())
                 _, hi = wilson_interval(exceed, reps)
@@ -604,45 +623,120 @@ def concentration_audit(
     return rows
 
 
-def _transition_ratio_sample(
+# Bytes per replica slot: state, uniform, draw buffer, countdown, crossings,
+# slot origin, run index and result (8 B each), clock block, "previous state
+# in i" and liveness flags (1 B each), and as much again for one step's
+# temporaries (sampler index, next state, its block, comparison masks).
+_AUDIT_SLOT_BYTES = 2 * (8 * 8 + 3)
+
+# Finished slots stay in the arrays, stepped on stale uniforms, until the
+# live ones fall below this share of them; then every array is compacted.
+_COMPACT_BELOW = 0.9
+
+
+def _transition_ratio_samples(
     kernel: StochasticKernel,
     partition: Partition,
     i: int,
     j: int,
-    clock_block: int,
-    t: int,
+    runs: Sequence[tuple[int, int, int]],
     reps: int,
-    seed: int,
     start: int,
-) -> np.ndarray:
-    """Per-replica ``N_ij(kappa_clock^{-1}(t)) / (t + 1)`` by simulation."""
-    sampler = RowSampler(kernel)
-    gen = rngmod.stream(seed, 1)
-    in_i = partition.block_of == i
-    in_j = partition.block_of == j
-    in_clock = partition.block_of == clock_block
-    state = np.full(reps, start, dtype=np.int64)
-    visits = np.zeros(reps, dtype=np.int64)
-    crossings = np.zeros(reps, dtype=np.int64)
-    active = np.ones(reps, dtype=bool)
-    # Safety cap: expected clock time is t / mass(clock); allow a wide margin.
-    cap = 200 * (t + 1) * max(1, kernel.n_states)
-    for _ in range(cap):
-        idx = np.nonzero(active)[0]
-        if idx.size == 0:
-            break
-        prev = state[idx]
-        nxt = sampler.step(prev, gen)
-        state[idx] = nxt
-        arrived_clock = in_clock[nxt]
-        done_now = arrived_clock & (visits[idx] + 1 >= t)
-        crossing = in_i[prev] & in_j[nxt]
-        crossings[idx] += (crossing & ~done_now).astype(np.int64)
-        visits[idx] += arrived_clock.astype(np.int64)
-        active[idx[done_now]] = False
-    if active.any():
-        raise HorizonCap(
-            f"{int(active.sum())} of {reps} audit replicates did not reach {t} visits to "
-            f"block {clock_block} within {cap} steps"
+) -> list[np.ndarray]:
+    """Per-replica ``N_ij(kappa_clock^{-1}(t)) / (t + 1)`` for every run.
+
+    ``runs`` lists ``(clock_block, t, seed)``.  The ``len(runs) * reps``
+    replicas are slots laid out run-major, replicas in index order, and
+    advance together.  Each step, every run with live replicas draws one
+    uniform per live replica from its own generator ``rng.stream(seed, 1)``
+    in slot order, so each run's numbers are those of simulating it alone.
+    A replica finishes on its ``max(t, 1)``-th arrival in the clock block;
+    the crossing on that step is not counted.  Run r stops at its step cap
+    ``200 (t + 1) max(1, n)``.
+    """
+    n_runs = len(runs)
+    n_slots = n_runs * reps
+    nbytes = n_slots * _AUDIT_SLOT_BYTES
+    if nbytes > MAX_PATH_BYTES:
+        raise ProductSpaceTooLarge(
+            f"{n_runs} audit runs x {reps} replicas need {nbytes:,} B of replica slots "
+            f"> budget {MAX_PATH_BYTES:,} B"
         )
-    return crossings / (t + 1.0)
+    if n_runs == 0:
+        return []
+    sampler = RowSampler(kernel)
+    blocks = index_dtype(partition.n_blocks)
+    block_of = partition.block_of.astype(blocks)
+    gens = [rngmod.stream(seed, 1) for _, _, seed in runs]
+    caps = [200 * (t + 1) * max(1, kernel.n_states) for _, t, _ in runs]
+    due: dict[int, list[int]] = {}  # step -> runs whose cap it is, in order
+    for r, cap in enumerate(caps):
+        due.setdefault(cap, []).append(r)
+
+    run = np.repeat(np.arange(n_runs, dtype=np.intp), reps)
+    origin = np.arange(n_slots, dtype=np.intp)
+    state = np.full(n_slots, start, dtype=np.intp)
+    clock = np.repeat(np.array([c for c, _, _ in runs], dtype=blocks), reps)
+    remaining = np.repeat(np.array([max(t, 1) for _, t, _ in runs], dtype=np.int64), reps)
+    crossings = np.zeros(n_slots, dtype=np.int64)
+    prev_in_i = np.full(n_slots, block_of[start] == i)
+    live = np.ones(n_slots, dtype=bool)
+    u = np.empty(n_slots)
+    fresh = np.empty(n_slots)
+    result = np.empty(n_slots, dtype=np.int64)
+    live_count = np.full(n_runs, reps)
+    n_live = n_slots
+    failed: tuple[int, int] | None = None  # (run, replicas left at its cap)
+    step = 0
+    while n_live:
+        step += 1
+        # all live: draw in place; else dead slots keep their stale uniforms
+        dest = u if n_live == state.size else fresh
+        at = 0
+        for r, k in enumerate(live_count.tolist()):
+            if k:
+                gens[r].random(out=dest[at : at + k])
+                at += k
+        if dest is fresh:
+            u[live] = fresh[:n_live]
+        nxt = sampler.step(state, u)
+        blk = block_of[nxt]
+        arrived = blk == clock
+        remaining -= arrived
+        # live slots count down from >= 1, finished ones from -1
+        fin = np.flatnonzero(remaining == 0)
+        if fin.size:
+            result[origin[fin]] = crossings[fin]
+            remaining[fin] = -1
+            live[fin] = False
+            live_count -= np.bincount(run[fin], minlength=n_runs)
+            n_live -= fin.size
+        crossings += prev_in_i & (blk == j)
+        prev_in_i = blk == i
+        state = nxt
+        for r in due.get(step, ()):
+            if live_count[r]:
+                # the runs from r on can no longer change which run is named
+                failed = (r, int(live_count[r]))
+                cut = int(np.searchsorted(run, r))
+                state, clock, remaining, crossings, prev_in_i, origin, run, live, u = (
+                    a[:cut]
+                    for a in (state, clock, remaining, crossings, prev_in_i, origin, run, live, u)
+                )
+                live_count[r:] = 0
+                n_live = int(live_count.sum())
+        if n_live < _COMPACT_BELOW * state.size:
+            keep = np.flatnonzero(live)
+            state, clock, remaining, crossings, prev_in_i, origin, run = (
+                a[keep] for a in (state, clock, remaining, crossings, prev_in_i, origin, run)
+            )
+            live = np.ones(keep.size, dtype=bool)
+            u = u[: keep.size]
+    if failed is not None:
+        r, left = failed
+        clock_block, t, _ = runs[r]
+        raise HorizonCap(
+            f"{left} of {reps} audit replicates did not reach {t} visits to "
+            f"block {clock_block} within {caps[r]} steps"
+        )
+    return [result[r * reps : (r + 1) * reps] / (t + 1.0) for r, (_, t, _) in enumerate(runs)]

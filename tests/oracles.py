@@ -3,8 +3,9 @@
 Each recomputes a package quantity by a different route: the trace law by
 absorbing power iteration, joint occupation tails by a product-space
 dynamic program, stream independence by a lag-1 correlation, transport
-distances by the full n x n transportation LP, and the bootstrap horizon by
-a nested search that finds a whole covering time at every outer probe.
+distances by the full n x n transportation LP, the bootstrap horizon by
+a nested search that finds a whole covering time at every outer probe, and
+the concentration audit by simulating each (orientation, t) run on its own.
 """
 
 from __future__ import annotations
@@ -17,10 +18,11 @@ import scipy.optimize
 
 from mixdecomp import rng as rngmod
 from mixdecomp.bounds import PeresSousiConstants, least_horizon
-from mixdecomp.decomposition import Partition
-from mixdecomp.errors import ProductSpaceTooLarge
-from mixdecomp.kernel import StochasticKernel
-from mixdecomp.simulate import exact_occupation_tail
+from mixdecomp.decomposition import Partition, projected_kernel
+from mixdecomp.errors import HorizonCap, ProductSpaceTooLarge
+from mixdecomp.kernel import StationaryDistribution, StochasticKernel
+from mixdecomp.simulate import RowSampler, exact_occupation_tail, wilson_interval
+from mixdecomp.wellcovering import AuditRow
 
 
 def trace_kernel_dp_oracle(
@@ -139,3 +141,87 @@ def nested_bootstrap_horizon(
 
     T = least_horizon(lambda T: T > wc_time(thresholds, B_of(T)), 2, 2**60)
     return T, (4.0 / 3.0) * constants.c_alpha * T
+
+
+def transition_ratio_sample(
+    kernel: StochasticKernel,
+    partition: Partition,
+    i: int,
+    j: int,
+    clock_block: int,
+    t: int,
+    reps: int,
+    seed: int,
+    start: int,
+) -> np.ndarray:
+    """Per-replica ``N_ij(kappa_clock^{-1}(t)) / (t + 1)`` for one run alone.
+
+    Each step gathers the live replicas through ``np.nonzero``, draws one
+    uniform each from ``rng.stream(seed, 1)`` and scatters them back.
+    """
+    sampler = RowSampler(kernel)
+    gen = rngmod.stream(seed, 1)
+    in_i = partition.block_of == i
+    in_j = partition.block_of == j
+    in_clock = partition.block_of == clock_block
+    state = np.full(reps, start, dtype=np.int64)
+    visits = np.zeros(reps, dtype=np.int64)
+    crossings = np.zeros(reps, dtype=np.int64)
+    active = np.ones(reps, dtype=bool)
+    cap = 200 * (t + 1) * max(1, kernel.n_states)
+    for _ in range(cap):
+        idx = np.nonzero(active)[0]
+        if idx.size == 0:
+            break
+        prev = state[idx]
+        nxt = sampler.step(prev, gen.random(idx.size))
+        state[idx] = nxt
+        arrived_clock = in_clock[nxt]
+        done_now = arrived_clock & (visits[idx] + 1 >= t)
+        crossing = in_i[prev] & in_j[nxt]
+        crossings[idx] += (crossing & ~done_now).astype(np.int64)
+        visits[idx] += arrived_clock.astype(np.int64)
+        active[idx[done_now]] = False
+    if active.any():
+        raise HorizonCap(
+            f"{int(active.sum())} of {reps} audit replicates did not reach {t} visits to "
+            f"block {clock_block} within {cap} steps"
+        )
+    return crossings / (t + 1.0)
+
+
+def sequential_concentration_audit(
+    kernel: StochasticKernel,
+    pi: StationaryDistribution,
+    partition: Partition,
+    i: int,
+    j: int,
+    t_grid: Sequence[int],
+    c_grid: Sequence[float],
+    reps: int,
+    seed: int,
+    phi_max: float,
+    start: int = 0,
+) -> list[AuditRow]:
+    """The concentration audit's rows, one run after another in (orientation, t) order."""
+    proj = projected_kernel(kernel, pi, partition)
+    rows = []
+    for orient, clock, target in (("ij", i, proj.rows[i, j]), ("ji", j, proj.rows[j, i])):
+        for idx_t, t in enumerate(t_grid):
+            stats = transition_ratio_sample(
+                kernel, partition, i, j, clock, int(t), reps, seed + 7 * idx_t, start
+            )
+            for c in c_grid:
+                exceed = int((np.abs(stats - target) > c).sum())
+                rows.append(
+                    AuditRow(
+                        orientation=orient,
+                        t=int(t),
+                        c=float(c),
+                        empirical=exceed / reps,
+                        wilson_hi=wilson_interval(exceed, reps)[1],
+                        bound=4.0 * math.exp(-(c * c) * (t + 1) / (8.0 * phi_max)),
+                        reps=reps,
+                    )
+                )
+    return rows

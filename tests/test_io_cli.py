@@ -6,6 +6,7 @@ import sys
 import numpy as np
 import pytest
 
+from mixdecomp import decomposition
 from mixdecomp import rng as rngmod
 from mixdecomp.chains import pince_nez
 from mixdecomp.cli import main
@@ -132,6 +133,28 @@ def test_report_hash_stable_across_runs(tmp_path):
     h2 = hashlib.sha256((d2 / "report.json").read_bytes()).hexdigest()
     assert h1 == h2
     assert (d1 / "audit.csv").read_text() == (d2 / "audit.csv").read_text()
+
+
+def test_experiment_computes_block_mixing_times_once(tmp_path, monkeypatch):
+    # every block mixing time is one trace profile in the decomposition module
+    calls = []
+    inner = decomposition.mixing_profile
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return inner(*args, **kwargs)
+
+    monkeypatch.setattr(decomposition, "mixing_profile", counting)
+    cfg = ExperimentConfig.from_sections(
+        {
+            "chain": {"family": "pince_nez", "m": "4"},
+            "run": {"tasks": "analyze,bounds,audit", "seed": "2", "output_dir": str(tmp_path)},
+            "audit": {"i": "0", "j": "1", "reps": "1000"},
+        }
+    )
+    report = run_experiment(cfg)
+    assert len(calls) == 2  # pince_nez has two blocks
+    assert set(report["tasks"]) == {"analyze", "bounds", "audit"}
 
 
 def test_config_validation_errors(tmp_path):

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy.sparse import csgraph
 
 from conftest import random_partition, random_reversible_kernel
 from mixdecomp import rng as rngmod
@@ -34,6 +35,24 @@ def test_kernel_validation():
         StochasticKernel([[1.0, 0.0]])
     k = StochasticKernel([[1.0]])
     assert k.n_states == 1 and k.is_irreducible()
+
+
+def test_irreducibility_searched_once_per_kernel(monkeypatch):
+    calls = []
+    search = csgraph.connected_components
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return search(*args, **kwargs)
+
+    monkeypatch.setattr(csgraph, "connected_components", counting)
+    k = StochasticKernel(K3.rows)
+    reducible = StochasticKernel([[1.0, 0.0], [0.5, 0.5]])
+    assert k.is_irreducible() and not reducible.is_irreducible()
+    assert len(calls) == 2
+    stationary_distribution(k)
+    assert k.is_irreducible() and not reducible.is_irreducible()
+    assert len(calls) == 2
 
 
 def test_stationary_symmetric_two_state():

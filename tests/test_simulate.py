@@ -66,7 +66,7 @@ def test_sampler_matches_dense_rows():
     sampler = RowSampler(k)
     draws = 200_000
     states = np.zeros(draws, dtype=np.int64)
-    nxt = sampler.step(states, gen)
+    nxt = sampler.step(states, gen.random(draws))
     emp = np.bincount(nxt, minlength=12) / draws
     tv = 0.5 * np.abs(emp - k.rows[0]).sum()
     assert tv <= 3.0 * np.sqrt(12 / (4.0 * draws))
@@ -235,16 +235,6 @@ def test_batched_paths_stored_compact_and_budgeted(monkeypatch):
         simulate_states(K3, 1, 64, seed=3, reps=10)
 
 
-class _FixedUniform:
-    """Generator stand-in whose ``random`` returns one value everywhere."""
-
-    def __init__(self, u):
-        self.u = u
-
-    def random(self, size=None):
-        return np.full(size, self.u)
-
-
 @st.composite
 def _row_draw(draw):
     n = draw(st.integers(1, 24))
@@ -269,7 +259,7 @@ _ZERO_TAIL_ROW = [0.41391896417788415, 0.3947212968057879, 0.19135973901632777, 
 @example((np.array([_ZERO_TAIL_ROW] + [[0.25] * 4] * 3), 0, np.nextafter(1.0, 0.0)))
 def test_sparse_sampler_matches_full_row_search(case):
     K, s, u = case
-    got = int(RowSampler(StochasticKernel(K)).step(np.array([s]), _FixedUniform(u))[0])
+    got = int(RowSampler(StochasticKernel(K)).step(np.array([s]), np.array([u]))[0])
     cum = np.cumsum(K, axis=1)[s]
     nonzero = np.flatnonzero(K[s])
     # u = 0 is excluded: there the full-row rule picks column 0 whatever its probability

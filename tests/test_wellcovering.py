@@ -11,9 +11,15 @@ from mixdecomp import suites, wellcovering
 from mixdecomp.bounds import PeresSousiConstants, exact_mixing_time, least_horizon
 from mixdecomp.chains import pince_nez, toy_kcip
 from mixdecomp.decomposition import Partition, block_mixing_times, projected_kernel
-from mixdecomp.errors import HorizonCap, InvalidComparison, NotTreeWalk, TooManyBlocks
+from mixdecomp.errors import (
+    HorizonCap,
+    InvalidComparison,
+    NotTreeWalk,
+    ProductSpaceTooLarge,
+    TooManyBlocks,
+)
 from mixdecomp.kernel import StochasticKernel, stationary_distribution
-from mixdecomp.simulate import simulate_states
+from mixdecomp.simulate import RowSampler, simulate_states
 from mixdecomp.wellcovering import (
     WellCoveringCertificate,
     WellCoveringQuery,
@@ -26,7 +32,7 @@ from mixdecomp.wellcovering import (
     propagation_covers,
     tree_bound,
 )
-from oracles import nested_bootstrap_horizon
+from oracles import nested_bootstrap_horizon, sequential_concentration_audit
 
 Q2 = StochasticKernel([[0.5, 0.5], [0.5, 0.5]])
 Q3_PATH = StochasticKernel([[0.75, 0.25, 0.0], [0.25, 0.5, 0.25], [0.0, 0.25, 0.75]])
@@ -365,16 +371,68 @@ def test_concentration_audit_trivial_threshold():
     assert {r.orientation for r in rows} == {"ij", "ji"}
 
 
-def test_concentration_audit_step_cap_is_typed():
-    # state 0 is left once in 1e9 steps: started there, no replica reaches
-    # 100 visits to block 1 within the audit's step cap
+def _sticky_pair():
+    # state 0 is left once in 1e9 steps, so started there no replica
+    # reaches block 1 within any audit step cap
     k = StochasticKernel([[1 - 1e-9, 1e-9], [0.5, 0.5]])
     part = Partition(np.array([0, 1]), 2)
-    pi = stationary_distribution(k)
+    return k, stationary_distribution(k), part
+
+
+def test_concentration_audit_step_cap_is_typed():
+    k, pi, part = _sticky_pair()
     with pytest.raises(HorizonCap, match="within"):
         concentration_audit(
             k, pi, part, 0, 1, t_grid=(100,), c_grid=(0.1,), reps=1000, seed=0, phi_max=1.0
         )
+
+
+@pytest.mark.parametrize("chain", [pince_nez(6), toy_kcip(4, 1)], ids=["pince_nez6", "toy_kcip4"])
+@pytest.mark.parametrize("at_end", [False, True], ids=["start0", "start_last"])
+def test_concentration_audit_matches_sequential_runs(chain, at_end):
+    # one batched loop over all (orientation, t) runs, each on its own
+    # stream, gives exactly the rows of running them one after another
+    k, part = chain
+    pi = stationary_distribution(k)
+    start = k.n_states - 1 if at_end else 0
+    args = (k, pi, part, 0, 1)
+    kwargs = dict(
+        t_grid=(0, 1, 12, 40, 12), c_grid=(0.05, 0.2), reps=1000, seed=5, phi_max=3.0, start=start
+    )
+    rows = concentration_audit(*args, **kwargs)
+    assert rows == sequential_concentration_audit(*args, **kwargs)
+    assert len(rows) == 2 * 5 * 2
+
+
+def test_concentration_audit_names_first_failing_run():
+    # both "ji" runs fail; t = 1 hits its cap (800 steps) long before t = 3
+    # (1,600), yet t = 3 comes first in (orientation, t) order and is named
+    k, pi, part = _sticky_pair()
+    args = (k, pi, part, 0, 1, (3, 1), (0.1,), 1000, 0, 1.0)
+    with pytest.raises(HorizonCap) as batched:
+        concentration_audit(*args)
+    with pytest.raises(HorizonCap) as sequential:
+        sequential_concentration_audit(*args)
+    assert str(batched.value) == str(sequential.value)
+    assert str(batched.value) == (
+        "1000 of 1000 audit replicates did not reach 3 visits to block 1 within 1600 steps"
+    )
+
+
+def test_concentration_audit_checks_slot_budget_before_stepping(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("stepped replicas over the budget")
+
+    k, part = pince_nez(6)
+    pi = stationary_distribution(k)
+    args = (k, pi, part, 0, 1, (5, 9), (0.1,), 1000, 0, 1.0)
+    need = 2 * 2 * 1000 * wellcovering._AUDIT_SLOT_BYTES
+    monkeypatch.setattr(wellcovering, "MAX_PATH_BYTES", need)
+    assert len(concentration_audit(*args)) == 4
+    monkeypatch.setattr(wellcovering, "MAX_PATH_BYTES", need - 1)
+    monkeypatch.setattr(RowSampler, "step", refuse)
+    with pytest.raises(ProductSpaceTooLarge, match="4 audit runs x 1000 replicas"):
+        concentration_audit(*args)
 
 
 def test_certificate_json_provenance_chain():

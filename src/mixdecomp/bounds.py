@@ -100,10 +100,9 @@ class BoundResult:
 # Occupation-tail providers
 # ---------------------------------------------------------------------------
 
-# Label entries counted per chunk, which bounds the int32 temporaries of
-# _count_rows.  The path budget is a separate, deliberately conservative
-# check: it still counts a state byte per stored label, although only the
-# labels are kept.
+# Label entries counted per chunk of _count_rows, eight to a plane byte.  It
+# bounds the temporaries of the counting tree: about two plane chunks of
+# 128 KB per bit plane.
 _CHUNK_ENTRIES = 1 << 20
 
 
@@ -152,19 +151,29 @@ class MCTailProvider:
     """Occupation tails from cached simulated paths, Wilson 99% upper bounds.
 
     Paths start from every start state (``reps_per_start`` replicas each)
-    and come from one resumable :class:`PathStream`.  They are kept only as
-    block labels, one contiguous row per time step, and simulated lazily:
-    a query at horizon T extends them to the next power of two at least T,
-    capped at ``T_max``, which is as far as a doubling search looks.  The
-    occupation counts of every block are cached per horizon T; a new T is
-    filled from the nearest cached horizon by counting the label rows in
+    and come from one resumable :class:`PathStream`, simulated lazily: a
+    query at horizon T extends them to the next power of two at least T,
+    capped at ``T_max``, which is as far as a doubling search looks.
+
+    The paths are kept only as block labels, in ``ceil(log2 n_blocks)`` bit
+    planes: bit b of byte row r of plane j holds bit j of the label at step
+    ``8 r + b + 1``, one contiguous byte row per 8 steps.  A step ORs one
+    gather from a per-state "spread" table, which places the label's bits at
+    the step's bit position of every plane, into a per-path accumulator; a
+    full accumulator is flushed as one byte row per plane.  ``kappa_i`` over
+    a range of steps is the popcount of the AND of the planes (or their
+    complements) that spell label i, under a mask for partial bytes.
+
+    The occupation counts of every block are cached per horizon T; a new T
+    is filled from the nearest cached horizon by counting the steps in
     between.  Queries return the largest per-start Wilson 99% upper bound
     (a per-query confidence level), which is a sound (conservative)
     ingredient for the bound searches.
 
     Before the first step, ``paths x (T_max + 1) x (state bytes + label
-    bytes)`` is checked against ``MAX_PATH_BYTES``; over it, queries raise
-    ``ProductSpaceTooLarge``.
+    bytes)`` is checked against ``MAX_PATH_BYTES``, with the labels'
+    ``index_dtype`` bytes, not their planes' bits: a deliberately
+    conservative bound.  Over it, queries raise ``ProductSpaceTooLarge``.
     """
 
     def __init__(
@@ -184,10 +193,27 @@ class MCTailProvider:
         if starts is None:
             starts = range(kernel.n_states)
         self.start_list = [int(s) for s in starts]
-        self._chunk_rows = max(1, _CHUNK_ENTRIES // max(len(self.start_list) * self.reps, 1))
-        self._lut = partition.block_of.astype(index_dtype(partition.n_blocks))
+        n_paths = len(self.start_list) * self.reps
+        self._chunk_rows = max(1, _CHUNK_ENTRIES // (8 * max(n_paths, 1)))
+        n_planes = (partition.n_blocks - 1).bit_length()
+        # Accumulator words hold a byte per plane, up to 8 planes a word.
+        # spread[b, w, x]: the label bits of state x in word w, plane j at bit
+        # 8 * (j % 8) + b, so each little-endian byte of a word is one
+        # plane's byte row.
+        word = np.dtype(f"<u{next(size for size in (1, 2, 4, 8) if size >= min(n_planes, 8))}")
+        spread = np.zeros((8, -(-n_planes // 8), kernel.n_states), dtype=word)
+        for j in range(n_planes):
+            bits = ((partition.block_of >> j) & 1).astype(word)
+            for b in range(8):
+                spread[b, j // 8] |= bits << word.type(8 * (j % 8) + b)
         self._stream: PathStream | None = None
-        self._labels: np.ndarray | None = None  # (simulated_T + 1, paths)
+        self._T_sim = 0
+        self._planes = np.zeros((n_planes, 0, n_paths), dtype=np.uint8)
+        acc = np.zeros((n_paths, spread.shape[1]), dtype=word)
+        # per bit position, the (accumulator word, spread table) pairs a step ORs
+        self._or_tables = [list(zip(acc.T, spread[b])) for b in range(8)]
+        # the accumulator's bytes, one row per plane
+        self._acc_planes = acc.view(np.uint8).T[:n_planes]
         self._counts: dict[int, np.ndarray] = {}  # T -> (n_blocks, paths)
         self._wilson_hi = np.array([wilson_interval(k, self.reps)[1] for k in range(self.reps + 1)])
 
@@ -201,16 +227,17 @@ class MCTailProvider:
     @property
     def simulated_T(self) -> int:
         """Steps simulated so far (0 before the first query)."""
-        return 0 if self._labels is None else self._labels.shape[0] - 1
+        return self._T_sim
 
     def max_t(self) -> int:
         return self.T_max
 
     def _ensure_labels(self, T: int) -> None:
         """Extend the labels to ``min(T_max, next power of two >= T)`` steps."""
+        n_planes, _, n_paths = self._planes.shape
         if self._stream is None:
-            n_paths = len(self.start_list) * self.reps
-            item = index_dtype(self.kernel.n_states).itemsize + self._lut.itemsize
+            item = index_dtype(self.kernel.n_states).itemsize
+            item += index_dtype(self.partition.n_blocks).itemsize
             nbytes = n_paths * (self.T_max + 1) * item
             if nbytes > MAX_PATH_BYTES:
                 raise ProductSpaceTooLarge(
@@ -219,30 +246,64 @@ class MCTailProvider:
                 )
             starts = np.repeat(np.asarray(self.start_list, dtype=np.int64), self.reps)
             self._stream = PathStream(self.kernel, starts, self.seed)
-            self._labels = self._lut[starts][None, :]
             self._counts[0] = np.zeros(
                 (self.partition.n_blocks, n_paths), dtype=index_dtype(self.T_max + 1)
             )
-        have = self.simulated_T
+        have = self._T_sim
         if T <= have:
             return
         # least_horizon doubles from 2 and bisects below its first feasible
         # doubling, so power-of-two growth never simulates past 2x its probes
         grow = min(self.T_max, 1 << (int(T) - 1).bit_length())
-        labels = np.empty((grow + 1, self._labels.shape[1]), dtype=self._labels.dtype)
-        labels[: have + 1] = self._labels
-        for t, state in enumerate(self._stream.extend(grow - have), have + 1):
-            labels[t] = self._lut[state]
-        self._labels = labels
+        planes = np.empty((n_planes, -(-grow // 8), n_paths), dtype=np.uint8)
+        planes[:, : self._planes.shape[1]] = self._planes
+        for s, state in enumerate(self._stream.extend(grow - have), have):
+            bit = s % 8
+            for word, spread in self._or_tables[bit]:
+                word |= spread[state]
+            if bit == 7:
+                planes[:, s // 8] = self._acc_planes
+                self._acc_planes[:] = 0
+        if grow % 8:
+            # a partial row; the accumulator keeps its bits for the next extension
+            planes[:, grow // 8] = self._acc_planes
+        self._planes = planes
+        self._T_sim = grow
 
     def _count_rows(self, a: int, b: int) -> np.ndarray:
         """Per-path visits to every block at times ``a .. b - 1``."""
-        counts = np.zeros((self.partition.n_blocks, self._labels.shape[1]), dtype=np.int64)
-        for r in range(a, b, self._chunk_rows):
-            chunk = self._labels[r : min(r + self._chunk_rows, b)]
-            for i, row in enumerate(counts):
-                row += (chunk == i).sum(axis=0, dtype=np.int32)
+        n_planes, _, n_paths = self._planes.shape
+        counts = np.zeros((self.partition.n_blocks, n_paths), dtype=np.int64)
+        if a >= b:
+            return counts
+        lo, hi = a - 1, b - 1  # bit positions
+        r0, r1 = lo // 8, -(-hi // 8)
+        mask = np.full((r1 - r0, 1), 0xFF, dtype=np.uint8)
+        mask[0] &= (0xFF << lo % 8) & 0xFF
+        mask[-1] &= 0xFF >> (-hi % 8)
+        for r in range(r0, r1, self._chunk_rows):
+            end = min(r + self._chunk_rows, r1)
+            self._count_tree(counts, self._planes[:, r:end], mask[r - r0 : end - r0], n_planes, 0)
         return counts
+
+    def _count_tree(self, counts, planes, sel, j: int, label: int) -> None:
+        """Add to ``counts`` the set bits of ``sel`` split by the labels' low j bits.
+
+        ``sel`` marks the entries whose label's bits from j up equal those
+        of ``label``.  Labels at or above ``n_blocks`` never occur, so a
+        branch that can only reach them is skipped and its sibling keeps
+        ``sel`` unchanged.
+        """
+        if j == 0:
+            counts[label] += np.bitwise_count(sel).sum(axis=0, dtype=np.int32)
+            return
+        j -= 1
+        if label | 1 << j >= self.partition.n_blocks:
+            self._count_tree(counts, planes, sel, j, label)
+            return
+        one = sel & planes[j]
+        self._count_tree(counts, planes, sel ^ one, j, label)
+        self._count_tree(counts, planes, one, j, label | 1 << j)
 
     def _kappa(self, T: int) -> np.ndarray:
         """Occupation counts ``kappa_i(T)`` of every block i, one column per path."""

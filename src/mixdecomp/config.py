@@ -45,7 +45,9 @@ MAX_DENSE_STATES = 5_000
 
 # Budget for stored simulated paths, in bytes.  simulate_states counts
 # (paths, T + 1) states in the smallest integer dtype that holds them.
-# MCTailProvider keeps only block labels, yet counts a state and a label
-# per path and step up to T_max, however far it simulates: a deliberately
-# conservative bound, checked before its first step.
+# MCTailProvider keeps only block labels, in bit planes of ceil(log2
+# n_blocks) / 8 bytes per path and step, yet counts a state and a label in
+# the smallest integer dtypes per path and step up to T_max, however far it
+# simulates: a deliberately conservative bound, over twice the planes'
+# size at any block count, checked before its first step.
 MAX_PATH_BYTES = 2**31

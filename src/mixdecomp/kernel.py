@@ -88,16 +88,19 @@ class StochasticKernel:
         return self.rows > 0.0
 
     def is_irreducible(self) -> bool:
-        return self._strongly_connected
+        labels, _ = self._closed_classes
+        return labels.max() == 0
 
     @functools.cached_property
-    def _strongly_connected(self) -> bool:
+    def _closed_classes(self) -> tuple[np.ndarray, np.ndarray]:
+        """Communicating class of every state, and the classes no edge leaves."""
         # the rows are frozen, so the support digraph is searched once
-        if self.n_states == 1:
-            return True
-        graph = csr_matrix(self.support())
-        ncomp, _ = csgraph.connected_components(graph, directed=True, connection="strong")
-        return ncomp == 1
+        support = self.support()
+        _, labels = csgraph.connected_components(
+            csr_matrix(support), directed=True, connection="strong"
+        )
+        leaving = (support & (labels[:, None] != labels[None, :])).any(axis=1)
+        return labels, np.setdiff1d(labels, labels[leaving])
 
     def min_diagonal(self) -> float:
         return float(np.diag(self.rows).min())
@@ -322,14 +325,13 @@ def relaxation_time(kernel: StochasticKernel, pi: StationaryDistribution) -> flo
 
 
 def _reachable_from_all(kernel: StochasticKernel, target: np.ndarray) -> bool:
-    # Breadth-first search on the reversed support graph from the target set,
-    # which is joined to its first state so that one search covers it.
-    reverse = kernel.support().T
-    reverse[target[0], target] = True
-    order = csgraph.breadth_first_order(
-        csr_matrix(reverse), int(target[0]), directed=True, return_predecessors=False
-    )
-    return order.size == kernel.n_states
+    # Every state reaches some closed class, and reaches all of it; no state
+    # of a closed class reaches outside it.  So every state reaches the target
+    # exactly when the target meets every closed class.
+    labels, closed = kernel._closed_classes
+    met = np.zeros(labels.max() + 1, dtype=bool)
+    met[labels[target]] = True
+    return bool(met[closed].all())
 
 
 def hitting_analysis(

@@ -238,6 +238,14 @@ def test_criterion_08_expander_separation():
         res.passed,
         f"{res.measured} ({res.seconds:.0f}s)",
     )
+    # the seeded values; sampling, label storage and counting must keep them
+    assert res.measured == {
+        "per_block_feasible_below_m_over_2": False,
+        "joint_T": 602,
+        "joint_T_budget": 864,
+        "basic2_value": 802.6666666666666,
+        "basic_value": 7034.666666666666,
+    }
 
 
 def test_criterion_09_toy_kcip_scaling():

@@ -2,10 +2,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import random_partition, random_reversible_kernel
 from mixdecomp import rng as rngmod
 from mixdecomp.chains import pince_nez, torus_metropolis, toy_kcip
+from mixdecomp.config import DEFAULT_TOLERANCES
 from mixdecomp.decomposition import (
     Partition,
     avg_hit_time,
@@ -119,6 +122,42 @@ def test_projected_reversible_fixed_point(seed):
     assert np.abs(masses @ proj.rows - masses).max() <= 1e-9
     flux = masses[:, None] * proj.rows
     assert np.abs(flux - flux.T).max() <= 1e-9
+
+
+_chains = st.tuples(
+    st.integers(0, 2**16),  # seed
+    st.integers(2, 12),  # states
+    st.integers(1, 5),  # blocks, at most the states
+    st.floats(0.0, 1.0),  # extra edge density
+    st.booleans(),  # half-lazy
+)
+
+
+def _drawn_chain(seed, n, n_blocks, density, half_lazy):
+    gen = rngmod.stream(seed, 0)
+    k = random_reversible_kernel(n, gen, half_lazy=half_lazy, density=density)
+    return k, random_partition(n, gen, n_blocks=min(n_blocks, n))
+
+
+@settings(max_examples=60, deadline=None)
+@given(chain=_chains)
+def test_restricted_stationary_law_is_stationary_for_every_trace(chain):
+    k, part = _drawn_chain(*chain)
+    pi = stationary_distribution(k).weights
+    for b in range(part.n_blocks):
+        A = part.members(b)
+        sub = pi[A] / pi[A].sum()
+        residual = np.abs(sub @ trace_kernel(k, part, b).rows - sub).sum()
+        assert residual <= DEFAULT_TOLERANCES.stationary_residual
+
+
+@settings(max_examples=60, deadline=None)
+@given(chain=_chains)
+def test_projected_kernel_is_reversible_for_block_masses(chain):
+    k, part = _drawn_chain(*chain)
+    pi = stationary_distribution(k)
+    proj = projected_kernel(k, pi, part)
+    assert check_reversible(proj, StationaryDistribution(part.masses(pi))).is_reversible
 
 
 def test_less_lazy_projection():

@@ -1,7 +1,8 @@
-"""Property tests of the horizon search and of the csgraph-based graph walks.
+"""Property tests of the horizon search and of the graph walks.
 
 The breadth-first loops below are the reference: they are the hand-written
-searches that ``scipy.sparse.csgraph`` replaced, kept here to check that
+searches that ``scipy.sparse.csgraph`` and the closed-class rule of
+``kernel._reachable_from_all`` replaced, kept here to check that
 reachability and diameters are unchanged on random small digraphs,
 disconnected ones included.
 """

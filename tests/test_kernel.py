@@ -52,6 +52,12 @@ def test_irreducibility_searched_once_per_kernel(monkeypatch):
     assert len(calls) == 2
     stationary_distribution(k)
     assert k.is_irreducible() and not reducible.is_irreducible()
+    # the reachability check of every hitting analysis reuses the same search
+    for target in ([0], [2], [1, 2]):
+        hitting_analysis(k, target)
+    hitting_analysis(reducible, [0])
+    with pytest.raises(UnreachableTarget):
+        hitting_analysis(reducible, [1])
     assert len(calls) == 2
 
 

@@ -8,6 +8,8 @@ queries are probed in random order to reach cached horizons from below and
 from above.
 """
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -24,7 +26,7 @@ from mixdecomp.bounds import (
     bound_basic2,
 )
 from mixdecomp.chains import pince_nez
-from mixdecomp.decomposition import block_mixing_times
+from mixdecomp.decomposition import Partition, block_mixing_times
 from mixdecomp.errors import ProductSpaceTooLarge
 from mixdecomp.kernel import stationary_distribution
 from mixdecomp.simulate import RowSampler, simulate_states, wilson_interval
@@ -43,9 +45,9 @@ def _chain(seed):
 class _Recount:
     """The old rescan rule, kept as the reference."""
 
-    def __init__(self, kernel, partition, seed):
+    def __init__(self, kernel, partition, seed, T_max=T_MAX):
         starts = np.repeat(STARTS, REPS)
-        self.labels = partition.block_of[simulate_states(kernel, starts, T_MAX, seed)]
+        self.labels = partition.block_of[simulate_states(kernel, starts, T_max, seed)]
 
     def kappa(self, i, T):
         return (self.labels[:, 1 : T + 1] == i).sum(axis=1)
@@ -69,6 +71,68 @@ def test_mc_queries_match_brute_force_recount(seed, probes):
         hits = (ref.kappa(joint[0], T) < t) & (ref.kappa(joint[1], T) < t)
         assert mc.query_joint(joint, T, t) == ref.max_wilson(hits)
     assert mc.query(0, T_MAX + 1, 1) == 1.0 and mc.query_joint([0], 5, 0) == 0.0
+
+
+# Not a multiple of 8, so the last byte row of the label planes is partial.
+PLANE_T_MAX = 45
+# 1, 2, 3 and 5 blocks take 0, 1, 2 and 3 bit planes, 260 blocks take 9
+PLANE_CASES = [(1, 7), (2, 7), (3, 7), (5, 9), (260, 300)]
+
+
+def _plane_chain(n_blocks, n_states, seed):
+    gen = rngmod.stream(seed, 0)
+    kernel = random_reversible_kernel(n_states, gen)
+    return kernel, Partition(gen.permutation(np.arange(n_states) % n_blocks), n_blocks)
+
+
+def _plane_provider(kernel, partition, seed):
+    return MCTailProvider(
+        kernel, partition, T_max=PLANE_T_MAX, reps_per_start=REPS, seed=seed, starts=STARTS
+    )
+
+
+def _assert_kappa_matches(mc, ref, T):
+    kappa = mc._kappa(T)
+    for i in range(mc.partition.n_blocks):
+        assert np.array_equal(kappa[i], ref.kappa(i, T))
+
+
+@pytest.mark.parametrize("n_blocks,n_states", PLANE_CASES)
+def test_plane_counts_match_recount_through_partial_bytes(n_blocks, n_states):
+    kernel, partition = _plane_chain(n_blocks, n_states, seed=n_blocks)
+    mc = _plane_provider(kernel, partition, seed=7)
+    ref = _Recount(kernel, partition, 7, T_max=PLANE_T_MAX)
+    # growth to 2, 4, 16 and 45 steps: within the first byte row, across
+    # rows, and to a partial last row; then counts down from cached horizons
+    probes = [2, 4, 3, 13, PLANE_T_MAX, 9, 1, 40, 0]
+    grown = [2, 4, 4, 16, PLANE_T_MAX, PLANE_T_MAX, PLANE_T_MAX, PLANE_T_MAX, PLANE_T_MAX]
+    for T, T_sim in zip(probes, grown):
+        _assert_kappa_matches(mc, ref, T)
+        assert mc.simulated_T == T_sim
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    case=st.sampled_from(PLANE_CASES[:4]),
+    seed=st.integers(0, 2**16),
+    Ts=st.lists(st.integers(0, PLANE_T_MAX), min_size=1, max_size=12),
+)
+def test_plane_counts_match_recount_in_any_probe_order(case, seed, Ts):
+    kernel, partition = _plane_chain(*case, seed=seed)
+    mc = _plane_provider(kernel, partition, seed)
+    ref = _Recount(kernel, partition, seed, T_max=PLANE_T_MAX)
+    for T in Ts:
+        _assert_kappa_matches(mc, ref, T)
+
+
+@pytest.mark.parametrize("n_blocks,n_states", PLANE_CASES)
+def test_labels_are_stored_as_bit_planes(n_blocks, n_states):
+    # ceil(log2 n_blocks) bits per path and step, not a byte per label
+    mc = _plane_provider(*_plane_chain(n_blocks, n_states, seed=3), seed=3)
+    mc._kappa(PLANE_T_MAX)
+    per_path = mc._planes.nbytes / (len(STARTS) * REPS)
+    assert mc._planes.dtype == np.uint8
+    assert per_path <= math.ceil(math.log2(n_blocks)) * math.ceil(PLANE_T_MAX / 8)
 
 
 _MONOTONE = MCTailProvider(*_chain(11), T_max=T_MAX, reps_per_start=REPS, seed=11, starts=STARTS)

@@ -302,6 +302,22 @@ def test_propagation_predicate_matches_covering_time(query, data):
     )
 
 
+_SEED0_TABLE = [
+    ("pince_nez_m16", "basic_occupation", 3813.9999999999923, 181),
+    ("pince_nez_m16", "basic_joint_occupation", 3337.999999999993, 181),
+    ("pince_nez_m16", "regular_escape", 26590.234881768763, 181),
+    ("pince_nez_m16", "regular_via_graph_hit", 108526.87427589574, 181),
+    ("pince_nez_m16", "bootstrap_well_covering", 56835.99999999988, 181),
+    ("pince_nez_m16", "contraction_coupling", 1.414304754690834e37, 181),
+    ("toy_kcip_m8", "basic_occupation", 12175.999999999976, 723),
+    ("toy_kcip_m8", "basic_joint_occupation", 12811.999999999975, 723),
+    ("toy_kcip_m8", "regular_escape", 830921.4463379149, 723),
+    ("toy_kcip_m8", "regular_via_graph_hit", 37938812317.58301, 723),
+    ("toy_kcip_m8", "bootstrap_well_covering", 5140547464063.989, 723),
+    ("toy_kcip_m8", "drift_sublevel", 474355.80952380947, 723),
+]
+
+
 def test_calibrated_table_bootstrap_pinned_one_probe_each(monkeypatch):
     probes = []  # [T, covering calls made while probing T]
 
@@ -323,9 +339,11 @@ def test_calibrated_table_bootstrap_pinned_one_probe_each(monkeypatch):
     monkeypatch.setattr(wellcovering, "least_horizon", least_horizon_counted)
     monkeypatch.setattr(suites, "feasibility_oracle", counting(feasibility_oracle))
     monkeypatch.setattr(suites, "propagation_covers", counting(propagation_covers))
-    rows, _ = suites.calibrated_bound_table(seed=0)
-    boot = {r.chain: r.value for r in rows if r.bound == "bootstrap_well_covering"}
-    assert boot == {"pince_nez_m16": 56835.99999999988, "toy_kcip_m8": 5140547464063.989}
+    rows, constants = suites.calibrated_bound_table(seed=0)
+    # every seeded row: a change to sampling, label storage, occupation
+    # counting or the searches must reproduce them bit for bit
+    assert constants.c_alpha == constants.c_alpha_prime == 1.4999999999999971
+    assert [(r.chain, r.bound, r.value, r.tau_exact) for r in rows] == _SEED0_TABLE
     # the search opens at T = 2, which no covering time can be below
     assert probes and all(calls == (T >= 3) for T, calls in probes)
 

@@ -608,11 +608,6 @@ def bound_regular(
     )
 
 
-# The regularity bound's exact hitting scale solves one system per heavy
-# block subset, so occupation_bounds attempts it up to this many blocks.
-MAX_REGULAR_BLOCKS = 16
-
-
 def occupation_bounds(
     kernel: StochasticKernel,
     pi: StationaryDistribution,
@@ -635,11 +630,12 @@ def occupation_bounds(
     ``T_max``: when ``stay_j >= 1/4`` for a block j outside some searched
     block (basic) or outside some qualifying subset (joint), no horizon can
     be feasible, and the search runs on :class:`EscapeCertifiedTails`
-    instead, which names the certificate and simulates nothing.  Up to
-    ``MAX_REGULAR_BLOCKS`` blocks, ``regular_escape`` follows with
-    ``epsilon = 1 / phi_max``, so its stay threshold ``epsilon phi_max`` is
-    one step, and delta the least one-step stay probability.  It is left out
-    when delta is 0 or no block subset reaches the hitting scale's mass floor.
+    instead, which names the certificate and simulates nothing.
+    ``regular_escape`` follows with ``epsilon = 1 / phi_max``, so its stay
+    threshold ``epsilon phi_max`` is one step, and delta the least one-step
+    stay probability.  It is left out when delta is 0, when no block subset
+    reaches the hitting scale's mass floor, or when the exact hitting scale
+    has more than ``MAX_HEAVY_SETS`` minimal heavy sets to solve.
     """
     masses = partition.masses(pi)
     nb = partition.n_blocks
@@ -673,10 +669,11 @@ def occupation_bounds(
                 lambda j: masses[np.arange(nb) != j].sum() >= alpha / 2.0,
             )
         )
-    if nb > MAX_REGULAR_BLOCKS:
-        return results
     delta = min(float(escape_tail_at(kernel, partition, i, 1).min()) for i in range(nb))
-    hit_scale = avg_hit_time(kernel, pi, partition, alpha).value if delta > 0 else None
+    try:
+        hit_scale = avg_hit_time(kernel, pi, partition, alpha).value if delta > 0 else None
+    except TooManyBlocks:  # more minimal heavy sets than the solve budget
+        hit_scale = None
     if hit_scale is not None:
         results.append(
             bound_regular(
@@ -1014,15 +1011,14 @@ def peres_sousi_audit(
     """Measure the ratio between the mixing time and worst heavy-set hitting.
 
     The heavy-set hitting maximum is ``avg_hit_time`` over singleton blocks
-    at level 2 alpha, whose mass floor is alpha: exact mode enumerates every
-    state subset with stationary mass >= alpha (capped at 15 states), sampled
+    at level 2 alpha, whose mass floor is alpha: exact mode solves on every
+    minimal state subset with stationary mass >= alpha (``n_sets`` counts
+    them, and more than ``MAX_HEAVY_SETS`` raise ``TooManyBlocks``), sampled
     mode draws a seeded family plus the full set, which is hit at time 0.  The
     ratio ``tau_mix / max_hit`` is the instance-level value of the universal
     constant tying the two time scales together.
     """
     n = kernel.n_states
-    if subset_mode == "exact" and n > 15:
-        raise TooLarge("exact subset audit capped at 15 states")
     hit = avg_hit_time(kernel, pi, Partition(np.arange(n), n), 2 * alpha, subset_mode, budget, seed)
     if not hit.value:
         raise TooLarge(f"no proper state subset reaches stationary mass {alpha}")

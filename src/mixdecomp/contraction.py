@@ -255,6 +255,11 @@ def wasserstein(mu: np.ndarray, nu: np.ndarray, metric: BlockMetric) -> float | 
     return float(w[0]) if mu.ndim == 1 else w
 
 
+# HiGHS' tightest feasibility tolerances (smaller values are rejected as
+# invalid and replaced by the 1e-7 defaults, which leave errors of 1e-7 in W).
+_HIGHS_OPTIONS = {"primal_feasibility_tolerance": 1e-10, "dual_feasibility_tolerance": 1e-10}
+
+
 def _transport_lp(mu: np.ndarray, nu: np.ndarray, d: np.ndarray) -> float:
     """Transportation LP over the union support, solved with HiGHS."""
     supp = np.nonzero((mu > 0) | (nu > 0))[0]
@@ -270,7 +275,8 @@ def _transport_lp(mu: np.ndarray, nu: np.ndarray, d: np.ndarray) -> float:
         col[:, k] = 1.0
         A_eq[m + k] = col.ravel()
     res = scipy.optimize.linprog(
-        c=cost.ravel(), A_eq=A_eq[:-1], b_eq=b_eq[:-1], bounds=(0, None), method="highs"
+        c=cost.ravel(), A_eq=A_eq[:-1], b_eq=b_eq[:-1], bounds=(0, None), method="highs",
+        options=_HIGHS_OPTIONS,
     )
     if res.status != 0:  # pragma: no cover - transportation LP is always feasible
         raise AssertionFailed("transport-lp-solved", f"HiGHS status {res.status}: {res.message}")
@@ -289,7 +295,7 @@ def wasserstein_dual(mu: np.ndarray, nu: np.ndarray, metric: BlockMetric) -> flo
         A_ub[r, j] = -1.0
         b_ub[r] = metric.d[i, j]
     res = scipy.optimize.linprog(
-        c=-diff, A_ub=A_ub, b_ub=b_ub, bounds=(None, None), method="highs"
+        c=-diff, A_ub=A_ub, b_ub=b_ub, bounds=(None, None), method="highs", options=_HIGHS_OPTIONS
     )
     if res.status != 0:  # pragma: no cover - the potential LP is feasible and bounded
         raise AssertionFailed("dual-transport-lp-solved", f"HiGHS status {res.status}: {res.message}")

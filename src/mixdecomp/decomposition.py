@@ -11,6 +11,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
+from typing import Iterator
 
 import numpy as np
 import scipy.linalg
@@ -115,8 +116,9 @@ class AvgHitResult:
 
     ``value`` is ``max over I with pi(union) >= alpha/2`` of the worst-start
     expected hitting time of the union; None with ``no_qualifying_set`` set
-    when the mass floor excludes every subset.  Sampled mode only inspects a
-    random subset family, so its value is a lower bound.
+    when the mass floor excludes every subset.  ``n_qualifying`` counts the
+    subsets solved: the minimal heavy ones in exact mode.  Sampled mode only
+    inspects a random subset family, so its value is a lower bound.
     """
 
     value: float | None
@@ -343,17 +345,96 @@ def decompose(
     )
 
 
+def _mass(masses: np.ndarray, I) -> float:
+    """A block subset's mass as every subset family tests it: ``I`` lists the
+    blocks in increasing order, and they are summed in that order."""
+    return float(masses[np.asarray(I, dtype=np.intp)].sum())
+
+
 def qualifying_subsets(masses: np.ndarray, floor: float) -> list[tuple[int, ...]]:
-    """All block subsets whose stationary mass reaches ``floor`` (n <= 20)."""
+    """All block subsets whose stationary mass reaches ``floor``, by size then
+    lexicographic (``2^n`` subsets are tested, so callers bound n)."""
     n = len(masses)
-    if n > 20:
-        raise TooManyBlocks(f"exact enumeration capped at 20 blocks, got {n}")
-    out = []
-    for r in range(1, n + 1):
-        for I in itertools.combinations(range(n), r):
-            if masses[list(I)].sum() >= floor:
-                out.append(I)
-    return out
+    return [
+        I
+        for r in range(1, n + 1)
+        for I in itertools.combinations(range(n), r)
+        if _mass(masses, I) >= floor
+    ]
+
+
+# Budget of minimal heavy sets, each one hitting-time solve in avg_hit_time.
+MAX_HEAVY_SETS = 2**14
+
+
+def minimal_heavy_sets(masses: np.ndarray, floor: float) -> list[tuple[int, ...]]:
+    """The inclusion-minimal members of :func:`qualifying_subsets`, in its order.
+
+    The sets are counted in a first search, which holds one set at a time,
+    and collected in a second only if they are within budget.  Blocks
+    lighter than the rounding of the sums (zero mass, say) are the one
+    case where minimality holds only up to that rounding.
+
+    Raises
+    ------
+    TooManyBlocks
+        As soon as more than ``MAX_HEAVY_SETS`` sets are found.
+    """
+    masses = np.asarray(masses, dtype=float)
+    for count, _ in enumerate(_minimal_heavy_search(masses, floor), 1):
+        if count > MAX_HEAVY_SETS:
+            raise TooManyBlocks(
+                f"more than {MAX_HEAVY_SETS} minimal block sets of mass >= {floor:.6g} "
+                f"among {masses.size} blocks"
+            )
+    found = [tuple(I.tolist()) for I in _minimal_heavy_search(masses, floor)]
+    found.sort(key=lambda I: (len(I), I))
+    return found
+
+
+def _minimal_heavy_search(masses: np.ndarray, floor: float) -> Iterator[np.ndarray]:
+    """Yield each minimal heavy set once, as an increasing index array.
+
+    An iterative depth-first search over the blocks in order of decreasing
+    mass: a branch stops as soon as its set reaches ``floor``, so the block
+    added last is the lightest and every proper subset stays below the floor,
+    and it is pruned when even all the lighter blocks cannot lift it to the
+    floor.  Only where a set's mass less that lightest block lies within
+    rounding of the floor are its one-block-smaller subsets tested as well.
+    """
+    n = masses.size
+    order = np.argsort(-masses, kind="stable")
+    m = masses[order]
+    rest = np.append(np.cumsum(m[::-1])[::-1], 0.0)  # rest[k]: mass of m[k:]
+    # bound on the rounding of any subset sum, so pruning never cuts a set
+    # that the floating-point test would pass
+    slack = 4.0 * (n + 1) * np.finfo(float).eps * (rest[0] + abs(floor))
+    path: list[int] = []  # positions in `order` of the current set, increasing
+    below = [0.0]  # masses of the current set and of its prefixes
+    chosen = np.empty(0, dtype=np.intp)  # the current set's blocks, increasing
+    k = 0  # next position to try at the current depth
+    while True:
+        if k < n and below[-1] + rest[k] >= floor - slack:
+            at = np.searchsorted(chosen, order[k])
+            cand = np.concatenate((chosen[:at], order[k : k + 1], chosen[at:]))
+            total = _mass(masses, cand)
+            if total < floor:
+                path.append(k)
+                below.append(total)
+                chosen = cand
+            elif below[-1] < floor - 2 * slack or not any(
+                m[p] <= m[k] + 2 * slack and _mass(masses, cand[cand != order[p]]) >= floor
+                for p in path
+            ):
+                yield cand
+            k += 1
+        elif path:
+            k = path.pop()
+            chosen = chosen[chosen != order[k]]
+            below.pop()
+            k += 1
+        else:
+            return
 
 
 def sampled_subsets(masses: np.ndarray, floor: float, budget: int, seed: int) -> list[tuple[int, ...]]:
@@ -386,16 +467,19 @@ def avg_hit_time(
 ) -> AvgHitResult:
     """Worst expected hitting time over heavy block unions.
 
-    For every subset I of blocks with stationary mass at least ``alpha / 2``,
-    the worst-start expected hitting time of the union is computed exactly;
-    the result is the max over subsets.  ``mode='sampled'`` checks only the
-    seeded family of :func:`sampled_subsets` plus the full set, and returns a
-    flagged lower bound.
+    The max over subsets I of blocks with stationary mass at least
+    ``alpha / 2`` of the worst-start expected hitting time of the union.
+    Hitting a larger set is never slower, so exact mode solves exactly on
+    the family of :func:`minimal_heavy_sets` only, and ``n_qualifying``
+    counts those sets.  ``mode='sampled'`` checks only the seeded family of
+    :func:`sampled_subsets` plus the full set, and returns a flagged lower
+    bound.
 
     Raises
     ------
     TooManyBlocks
-        In exact mode with more than 20 blocks.
+        In exact mode with more than ``MAX_HEAVY_SETS`` minimal sets,
+        before any solve.
     """
     if not (0.0 < alpha):
         raise ValueError("alpha must be positive")
@@ -403,7 +487,7 @@ def avg_hit_time(
     floor = alpha / 2.0
     n = partition.n_blocks
     if mode == "exact":
-        subsets = qualifying_subsets(masses, floor)
+        subsets = minimal_heavy_sets(masses, floor)
         lower_bound_only = False
     elif mode == "sampled":
         subsets = sampled_subsets(masses, floor, sample_budget, seed)

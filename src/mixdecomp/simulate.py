@@ -324,15 +324,12 @@ def exact_occupation_tail(
     Raises
     ------
     ProductSpaceTooLarge
-        If ``n_states * t`` exceeds 1e7.
+        If the DP of :func:`occupation_tail_table` would exceed its budget.
     """
-    n = kernel.n_states
     if t <= 0:
         return 0.0
     if t > T:
         return 1.0
-    if n * t > 10**7:
-        raise ProductSpaceTooLarge(f"n * t = {n * t} > 1e7")
     table = occupation_tail_table(kernel, partition, block, T, t, starts=None if start is None else [start])
     return float(table[T - 1, t - 1])
 
@@ -350,6 +347,13 @@ def occupation_tail_table(
     Returns ``table`` with ``table[s - 1, u - 1] = max_z P_z[kappa_i(s) < u]``
     for ``s = 1 .. T_max`` and ``u = 1 .. t_cap`` (max restricted to
     ``starts`` when given).  One forward DP over (counter, start, state).
+
+    Raises
+    ------
+    ProductSpaceTooLarge
+        If the float64 DP array ``(t_cap + 1, starts, n_states)`` and the
+        table together would exceed ``MAX_PATH_BYTES``; checked before
+        anything is allocated.
     """
     n = kernel.n_states
     K = kernel.rows
@@ -358,6 +362,12 @@ def occupation_tail_table(
         starts = range(n)
     start_idx = np.asarray(list(starts), dtype=int)
     ns = start_idx.size
+    nbytes = 8 * ((t_cap + 1) * ns * n + T_max * t_cap)
+    if nbytes > MAX_PATH_BYTES:
+        raise ProductSpaceTooLarge(
+            f"occupation DP over {t_cap + 1} counters x {ns} starts x {n} states and a "
+            f"{T_max} x {t_cap} table needs {nbytes:,} B > budget {MAX_PATH_BYTES:,} B"
+        )
     # p[k, z, y] = P_z[X_s = y, kappa(s) = k], with k = t_cap meaning ">= t_cap"
     p = np.zeros((t_cap + 1, ns, n))
     p[0, np.arange(ns), start_idx] = 1.0

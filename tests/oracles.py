@@ -4,12 +4,14 @@ Each recomputes a package quantity by a different route: the trace law by
 absorbing power iteration, joint occupation tails by a product-space
 dynamic program, stream independence by a lag-1 correlation, transport
 distances by the full n x n transportation LP, the bootstrap horizon by
-a nested search that finds a whole covering time at every outer probe, and
-the concentration audit by simulating each (orientation, t) run on its own.
+a nested search that finds a whole covering time at every outer probe, the
+concentration audit by simulating each (orientation, t) run on its own, and
+the heavy-set hitting maximum by one solve for every qualifying subset.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from typing import Callable, Sequence
 
@@ -18,9 +20,9 @@ import scipy.optimize
 
 from mixdecomp import rng as rngmod
 from mixdecomp.bounds import PeresSousiConstants, least_horizon
-from mixdecomp.decomposition import Partition, projected_kernel
+from mixdecomp.decomposition import Partition, projected_kernel, qualifying_subsets
 from mixdecomp.errors import HorizonCap, ProductSpaceTooLarge
-from mixdecomp.kernel import StationaryDistribution, StochasticKernel
+from mixdecomp.kernel import StationaryDistribution, StochasticKernel, hitting_analysis
 from mixdecomp.simulate import RowSampler, exact_occupation_tail, wilson_interval
 from mixdecomp.wellcovering import AuditRow
 
@@ -50,6 +52,35 @@ def trace_kernel_dp_oracle(
         if out.sum(axis=1).max() < eps:
             break
     return rows
+
+
+def brute_minimal_heavy_sets(masses: np.ndarray, floor: float) -> list[tuple[int, ...]]:
+    """The members of ``qualifying_subsets`` none of whose proper subsets
+    qualifies, by testing every proper subset."""
+    family = qualifying_subsets(masses, floor)
+    heavy = set(family)
+    return [
+        I
+        for I in family
+        if not any(J in heavy for r in range(1, len(I)) for J in itertools.combinations(I, r))
+    ]
+
+
+def avg_hit_all_subsets(
+    kernel: StochasticKernel, partition: Partition, masses: np.ndarray, floor: float
+) -> tuple[float, tuple[int, ...]]:
+    """Worst expected hitting time over every block union of mass >= floor.
+
+    One hitting solve per subset of ``qualifying_subsets``, in its order; the
+    first strict maximum is the argmax.
+    """
+    best, arg = -1.0, None
+    for I in qualifying_subsets(masses, floor):
+        states = np.concatenate([partition.members(i) for i in I])
+        worst = hitting_analysis(kernel, states).worst_expected()
+        if worst > best:
+            best, arg = worst, I
+    return best, arg
 
 
 def exact_joint_occupation_tail(

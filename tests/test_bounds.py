@@ -32,7 +32,7 @@ from mixdecomp.errors import (
     EpsilonTooLarge,
     HypothesisUnverified,
     MTooSmall,
-    TooLarge,
+    TooManyBlocks,
 )
 from mixdecomp.kernel import StationaryDistribution, StochasticKernel, stationary_distribution
 
@@ -319,7 +319,9 @@ def _cycle(n: int, stay: float) -> StochasticKernel:
         # 13 blocks: no joint row; the walk leaves every singleton block in
         # one step, so delta = 0 and the regular row goes too
         (_cycle(13, 0.0), np.arange(13), ["basic_occupation"]),
-        (_cycle(17, 0.5), np.arange(17), ["basic_occupation"]),
+        # 17 blocks: the hitting scale solves on the C(17, 3) = 680 minimal
+        # heavy sets, not the 130,918 qualifying subsets
+        (_cycle(17, 0.5), np.arange(17), ["basic_occupation", "regular_escape"]),
         (  # every state of block 0 leaves it in one step, so delta = 0
             StochasticKernel([[0.0, 0.5, 0.5], [0.25, 0.5, 0.25], [0.25, 0.25, 0.5]]),
             np.array([0, 1, 1]),
@@ -337,6 +339,22 @@ def test_occupation_bounds_gates(kernel, block_of, names):
     assert [r.name for r in rows] == names
 
 
+def _refuse_solve(*args, **kwargs):
+    raise AssertionError("solved a hitting system before the budget check")
+
+
+def test_occupation_bounds_leave_out_regular_over_budget(monkeypatch):
+    monkeypatch.setattr("mixdecomp.decomposition.MAX_HEAVY_SETS", 679)
+    monkeypatch.setattr("mixdecomp.decomposition.hitting_analysis", _refuse_solve)
+    kernel = _cycle(17, 0.5)
+    pi = stationary_distribution(kernel)
+    rows = occupation_bounds(
+        kernel, pi, Partition.from_block_of(np.arange(17)), [1.0] * 17, list(range(17)),
+        1 / 3, 0.9, ONES, 64, 0,
+    )
+    assert [r.name for r in rows] == ["basic_occupation"]
+
+
 def test_peres_sousi_audit_two_state():
     k = StochasticKernel([[0.5, 0.5], [0.5, 0.5]])
     pi = stationary_distribution(k)
@@ -346,13 +364,23 @@ def test_peres_sousi_audit_two_state():
     assert audit.ratio == pytest.approx(0.5)
 
 
-def test_peres_sousi_audit_size_guard_and_sampled():
+def test_peres_sousi_audit_size_guard_and_sampled(monkeypatch):
+    # exact mode solves on the 8,008 minimal state sets of mass >= 1/3; the
+    # sampled family holds heavy sets only, so its maximum is not above
     k, _ = pince_nez(8)
     pi = stationary_distribution(k)
-    with pytest.raises(TooLarge):
-        peres_sousi_audit(k, pi, alpha=1 / 3, subset_mode="exact")
+    exact = peres_sousi_audit(k, pi, alpha=1 / 3, subset_mode="exact")
+    assert (exact.n_sets, exact.tau_mix) == (8008, 54)
+    assert exact.max_hit == pytest.approx(134.0, rel=1e-12)
     audit = peres_sousi_audit(k, pi, alpha=1 / 3, subset_mode="sampled", budget=200, seed=1)
     assert audit.ratio > 0 and math.isfinite(audit.ratio)
+    assert audit.max_hit <= exact.max_hit
+    # pince_nez(16) has more minimal sets than the budget: refused unsolved
+    k16, _ = pince_nez(16)
+    pi16 = stationary_distribution(k16)
+    monkeypatch.setattr("mixdecomp.decomposition.hitting_analysis", _refuse_solve)
+    with pytest.raises(TooManyBlocks):
+        peres_sousi_audit(k16, pi16, alpha=1 / 3, subset_mode="exact")
 
 
 def test_audit_ratio_stable_across_sizes():

@@ -101,8 +101,8 @@ def test_vertex_dual_matches_transport_lps(case):
     ws = wasserstein(mus, nus, metric)
     assert ws.shape == (mus.shape[0],)
     for w, mu, nu in zip(ws, mus, nus):
-        assert w == pytest.approx(wasserstein_dual(mu, nu, metric), abs=1e-7)
-        assert w == pytest.approx(contraction._transport_lp(mu, nu, metric.d), abs=1e-7)
+        assert w == pytest.approx(wasserstein_dual(mu, nu, metric), abs=1e-9)
+        assert w == pytest.approx(contraction._transport_lp(mu, nu, metric.d), abs=1e-9)
         assert wasserstein(mu, nu, metric) == w
 
 
@@ -236,6 +236,18 @@ def test_torus_certificate_pinned_and_pairs_match_transport_lp():
         nu = exit_distribution(tc.kernel, tc.partition, pair.y)
         assert pair.w == pytest.approx(full_transport_lp(mu, nu, metric.d), abs=1e-7)
         assert pair.distance == metric.d[pair.block_x, pair.block_y]
+
+
+def test_transport_lps_match_vertex_dual_on_worst_torus_pair():
+    # at HiGHS' default 1e-7 feasibility tolerances the transport LP was
+    # 1.15e-7 below the vertex dual on this pair
+    tc = torus_metropolis(3, 3, 7.0, k_trace=1)
+    metric = BlockMetric.hamming_on_bitmasks(3)
+    mu = exit_distribution(tc.kernel, tc.partition, 10)
+    nu = exit_distribution(tc.kernel, tc.partition, 31)
+    w = wasserstein(mu, nu, metric)
+    assert contraction._transport_lp(mu, nu, metric.d) == pytest.approx(w, abs=1e-9)
+    assert wasserstein_dual(mu, nu, metric) == pytest.approx(w, abs=1e-9)
 
 
 def _loop_margin_fit(ws, ds):

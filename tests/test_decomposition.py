@@ -1,8 +1,9 @@
+import itertools
 import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import random_partition, random_reversible_kernel
@@ -16,6 +17,7 @@ from mixdecomp.decomposition import (
     escape_analysis,
     escape_tail_at,
     less_lazy_projection,
+    minimal_heavy_sets,
     projected_kernel,
     sampled_subsets,
     trace_kernel,
@@ -28,7 +30,7 @@ from mixdecomp.kernel import (
     stationary_distribution,
 )
 from mixdecomp.simulate import RowSampler
-from oracles import trace_kernel_dp_oracle
+from oracles import avg_hit_all_subsets, brute_minimal_heavy_sets, trace_kernel_dp_oracle
 
 K3 = StochasticKernel([[0.5, 0.5, 0.0], [0.25, 0.5, 0.25], [0.0, 0.5, 0.5]])
 
@@ -278,12 +280,99 @@ def test_avg_hit_no_qualifying_marker():
     assert res.no_qualifying_set and res.value is None
 
 
-def test_avg_hit_block_cap():
+def _refuse_solve(*args, **kwargs):
+    raise AssertionError("solved a hitting system before the budget check")
+
+
+def test_avg_hit_block_cap(monkeypatch):
+    # 22 singleton blocks: the budget, not a block count, refuses the job
     k = random_reversible_kernel(22, rngmod.stream(4, 0))
     pi = stationary_distribution(k)
     part = Partition.from_block_of(np.arange(22))
+    n_sets = len(minimal_heavy_sets(part.masses(pi), 0.15))
+    monkeypatch.setattr("mixdecomp.decomposition.MAX_HEAVY_SETS", n_sets - 1)
+    monkeypatch.setattr("mixdecomp.decomposition.hitting_analysis", _refuse_solve)
     with pytest.raises(TooManyBlocks):
         avg_hit_time(k, pi, part, alpha=0.3, mode="exact")
+
+
+def test_minimal_heavy_sets_budget_holds_past_the_recursion_limit():
+    # minimal sets of 1,667 of 5,000 equal blocks: far deeper than Python's
+    # recursion limit, and far more of them than the budget
+    with pytest.raises(TooManyBlocks):
+        minimal_heavy_sets(np.full(5000, 1 / 5000), 1 / 3)
+
+
+def test_minimal_heavy_sets_on_the_m4_torus():
+    # 16 equal blocks at floor 1/6: every 3 blocks, C(16, 3), where the
+    # qualifying family has 65,399 sets
+    tc = torus_metropolis(4, 3, 7.0)
+    family = minimal_heavy_sets(tc.partition.masses(tc.pi), 1 / 6)
+    assert len(family) == 560
+    assert family == list(itertools.combinations(range(16), 3))
+
+
+_EVEN = [1 / 12, 1 / 16, 1 / 6, 1 / 8, 1 / 4, 1 / 3]
+
+
+@st.composite
+def _masses_and_floor(draw):
+    """Up to 10 masses, equal or random, and a floor that is often hit exactly.
+
+    Random masses stay above 1e-3: a block lighter than the rounding of the
+    sums can make a sum of 8 or more terms (pairwise summation) smaller
+    when it is added, and minimality then holds only up to that rounding.
+    """
+    n = draw(st.integers(1, 10))
+    masses = np.asarray(
+        draw(
+            st.one_of(
+                st.sampled_from(_EVEN).map(lambda v: [v] * n),
+                st.lists(st.sampled_from(_EVEN), min_size=n, max_size=n),
+                st.lists(st.floats(1e-3, 1.0), min_size=n, max_size=n),
+            )
+        )
+    )
+    floor = draw(
+        st.one_of(
+            st.sampled_from([0.0, 1 / 8, 1 / 6, 1 / 4, 1 / 3, 1 / 2, 2 / 3]),
+            st.floats(0.0, 2.0),
+            st.sets(st.integers(0, n - 1), min_size=1).map(lambda I: masses[sorted(I)].sum()),
+        )
+    )
+    return masses, floor
+
+
+@settings(max_examples=300, deadline=None)
+@given(_masses_and_floor())
+# {0, 1, 2, 3, 4, 6} sums to 0.49999999999999994 and {0, 2, 3, 4, 5, 6}, the
+# same masses in another order, to 0.5: only the one-block-smaller test keeps
+# the set of all seven blocks out
+@example((np.array([1 / 12, 1 / 16, 1 / 12, 1 / 12, 1 / 16, 1 / 16, 1 / 8]), 0.5))
+def test_minimal_heavy_sets_are_the_minimal_qualifying_subsets(case):
+    masses, floor = case
+    assert minimal_heavy_sets(masses, floor) == brute_minimal_heavy_sets(masses, floor)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.integers(2, 10),
+    st.integers(0, 2**31),
+    st.sampled_from([0.2, 1 / 3, 0.5, 2 / 3, 1.0]),
+)
+def test_avg_hit_exact_matches_all_subset_maximum(n, seed, alpha):
+    gen = rngmod.stream(seed, 0)
+    k = random_reversible_kernel(n, gen, density=float(gen.uniform(0.0, 0.6)))
+    pi = stationary_distribution(k)
+    part = random_partition(n, gen, int(gen.integers(1, n + 1)))
+    res = avg_hit_time(k, pi, part, alpha=alpha, mode="exact")
+    value, arg = avg_hit_all_subsets(k, part, part.masses(pi), alpha / 2)
+    if arg in minimal_heavy_sets(part.masses(pi), alpha / 2):
+        assert (res.value, res.argmax_subset) == (value, arg)
+    else:
+        # a superset that ties with its minimal subset in exact arithmetic
+        # can solve one rounding above it (n=8, seed=962, alpha=1/3)
+        assert res.value <= value <= res.value * (1 + 1e-12)
 
 
 def test_decompose_report_fields():

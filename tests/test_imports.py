@@ -12,11 +12,13 @@ its imports are the package's public re-exports.
 """
 
 import ast
+import importlib
 from pathlib import Path
 
 import mixdecomp
 
 PACKAGE = Path(mixdecomp.__file__).parent
+SPANS = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
 
 
 def _unused_imports(source: str) -> list[str]:
@@ -117,3 +119,32 @@ def test_no_untyped_invariant_failures():
         if (sites := _untyped_failures(path.read_text()))
     }
     assert not found, f"untyped invariant failures: {found}"
+
+
+def _traced_targets() -> dict:
+    tree = ast.parse(SPANS.read_text())
+    (node,) = [
+        n for n in tree.body
+        if isinstance(n, ast.Assign) and [getattr(t, "id", None) for t in n.targets] == ["TARGETS"]
+    ]
+    return ast.literal_eval(node.value)
+
+
+def test_traced_benchmark_names_resolve():
+    # the traced benchmark wraps these names from outside the package (a
+    # module attribute, or a method in its class __dict__), so a rename in
+    # the package would otherwise first fail there, outside this suite
+    targets = _traced_targets()
+    assert ("mixdecomp.decomposition", "avg_hit_time") in targets
+    missing = []
+    for mod_name, path in targets:
+        module = importlib.import_module(mod_name)
+        owner, _, name = path.rpartition(".")
+        if owner:
+            cls = getattr(module, owner, None)
+            found = cls is not None and name in vars(cls)
+        else:
+            found = hasattr(module, name)
+        if not found:
+            missing.append(f"{mod_name}:{path}")
+    assert not missing, f"traced names that do not resolve: {missing}"

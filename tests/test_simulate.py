@@ -115,6 +115,22 @@ def test_exact_occupation_size_guard():
         exact_occupation_tail(k, part, 0, T=10**7, t=10**7)
 
 
+def test_occupation_dp_budget_counts_starts_and_table(monkeypatch):
+    # from all 20 starts the DP array takes 11 x 20 x 20 x 8 = 35,200 B and the
+    # table 20 x 10 x 8 = 1,600 B; from one start, 1,760 + 1,600 B
+    k = StochasticKernel(np.full((20, 20), 1 / 20))
+    part = Partition.from_block_of(np.arange(20) % 2)
+    module = importlib.import_module("mixdecomp.simulate")
+    monkeypatch.setattr(module, "MAX_PATH_BYTES", 16_000)
+    with pytest.raises(ProductSpaceTooLarge):
+        exact_occupation_tail(k, part, 0, T=20, t=10)
+    with pytest.raises(ProductSpaceTooLarge):
+        occupation_tail_table(k, part, 0, T_max=20, t_cap=10)
+    assert occupation_tail_table(k, part, 0, T_max=20, t_cap=10, starts=[0]).shape == (20, 10)
+    monkeypatch.setattr(module, "MAX_PATH_BYTES", 35_200 + 1_600)
+    assert occupation_tail_table(k, part, 0, T_max=20, t_cap=10).shape == (20, 10)
+
+
 @pytest.mark.parametrize("seed", range(10))
 def test_mc_tails_cover_exact(seed):
     # exact DP value inside the Wilson 99% interval in nearly all cells

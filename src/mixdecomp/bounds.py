@@ -9,6 +9,12 @@ Occupation-tail ingredients come in two flavors with explicit provenance:
 exact dynamic programming over (state, counter) product chains, and Monte
 Carlo with Wilson 99% upper confidence bounds.  A search that an exact
 escape probability already decides runs on vacuous tails instead.
+
+Every tail provider answers ``query(i, T, t)`` (and ``query_joint(I, T,
+t)``) for a scalar threshold t with a float, and for an array of thresholds
+with an array of the same shape, equal entry by entry to the scalar
+queries.  A horizon search asks each family member once per probed horizon,
+for its whole threshold grid.
 """
 
 from __future__ import annotations
@@ -106,11 +112,24 @@ class BoundResult:
 _CHUNK_ENTRIES = 1 << 20
 
 
+def _thresholds(t) -> np.ndarray:
+    """The thresholds of a query, scalar or array, as a flat float array."""
+    return np.asarray(t, dtype=float).ravel()
+
+
+def _shaped(values, t):
+    """Per-threshold ``values`` in the shape of ``t``: a float for a scalar t."""
+    if np.ndim(t) == 0:
+        return float(np.asarray(values).ravel()[0])
+    return np.reshape(values, np.shape(t))
+
+
 class ExactTailProvider:
     """Worst-start occupation tails by exact DP, one sweep per block.
 
     ``query(i, T, t)`` returns ``max_z P_z[kappa_i(T) < t]`` exactly for
-    ``T <= T_max`` and ``t <= t_cap``.
+    ``T <= T_max`` and ``t <= t_cap``, by one masked gather from block i's
+    table; kappa is an integer, so a threshold t counts as ``ceil(t)``.
     """
 
     provenance = "exact"
@@ -133,18 +152,19 @@ class ExactTailProvider:
     def max_t(self) -> int:
         return self.t_cap
 
-    def query(self, i: int, T: int, t: int) -> float:
-        if t <= 0:
-            return 0.0
-        if t > self.t_cap or T > self.T_max:
-            return 1.0  # unknown, report the vacuous upper bound
-        if t > T:
-            return 1.0
-        if i not in self._tables:
-            self._tables[i] = occupation_tail_table(
-                self.kernel, self.partition, i, self.T_max, self.t_cap, starts=self.starts
-            )
-        return float(self._tables[i][T - 1, t - 1])
+    def query(self, i: int, T: int, t):
+        u = np.ceil(_thresholds(t))
+        # 0 below one step; past t_cap or T_max unknown, so the vacuous 1.0;
+        # past T certain
+        out = np.where(u <= 0, 0.0, 1.0)
+        known = (u > 0) & (u <= min(self.t_cap, T))
+        if T <= self.T_max and known.any():
+            if i not in self._tables:
+                self._tables[i] = occupation_tail_table(
+                    self.kernel, self.partition, i, self.T_max, self.t_cap, starts=self.starts
+                )
+            out[known] = self._tables[i][T - 1, u[known].astype(np.intp) - 1]
+        return _shaped(out, t)
 
 
 class MCTailProvider:
@@ -166,9 +186,13 @@ class MCTailProvider:
 
     The occupation counts of every block are cached per horizon T; a new T
     is filled from the nearest cached horizon by counting the steps in
-    between.  Queries return the largest per-start Wilson 99% upper bound
-    (a per-query confidence level), which is a sound (conservative)
-    ingredient for the bound searches.
+    between.  A query reads one occupation vector per path: ``kappa_i``,
+    or for a joint key ``max_{i in I} kappa_i``, since every ``kappa_i < t``
+    exactly when their maximum is.  Sorted within each start, that vector
+    gives every threshold's per-start count of paths below it by one
+    ``searchsorted``.  Each threshold's answer is the largest per-start
+    Wilson 99% upper bound (a per-query confidence level), which is a sound
+    (conservative) ingredient for the bound searches.
 
     Before the first step, ``paths x (T_max + 1) x (state bytes + label
     bytes)`` is checked against ``MAX_PATH_BYTES``, with the labels'
@@ -260,7 +284,7 @@ class MCTailProvider:
         for s, state in enumerate(self._stream.extend(grow - have), have):
             bit = s % 8
             for word, spread in self._or_tables[bit]:
-                word |= spread[state]
+                word |= spread.take(state)
             if bit == 7:
                 planes[:, s // 8] = self._acc_planes
                 self._acc_planes[:] = 0
@@ -318,27 +342,30 @@ class MCTailProvider:
             self._counts[T] = kappa.astype(base.dtype)
         return self._counts[T]
 
-    def _max_wilson(self, hits: np.ndarray) -> float:
-        per_start = hits.reshape(len(self.start_list), self.reps).sum(axis=1)
-        return float(self._wilson_hi[per_start].max(initial=0.0))
+    def query(self, i: int, T: int, t):
+        return self._tails([i], T, t)
 
-    def query(self, i: int, T: int, t: float) -> float:
-        if t <= 0:
-            return 0.0
-        if T > self.T_max:
-            return 1.0
-        return self._max_wilson(self._kappa(T)[i] < t)
+    def query_joint(self, I: Sequence[int], T: int, t):
+        return self._tails(I, T, t)
 
-    def query_joint(self, I: Sequence[int], T: int, t: float) -> float:
-        if t <= 0:
-            return 0.0
-        if T > self.T_max:
-            return 1.0
-        kappa = self._kappa(T)
-        hits = np.ones(kappa.shape[1], dtype=bool)
-        for i in I:
-            hits &= kappa[int(i)] < t
-        return self._max_wilson(hits)
+    def _tails(self, I: Sequence[int], T: int, t):
+        """``max_z`` Wilson upper bound on ``P_z[every kappa_i(T) < t]``, i in I."""
+        u = np.ceil(_thresholds(t))
+        out = np.where(u <= 0, 0.0, 1.0)
+        live = u > 0
+        if T > self.T_max or not live.any():
+            return _shaped(out, t)
+        ns, reps = len(self.start_list), self.reps
+        # kappa <= T, so T + 1 stands for every larger threshold; start s's
+        # occupations, shifted by s (T + 2), sort into a run of their own
+        offsets = np.arange(ns)[:, None] * (T + 2)
+        occupation = self._kappa(T)[[int(i) for i in I]].max(axis=0, initial=0)
+        runs = occupation.reshape(ns, reps) + offsets
+        runs.sort(axis=1)
+        needles = offsets + np.minimum(u[live], T + 1).astype(np.int64)
+        below = np.searchsorted(runs.ravel(), needles) - np.arange(ns)[:, None] * reps
+        out[live] = self._wilson_hi[below].max(axis=0, initial=0.0)
+        return _shaped(out, t)
 
 
 class EscapeCertifiedTails:
@@ -363,22 +390,26 @@ class EscapeCertifiedTails:
     def max_t(self) -> int:
         return self.T_max
 
-    def query(self, i: int, T: int, t: float) -> float:
-        return 1.0
+    def query(self, i: int, T: int, t):
+        return _shaped(np.ones(np.size(t)), t)
 
-    def query_joint(self, I: Sequence[int], T: int, t: float) -> float:
-        return 1.0
+    def query_joint(self, I: Sequence[int], T: int, t):
+        return _shaped(np.ones(np.size(t)), t)
 
 
 class MinMarginalJointTails:
     """Joint tails upper-bounded by the smallest per-block tail.
 
     ``P[all kappa_i < t] <= min_i P[kappa_i < t]`` holds pointwise, so any
-    per-block provider lifts to a sound joint provider.
+    per-block provider lifts to a sound joint provider.  Each block's tails
+    at the current horizon and thresholds are kept, so a family of subsets
+    asked at the same (T, t) asks every block once.
     """
 
     def __init__(self, per_block):
         self.per_block = per_block
+        self._key = None
+        self._block_tails: dict[int, np.ndarray] = {}
 
     @property
     def provenance(self) -> str:
@@ -387,8 +418,16 @@ class MinMarginalJointTails:
     def max_t(self) -> int:
         return self.per_block.max_t()
 
-    def query_joint(self, I: Sequence[int], T: int, t: float) -> float:
-        return min(self.per_block.query(int(i), T, t) for i in I)
+    def query_joint(self, I: Sequence[int], T: int, t):
+        u = _thresholds(t)
+        key = (T, u.tobytes())
+        if key != self._key:
+            self._key, self._block_tails = key, {}
+        tails = self._block_tails
+        for i in map(int, I):
+            if i not in tails:
+                tails[i] = self.per_block.query(i, T, u)
+        return _shaped(np.minimum.reduce([tails[int(i)] for i in I]), t)
 
 
 # ---------------------------------------------------------------------------
@@ -409,6 +448,30 @@ def _t_grid(T: int, t_cap: int) -> np.ndarray:
         return np.array([], dtype=int)
     grid = np.unique(np.round(np.geomspace(1, hi, num=min(T_GRID_POINTS, hi))).astype(int))
     return grid
+
+
+# math.exp(-k) for k = 0 .. 745, then 0.0, which math.exp(-k) is for every
+# k >= 746; np.exp may differ from math.exp in the last place
+_EXP_NEG = np.array([math.exp(-k) for k in range(746)] + [0.0])
+
+
+def _exp_hit_sums(phi: np.ndarray, c_prime: float, t: np.ndarray) -> Callable:
+    """``I -> sum_{i in I} exp(-floor(c' t / (e phi_i)))`` for every t of an array.
+
+    Each block's terms are gathered once.  A sum is bit for bit the value of
+    Python's ``sum`` of ``math.exp`` terms: block by block in the order of
+    I, starting from 0.
+    """
+    k = np.floor(c_prime * t / (math.e * phi[:, None]))
+    terms = _EXP_NEG[np.minimum(k, _EXP_NEG.size - 1).astype(np.intp)]
+
+    def exp_sum(I: Sequence[int]) -> np.ndarray:
+        total = np.zeros(np.shape(t))
+        for i in I:
+            total += terms[i]
+        return total
+
+    return exp_sum
 
 
 def least_horizon(feasible: Callable[[int], bool], T_start: int, T_horizon: int) -> int | None:
@@ -434,22 +497,33 @@ def least_horizon(feasible: Callable[[int], bool], T_start: int, T_horizon: int)
 
 
 def _least_occupation_horizon(
-    family: Sequence, hit_term: Callable, tail: Callable, t_cap: int, T_horizon: int
+    family: Sequence, hit_terms: Callable, tail: Callable, t_cap: int, T_horizon: int
 ) -> int | None:
     """Least horizon T at which some grid time t < T meets the 1/4 criterion.
 
-    T is feasible when, for some t on ``_t_grid(T, t_cap)``, every x in
-    ``family`` has ``hit_term(x, t) < 1/4`` and
-    ``hit_term(x, t) + tail(x, T, t) < 1/4``.  Tails are nonnegative, so
-    ``tail`` is queried only where the hitting term alone does not decide.
+    With ``hit = hit_terms(grid)`` for ``grid = _t_grid(T, t_cap)``, T is
+    feasible when, for some t on the grid, every x in ``family`` has
+    ``hit(x) < 1/4`` and ``hit(x) + tail(x, T, grid) < 1/4`` at t; both
+    answer for the whole grid as an array.  A probe walks the family in
+    order with a mask of the grid times that every earlier member meets.
+    Tails are nonnegative, so a member's tail is asked only while some
+    masked time has its hitting term below 1/4, and the walk stops at the
+    first empty mask.  That asks the same (T, member) pairs as trying the
+    times one by one, largest first, each over the family until a member
+    fails.
     """
 
-    def meets(x, T: int, t) -> bool:
-        h = hit_term(x, t)
-        return h < 0.25 and h + tail(x, T, t) < 0.25
-
     def feasible(T: int) -> bool:
-        return any(all(meets(x, T, t) for x in family) for t in _t_grid(T, t_cap)[::-1])
+        grid = _t_grid(T, t_cap)
+        hit = hit_terms(grid)
+        met = np.ones(grid.size, dtype=bool)
+        for x in family:
+            h = hit(x)
+            met &= h < 0.25
+            if not met.any():
+                return False
+            met &= h + tail(x, T, grid) < 0.25
+        return bool(met.any())
 
     return least_horizon(feasible, 2, T_horizon)
 
@@ -471,7 +545,8 @@ def bound_basic(
     worst-start probability of under-occupation ``P[kappa_i(T) < t]``; the
     mixing time is then at most ``(4/3) c_alpha T``.
 
-    ``tails`` must expose ``query(i, T, t)`` and ``max_t()``.
+    ``tails`` must expose ``max_t()`` and ``query(i, T, t)`` for an array of
+    thresholds t, answering with an array of the same shape.
     """
     if not (0 < alpha < 0.5):
         raise ValueError("need 0 < alpha < 1/2")
@@ -486,7 +561,7 @@ def bound_basic(
     cpg = constants.c_alpha_prime
     phi = np.asarray(phi, dtype=float)
     T_star = _least_occupation_horizon(
-        I, lambda i, t: phi[i] / (cpg * t), tails.query, tails.max_t(), T_horizon
+        I, lambda t: lambda i: phi[i] / (cpg * t), tails.query, tails.max_t(), T_horizon
     )
     return BoundResult(
         name="basic_occupation",
@@ -526,7 +601,8 @@ def bound_basic2(
     I with stationary mass at least alpha / 2 and an exponential hitting sum
     ``sum_i exp(-floor(c' t / (e phi_i)))``.
 
-    ``joint_tails`` must expose ``query_joint(I, T, t)`` and ``max_t()``.
+    ``joint_tails`` must expose ``max_t()`` and ``query_joint(I, T, t)`` for
+    an array of thresholds t, answering with an array of the same shape.
     In sampled mode only a seeded family of subsets is checked, which makes
     the reported value a lower-bound flavor of the exact search.
     """
@@ -549,11 +625,12 @@ def bound_basic2(
         raise NoFeasibleT("no block subset reaches mass alpha / 2")
     cpo = constants.c_alpha_prime  # constant at level alpha / 2
 
-    def exp_sum(I, t: float) -> float:
-        return float(sum(math.exp(-math.floor(cpo * t / (math.e * phi[i]))) for i in I))
-
     T_star = _least_occupation_horizon(
-        family, exp_sum, joint_tails.query_joint, joint_tails.max_t(), T_horizon
+        family,
+        lambda t: _exp_hit_sums(phi, cpo, t),
+        joint_tails.query_joint,
+        joint_tails.max_t(),
+        T_horizon,
     )
     return BoundResult(
         name="basic_joint_occupation",

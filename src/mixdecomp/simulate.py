@@ -109,13 +109,14 @@ class RowSampler:
         # pos where that sum is below u.  The table of level h holds the sums
         # h - 1 + 2hk of every row, row-major, so the flat index into the
         # next level is 2 * index + (sum < u): it starts at the row and ends
-        # at row * w + slot.  Sum w - 1 (1.0 > u) is never probed.
+        # at row * w + slot, the index into the column table.  Sum w - 1
+        # (1.0 > u) is never probed.
         halves = [w >> k for k in range(1, w.bit_length())]
         levels = [np.empty((n, w // (2 * h))) for h in halves]
-        # Per row: the columns of its nonzeros, padded to d by repeating the
+        # Per row: the columns of its nonzeros, padded to w by repeating the
         # last, and the full-row cumulative sums at them, with the last
-        # nonzero and the padding up to w set to 1.0.
-        cols = np.empty((n, d), dtype=index_dtype(n))
+        # nonzero and the padding set to 1.0.
+        cols = np.empty((n, w), dtype=np.intp)
         for x in range(n):
             nz = np.flatnonzero(K[x] > 0)
             cols[x, : nz.size] = nz
@@ -126,18 +127,18 @@ class RowSampler:
                 keys[x] = cums[h - 1 :: 2 * h]
         self._levels = [keys.ravel() for keys in levels]
         self._cols = cols.ravel()
-        self._pad = w - d
 
     def step(self, states: np.ndarray, u: np.ndarray) -> np.ndarray:
         """Next state of each ``states[k]`` drawn with the uniform ``u[k]``."""
-        states = states.astype(np.intp, copy=False)
-        idx = states.copy()
-        for keys in self._levels:
-            below = keys[idx] < u
-            idx <<= 1
+        idx = states = states.astype(np.intp, copy=False)
+        for level, keys in enumerate(self._levels):
+            below = keys.take(idx) < u
+            if level:
+                idx <<= 1
+            else:
+                idx = states << 1  # level 0 reads the rows themselves
             idx += below
-        idx -= states * self._pad  # row * w + slot -> row * d + slot
-        return self._cols[idx].astype(np.intp)
+        return self._cols.take(idx)
 
 
 def simulate(
@@ -351,9 +352,12 @@ def occupation_tail_table(
     Raises
     ------
     ProductSpaceTooLarge
-        If the float64 DP array ``(t_cap + 1, starts, n_states)`` and the
-        table together would exceed ``MAX_PATH_BYTES``; checked before
-        anything is allocated.
+        If its float64 buffers would exceed ``MAX_PATH_BYTES``; checked
+        before anything is allocated.  They are the DP array ``(t_cap + 1,
+        starts, n_states)``, a second one that each step's product is
+        written into, the per-counter sums ``(t_cap + 1, starts)`` and
+        their running sums ``(t_cap, starts)``, and the table.  Every step
+        works in them, in place.
     """
     n = kernel.n_states
     K = kernel.rows
@@ -362,26 +366,31 @@ def occupation_tail_table(
         starts = range(n)
     start_idx = np.asarray(list(starts), dtype=int)
     ns = start_idx.size
-    nbytes = 8 * ((t_cap + 1) * ns * n + T_max * t_cap)
+    nbytes = 8 * ((t_cap + 1) * ns * (2 * n + 1) + t_cap * ns + T_max * t_cap)
     if nbytes > MAX_PATH_BYTES:
         raise ProductSpaceTooLarge(
-            f"occupation DP over {t_cap + 1} counters x {ns} starts x {n} states and a "
-            f"{T_max} x {t_cap} table needs {nbytes:,} B > budget {MAX_PATH_BYTES:,} B"
+            f"occupation DP over {t_cap + 1} counters x {ns} starts x {n} states, its step "
+            f"buffer and a {T_max} x {t_cap} table need {nbytes:,} B > budget "
+            f"{MAX_PATH_BYTES:,} B"
         )
     # p[k, z, y] = P_z[X_s = y, kappa(s) = k], with k = t_cap meaning ">= t_cap"
     p = np.zeros((t_cap + 1, ns, n))
     p[0, np.arange(ns), start_idx] = 1.0
+    q = np.empty_like(p)
+    counter_mass = np.empty((t_cap + 1, ns))
+    cum = np.empty((t_cap, ns))
     table = np.empty((T_max, t_cap))
-    mask_in = in_block.astype(float)[None, None, :]
+    mask_in = in_block.astype(float)
     mask_out = 1.0 - mask_in
     for s in range(1, T_max + 1):
-        q = p.reshape(-1, n) @ K
-        q = q.reshape(t_cap + 1, ns, n)
-        nxt = q * mask_out
-        nxt[1:] += q[:-1] * mask_in
-        nxt[t_cap] += q[t_cap] * mask_in[0]
-        p = nxt
-        counter_mass = p.sum(axis=2)  # (t_cap + 1, ns)
-        cum = np.cumsum(counter_mass[:-1], axis=0)  # P[kappa < u] per start
-        table[s - 1] = cum.max(axis=1)
+        np.matmul(p.reshape(-1, n), K, out=q.reshape(-1, n))
+        # a step out of the block keeps the counter, a step into it moves the
+        # counter up one, and the top counter keeps its own mass as well
+        np.multiply(q, mask_out, out=p)
+        q *= mask_in
+        p[1:] += q[:-1]
+        p[t_cap] += q[t_cap]
+        p.sum(axis=2, out=counter_mass)
+        counter_mass[:-1].cumsum(axis=0, out=cum)  # P[kappa < u] per start
+        cum.max(axis=1, out=table[s - 1])
     return table

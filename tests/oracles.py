@@ -5,8 +5,10 @@ absorbing power iteration, joint occupation tails by a product-space
 dynamic program, stream independence by a lag-1 correlation, transport
 distances by the full n x n transportation LP, the bootstrap horizon by
 a nested search that finds a whole covering time at every outer probe, the
-concentration audit by simulating each (orientation, t) run on its own, and
-the heavy-set hitting maximum by one solve for every qualifying subset.
+concentration audit by simulating each (orientation, t) run on its own, the
+heavy-set hitting maximum by one solve for every qualifying subset, the
+occupation horizon search by one scalar tail query per (time, member), and
+the exact occupation DP by a step that allocates its products afresh.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ import numpy as np
 import scipy.optimize
 
 from mixdecomp import rng as rngmod
-from mixdecomp.bounds import PeresSousiConstants, least_horizon
+from mixdecomp.bounds import PeresSousiConstants, _t_grid, least_horizon
 from mixdecomp.decomposition import Partition, projected_kernel, qualifying_subsets
 from mixdecomp.errors import HorizonCap, ProductSpaceTooLarge
 from mixdecomp.kernel import StationaryDistribution, StochasticKernel, hitting_analysis
@@ -124,6 +126,51 @@ def exact_joint_occupation_tail(
         prob = p[:t, :t].sum()
         worst = max(worst, float(prob))
     return worst
+
+
+def scalar_occupation_horizon(
+    family: Sequence, hit_term: Callable, tail: Callable, t_cap: int, T_horizon: int
+) -> int | None:
+    """Least horizon T at which some grid time t < T meets the 1/4 criterion.
+
+    The search one threshold at a time: at each probe the grid times are
+    tried largest first, each over the family in order until a member
+    fails, and ``tail(x, T, t)`` is asked with a scalar t only where the
+    hitting term ``hit_term(x, t)`` is below 1/4.
+    """
+
+    def meets(x, T: int, t) -> bool:
+        h = hit_term(x, t)
+        return h < 0.25 and h + tail(x, T, t) < 0.25
+
+    def feasible(T: int) -> bool:
+        return any(all(meets(x, T, t) for x in family) for t in _t_grid(T, t_cap)[::-1])
+
+    return least_horizon(feasible, 2, T_horizon)
+
+
+def occupation_tail_table_fresh(
+    kernel: StochasticKernel, partition: Partition, block: int, T_max: int, t_cap: int, starts=None
+) -> np.ndarray:
+    """``simulate.occupation_tail_table`` with new arrays for every product of a step."""
+    n = kernel.n_states
+    K = kernel.rows
+    in_block = partition.block_of == block
+    start_idx = np.arange(n) if starts is None else np.asarray(list(starts), dtype=int)
+    ns = start_idx.size
+    p = np.zeros((t_cap + 1, ns, n))
+    p[0, np.arange(ns), start_idx] = 1.0
+    table = np.empty((T_max, t_cap))
+    mask_in = in_block.astype(float)[None, None, :]
+    mask_out = 1.0 - mask_in
+    for s in range(1, T_max + 1):
+        q = (p.reshape(-1, n) @ K).reshape(t_cap + 1, ns, n)
+        nxt = q * mask_out
+        nxt[1:] += q[:-1] * mask_in
+        nxt[t_cap] += q[t_cap] * mask_in[0]
+        p = nxt
+        table[s - 1] = np.cumsum(p.sum(axis=2)[:-1], axis=0).max(axis=1)
+    return table
 
 
 def stream_correlation(seed: int, n_draws: int = 10**6) -> float:

@@ -40,10 +40,12 @@ ONES = PeresSousiConstants()
 
 
 class DictTails:
+    """Tails from a scalar function ``fn(i, T, t)``, evaluated at each threshold."""
+
     provenance = "test"
 
     def __init__(self, fn, cap=1 << 20):
-        self.fn = fn
+        self.fn = np.vectorize(fn, otypes=[float])
         self.cap = cap
 
     def max_t(self):
@@ -53,7 +55,7 @@ class DictTails:
         return self.fn(i, T, t)
 
     def query_joint(self, I, T, t):
-        return max(self.fn(i, T, t) for i in I)
+        return np.max([self.fn(i, T, t) for i in I], axis=0)
 
 
 def test_constants_validate():

@@ -328,6 +328,20 @@ def test_cli_bounds_on_216_state_torus_completes(tmp_path, monkeypatch):
         assert rows[name]["ingredients"]["tail_provenance"].startswith("exact-escape(block=")
 
 
+def test_cli_bounds_tail_provenance_pinned(tmp_path):
+    # how far the shared Monte Carlo provider simulated for the occupation
+    # rows of the seed-0 run: the searches must ask no further horizons
+    argv = ["bounds", "--chain", "pince_nez:m=16", "--seed", "0", "--out", str(tmp_path)]
+    assert main(argv) == 0
+    report = json.loads((tmp_path / "report.json").read_text())
+    rows = report["tasks"]["bounds"]["comparison"]
+    assert [r["ingredients"].get("tail_provenance") for r in rows] == [
+        "mc(reps=200,seed=1,level=0.99/query,T_sim=4096)",
+        "min-marginal(mc(reps=200,seed=1,level=0.99/query,T_sim=4096))",
+        None,
+    ]
+
+
 def test_cli_reproduce_builds_no_chain_instance(tmp_path, monkeypatch):
     def refuse(spec):
         raise AssertionError(f"reproduce built a chain instance: {spec}")

@@ -1,4 +1,5 @@
 import importlib
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -25,7 +26,7 @@ from mixdecomp.simulate import (
     simulate_states,
     wilson_interval,
 )
-from oracles import exact_joint_occupation_tail, stream_correlation
+from oracles import exact_joint_occupation_tail, occupation_tail_table_fresh, stream_correlation
 
 K3 = StochasticKernel([[0.5, 0.5, 0.0], [0.25, 0.5, 0.25], [0.0, 0.5, 0.5]])
 
@@ -116,8 +117,10 @@ def test_exact_occupation_size_guard():
 
 
 def test_occupation_dp_budget_counts_starts_and_table(monkeypatch):
-    # from all 20 starts the DP array takes 11 x 20 x 20 x 8 = 35,200 B and the
-    # table 20 x 10 x 8 = 1,600 B; from one start, 1,760 + 1,600 B
+    # from all 20 starts the DP array and its step buffer take 2 x 11 x 20 x
+    # 20 x 8 = 70,400 B, the per-counter sums (11 + 10) x 20 x 8 = 3,360 B
+    # and the table 20 x 10 x 8 = 1,600 B; from one start, 3,520 + 168 +
+    # 1,600 B
     k = StochasticKernel(np.full((20, 20), 1 / 20))
     part = Partition.from_block_of(np.arange(20) % 2)
     module = importlib.import_module("mixdecomp.simulate")
@@ -127,8 +130,39 @@ def test_occupation_dp_budget_counts_starts_and_table(monkeypatch):
     with pytest.raises(ProductSpaceTooLarge):
         occupation_tail_table(k, part, 0, T_max=20, t_cap=10)
     assert occupation_tail_table(k, part, 0, T_max=20, t_cap=10, starts=[0]).shape == (20, 10)
-    monkeypatch.setattr(module, "MAX_PATH_BYTES", 35_200 + 1_600)
+    monkeypatch.setattr(module, "MAX_PATH_BYTES", 70_400 + 3_360 + 1_600 - 1)
+    with pytest.raises(ProductSpaceTooLarge):
+        occupation_tail_table(k, part, 0, T_max=20, t_cap=10)
+    monkeypatch.setattr(module, "MAX_PATH_BYTES", 70_400 + 3_360 + 1_600)
     assert occupation_tail_table(k, part, 0, T_max=20, t_cap=10).shape == (20, 10)
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_occupation_table_matches_fresh_products_bit_for_bit(seed):
+    gen = rngmod.stream(40 + seed, 0)
+    n = 9 + 3 * seed
+    k, part = random_reversible_kernel(n, gen), random_partition(n, gen, 3)
+    for block, starts in ((0, None), (2, [1, 4])):
+        got = occupation_tail_table(k, part, block, T_max=70, t_cap=30, starts=starts)
+        want = occupation_tail_table_fresh(k, part, block, T_max=70, t_cap=30, starts=starts)
+        assert np.array_equal(got, want)
+
+
+def test_occupation_dp_peak_memory_is_what_the_budget_counts():
+    # 100 states from every start, t_cap 50, T_max 60: the counted buffers
+    # take 8 x (51 x 100 x 201 + 50 x 100 + 60 x 50) = 8,264,800 B, and each
+    # step works in them; beyond them only numpy's fixed 8,192-element ufunc
+    # buffer (about 70 KB at any size).  Fresh products peak at twice the count.
+    gen = rngmod.stream(7, 0)
+    k, part = random_reversible_kernel(100, gen), random_partition(100, gen, 4)
+    counted = 8 * (51 * 100 * 201 + 50 * 100 + 60 * 50)
+    tracemalloc.start()
+    try:
+        occupation_tail_table(k, part, 1, T_max=60, t_cap=50)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert counted <= peak <= counted + 128 * 1024
 
 
 @pytest.mark.parametrize("seed", range(10))

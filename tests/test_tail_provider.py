@@ -6,6 +6,10 @@ count, per path, the steps ``1 .. T`` spent in block i.  The provider caches
 counts per horizon and fills a new one from the nearest cached horizon, so
 queries are probed in random order to reach cached horizons from below and
 from above.
+
+The tests at the end hold every provider's array answers to its scalar
+answers, and the grid-batched horizon search to the search over single
+thresholds that ``oracles.scalar_occupation_horizon`` keeps.
 """
 
 import math
@@ -15,18 +19,22 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import oracles
 from conftest import random_partition, random_reversible_kernel
 from mixdecomp import rng as rngmod
 from mixdecomp.bounds import (
+    _EXP_NEG,
+    EscapeCertifiedTails,
     ExactTailProvider,
     MCTailProvider,
     MinMarginalJointTails,
     PeresSousiConstants,
+    _exp_hit_sums,
     bound_basic,
     bound_basic2,
 )
-from mixdecomp.chains import pince_nez
-from mixdecomp.decomposition import Partition, block_mixing_times
+from mixdecomp.chains import pince_nez, toy_kcip
+from mixdecomp.decomposition import Partition, block_mixing_times, qualifying_subsets
 from mixdecomp.errors import ProductSpaceTooLarge
 from mixdecomp.kernel import stationary_distribution
 from mixdecomp.simulate import RowSampler, simulate_states, wilson_interval
@@ -234,3 +242,159 @@ def test_mc_bounds_reproduce_pinned_seeded_values():
     assert (r1.value, r1.ingredients["T"]) == (980.0, 735)
     assert (r2.value, r2.ingredients["T"]) == (801.3333333333333, 601)
     assert (r3.value, r3.ingredients["T"]) == (836.0, 627)
+
+
+# -- the array form of the tail protocol -------------------------------------
+
+VEC_BLOCKS = 4
+VEC_T_CAP = 40  # below T_MAX, so exact queries past t_cap answer 1.0
+
+_threshold = st.one_of(st.integers(-3, T_MAX + 5), st.floats(-3.0, T_MAX + 5.0))
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    seed=st.integers(0, 2**16),
+    T=st.integers(0, T_MAX + 5),
+    ts=st.lists(_threshold, min_size=1, max_size=12),
+    key=st.lists(st.integers(0, VEC_BLOCKS - 1), min_size=1, max_size=VEC_BLOCKS, unique=True),
+    two_rows=st.booleans(),
+)
+def test_array_queries_equal_elementwise_scalar_queries(seed, T, ts, key, two_rows):
+    # thresholds at or below 0, non-integer, past T and past t_cap; horizons
+    # past T_max; joint keys of 1 to 4 blocks
+    kernel, partition = _plane_chain(VEC_BLOCKS, 8, seed)
+    mc = MCTailProvider(kernel, partition, T_max=T_MAX, reps_per_start=REPS, seed=seed, starts=STARTS)
+    exact = ExactTailProvider(kernel, partition, T_max=T_MAX, t_cap=VEC_T_CAP, starts=STARTS)
+    escape = EscapeCertifiedTails(0, 0.5, T_MAX)
+    t = np.array(ts, dtype=float)
+    if two_rows and t.size % 2 == 0:
+        t = t.reshape(2, -1)
+    i = key[0]
+    queries = [
+        (mc.query, i),
+        (exact.query, i),
+        (escape.query, i),
+        (mc.query_joint, key),
+        (escape.query_joint, key),
+        (MinMarginalJointTails(mc).query_joint, key),
+        (MinMarginalJointTails(exact).query_joint, key),
+    ]
+    for query, x in queries:
+        got = query(x, T, t)
+        assert got.shape == t.shape
+        want = [query(x, T, u) for u in t.ravel().tolist()]
+        assert all(type(w) is float for w in want)
+        assert got.ravel().tolist() == want
+    # the joint MC tail counts the paths on which every block of the key is
+    # under-occupied, and min-marginal is the least per-block tail
+    ref = _Recount(kernel, partition, seed)
+    for u in t.ravel().tolist():
+        if 0 < u and T <= T_MAX:
+            hits = np.all([ref.kappa(j, T) < u for j in key], axis=0)
+            assert mc.query_joint(key, T, u) == ref.max_wilson(hits)
+        for provider in (mc, exact):
+            joint = MinMarginalJointTails(provider).query_joint(key, T, u)
+            assert joint == min(provider.query(j, T, u) for j in key)
+
+
+class _Recording:
+    """A tail provider that records every (T, member) pair it is asked."""
+
+    provenance = "recording"
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.asked = set()
+
+    def max_t(self):
+        return self.inner.max_t()
+
+    def query(self, i, T, t):
+        self.asked.add((T, i))
+        return self.inner.query(i, T, t)
+
+    def query_joint(self, I, T, t):
+        self.asked.add((T, tuple(I)))
+        return self.inner.query_joint(I, T, t)
+
+
+SEARCH_T = 1024
+_CALIBRATED = PeresSousiConstants(1.5, 1.5, calibrated=True)
+
+
+def _search_chain(name):
+    k, part = {"pince_nez": lambda: pince_nez(8), "toy_kcip": lambda: toy_kcip(4, 1)}[name]()
+    pi = stationary_distribution(k)
+    phis, _, _ = block_mixing_times(k, pi, part, horizon=10**5)
+    return k, part, np.array([float(p) for p in phis]), part.masses(pi)
+
+
+def _providers(k, part, kind, seed):
+    """Two equal, fresh providers: one for each search."""
+    if kind == "exact":
+        return [ExactTailProvider(k, part, SEARCH_T, t_cap=256, starts=[0, 9]) for _ in range(2)]
+    return [MCTailProvider(k, part, T_max=SEARCH_T, reps_per_start=50, seed=seed) for _ in range(2)]
+
+
+def _same_work(a, b):
+    if isinstance(a, MCTailProvider):
+        return a.simulated_T == b.simulated_T
+    return set(a._tables) == set(b._tables)
+
+
+@pytest.mark.parametrize("kind", ["mc", "exact"])
+@pytest.mark.parametrize("chain,seed", [("pince_nez", 5), ("pince_nez", 6), ("toy_kcip", 5)])
+@pytest.mark.parametrize("constants", [PeresSousiConstants(), _CALIBRATED])
+def test_batched_basic_search_asks_what_the_scalar_search_asks(kind, chain, seed, constants):
+    k, part, phi, masses = _search_chain(chain)
+    I = list(range(part.n_blocks))
+    mine, ref = _providers(k, part, kind, seed)
+    rec, ref_rec = _Recording(mine), _Recording(ref)
+    result = bound_basic(phi, rec, 1 / 3, 0.75, I, constants, masses, T_horizon=SEARCH_T)
+    cp = constants.c_alpha_prime
+    T_ref = oracles.scalar_occupation_horizon(
+        I, lambda i, t: phi[i] / (cp * t), ref_rec.query, ref_rec.max_t(), SEARCH_T
+    )
+    assert result.ingredients["T"] == T_ref
+    assert rec.asked == ref_rec.asked
+    assert _same_work(mine, ref)
+
+
+@pytest.mark.parametrize("kind", ["mc", "min-marginal", "exact"])
+@pytest.mark.parametrize("chain,seed", [("pince_nez", 5), ("toy_kcip", 5)])
+@pytest.mark.parametrize("constants", [PeresSousiConstants(), _CALIBRATED])
+def test_batched_joint_search_asks_what_the_scalar_search_asks(kind, chain, seed, constants):
+    k, part, phi, masses = _search_chain(chain)
+    mine, ref = _providers(k, part, kind, seed)
+    wrap = (lambda p: p) if kind == "mc" else MinMarginalJointTails
+    rec, ref_rec = _Recording(wrap(mine)), _Recording(wrap(ref))
+    result = bound_basic2(phi, masses, rec, 1 / 3, constants, T_horizon=SEARCH_T)
+    cp = constants.c_alpha_prime
+
+    def exp_sum(I, t):
+        return float(sum(math.exp(-math.floor(cp * t / (math.e * phi[i]))) for i in I))
+
+    family = qualifying_subsets(masses, 1 / 6)
+    T_ref = oracles.scalar_occupation_horizon(
+        family, exp_sum, ref_rec.query_joint, ref_rec.max_t(), SEARCH_T
+    )
+    assert result.ingredients["T"] == T_ref
+    assert rec.asked == ref_rec.asked
+    assert _same_work(mine, ref)
+
+
+def test_exp_hit_sums_match_math_exp_across_underflow():
+    # floor(c t / (e phi_0)) steps by less than one from 0 to about 1,150,
+    # across the 745 / 746 edge where math.exp(-k) underflows to 0.0
+    phi = np.array([1.0, 0.5, 2.0, 0.37])
+    c = 1.3
+    t = np.arange(1, 2400)
+    floors = {math.floor(c * u / (math.e * phi[0])) for u in t}
+    assert {744, 745, 746, 747} <= floors
+    sums = _exp_hit_sums(phi, c, t)
+    for I in [(0,), (1, 0), (0, 2, 3), (3, 2, 1, 0)]:
+        want = [float(sum(math.exp(-math.floor(c * u / (math.e * phi[i]))) for i in I)) for u in t]
+        assert np.array_equal(sums(list(I)).view(np.uint64), np.array(want).view(np.uint64))
+    assert _EXP_NEG.tolist() == [math.exp(-k) for k in range(747)]
+    assert _EXP_NEG[745] > 0.0 == _EXP_NEG[746]

@@ -318,8 +318,25 @@ _SEED0_TABLE = [
 ]
 
 
+# tail_provenance of the occupation rows per chain of the seed-0 table: how
+# far each chain's shared Monte Carlo provider simulated
+_SEED0_TAIL_PROVENANCE = [
+    [
+        "mc(reps=200,seed=21,level=0.99/query,T_sim=2048)",
+        "min-marginal(mc(reps=200,seed=21,level=0.99/query,T_sim=2048))",
+        None,
+    ],
+    [
+        "mc(reps=200,seed=21,level=0.99/query,T_sim=8192)",
+        "min-marginal(mc(reps=200,seed=21,level=0.99/query,T_sim=8192))",
+        None,
+    ],
+]
+
+
 def test_calibrated_table_bootstrap_pinned_one_probe_each(monkeypatch):
     probes = []  # [T, covering calls made while probing T]
+    provenance = []
 
     def counting(fn):
         def wrapped(*args, **kwargs):
@@ -339,11 +356,20 @@ def test_calibrated_table_bootstrap_pinned_one_probe_each(monkeypatch):
     monkeypatch.setattr(wellcovering, "least_horizon", least_horizon_counted)
     monkeypatch.setattr(suites, "feasibility_oracle", counting(feasibility_oracle))
     monkeypatch.setattr(suites, "propagation_covers", counting(propagation_covers))
+
+    def occupation_kept(*args, _inner=suites.occupation_bounds, **kwargs):
+        results = _inner(*args, **kwargs)
+        provenance.append([r.ingredients.get("tail_provenance") for r in results])
+        return results
+
+    monkeypatch.setattr(suites, "occupation_bounds", occupation_kept)
     rows, constants = suites.calibrated_bound_table(seed=0)
     # every seeded row: a change to sampling, label storage, occupation
     # counting or the searches must reproduce them bit for bit
     assert constants.c_alpha == constants.c_alpha_prime == 1.4999999999999971
     assert [(r.chain, r.bound, r.value, r.tau_exact) for r in rows] == _SEED0_TABLE
+    # and simulate no further: the searches ask the same horizons
+    assert provenance == _SEED0_TAIL_PROVENANCE
     # the search opens at T = 2, which no covering time can be below
     assert probes and all(calls == (T >= 3) for T, calls in probes)
 

@@ -184,12 +184,23 @@ class MCTailProvider:
     a range of steps is the popcount of the AND of the planes (or their
     complements) that spell label i, under a mask for partial bytes.
 
-    The occupation counts of every block are cached per horizon T; a new T
-    is filled from the nearest cached horizon by counting the steps in
-    between.  A query reads one occupation vector per path: ``kappa_i``,
-    or for a joint key ``max_{i in I} kappa_i``, since every ``kappa_i < t``
-    exactly when their maximum is.  Sorted within each start, that vector
-    gives every threshold's per-start count of paths below it by one
+    The planes are an append-only list of segments, one per extension, each
+    holding the byte rows from its first new step on; nothing is copied when
+    the paths grow.  An extension that starts inside a byte row drops that
+    partial row from the previous segment and writes it again, complete up
+    to the carried accumulator, as its own first row.
+
+    Occupation counts of every block are cached for horizon 0, for the
+    simulated horizon and for the two latest probes; a new T is filled from
+    the nearest cached horizon by counting the steps in between.  Counts are
+    exact integers, so the base they start from does not change them, and a
+    bisection's next probe counts only the rows inside its bracket, whose
+    last probe is cached.
+
+    A query reads one occupation vector per path: ``kappa_i``, or for a
+    joint key ``max_{i in I} kappa_i``, since every ``kappa_i < t`` exactly
+    when their maximum is.  Sorted within each start, that vector gives
+    every threshold's per-start count of paths below it by one
     ``searchsorted``.  Each threshold's answer is the largest per-start
     Wilson 99% upper bound (a per-query confidence level), which is a sound
     (conservative) ingredient for the bound searches.
@@ -232,13 +243,15 @@ class MCTailProvider:
                 spread[b, j // 8] |= bits << word.type(8 * (j % 8) + b)
         self._stream: PathStream | None = None
         self._T_sim = 0
-        self._planes = np.zeros((n_planes, 0, n_paths), dtype=np.uint8)
+        # (first byte row, planes (n_planes, rows, paths)), one per extension
+        self._segments: list[tuple[int, np.ndarray]] = []
         acc = np.zeros((n_paths, spread.shape[1]), dtype=word)
         # per bit position, the (accumulator word, spread table) pairs a step ORs
         self._or_tables = [list(zip(acc.T, spread[b])) for b in range(8)]
         # the accumulator's bytes, one row per plane
         self._acc_planes = acc.view(np.uint8).T[:n_planes]
-        self._counts: dict[int, np.ndarray] = {}  # T -> (n_blocks, paths)
+        # T -> (n_blocks, paths), least recently probed first
+        self._counts: dict[int, np.ndarray] = {}
         self._wilson_hi = np.array([wilson_interval(k, self.reps)[1] for k in range(self.reps + 1)])
 
     @property
@@ -258,7 +271,7 @@ class MCTailProvider:
 
     def _ensure_labels(self, T: int) -> None:
         """Extend the labels to ``min(T_max, next power of two >= T)`` steps."""
-        n_planes, _, n_paths = self._planes.shape
+        n_planes, n_paths = self._acc_planes.shape
         if self._stream is None:
             item = index_dtype(self.kernel.n_states).itemsize
             item += index_dtype(self.partition.n_blocks).itemsize
@@ -279,24 +292,29 @@ class MCTailProvider:
         # least_horizon doubles from 2 and bisects below its first feasible
         # doubling, so power-of-two growth never simulates past 2x its probes
         grow = min(self.T_max, 1 << (int(T) - 1).bit_length())
-        planes = np.empty((n_planes, -(-grow // 8), n_paths), dtype=np.uint8)
-        planes[:, : self._planes.shape[1]] = self._planes
+        first = have // 8
+        if have % 8:
+            # the new segment writes the partial row again from the accumulator
+            head, planes = self._segments.pop()
+            if planes.shape[1] > 1:
+                self._segments.append((head, planes[:, :-1]))
+        planes = np.empty((n_planes, -(-grow // 8) - first, n_paths), dtype=np.uint8)
         for s, state in enumerate(self._stream.extend(grow - have), have):
             bit = s % 8
             for word, spread in self._or_tables[bit]:
                 word |= spread.take(state)
             if bit == 7:
-                planes[:, s // 8] = self._acc_planes
+                planes[:, s // 8 - first] = self._acc_planes
                 self._acc_planes[:] = 0
         if grow % 8:
             # a partial row; the accumulator keeps its bits for the next extension
-            planes[:, grow // 8] = self._acc_planes
-        self._planes = planes
+            planes[:, -1] = self._acc_planes
+        self._segments.append((first, planes))
         self._T_sim = grow
 
     def _count_rows(self, a: int, b: int) -> np.ndarray:
         """Per-path visits to every block at times ``a .. b - 1``."""
-        n_planes, _, n_paths = self._planes.shape
+        n_planes, n_paths = self._acc_planes.shape
         counts = np.zeros((self.partition.n_blocks, n_paths), dtype=np.int64)
         if a >= b:
             return counts
@@ -305,9 +323,12 @@ class MCTailProvider:
         mask = np.full((r1 - r0, 1), 0xFF, dtype=np.uint8)
         mask[0] &= (0xFF << lo % 8) & 0xFF
         mask[-1] &= 0xFF >> (-hi % 8)
-        for r in range(r0, r1, self._chunk_rows):
-            end = min(r + self._chunk_rows, r1)
-            self._count_tree(counts, self._planes[:, r:end], mask[r - r0 : end - r0], n_planes, 0)
+        for first, planes in self._segments:
+            stop = min(r1, first + planes.shape[1])
+            for r in range(max(r0, first), stop, self._chunk_rows):
+                end = min(r + self._chunk_rows, stop)
+                rows = planes[:, r - first : end - first]
+                self._count_tree(counts, rows, mask[r - r0 : end - r0], n_planes, 0)
         return counts
 
     def _count_tree(self, counts, planes, sel, j: int, label: int) -> None:
@@ -331,16 +352,23 @@ class MCTailProvider:
 
     def _kappa(self, T: int) -> np.ndarray:
         """Occupation counts ``kappa_i(T)`` of every block i, one column per path."""
-        if T not in self._counts:
+        kappa = self._counts.pop(T, None)
+        if kappa is None:
             self._ensure_labels(T)
             near = min(self._counts, key=lambda h: abs(h - T))
             base = self._counts[near]
-            if T > near:
-                kappa = base + self._count_rows(near + 1, T + 1)
-            else:
-                kappa = base - self._count_rows(T + 1, near + 1)
-            self._counts[T] = kappa.astype(base.dtype)
-        return self._counts[T]
+            delta = self._count_rows(min(T, near) + 1, max(T, near) + 1)
+            if T < near:
+                np.negative(delta, out=delta)
+            delta += base
+            kappa = delta.astype(base.dtype)
+        self._counts[T] = kappa
+        # keep 0, the simulated horizon and the two latest probes: the next
+        # probe of a bisection lies between its last probe and an earlier one
+        keep = {0, self._T_sim, *list(self._counts)[-2:]}
+        for h in [h for h in self._counts if h not in keep]:
+            del self._counts[h]
+        return kappa
 
     def query(self, i: int, T: int, t):
         return self._tails([i], T, t)

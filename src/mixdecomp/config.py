@@ -25,9 +25,13 @@ class Tolerances:
         Tolerance used when interpreting eigenvalues (e.g. gap > eigen).
     linear_solve : float
         Relative residual bound of the hitting-time linear system:
-        ``||(I - K_BB) h - 1||_inf <= linear_solve * (1 + ||h||_inf)``.  The
-        row sums of trace kernels and exit distributions may miss 1 by the
-        same bound, with h the mean return or escape time.
+        ``||(I - K_BB) h - 1||_inf <= linear_solve * (1 + ||h||_inf)``.
+    forward_error : float
+        The row sums of trace kernels and exit distributions may miss 1 by
+        ``forward_error * eps * n * (1 + ||h||_inf)``, the forward-error
+        scale of a backward-stable solve of the n-state system: machine
+        epsilon, n, and h the mean return or escape time.  The zoo's and the
+        tests' solves stay below 1/200 of it.
     """
 
     row_sum: float = 1e-9
@@ -35,6 +39,7 @@ class Tolerances:
     detailed_balance: float = 1e-9
     eigen: float = 1e-10
     linear_solve: float = 1e-8
+    forward_error: float = 100.0
 
 
 DEFAULT_TOLERANCES = Tolerances()

@@ -166,9 +166,9 @@ def trace_kernel(
         raise SingularReturn(f"(I - K_BB) singular for block {block}: {exc}") from exc
     rows = KAA + KAB @ sol[:, :-1]
     err = np.abs(rows.sum(axis=1) - 1.0).max()
-    # relative to the solution: long excursions carry round-off in proportion,
-    # in the row sums and as slightly negative entries, which are clipped
-    allowed = DEFAULT_TOLERANCES.linear_solve * (1.0 + float(np.abs(sol[:, -1]).max()))
+    # long excursions carry round-off in proportion, in the row sums and as
+    # slightly negative entries, which are clipped
+    allowed = _forward_error(B.size, sol[:, -1])
     if not max(err, -rows.min()) <= allowed:
         raise SingularReturn(
             f"trace rows sum to 1 +- {err:.2e}, least entry {rows.min():.2e}, "
@@ -177,6 +177,12 @@ def trace_kernel(
     rows = np.maximum(rows, 0.0)
     rows = rows / rows.sum(axis=1, keepdims=True)
     return StochasticKernel(rows, _sub_labels(kernel, A))
+
+
+def _forward_error(n: int, h: np.ndarray) -> float:
+    """Round-off allowed in a row sum from an n-state solve with mean times h."""
+    scale = np.finfo(float).eps * n * (1.0 + float(np.abs(h).max()))
+    return DEFAULT_TOLERANCES.forward_error * scale
 
 
 def _sub_labels(kernel: StochasticKernel, idx: np.ndarray):
@@ -265,7 +271,7 @@ def escape_analysis(
     # metastable blocks make (I - K_II) ill-conditioned; allow round-off in
     # proportion to the longest expected escape time before renormalizing
     row_err = np.abs(exit_blocks.sum(axis=1) - 1.0).max()
-    allowed = DEFAULT_TOLERANCES.linear_solve * (1.0 + float(np.abs(expected).max()))
+    allowed = _forward_error(A.size, expected)
     if not row_err <= allowed:
         raise NoExit(f"exit distribution rows sum to 1 +- {row_err:.2e} > {allowed:.2e}")
     exit_blocks /= exit_blocks.sum(axis=1, keepdims=True)
@@ -310,7 +316,10 @@ def block_mixing_times(
     partition: Partition,
     horizon: int,
 ) -> tuple[tuple[int | None, ...], tuple[MixingProfile, ...], tuple[StochasticKernel, ...]]:
-    """Mixing time of every block trace (the per-block time scale phi_i)."""
+    """Mixing time of every block trace (the per-block time scale phi_i).
+
+    Each profile stops at its 1/4 crossing, so it carries only that time.
+    """
     traces = []
     profiles = []
     for i in range(partition.n_blocks):
@@ -318,7 +327,8 @@ def block_mixing_times(
         Ki = trace_kernel(kernel, partition, i)
         sub = pi.weights[A]
         traces.append(Ki)
-        profiles.append(mixing_profile(Ki, StationaryDistribution(sub / sub.sum()), horizon))
+        sub_pi = StationaryDistribution(sub / sub.sum())
+        profiles.append(mixing_profile(Ki, sub_pi, horizon, epsilons=(0.25,)))
     phis = tuple(p.mixing_time for p in profiles)
     return phis, tuple(profiles), tuple(traces)
 

@@ -3,16 +3,18 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import random_partition, random_reversible_kernel
 from mixdecomp import rng as rngmod
-from mixdecomp.chains import pince_nez, torus_metropolis, toy_kcip
+from mixdecomp.chains import cycle_adjacency, kcip, pince_nez, torus_metropolis, toy_kcip
 from mixdecomp.config import DEFAULT_TOLERANCES
 from mixdecomp.decomposition import (
     Partition,
     avg_hit_time,
+    block_mixing_times,
     decompose,
     escape_analysis,
     escape_tail_at,
@@ -89,6 +91,22 @@ def test_trace_and_escape_checks_scale_with_metastable_solves():
         assert np.allclose(t.rows.sum(axis=1), 1.0, atol=1e-12)
         stats = escape_analysis(tc.kernel, tc.partition, b)
         assert np.allclose(stats.exit_block_distribution.sum(axis=1), 1.0, atol=1e-12)
+
+
+def test_planted_solve_error_fails_the_forward_error_checks(monkeypatch):
+    # block 1 of toy_kcip(8, 1): returns take up to 656 steps and escapes
+    # 178, so a relative solve error of 1e-6 moves the trace row sums by
+    # 5e-7 and the exit rows by 1e-6: under a 1e-8 (1 + max h) bound (6.6e-6
+    # and 1.8e-6), far over 100 eps n (1 + max h) (3.1e-10 and 1.2e-11)
+    k, part = toy_kcip(8, 1)
+    trace_kernel(k, part, 1)
+    escape_analysis(k, part, 1)
+    solve = scipy.linalg.solve
+    monkeypatch.setattr(scipy.linalg, "solve", lambda a, b: solve(a, b) * (1 + 1e-6))
+    with pytest.raises(SingularReturn):
+        trace_kernel(k, part, 1)
+    with pytest.raises(NoExit):
+        escape_analysis(k, part, 1)
 
 
 def test_trace_escaping_block_raises():
@@ -373,6 +391,38 @@ def test_avg_hit_exact_matches_all_subset_maximum(n, seed, alpha):
         # a superset that ties with its minimal subset in exact arithmetic
         # can solve one rounding above it (n=8, seed=962, alpha=1/3)
         assert res.value <= value <= res.value * (1 + 1e-12)
+
+
+def _kernel_and_partition(chain):
+    return chain.kernel, chain.partition
+
+
+# block mixing times of the zoo chains the suites and tests use
+_ZOO_PHIS = {
+    "pince_nez(8)": (lambda: pince_nez(8), (9, 9)),
+    "pince_nez(16)": (lambda: pince_nez(16), (37, 37)),
+    "toy_kcip(4, 1)": (lambda: toy_kcip(4, 1), (13,) * 4),
+    "toy_kcip(8, 1)": (lambda: toy_kcip(8, 1), (22,) * 8),
+    "torus_metropolis(3, 3, 7.0, k_trace=1)": (
+        lambda: _kernel_and_partition(torus_metropolis(3, 3, 7.0, k_trace=1)),
+        (21,) * 8,
+    ),
+    "kcip(cycle_adjacency(5))": (
+        lambda: _kernel_and_partition(kcip(cycle_adjacency(5), c=1.0)),
+        (23, 15, 11),
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_ZOO_PHIS))
+def test_block_mixing_times_pinned_and_profiles_stop_at_one_quarter(name):
+    build, pinned = _ZOO_PHIS[name]
+    k, part = build()
+    phis, profiles, _ = block_mixing_times(k, stationary_distribution(k), part, horizon=10**6)
+    assert phis == pinned
+    for phi, profile in zip(phis, profiles):
+        assert profile.epsilon_times == {0.25: phi}
+        assert len(profile.distances) == phi + 1
 
 
 def test_decompose_report_fields():

@@ -13,6 +13,7 @@ thresholds that ``oracles.scalar_occupation_horizon`` keeps.
 """
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -138,9 +139,37 @@ def test_labels_are_stored_as_bit_planes(n_blocks, n_states):
     # ceil(log2 n_blocks) bits per path and step, not a byte per label
     mc = _plane_provider(*_plane_chain(n_blocks, n_states, seed=3), seed=3)
     mc._kappa(PLANE_T_MAX)
-    per_path = mc._planes.nbytes / (len(STARTS) * REPS)
-    assert mc._planes.dtype == np.uint8
+    per_path = sum(planes.nbytes for _, planes in mc._segments) / (len(STARTS) * REPS)
+    assert all(planes.dtype == np.uint8 for _, planes in mc._segments)
     assert per_path <= math.ceil(math.log2(n_blocks)) * math.ceil(PLANE_T_MAX / 8)
+
+
+@pytest.mark.parametrize("n_blocks", [2, 5])
+def test_doubling_peak_memory_is_planes_counts_and_one_chunk(n_blocks):
+    # Extending the labels appends a segment and copies none of the planes
+    # already held, so the peak of the last doubling exceeds what the
+    # provider holds after it (planes, cached counts, sampler and stream)
+    # only by the temporaries of counting one chunk: the tree's two arrays
+    # per plane and a popcount, and the int64 counts of the rows and of the
+    # cached horizons it replaces.  Copying the planes would add half of them.
+    gen = rngmod.stream(2, 0)
+    kernel, partition = random_reversible_kernel(7, gen), random_partition(7, gen, n_blocks)
+    T_max = 8192
+    tracemalloc.start()
+    try:
+        mc = MCTailProvider(kernel, partition, T_max=T_max, reps_per_start=300, seed=1)
+        for T in (2 ** k for k in range(1, 13)):
+            mc._kappa(T)
+        tracemalloc.reset_peak()
+        mc._kappa(T_max)
+        after, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    n_planes, n_paths = len(mc._segments[0][1]), 7 * 300
+    planes = sum(p.nbytes for _, p in mc._segments)
+    chunk = mc._chunk_rows * n_paths
+    counts = n_blocks * n_paths * 8
+    assert peak - after <= (2 * n_planes + 2) * chunk + 2 * counts < planes / 2
 
 
 _MONOTONE = MCTailProvider(*_chain(11), T_max=T_MAX, reps_per_start=REPS, seed=11, starts=STARTS)
@@ -242,6 +271,33 @@ def test_mc_bounds_reproduce_pinned_seeded_values():
     assert (r1.value, r1.ingredients["T"]) == (980.0, 735)
     assert (r2.value, r2.ingredients["T"]) == (801.3333333333333, 601)
     assert (r3.value, r3.ingredients["T"]) == (836.0, 627)
+
+
+def test_cached_counts_stay_bounded_through_both_searches():
+    # Only horizon 0, the simulated horizon and the two latest probes keep
+    # their counts, over every probe of bound_basic and both bound_basic2 runs
+    k, part = pince_nez(8)
+    pi = stationary_distribution(k)
+    masses = part.masses(pi)
+    phis, _, _ = block_mixing_times(k, pi, part, horizon=10**5)
+    phi = [float(p) for p in phis]
+    mc = MCTailProvider(k, part, T_max=1024, reps_per_start=100, seed=5)
+    kappa, probes = mc._kappa, []
+
+    def recorded(T):
+        out = kappa(T)
+        probes.append(T)
+        latest = list(dict.fromkeys(reversed(probes)))[:2]
+        assert set(mc._counts) <= {0, mc.simulated_T, *latest}
+        assert np.array_equal(out, mc._counts[T])
+        return out
+
+    mc._kappa = recorded
+    ones = PeresSousiConstants()
+    bound_basic(phi, mc, 1 / 3, 0.75, [0, 1], ones, block_masses=masses, T_horizon=1024)
+    bound_basic2(phi, masses, mc, 1 / 3, ones, T_horizon=1024)
+    bound_basic2(phi, masses, MinMarginalJointTails(mc), 1 / 3, ones, T_horizon=1024)
+    assert len(set(probes)) > 4
 
 
 # -- the array form of the tail protocol -------------------------------------

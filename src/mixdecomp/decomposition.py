@@ -31,6 +31,7 @@ from .kernel import (
     StochasticKernel,
     hitting_analysis,
     mixing_profile,
+    search_closed_classes,
 )
 
 
@@ -147,18 +148,13 @@ def trace_kernel(
         If ``I - K_BB`` is numerically singular, which signals that
         excursions out of the block need not return.
     """
-    A = partition.members(block)
+    A, B = _block_and_rest(partition, block)
     if A.size == 0:
         raise ValueError(f"block {block} is empty")
-    n = kernel.n_states
-    B = np.setdiff1d(np.arange(n), A)
-    K = kernel.rows
-    KAA = K[np.ix_(A, A)]
+    KAA, KAB = _sub_blocks(kernel, A, A, B)
     if B.size == 0:
         return StochasticKernel(KAA, _sub_labels(kernel, A))
-    KAB = K[np.ix_(A, B)]
-    KBB = K[np.ix_(B, B)]
-    KBA = K[np.ix_(B, A)]
+    KBB, KBA = _sub_blocks(kernel, B, B, A)
     try:
         # the return law and, in the last column, the mean time outside A
         sol = scipy.linalg.solve(np.eye(B.size) - KBB, np.column_stack([KBA, np.ones(B.size)]))
@@ -177,6 +173,24 @@ def trace_kernel(
     rows = np.maximum(rows, 0.0)
     rows = rows / rows.sum(axis=1, keepdims=True)
     return StochasticKernel(rows, _sub_labels(kernel, A))
+
+
+def _block_and_rest(partition: Partition, block: int) -> tuple[np.ndarray, np.ndarray]:
+    """A block's states and the states outside it, both increasing."""
+    inside = partition.block_of == block
+    return np.flatnonzero(inside), np.flatnonzero(~inside)
+
+
+def _sub_blocks(
+    kernel: StochasticKernel, rows: np.ndarray, *cols: np.ndarray
+) -> tuple[np.ndarray, ...]:
+    """The C-contiguous sub-blocks ``K[rows][:, c]`` for each column set c.
+
+    The rows are taken once, and that ``len(rows) x n`` copy is freed on
+    return, before any solve allocates.
+    """
+    taken = kernel.rows.take(rows, axis=0)
+    return tuple(taken.take(c, axis=1) for c in cols)
 
 
 def _forward_error(n: int, h: np.ndarray) -> float:
@@ -247,11 +261,8 @@ def escape_analysis(
     NoExit
         If the block has no transition leaving it.
     """
-    A = partition.members(block)
-    n = kernel.n_states
-    B = np.setdiff1d(np.arange(n), A)
-    K = kernel.rows
-    KII = K[np.ix_(A, A)]
+    A, B = _block_and_rest(partition, block)
+    KII, KIB = _sub_blocks(kernel, A, A, B)
     out_mass = 1.0 - KII.sum(axis=1)
     if B.size == 0 or out_mass.max() <= 1e-14:
         raise NoExit(f"block {block} is closed")
@@ -260,7 +271,6 @@ def escape_analysis(
     except scipy.linalg.LinAlgError as exc:
         raise NoExit(f"block {block}: escape system singular ({exc})") from exc
     # exit-block distribution: first outside state aggregated by block
-    KIB = K[np.ix_(A, B)]
     hit_outside = scipy.linalg.solve(np.eye(A.size) - KII, KIB)  # (|A| x |B|)
     exit_blocks = np.zeros((A.size, partition.n_blocks))
     lab_B = partition.block_of[B]
@@ -292,7 +302,7 @@ def escape_tail_at(
     product such as ``(1 / 49) * 49`` is one step, not zero.
     """
     A = partition.members(block)
-    KII = kernel.rows[np.ix_(A, A)]
+    KII = kernel.rows.take(A, axis=0).take(A, axis=1)
     t = max(float(t), 0.0)
     s = math.floor(t + 4 * math.ulp(t))
     if s == 0:
@@ -319,18 +329,17 @@ def block_mixing_times(
     """Mixing time of every block trace (the per-block time scale phi_i).
 
     Each profile stops at its 1/4 crossing, so it carries only that time.
+    The traces are built first and share one strong-component search.
     """
-    traces = []
+    traces = tuple(trace_kernel(kernel, partition, i) for i in range(partition.n_blocks))
+    search_closed_classes(traces)
     profiles = []
-    for i in range(partition.n_blocks):
-        A = partition.members(i)
-        Ki = trace_kernel(kernel, partition, i)
-        sub = pi.weights[A]
-        traces.append(Ki)
+    for i, Ki in enumerate(traces):
+        sub = pi.weights[partition.members(i)]
         sub_pi = StationaryDistribution(sub / sub.sum())
         profiles.append(mixing_profile(Ki, sub_pi, horizon, epsilons=(0.25,)))
     phis = tuple(p.mixing_time for p in profiles)
-    return phis, tuple(profiles), tuple(traces)
+    return phis, tuple(profiles), traces
 
 
 def decompose(

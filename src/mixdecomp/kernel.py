@@ -8,7 +8,6 @@ exact linear algebra at desk scale.
 
 from __future__ import annotations
 
-import functools
 import hashlib
 from dataclasses import dataclass
 from typing import NamedTuple, Sequence
@@ -67,6 +66,8 @@ class StochasticKernel:
             raise DimensionMismatch("kernel needs at least one state")
         require_dense(n)
         tol = DEFAULT_TOLERANCES
+        if not np.isfinite(rows).all():
+            raise ValueError("transition probabilities must be finite")
         if rows.min(initial=0.0) < -1e-15:
             raise ValueError(f"negative transition probability {rows.min()}")
         err = np.abs(rows.sum(axis=1) - 1.0).max()
@@ -91,19 +92,57 @@ class StochasticKernel:
         labels, _ = self._closed_classes
         return labels.max() == 0
 
-    @functools.cached_property
+    @property
     def _closed_classes(self) -> tuple[np.ndarray, np.ndarray]:
         """Communicating class of every state, and the classes no edge leaves."""
         # the rows are frozen, so the support digraph is searched once
-        support = self.support()
-        _, labels = csgraph.connected_components(
-            csr_matrix(support), directed=True, connection="strong"
-        )
-        leaving = (support & (labels[:, None] != labels[None, :])).any(axis=1)
-        return labels, np.setdiff1d(labels, labels[leaving])
+        if _CLASSES not in vars(self):
+            search_closed_classes([self])
+        return vars(self)[_CLASSES]
 
     def min_diagonal(self) -> float:
         return float(np.diag(self.rows).min())
+
+
+# instance-dict key of a kernel's closed classes, written only by search_closed_classes
+_CLASSES = "_closed_classes_cache"
+
+
+def search_closed_classes(kernels: Sequence[StochasticKernel]) -> None:
+    """Fill the closed-class cache of every kernel with one strong-component search.
+
+    The support digraphs of the kernels not yet searched are laid side by
+    side, state offsets added, as the diagonal blocks of one sparse digraph;
+    no edge joins two blocks, so one ``connected_components`` call finds the
+    communicating classes of all of them.  Each kernel then gets its own
+    states' labels, renumbered ``0 .. c - 1`` in the order of the search's
+    labels, and the sorted labels of its closed classes (the classes no edge
+    leaves).  Irreducibility is one class; a target is reachable from every
+    state when it meets every closed class (:func:`_reachable_from_all`).
+    """
+    todo = [k for k in kernels if _CLASSES not in vars(k)]
+    if not todo:
+        return
+    offsets = np.cumsum([0] + [k.n_states for k in todo])
+    total = int(offsets[-1])
+    edges = [np.nonzero(k.support()) for k in todo]  # row-major: sources ascend
+    src = np.concatenate([r + o for (r, _), o in zip(edges, offsets)])
+    dst = np.concatenate([c + o for (_, c), o in zip(edges, offsets)])
+    indptr = np.searchsorted(src, np.arange(total + 1))
+    graph = csr_matrix((np.ones(src.size, dtype=bool), dst, indptr), shape=(total, total))
+    _, found = csgraph.connected_components(graph, directed=True, connection="strong")
+    # rank the classes by kernel, then by label: each kernel's are consecutive
+    owner = np.repeat(np.arange(len(todo)), np.diff(offsets))
+    keys, ranks = np.unique(owner * total + found, return_inverse=True)
+    first = np.searchsorted(keys // total, np.arange(len(todo) + 1))
+    tail, head = ranks[src], ranks[dst]
+    closed = np.ones(keys.size, dtype=bool)
+    closed[tail[tail != head]] = False
+    labels = ranks - first[owner]
+    labels.setflags(write=False)
+    for j, k in enumerate(todo):
+        cut = slice(offsets[j], offsets[j + 1])
+        vars(k)[_CLASSES] = (labels[cut], np.flatnonzero(closed[first[j] : first[j + 1]]))
 
 
 @dataclass(frozen=True)
@@ -116,6 +155,8 @@ class StationaryDistribution:
         w = np.asarray(self.weights, dtype=float)
         if w.ndim != 1:
             raise DimensionMismatch("stationary weights must be a vector")
+        if not np.isfinite(w).all():
+            raise ValueError("stationary weights must be finite")
         if w.min(initial=0.0) < -1e-15:
             raise ValueError("stationary weights must be nonnegative")
         s = w.sum()
@@ -359,11 +400,13 @@ def hitting_analysis(
         raise DimensionMismatch("target indices out of range")
     if not _reachable_from_all(kernel, A):
         raise UnreachableTarget("target not reachable from every state")
-    B = np.setdiff1d(np.arange(n), A)
+    outside = np.ones(n, dtype=bool)
+    outside[A] = False
+    B = np.flatnonzero(outside)
     expected = np.zeros(n)
     residual = 0.0
     if B.size:
-        KBB = kernel.rows[np.ix_(B, B)]
+        KBB = kernel.rows.take(B, axis=0).take(B, axis=1)
         try:
             h = scipy.linalg.solve(np.eye(B.size) - KBB, np.ones(B.size))
         except scipy.linalg.LinAlgError as exc:  # pragma: no cover

@@ -1,9 +1,11 @@
-"""Shared test helpers: seeded random reversible chains and partitions."""
+"""Shared test helpers: seeded random reversible chains and partitions, and a
+counter of strong-component searches."""
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
+from scipy.sparse import csgraph
 
 from mixdecomp import rng as rngmod
 from mixdecomp.decomposition import Partition
@@ -52,3 +54,17 @@ def random_partition(n: int, gen: np.random.Generator, n_blocks: int | None = No
 @pytest.fixture
 def gen():
     return rngmod.stream(20240817, 0)
+
+
+@pytest.fixture
+def class_searches(monkeypatch):
+    """The ``csgraph.connected_components`` calls made while the test runs."""
+    calls = []
+    search = csgraph.connected_components
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return search(*args, **kwargs)
+
+    monkeypatch.setattr(csgraph, "connected_components", counting)
+    return calls

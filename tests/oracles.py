@@ -7,8 +7,9 @@ distances by the full n x n transportation LP, the bootstrap horizon by
 a nested search that finds a whole covering time at every outer probe, the
 concentration audit by simulating each (orientation, t) run on its own, the
 heavy-set hitting maximum by one solve for every qualifying subset, the
-occupation horizon search by one scalar tail query per (time, member), and
-the exact occupation DP by a step that allocates its products afresh.
+occupation horizon search by one scalar tail query per (time, member), the
+exact occupation DP by a step that allocates its products afresh, and the
+batched closed-class search by one strong-component search per kernel.
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 import scipy.optimize
+from scipy.sparse import csgraph, csr_matrix
 
 from mixdecomp import rng as rngmod
 from mixdecomp.bounds import PeresSousiConstants, _t_grid, least_horizon
@@ -54,6 +56,28 @@ def trace_kernel_dp_oracle(
         if out.sum(axis=1).max() < eps:
             break
     return rows
+
+
+def closed_classes_reference(
+    kernel: StochasticKernel,
+) -> tuple[set[frozenset[int]], set[frozenset[int]]]:
+    """Communicating classes and closed classes of one kernel, as state sets.
+
+    One strong-component search of the kernel's own support digraph; a class
+    is closed when no support edge leaves it.
+    """
+    support = kernel.support()
+    n_classes, labels = csgraph.connected_components(
+        csr_matrix(support), directed=True, connection="strong"
+    )
+    classes, closed = set(), set()
+    for c in range(n_classes):
+        inside = labels == c
+        states = frozenset(np.flatnonzero(inside).tolist())
+        classes.add(states)
+        if not support[inside][:, ~inside].any():
+            closed.add(states)
+    return classes, closed
 
 
 def brute_minimal_heavy_sets(masses: np.ndarray, floor: float) -> list[tuple[int, ...]]:

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import math
 
@@ -29,6 +30,7 @@ from mixdecomp.kernel import (
     StationaryDistribution,
     StochasticKernel,
     check_reversible,
+    hitting_analysis,
     stationary_distribution,
 )
 from mixdecomp.simulate import RowSampler
@@ -423,6 +425,52 @@ def test_block_mixing_times_pinned_and_profiles_stop_at_one_quarter(name):
     for phi, profile in zip(phis, profiles):
         assert profile.epsilon_times == {0.25: phi}
         assert len(profile.distances) == phi + 1
+
+
+def test_block_traces_share_one_class_search(class_searches):
+    tc = torus_metropolis(3, 3, 7.0, k_trace=1)
+    phis, _, traces = block_mixing_times(tc.kernel, tc.pi, tc.partition, horizon=10**6)
+    assert len(traces) == 8 and phis == (21,) * 8
+    assert len(class_searches) == 1
+
+
+def _digest(arrays) -> str:
+    h = hashlib.sha256()
+    for a in arrays:
+        h.update(np.ascontiguousarray(a).tobytes())
+    return h.hexdigest()[:16]
+
+
+# sha256 prefixes of the block solves' float64 bytes, per block in order:
+# trace rows, escape expectations, exit-block laws, hitting times of the block
+_SUB_BLOCK_DIGESTS = {
+    "pince_nez(8)": (
+        lambda: pince_nez(8),
+        ("d6ae5b2825175928", "1ec220c79fd5cb95", "c1c7344024b4f591", "cc3977bf011ed696"),
+    ),
+    "toy_kcip(8, 1)": (
+        lambda: toy_kcip(8, 1),
+        ("9c50ad9cea3e36de", "cec70c7fef394826", "64dd4f493a02aa8c", "6f783e5c3dff8741"),
+    ),
+    "torus_metropolis(3, 3, 7.0, k_trace=1)": (
+        lambda: _kernel_and_partition(torus_metropolis(3, 3, 7.0, k_trace=1)),
+        ("b07ab58ea529f25b", "f7a378dc6b84e44f", "b0331de22878a68b", "dcc4ce40e964ea85"),
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_SUB_BLOCK_DIGESTS))
+def test_block_solves_pinned_byte_for_byte(name):
+    build, pinned = _SUB_BLOCK_DIGESTS[name]
+    k, part = build()
+    blocks = range(part.n_blocks)
+    escapes = [escape_analysis(k, part, i) for i in blocks]
+    assert (
+        _digest(trace_kernel(k, part, i).rows for i in blocks),
+        _digest(e.expected for e in escapes),
+        _digest(e.exit_block_distribution for e in escapes),
+        _digest(hitting_analysis(k, part.members(i)).expected for i in blocks),
+    ) == pinned
 
 
 def test_decompose_report_fields():

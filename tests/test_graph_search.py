@@ -4,7 +4,8 @@ The breadth-first loops below are the reference: they are the hand-written
 searches that ``scipy.sparse.csgraph`` and the closed-class rule of
 ``kernel._reachable_from_all`` replaced, kept here to check that
 reachability and diameters are unchanged on random small digraphs,
-disconnected ones included.
+disconnected ones included.  The batched closed-class search is checked
+against one search per kernel (``oracles.closed_classes_reference``).
 """
 
 import itertools
@@ -17,8 +18,9 @@ from hypothesis import strategies as st
 
 from mixdecomp.bounds import _directed_diameter, least_horizon
 from mixdecomp.errors import NotTreeWalk
-from mixdecomp.kernel import StochasticKernel, _reachable_from_all
+from mixdecomp.kernel import StochasticKernel, _reachable_from_all, search_closed_classes
 from mixdecomp.wellcovering import tree_bound
+from oracles import closed_classes_reference
 
 SETTINGS = settings(max_examples=200, deadline=None)
 
@@ -126,6 +128,47 @@ def test_reachability_matches_bfs(adj, data):
     kernel = StochasticKernel(rows / rows.sum(axis=1, keepdims=True))
     target = np.unique(data.draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=n)))
     assert _reachable_from_all(kernel, target) == _reference_reachable_from_all(kernel, target)
+
+
+def _support_kernel(adj: np.ndarray, loops: np.ndarray) -> StochasticKernel:
+    rows = adj.astype(float)
+    rows[np.diag_indices_from(rows)] = loops | ~adj.any(axis=1)  # no empty row
+    return StochasticKernel(rows / rows.sum(axis=1, keepdims=True))
+
+
+@st.composite
+def support_kernels(draw):
+    adj = draw(digraphs())
+    loops = np.array(draw(st.lists(st.booleans(), min_size=len(adj), max_size=len(adj))))
+    return _support_kernel(adj, loops)
+
+
+_CYCLE = np.roll(np.eye(3, dtype=bool), 1, axis=1)  # irreducible, no self-loops
+_TWO_CLOSED = np.zeros((5, 5), dtype=bool)  # {0, 1} and {3, 4} closed, 2 transient
+_TWO_CLOSED[[0, 1, 2, 2, 3, 4], [1, 0, 1, 3, 4, 3]] = True
+
+
+@SETTINGS
+@given(kernels=st.lists(support_kernels(), min_size=1, max_size=5))
+@example(
+    kernels=[
+        _support_kernel(_CYCLE, np.zeros(3, dtype=bool)),
+        _support_kernel(_TWO_CLOSED, np.ones(5, dtype=bool)),
+        StochasticKernel([[1.0]]),
+    ]
+)
+def test_batched_class_search_matches_per_kernel_search(kernels):
+    search_closed_classes(kernels)
+    for k in kernels:
+        labels, closed = k._closed_classes
+        classes, closed_ref = closed_classes_reference(k)
+        # labels run over 0 .. c - 1, and the closed ones are listed increasing
+        assert sorted(set(labels.tolist())) == list(range(len(classes)))
+        members = [frozenset(np.flatnonzero(labels == c).tolist()) for c in range(len(classes))]
+        assert set(members) == classes
+        assert {members[c] for c in closed} == closed_ref
+        assert closed.tolist() == sorted(set(closed.tolist()))
+        assert k.is_irreducible() == (len(classes) == 1)
 
 
 @SETTINGS

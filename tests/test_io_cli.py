@@ -48,6 +48,13 @@ def test_kernel_file_labels(tmp_path):
     assert k.labels == ("a", "b")
 
 
+def test_kernel_file_with_nan_rejected(tmp_path):
+    path = tmp_path / "nan.txt"
+    path.write_text("2\n0 1 nan\n1 0 0.5\n")
+    with pytest.raises(ValueError, match="finite"):
+        load_kernel(path)
+
+
 def test_kernel_file_over_dense_cap_rejected_before_allocation(tmp_path):
     path = tmp_path / "big.txt"
     path.write_text("5001\n0 1 0.5\n")

@@ -1,6 +1,5 @@
 import numpy as np
 import pytest
-from scipy.sparse import csgraph
 
 from conftest import random_partition, random_reversible_kernel
 from mixdecomp import rng as rngmod
@@ -20,6 +19,7 @@ from mixdecomp.kernel import (
     lazify,
     mixing_profile,
     relaxation_time,
+    search_closed_classes,
     stationary_distribution,
     time_reversal,
 )
@@ -35,21 +35,17 @@ def test_kernel_validation():
         StochasticKernel([[1.0, 0.0]])
     k = StochasticKernel([[1.0]])
     assert k.n_states == 1 and k.is_irreducible()
+    with pytest.raises(ValueError, match="finite"):
+        StochasticKernel([[np.nan, 1.0], [0.5, 0.5]])
+    with pytest.raises(ValueError, match="finite"):
+        StationaryDistribution([np.nan, 1.0])
 
 
-def test_irreducibility_searched_once_per_kernel(monkeypatch):
-    calls = []
-    search = csgraph.connected_components
-
-    def counting(*args, **kwargs):
-        calls.append(1)
-        return search(*args, **kwargs)
-
-    monkeypatch.setattr(csgraph, "connected_components", counting)
+def test_irreducibility_searched_once_per_kernel(class_searches):
     k = StochasticKernel(K3.rows)
     reducible = StochasticKernel([[1.0, 0.0], [0.5, 0.5]])
     assert k.is_irreducible() and not reducible.is_irreducible()
-    assert len(calls) == 2
+    assert len(class_searches) == 2
     stationary_distribution(k)
     assert k.is_irreducible() and not reducible.is_irreducible()
     # the reachability check of every hitting analysis reuses the same search
@@ -58,7 +54,23 @@ def test_irreducibility_searched_once_per_kernel(monkeypatch):
     hitting_analysis(reducible, [0])
     with pytest.raises(UnreachableTarget):
         hitting_analysis(reducible, [1])
-    assert len(calls) == 2
+    assert len(class_searches) == 2
+
+
+def test_batch_filled_classes_are_not_searched_again(class_searches):
+    k = StochasticKernel(K3.rows)
+    reducible = StochasticKernel([[1.0, 0.0], [0.5, 0.5]])
+    single = StochasticKernel([[1.0]])
+    search_closed_classes([k, reducible, single])
+    assert len(class_searches) == 1
+    search_closed_classes([single, k])
+    mixing_profile(k, stationary_distribution(k), 50)
+    hitting_analysis(k, [0], horizon=5)
+    hitting_analysis(reducible, [0])
+    with pytest.raises(UnreachableTarget):
+        hitting_analysis(reducible, [1])
+    assert k.is_irreducible() and not reducible.is_irreducible() and single.is_irreducible()
+    assert len(class_searches) == 1
 
 
 def test_stationary_symmetric_two_state():

@@ -20,6 +20,7 @@ import numpy as np
 from . import io as iomod
 from .bounds import PeresSousiConstants, occupation_bounds
 from .chains import ChainSpec, generate
+from .config import DEFAULT_TOLERANCES
 from .decomposition import Partition, decompose
 from .errors import AssertionFailed, ConfigInvalid
 from .kernel import (
@@ -244,7 +245,7 @@ def _task_analyze(kernel, pi, partition, cfg, dec) -> dict:
             pb = partition.masses(pi)
             flux = pb[:, None] * dec.projected.rows
             proj_resid = float(np.abs(flux - flux.T).max())
-            if proj_resid > 1e-9:
+            if proj_resid > DEFAULT_TOLERANCES.detailed_balance:
                 raise AssertionFailed("projected-reversibility", f"residual {proj_resid:.3e}")
         out["decomposition"] = {
             "blocks": int(partition.n_blocks),

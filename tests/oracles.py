@@ -8,8 +8,10 @@ a nested search that finds a whole covering time at every outer probe, the
 concentration audit by simulating each (orientation, t) run on its own, the
 heavy-set hitting maximum by one solve for every qualifying subset, the
 occupation horizon search by one scalar tail query per (time, member), the
-exact occupation DP by a step that allocates its products afresh, and the
-batched closed-class search by one strong-component search per kernel.
+exact occupation DP by a step that allocates its products afresh, the
+batched closed-class search by one strong-component search per kernel, and
+the covering oracle's cut test by an interval-transportation LP per grid
+point.
 """
 
 from __future__ import annotations
@@ -28,7 +30,7 @@ from mixdecomp.decomposition import Partition, projected_kernel, qualifying_subs
 from mixdecomp.errors import HorizonCap, ProductSpaceTooLarge
 from mixdecomp.kernel import StationaryDistribution, StochasticKernel, hitting_analysis
 from mixdecomp.simulate import RowSampler, exact_occupation_tail, wilson_interval
-from mixdecomp.wellcovering import AuditRow
+from mixdecomp.wellcovering import AuditRow, OracleOutcome, WellCoveringQuery, _kappa_grid
 
 
 def trace_kernel_dp_oracle(
@@ -220,6 +222,65 @@ def full_transport_lp(mu: np.ndarray, nu: np.ndarray, d: np.ndarray) -> float:
     )
     assert res.status == 0, res.message
     return float(res.fun)
+
+
+def interval_transport_feasible(kappa: np.ndarray, Q: np.ndarray, B: float, T: float) -> bool:
+    """Is there an N matrix compatible with kappa at horizon T? (HiGHS LP)
+
+    Cheap necessary conditions with 1e-15 slacks first, then the
+    interval-transportation LP over the n^2 entries of N: each within its
+    plausibility bounds, each row and column sum within ``kappa -+ 1/T``,
+    all summing to 1.
+    """
+    n = kappa.size
+    r = B * np.sqrt(kappa) / math.sqrt(T)  # radius indexed by the first block
+    a = kappa[:, None] * Q
+    b = kappa[None, :] * Q.T
+    lo = np.maximum(np.maximum(a, b) - r[:, None], 0.0)
+    hi = np.minimum(np.minimum(a, b) + r[:, None], 1.0)
+    if (lo > hi + 1e-15).any():
+        return False
+    slack = 1.0 / T
+    row_lo, row_hi = kappa - slack, kappa + slack
+    if (lo.sum(axis=1) > row_hi + 1e-15).any() or (hi.sum(axis=1) < row_lo - 1e-15).any():
+        return False
+    if (lo.sum(axis=0) > row_hi + 1e-15).any() or (hi.sum(axis=0) < row_lo - 1e-15).any():
+        return False
+    if lo.sum() > 1.0 + 1e-15 or hi.sum() < 1.0 - 1e-15:
+        return False
+    # (4n, n^2) rows bounding each row sum, then each column sum, of N
+    eye = np.eye(n)
+    rows, cols = np.repeat(eye, n, axis=1), np.tile(eye, n)
+    A = np.empty((4 * n, n * n))
+    A[0 : 2 * n : 2], A[1 : 2 * n : 2] = rows, -rows
+    A[2 * n :: 2], A[2 * n + 1 :: 2] = cols, -cols
+    res = scipy.optimize.linprog(
+        c=np.zeros(n * n),
+        A_ub=A,
+        b_ub=np.tile(np.stack([row_hi, -row_lo], axis=1).ravel(), 2),
+        A_eq=np.ones((1, n * n)),
+        b_eq=np.array([1.0]),
+        bounds=np.stack([lo.ravel(), hi.ravel()], axis=1),
+        method="highs",
+    )
+    return res.status == 0
+
+
+def feasibility_oracle_reference(
+    query: WellCoveringQuery, T: int, grid_resolution: int = 64, max_witnesses: int = 4
+) -> OracleOutcome:
+    """``feasibility_oracle`` by one :func:`interval_transport_feasible` call per grid point."""
+    tolerance = 2.0 / grid_resolution
+    if T <= query.thresholds.max():
+        return OracleOutcome(False, (), tolerance, T)
+    grid = _kappa_grid(query.n, grid_resolution)
+    witnesses = []
+    for kappa in grid[(grid <= query.thresholds / T + 1e-15).any(axis=1)]:
+        if interval_transport_feasible(kappa, query.q.rows, query.B, T):
+            witnesses.append(tuple(np.round(kappa, 9)))
+            if len(witnesses) >= max_witnesses:
+                break
+    return OracleOutcome(not witnesses, tuple(witnesses), tolerance, T)
 
 
 def nested_bootstrap_horizon(

@@ -6,6 +6,7 @@ only on its arguments.  No
 module raises ``RuntimeError`` or ``AssertionError`` or uses an ``assert``
 statement: a broken invariant raises the typed ``AssertionFailed``, which
 the CLI turns into exit code 2, and ``python -O`` would skip an ``assert``.
+Only ``contraction`` imports ``scipy.optimize``, for its transport LP.
 No linter runs on this repository, so the checks are made here with the
 standard library's ``ast``.  The unused-import check skips ``__init__.py``:
 its imports are the package's public re-exports.
@@ -119,6 +120,38 @@ def test_no_untyped_invariant_failures():
         if (sites := _untyped_failures(path.read_text()))
     }
     assert not found, f"untyped invariant failures: {found}"
+
+
+def _optimize_imports(source: str) -> list[str]:
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.module:
+            names = [f"{node.module}.{alias.name}" for alias in node.names]
+        else:
+            continue
+        if any(f"{name}.".startswith("scipy.optimize.") for name in names):
+            found.append(f"line {node.lineno}")
+    return found
+
+
+def test_optimize_import_check_sees_each_form():
+    source = (
+        "import scipy.optimize\nfrom scipy import optimize, sparse\n"
+        "from scipy.optimize import linprog\nimport scipy\nfrom scipy.sparse import csgraph\n"
+        "from .optimizer import x\n"
+    )
+    assert _optimize_imports(source) == ["line 1", "line 2", "line 3"]
+
+
+def test_only_contraction_imports_scipy_optimize():
+    found = {
+        path.name: sites
+        for path in sorted(PACKAGE.glob("*.py"))
+        if path.name != "contraction.py" and (sites := _optimize_imports(path.read_text()))
+    }
+    assert not found, f"scipy.optimize imported outside contraction.py: {found}"
 
 
 def _traced_targets() -> dict:

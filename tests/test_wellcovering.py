@@ -32,7 +32,12 @@ from mixdecomp.wellcovering import (
     propagation_covers,
     tree_bound,
 )
-from oracles import nested_bootstrap_horizon, sequential_concentration_audit
+from oracles import (
+    feasibility_oracle_reference,
+    interval_transport_feasible,
+    nested_bootstrap_horizon,
+    sequential_concentration_audit,
+)
 
 Q2 = StochasticKernel([[0.5, 0.5], [0.5, 0.5]])
 Q3_PATH = StochasticKernel([[0.75, 0.25, 0.0], [0.25, 0.5, 0.25], [0.0, 0.25, 0.75]])
@@ -253,6 +258,68 @@ def test_oracle_threshold_guard():
         out = feasibility_oracle(q, T)
         assert not out.covered and out.witnesses == () and out.T == T
     assert oracle_wc_time(q).value > 9.5
+
+
+@pytest.mark.parametrize(
+    "thresholds, B",
+    [([np.nan, np.nan], 1.0), ([np.inf, 1.0], 1.0), ([1.0, 1.0], np.nan), ([1.0, 1.0], np.inf)],
+)
+def test_query_rejects_non_finite(thresholds, B):
+    # NaN fails every comparison: NaN thresholds passed the sign check, and
+    # the oracle then kept no grid point and called every horizon covered
+    with pytest.raises(ValueError, match="finite"):
+        WellCoveringQuery(Q2, np.array(thresholds), B)
+
+
+@st.composite
+def _oracle_case(draw):
+    """A 1-3 block query and a horizon T; the first share may be a grid point
+    up to rounding."""
+    n = draw(st.integers(1, 3))
+    gen = rngmod.stream(draw(st.integers(0, 2**31)), 0)
+    q = random_reversible_kernel(n, gen)
+    T = int(2 ** draw(st.floats(1.0, 20.0)))
+    shares = draw(st.lists(st.floats(0.0, 0.6), min_size=n, max_size=n))
+    if draw(st.booleans()):
+        k = draw(st.integers(1, 63))
+        shares[0] = k / 64 * (1.0 - draw(st.sampled_from([0, 1, 2, 16])) * 2.0**-52)
+    query = WellCoveringQuery(q, np.asarray(shares) * T, draw(st.floats(0.1, 3.0)))
+    return query, T, gen
+
+
+@settings(max_examples=40, deadline=None)
+@given(case=_oracle_case())
+def test_cut_test_matches_lp_reference(case):
+    # Hoffman's cut test and the HiGHS interval-transportation LP decide
+    # every grid point alike, so the oracle's outcome, witnesses included,
+    # is the reference's
+    query, T, gen = case
+    grid = wellcovering._kappa_grid(query.n, 64)
+    points = grid[np.sort(gen.choice(len(grid), size=min(len(grid), 65), replace=False))]
+    Q = query.q.rows
+    decided = wellcovering._plausible(points, Q, query.B, T)
+    assert decided.tolist() == [interval_transport_feasible(k, Q, query.B, T) for k in points]
+    assert feasibility_oracle(query, T) == feasibility_oracle_reference(query, T)
+
+
+def test_oracle_keeps_a_share_on_a_grid_point_up_to_rounding():
+    # the calibrated table's threshold 443.99999999999915 at T = 28,416 puts
+    # the share a few ulps below the grid point 1/64; the grid filter keeps it
+    q = WellCoveringQuery(
+        StochasticKernel([[0.99, 0.01], [0.01, 0.99]]), np.full(2, 443.99999999999915), 68.4
+    )
+    out = feasibility_oracle(q, 28416)
+    assert out.witnesses == ((1 / 64, 63 / 64), (63 / 64, 1 / 64))
+    assert out == feasibility_oracle_reference(q, 28416)
+
+
+def test_cut_test_rejects_points_only_the_lp_rejects():
+    # the reference's LP, not its row, column and total checks, rules these
+    # points out: a cut holding rows and columns together
+    q = random_reversible_kernel(3, rngmod.stream(0, 0))
+    points = np.array([[2, 6, 56], [2, 57, 5], [2, 58, 4], [3, 57, 4], [56, 5, 3]]) / 64
+    assert not wellcovering._plausible(points, q.rows, 2.0, 10).any()
+    assert not any(interval_transport_feasible(k, q.rows, 2.0, 10) for k in points)
 
 
 @st.composite

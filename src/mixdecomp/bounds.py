@@ -71,8 +71,8 @@ class PeresSousiConstants:
     calibrated: bool = False
 
     def __post_init__(self):
-        if self.c_alpha <= 0 or self.c_alpha_prime <= 0:
-            raise ValueError("constants must be positive")
+        if not (0 < self.c_alpha < math.inf and 0 < self.c_alpha_prime < math.inf):
+            raise ValueError("constants must be finite and positive")
 
 
 @dataclass

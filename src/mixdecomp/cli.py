@@ -130,7 +130,10 @@ def main(argv=None) -> int:
         tasks = args.command
         extra = None
         if args.command == "audit":
-            i, j = (int(x) for x in args.blocks.split(","))
+            try:
+                i, j = (int(x) for x in args.blocks.split(","))
+            except ValueError as exc:
+                raise ConfigInvalid(f"--blocks must be two block indices i,j, not {args.blocks!r}") from exc
             extra = {"audit": {"i": str(i), "j": str(j), "reps": str(args.reps)}}
         cfg = _common_config(args, tasks, extra)
         run_experiment(cfg)

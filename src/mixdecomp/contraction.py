@@ -23,12 +23,12 @@ import scipy.optimize
 
 from . import rng as rngmod
 from .decomposition import Partition, escape_analysis, escape_tail_at
-from .errors import AssertionFailed, DimensionMismatch
+from .errors import AssertionFailed, DimensionMismatch, TooLarge
 from .kernel import StochasticKernel
 
 
 # Largest level of integer 1-Lipschitz functions listed while building a
-# metric's dual vertex table; above it ``wasserstein`` solves transport LPs.
+# metric's dual vertex table; above it the table raises ``TooLarge``.
 MAX_LIPSCHITZ_POINTS = 1 << 18
 
 # Entries of one ``(pairs x vertices)`` product block in ``wasserstein``.
@@ -37,24 +37,25 @@ _PRODUCT_ENTRIES = 1 << 22
 
 @dataclass(frozen=True)
 class BlockMetric:
-    """A metric on block indices with unit-floor off-diagonal distances."""
+    """A metric on block indices with integer off-diagonal distances >= 1."""
 
     d: np.ndarray
 
     def __post_init__(self):
         d = np.asarray(self.d, dtype=float)
-        n = d.shape[0]
-        if d.ndim != 2 or d.shape[1] != n:
+        if d.ndim != 2 or d.shape[0] != d.shape[1]:
             raise DimensionMismatch("metric must be a square matrix")
-        if np.abs(np.diag(d)).max(initial=0.0) > 0:
+        n = d.shape[0]
+        if not (np.isfinite(d).all() and np.array_equal(d, np.round(d))):
+            raise ValueError("metric distances must be finite integers")
+        if np.diag(d).any():
             raise ValueError("metric diagonal must be zero")
-        if not np.allclose(d, d.T, atol=1e-12):
+        if not np.array_equal(d, d.T):
             raise ValueError("metric must be symmetric")
-        off = d[~np.eye(n, dtype=bool)]
-        if n > 1 and (off < 1.0 - 1e-12).any():
+        if (d[~np.eye(n, dtype=bool)] < 1).any():
             raise ValueError("off-diagonal distances must be at least 1")
         for k in range(n):  # triangle inequality
-            if (d > d[:, [k]] + d[[k], :] + 1e-9).any():
+            if (d > d[:, [k]] + d[[k], :]).any():
                 raise ValueError("triangle inequality fails")
         d = d.copy()
         d.setflags(write=False)
@@ -71,33 +72,33 @@ class BlockMetric:
         return float(self.d[~np.eye(self.n, dtype=bool)].max())
 
     @cached_property
-    def lipschitz_vertices(self) -> np.ndarray | None:
+    def lipschitz_vertices(self) -> np.ndarray:
         """Vertices of ``{f : f_0 = 0, f_i - f_j <= d_ij}``, one per row.
 
-        Built only for an integral metric: its difference constraints form a
-        network matrix, so every vertex is an integer point.  The integer
-        1-Lipschitz functions are listed coordinate by coordinate (each
-        partial function extends, so no level dead-ends), and a point is a
-        vertex exactly when its tight pairs ``|f_i - f_j| = d_ij`` connect
-        all points.  None for a non-integral metric or when a level would
-        exceed ``MAX_LIPSCHITZ_POINTS`` (checked before it is allocated).
+        The difference constraints of an integral metric form a network
+        matrix, so every vertex is an integer point.  The integer 1-Lipschitz
+        functions are listed coordinate by coordinate (each partial function
+        extends, so no level dead-ends), and a point is a vertex exactly when
+        its tight pairs ``|f_i - f_j| = d_ij`` connect all points.  A level
+        over ``MAX_LIPSCHITZ_POINTS`` raises ``TooLarge`` before it is
+        allocated.
         """
-        if not np.array_equal(self.d, np.round(self.d)):
-            return None
-        d = self.d.astype(np.int64)
-        f = np.zeros((1, 1), dtype=np.int64)
+        d = self.d
+        f = np.zeros((1, 1))
         for k in range(1, self.n):
             lo = (f - d[:k, k]).max(axis=1)
             counts = (f + d[:k, k]).min(axis=1) - lo + 1
-            size = int(counts.sum())
+            size = counts.sum()
             if size > MAX_LIPSCHITZ_POINTS:
-                return None
+                raise TooLarge(f"vertex table level {k} holds {size:.4g} > {MAX_LIPSCHITZ_POINTS} points")
+            counts = counts.astype(np.intp)
             parent = np.repeat(np.arange(f.shape[0]), counts)
-            offset = np.arange(size) - np.repeat(np.cumsum(counts) - counts, counts)
+            offset = np.arange(int(size)) - np.repeat(np.cumsum(counts) - counts, counts)
             f = np.column_stack([f[parent], lo[parent] + offset])
         # Tight pairs as bitmasks, then breadth-first search from point 0 on
         # bitmasks.  Every 0/1 function is 1-Lipschitz, so within the budget
-        # n - 1 <= 18 and a mask fits an int64.
+        # n - 1 <= 18 and a mask fits an int64.  Level k lists the d_0k + 1
+        # functions min(v, d_0.), so d_max <= 2 MAX_LIPSCHITZ_POINTS here.
         bits = 1 << np.arange(self.n, dtype=np.int64)
         small = np.min_scalar_type(-int(d.max()) - 1)  # holds every |f_i - f_j| <= d_max
         d_small = d.astype(small)
@@ -115,7 +116,7 @@ class BlockMetric:
                     break
                 reach = grown
             keep[s : s + chunk] = reach == bits.sum()
-        vertices = f[keep].astype(float)
+        vertices = f[keep]
         vertices.setflags(write=False)
         return vertices
 
@@ -224,11 +225,9 @@ def wasserstein(mu: np.ndarray, nu: np.ndarray, metric: BlockMetric) -> float | 
     stacked ``(k, n)`` rows of them; a batch returns the ``(k,)`` distances.
     By Kantorovich-Rubinstein duality ``W(mu, nu)`` is the largest
     ``f . (mu - nu)`` over 1-Lipschitz f with ``f(0) = 0``, attained at a
-    vertex of that polytope.  When the metric has a vertex table
-    (:attr:`BlockMetric.lipschitz_vertices`: integral distances, table
-    within its budget) every row is one product with the table and a row
-    max.  Other metrics solve the transportation LP with the HiGHS simplex,
-    one pair at a time.
+    vertex of that polytope, so every row is one product with the metric's
+    vertex table (:attr:`BlockMetric.lipschitz_vertices`) and a row max.
+    A metric whose table exceeds its budget raises ``TooLarge``.
     """
     mu = np.asarray(mu, dtype=float)
     nu = np.asarray(nu, dtype=float)
@@ -236,51 +235,24 @@ def wasserstein(mu: np.ndarray, nu: np.ndarray, metric: BlockMetric) -> float | 
     if mu.shape != nu.shape or mu.ndim not in (1, 2) or mu.shape[-1] != n:
         raise DimensionMismatch("distributions must live on the metric's points")
     mus, nus = np.atleast_2d(mu), np.atleast_2d(nu)
-    if (np.abs(mus.sum(axis=1) - 1.0) > 1e-9).any() or (np.abs(nus.sum(axis=1) - 1.0) > 1e-9).any():
-        raise ValueError("inputs must be probability vectors")
-    diff = mus - nus
-    moved = np.abs(diff).max(axis=1, initial=0.0) >= 1e-15
-    w = np.zeros(diff.shape[0])
+    for p in (mus, nus):  # a NaN fails both comparisons, an inf the row sum
+        if not ((p >= -1e-9).all() and (np.abs(p.sum(axis=1) - 1.0) <= 1e-9).all()):
+            raise ValueError("inputs must be probability vectors")
     vertices = metric.lipschitz_vertices
-    if vertices is None:
-        for k in np.nonzero(moved)[0]:
-            w[k] = _transport_lp(mus[k], nus[k], metric.d)
-    else:
-        # einsum's own loops, not BLAS: each row is summed in one fixed order
-        # whatever the batch size, so a pair's W does not depend on its batch
-        rows = max(1, _PRODUCT_ENTRIES // vertices.shape[0])
-        for s in range(0, diff.shape[0], rows):
-            w[s : s + rows] = np.einsum("kn,vn->kv", diff[s : s + rows], vertices).max(axis=1)
-        w[~moved] = 0.0
+    diff = mus - nus
+    w = np.zeros(diff.shape[0])
+    # einsum's own loops, not BLAS: each row is summed in one fixed order
+    # whatever the batch size, so a pair's W does not depend on its batch
+    rows = max(1, _PRODUCT_ENTRIES // vertices.shape[0])
+    for s in range(0, diff.shape[0], rows):
+        w[s : s + rows] = np.einsum("kn,vn->kv", diff[s : s + rows], vertices).max(axis=1)
+    w[np.abs(diff).max(axis=1, initial=0.0) < 1e-15] = 0.0
     return float(w[0]) if mu.ndim == 1 else w
 
 
 # HiGHS' tightest feasibility tolerances (smaller values are rejected as
 # invalid and replaced by the 1e-7 defaults, which leave errors of 1e-7 in W).
 _HIGHS_OPTIONS = {"primal_feasibility_tolerance": 1e-10, "dual_feasibility_tolerance": 1e-10}
-
-
-def _transport_lp(mu: np.ndarray, nu: np.ndarray, d: np.ndarray) -> float:
-    """Transportation LP over the union support, solved with HiGHS."""
-    supp = np.nonzero((mu > 0) | (nu > 0))[0]
-    m = supp.size
-    cost = d[np.ix_(supp, supp)]
-    A_eq = np.zeros((2 * m, m * m))
-    b_eq = np.concatenate([mu[supp], nu[supp]])
-    for k in range(m):
-        row = np.zeros((m, m))
-        row[k, :] = 1.0
-        A_eq[k] = row.ravel()
-        col = np.zeros((m, m))
-        col[:, k] = 1.0
-        A_eq[m + k] = col.ravel()
-    res = scipy.optimize.linprog(
-        c=cost.ravel(), A_eq=A_eq[:-1], b_eq=b_eq[:-1], bounds=(0, None), method="highs",
-        options=_HIGHS_OPTIONS,
-    )
-    if res.status != 0:  # pragma: no cover - transportation LP is always feasible
-        raise AssertionFailed("transport-lp-solved", f"HiGHS status {res.status}: {res.message}")
-    return float(res.fun)
 
 
 def wasserstein_dual(mu: np.ndarray, nu: np.ndarray, metric: BlockMetric) -> float:

@@ -32,7 +32,7 @@ from .kernel import (
     stationary_distribution,
 )
 from .suites import SUITE_NAMES, run_suite
-from .wellcovering import concentration_audit
+from .wellcovering import MIN_AUDIT_REPS, concentration_audit
 
 SCHEMA_VERSION = 1
 TASK_NAMES = ("analyze", "bounds", "audit", "reproduce")
@@ -80,6 +80,20 @@ class ExperimentConfig:
         for t in tasks:
             if t not in TASK_NAMES:
                 raise ConfigInvalid(f"unknown task {t!r}; choose from {TASK_NAMES}")
+        try:
+            cfg = cls._parse(sections, run, tasks)
+        except ValueError as exc:  # a malformed number, family or constant
+            raise ConfigInvalid(str(exc)) from exc
+        if cfg.fmt not in ("json", "csv"):
+            raise ConfigInvalid(f"unknown format {cfg.fmt!r}")
+        if "reproduce" in tasks and (cfg.suite not in SUITE_NAMES):
+            raise ConfigInvalid(f"run.suite must be one of {SUITE_NAMES}")
+        if "audit" in tasks and cfg.audit_reps < MIN_AUDIT_REPS:
+            raise ConfigInvalid(f"audit.reps must be at least {MIN_AUDIT_REPS}")
+        return cfg
+
+    @classmethod
+    def _parse(cls, sections: dict, run: dict, tasks: list[str]) -> "ExperimentConfig":
         chain = None
         kernel_path = partition_path = None
         if "chain" in sections:
@@ -109,7 +123,7 @@ class ExperimentConfig:
         )
         audit = sections.get("audit", {})
         out = Path(run.get("output_dir", "."))
-        cfg = cls(
+        return cls(
             chain=chain,
             kernel_path=kernel_path,
             partition_path=partition_path,
@@ -123,16 +137,16 @@ class ExperimentConfig:
             horizon=int(run.get("horizon", 1 << 22)),
             fmt=run.get("format", "json"),
         )
-        if cfg.fmt not in ("json", "csv"):
-            raise ConfigInvalid(f"unknown format {cfg.fmt!r}")
-        if "reproduce" in tasks and (cfg.suite not in SUITE_NAMES):
-            raise ConfigInvalid(f"run.suite must be one of {SUITE_NAMES}")
-        return cfg
 
 
 def _load_instance(cfg: ExperimentConfig) -> tuple[StochasticKernel, Partition]:
     if cfg.chain is not None:
-        made = generate(cfg.chain)
+        try:
+            made = generate(cfg.chain)
+        except KeyError as exc:
+            raise ConfigInvalid(f"chain {cfg.chain.family!r} needs parameter {exc}") from exc
+        except ValueError as exc:
+            raise ConfigInvalid(f"chain {cfg.chain.family!r}: {exc}") from exc
         if isinstance(made, tuple):
             return made[0], made[1]
         # generator-specific result objects; samplers carry no kernel
@@ -291,6 +305,8 @@ def _task_bounds(kernel, pi, partition, cfg, dec) -> dict:
 
 def _task_audit(kernel, pi, partition, cfg, dec) -> dict:
     i, j = cfg.audit_blocks
+    if not (0 <= i < partition.n_blocks and 0 <= j < partition.n_blocks):
+        raise ConfigInvalid(f"audit blocks {i}, {j} outside 0..{partition.n_blocks - 1}")
     phi_max = float(max(p for p in dec.block_mixing_times if p is not None))
     rows = concentration_audit(
         kernel,

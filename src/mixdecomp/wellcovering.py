@@ -548,6 +548,10 @@ class AuditRow:
         return self.wilson_hi <= self.bound or self.bound >= 1.0
 
 
+# Fewest replicas per (orientation, t) run of a concentration audit.
+MIN_AUDIT_REPS = 1000
+
+
 def concentration_audit(
     kernel: StochasticKernel,
     pi: StationaryDistribution,
@@ -581,8 +585,8 @@ def concentration_audit(
         If a run's replicas do not all finish within its step cap; the
         first such run in (orientation, t) order is named.
     """
-    if reps < 1000:
-        raise ValueError("need reps >= 1000 for a meaningful audit")
+    if reps < MIN_AUDIT_REPS:
+        raise ValueError(f"need reps >= {MIN_AUDIT_REPS} for a meaningful audit")
     proj = projected_kernel(kernel, pi, partition)
     orientations = (("ij", i, proj.rows[i, j]), ("ji", j, proj.rows[j, i]))
     runs = [

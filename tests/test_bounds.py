@@ -59,8 +59,11 @@ class DictTails:
 
 
 def test_constants_validate():
-    with pytest.raises(ValueError):
-        PeresSousiConstants(c_alpha=-1.0)
+    for bad in (-1.0, 0.0, float("nan"), float("inf")):
+        with pytest.raises(ValueError):
+            PeresSousiConstants(c_alpha=bad)
+        with pytest.raises(ValueError):
+            PeresSousiConstants(c_alpha_prime=bad)
     assert not ONES.calibrated
 
 

@@ -17,7 +17,7 @@ from mixdecomp.contraction import (
     wasserstein_dual,
 )
 from mixdecomp.decomposition import Partition
-from mixdecomp.errors import DimensionMismatch
+from mixdecomp.errors import DimensionMismatch, TooLarge
 from mixdecomp.kernel import StochasticKernel, stationary_distribution
 from mixdecomp.simulate import RowSampler
 from oracles import full_transport_lp
@@ -26,12 +26,17 @@ K3 = StochasticKernel([[0.5, 0.5, 0.0], [0.25, 0.5, 0.25], [0.0, 0.5, 0.5]])
 
 
 def test_metric_validation():
+    for shape in [(), (3,), (2, 3)]:
+        with pytest.raises(DimensionMismatch):
+            BlockMetric(np.zeros(shape))
     with pytest.raises(ValueError):
         BlockMetric(np.array([[0.0, 0.5], [0.5, 0.0]]))  # below unit floor
     with pytest.raises(ValueError):
         BlockMetric(np.array([[0.0, 1.0], [2.0, 0.0]]))  # asymmetric
     with pytest.raises(ValueError):
         BlockMetric(np.array([[0.0, 1.0, 5.0], [1.0, 0.0, 1.0], [5.0, 1.0, 0.0]]))  # triangle
+    with pytest.raises(ValueError):
+        BlockMetric(np.array([[0.0, 1.0, 2.0], [1.0, 0.0, 1.0], [2.0, 1.0, 0.0]]) + 1e-12)
     m = BlockMetric.path(4)
     assert m.d_max == 3.0
     h = BlockMetric.hamming_on_bitmasks(3)
@@ -53,8 +58,7 @@ def test_wasserstein_basics():
 def test_wasserstein_metric_axioms_and_duality(seed):
     gen = rngmod.stream(1100 + seed, 0)
     n = int(gen.integers(2, 6))
-    d = np.ones((n, n)) + gen.random((n, n)) * 2
-    d = np.triu(d, 1)
+    d = np.triu(gen.integers(1, 4, size=(n, n)).astype(float), 1)
     d = d + d.T
     # enforce the triangle inequality by shortest-path closure
     for k in range(n):
@@ -96,13 +100,11 @@ def _integral_metric_case(draw):
 @given(_integral_metric_case())
 def test_vertex_dual_matches_transport_lps(case):
     metric, mus, nus = case
-    # distances of at most 3 keep every level within 4 * 4^k points
-    assert metric.lipschitz_vertices is not None
     ws = wasserstein(mus, nus, metric)
     assert ws.shape == (mus.shape[0],)
     for w, mu, nu in zip(ws, mus, nus):
         assert w == pytest.approx(wasserstein_dual(mu, nu, metric), abs=1e-9)
-        assert w == pytest.approx(contraction._transport_lp(mu, nu, metric.d), abs=1e-9)
+        assert w == pytest.approx(full_transport_lp(mu, nu, metric.d), abs=1e-9)
         assert wasserstein(mu, nu, metric) == w
 
 
@@ -121,12 +123,13 @@ def test_vertex_counts_hypercube(bits, count):
     assert len(np.unique(vertices, axis=0)) == count
 
 
-def test_non_integral_metric_has_no_vertex_table():
-    assert BlockMetric(np.array([[0.0, 1.5], [1.5, 0.0]])).lipschitz_vertices is None
+@pytest.mark.parametrize("distance", [1.5, np.inf, np.nan])
+def test_non_integral_metric_refused(distance):
+    with pytest.raises(ValueError, match="finite integers"):
+        BlockMetric(np.array([[0.0, distance], [distance, 0.0]]))
 
 
 def test_vertex_budget_checked_before_allocating(monkeypatch):
-    monkeypatch.setattr(contraction, "MAX_LIPSCHITZ_POINTS", 40)
     levels = []
     column_stack = np.column_stack
 
@@ -136,18 +139,18 @@ def test_vertex_budget_checked_before_allocating(monkeypatch):
         return out
 
     monkeypatch.setattr(np, "column_stack", spy)
-    # level 1 alone would hold 2 * 10**6 + 1 points
-    assert BlockMetric(np.array([[0.0, 1e6], [1e6, 0.0]])).lipschitz_vertices is None
+    # level 1 alone would hold 2 * 10**19 + 1 points, more than an int64 holds
+    huge = BlockMetric(np.array([[0.0, 1e19], [1e19, 0.0]]))
+    with pytest.raises(TooLarge, match="level 1 "):
+        huge.lipschitz_vertices
+    with pytest.raises(TooLarge):
+        wasserstein(np.array([1.0, 0.0]), np.array([0.0, 1.0]), huge)
     assert levels == []
+    monkeypatch.setattr(contraction, "MAX_LIPSCHITZ_POINTS", 40)
     metric = BlockMetric.hamming_on_bitmasks(3)  # levels 3, 9, 19, 63, ...
-    assert metric.lipschitz_vertices is None
-    assert levels and max(levels) <= 40
-    # the transport LPs take over and agree with the full-budget vertex dual
-    gen = rngmod.stream(1300, 0)
-    mus, nus = gen.dirichlet(np.ones(8), size=(2, 12))
-    monkeypatch.undo()
-    exact = wasserstein(mus, nus, BlockMetric.hamming_on_bitmasks(3))
-    assert np.abs(wasserstein(mus, nus, metric) - exact).max() <= 1e-7
+    with pytest.raises(TooLarge, match="level 4 "):
+        metric.lipschitz_vertices
+    assert levels == [3, 9, 19]
 
 
 def test_batched_wasserstein_checks_every_row():
@@ -164,6 +167,15 @@ def test_batched_wasserstein_checks_every_row():
     bad[1, 2] = 0.9
     with pytest.raises(ValueError):
         wasserstein(mus, bad, metric)
+
+
+@pytest.mark.parametrize("mu", [[np.nan, 1.0], [1.5, -0.5], [np.inf, -np.inf], [np.inf, 0.0]])
+def test_wasserstein_refuses_non_probability_rows(mu):
+    metric = BlockMetric.uniform(2)
+    with pytest.raises(ValueError, match="probability vectors"):
+        wasserstein(np.array(mu), np.array([0.0, 1.0]), metric)
+    with pytest.raises(ValueError, match="probability vectors"):
+        wasserstein(np.array([[0.0, 1.0]]), np.array([mu]), metric)
 
 
 def test_exit_distribution_three_state():
@@ -246,7 +258,7 @@ def test_transport_lps_match_vertex_dual_on_worst_torus_pair():
     mu = exit_distribution(tc.kernel, tc.partition, 10)
     nu = exit_distribution(tc.kernel, tc.partition, 31)
     w = wasserstein(mu, nu, metric)
-    assert contraction._transport_lp(mu, nu, metric.d) == pytest.approx(w, abs=1e-9)
+    assert full_transport_lp(mu, nu, metric.d) == pytest.approx(w, abs=1e-9)
     assert wasserstein_dual(mu, nu, metric) == pytest.approx(w, abs=1e-9)
 
 

@@ -6,7 +6,9 @@ only on its arguments.  No
 module raises ``RuntimeError`` or ``AssertionError`` or uses an ``assert``
 statement: a broken invariant raises the typed ``AssertionFailed``, which
 the CLI turns into exit code 2, and ``python -O`` would skip an ``assert``.
-Only ``contraction`` imports ``scipy.optimize``, for its transport LP.
+Only ``contraction`` imports ``scipy.optimize``, and only its HiGHS
+reference ``wasserstein_dual`` (a test and benchmark oracle) calls
+``linprog``: every decision the package makes is exact and LP-free.
 No linter runs on this repository, so the checks are made here with the
 standard library's ``ast``.  The unused-import check skips ``__init__.py``:
 its imports are the package's public re-exports.
@@ -152,6 +154,41 @@ def test_only_contraction_imports_scipy_optimize():
         if path.name != "contraction.py" and (sites := _optimize_imports(path.read_text()))
     }
     assert not found, f"scipy.optimize imported outside contraction.py: {found}"
+
+
+def _linprog_callers(source: str) -> list[str]:
+    """Qualified name of the function around each ``linprog(...)`` call."""
+    found = []
+
+    def visit(node, owner):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.Call):
+                func = child.func
+                if getattr(func, "attr", getattr(func, "id", None)) == "linprog":
+                    found.append(owner or "<module>")
+            scoped = isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+            visit(child, f"{owner}.{child.name}".lstrip(".") if scoped else owner)
+
+    visit(ast.parse(source), "")
+    return found
+
+
+def test_linprog_caller_check_sees_each_form():
+    source = (
+        "import scipy.optimize\nfrom scipy.optimize import linprog\nlinprog(c=[1])\n"
+        "def f():\n    return scipy.optimize.linprog(c=[1])\n"
+        "class A:\n    def g(self):\n        def h():\n            return linprog([1])\n"
+    )
+    assert _linprog_callers(source) == ["<module>", "f", "A.g.h"]
+
+
+def test_only_wasserstein_dual_calls_linprog():
+    found = [
+        f"{path.stem}.{owner}"
+        for path in sorted(PACKAGE.glob("*.py"))
+        for owner in _linprog_callers(path.read_text())
+    ]
+    assert found == ["contraction.wasserstein_dual"], f"linprog callers: {found}"
 
 
 def _traced_targets() -> dict:

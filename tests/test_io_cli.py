@@ -175,6 +175,15 @@ def test_config_validation_errors(tmp_path):
         ExperimentConfig.from_sections(
             {"chain": {"family": "pince_nez", "m": "6"}, "run": {"tasks": "dance"}}
         )
+    for value in ("nan", "inf", "0", "abc"):
+        with pytest.raises(ConfigInvalid):
+            ExperimentConfig.from_sections(
+                {
+                    "chain": {"family": "pince_nez", "m": "6"},
+                    "run": {"tasks": "bounds"},
+                    "constants": {"c_alpha": value},
+                }
+            )
 
 
 def test_config_json_equivalent(tmp_path):
@@ -195,9 +204,22 @@ def test_config_json_equivalent(tmp_path):
     assert cfg2.chain.params == cfg.chain.params
 
 
-def test_cli_exit_codes(tmp_path):
+def test_cli_exit_codes(tmp_path, capsys):
     assert main(["analyze", "--chain", "pince_nez:m=6", "--out", str(tmp_path)]) == 0
-    assert main(["analyze", "--chain", "pince_nez:m<oops", "--out", str(tmp_path)]) == 1
+    # bad outside input ends in one "config error:" line and exit 1, not a traceback
+    for argv in (
+        ["analyze", "--chain", "pince_nez:m<oops"],
+        ["analyze", "--chain", "nosuch:m=4"],
+        ["analyze", "--chain", "pince_nez"],
+        ["analyze", "--chain", "pince_nez:m=-1"],
+        ["bounds", "--chain", "pince_nez:m=4", "--constants", "c_alpha=nan"],
+        ["audit", "--chain", "pince_nez:m=4", "--reps", "10"],
+        ["audit", "--chain", "pince_nez:m=4", "--blocks", "0,5"],
+        ["audit", "--chain", "pince_nez:m=4", "--blocks", "0"],
+    ):
+        capsys.readouterr()
+        assert main(argv + ["--out", str(tmp_path / "bad")]) == 1, argv
+        assert capsys.readouterr().err.startswith("config error: "), argv
     cfg = tmp_path / "bad.ini"
     cfg.write_text("[run]\ntasks =\n")
     assert main(["run", str(cfg)]) == 1

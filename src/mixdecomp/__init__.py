@@ -10,9 +10,6 @@ zoo of benchmark chains.
 from .bounds import (
     BoundResult,
     DriftCertificate,
-    ExactTailProvider,
-    MCTailProvider,
-    MinMarginalJointTails,
     PeresSousiConstants,
     bound_basic,
     bound_basic2,
@@ -74,9 +71,9 @@ from .simulate import (
     TailEstimate,
     empirical_hitting,
     empirical_occupation_tail,
-    exact_occupation_tail,
     simulate,
 )
+from .tails import ExactTailProvider, MCTailProvider, MinMarginalJointTails, exact_occupation_tail
 from .wellcovering import (
     WellCoveringCertificate,
     WellCoveringQuery,

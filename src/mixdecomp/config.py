@@ -49,10 +49,10 @@ DEFAULT_TOLERANCES = Tolerances()
 MAX_DENSE_STATES = 5_000
 
 # Budget for stored simulated paths and exact occupation DPs, in bytes.
-# simulate_states counts (paths, T + 1) states in the smallest integer dtype
-# that holds them; occupation_tail_table counts its float64
-# (t_cap + 1, starts, n) DP array and (T_max, t_cap) table.
-# MCTailProvider keeps only block labels, in bit planes of ceil(log2
+# simulate.simulate_states counts (paths, T + 1) states in the smallest
+# integer dtype that holds them; tails.occupation_tail_table counts its
+# float64 (t_cap + 1, starts, n) DP array and (T_max, t_cap) table.
+# tails.MCTailProvider keeps only block labels, in bit planes of ceil(log2
 # n_blocks) / 8 bytes per path and step, yet counts a state and a label in
 # the smallest integer dtypes per path and step up to T_max, however far it
 # simulates: a deliberately conservative bound, over twice the planes'

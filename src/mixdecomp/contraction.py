@@ -43,8 +43,8 @@ class BlockMetric:
 
     def __post_init__(self):
         d = np.asarray(self.d, dtype=float)
-        if d.ndim != 2 or d.shape[0] != d.shape[1]:
-            raise DimensionMismatch("metric must be a square matrix")
+        if d.ndim != 2 or d.shape[0] != d.shape[1] or d.size == 0:
+            raise DimensionMismatch("metric must be a nonempty square matrix")
         n = d.shape[0]
         if not (np.isfinite(d).all() and np.array_equal(d, np.round(d))):
             raise ValueError("metric distances must be finite integers")

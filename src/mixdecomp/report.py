@@ -187,7 +187,7 @@ def run_experiment(cfg: ExperimentConfig) -> dict:
     }
     pi = stationary_distribution(kernel)
     resid = float(np.abs(pi.weights @ kernel.rows - pi.weights).sum())
-    if resid > 1e-8:
+    if resid > DEFAULT_TOLERANCES.stationary_residual:
         raise AssertionFailed("stationary-fixed-point", f"residual {resid:.3e}")
 
     # analyze (on more than one block), bounds and audit share one decomposition

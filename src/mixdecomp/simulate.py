@@ -1,4 +1,4 @@
-"""Seeded Monte Carlo engine: trajectories, occupation records, tails.
+"""Seeded Monte Carlo engine: trajectories, occupation records, estimates.
 
 Batched paths advance together through :class:`RowSampler`, which maps
 one uniform per path and step to the next state by inverse CDF over the
@@ -307,90 +307,3 @@ def empirical_occupation_tail(
     for b in block_list:
         hits &= (lab == b).sum(axis=1) < t
     return TailEstimate.from_counts(int(hits.sum()), reps)
-
-
-def exact_occupation_tail(
-    kernel: StochasticKernel,
-    partition: Partition,
-    block: int,
-    T: int,
-    t: int,
-    start: int | None = None,
-) -> float:
-    """Exact ``P[kappa_i(T) < t]`` by dynamic programming.
-
-    The DP runs over (state, occupation counter capped at t).  With
-    ``start=None`` the max over all point-mass starts is returned.
-
-    Raises
-    ------
-    ProductSpaceTooLarge
-        If the DP of :func:`occupation_tail_table` would exceed its budget.
-    """
-    if t <= 0:
-        return 0.0
-    if t > T:
-        return 1.0
-    table = occupation_tail_table(kernel, partition, block, T, t, starts=None if start is None else [start])
-    return float(table[T - 1, t - 1])
-
-
-def occupation_tail_table(
-    kernel: StochasticKernel,
-    partition: Partition,
-    block: int,
-    T_max: int,
-    t_cap: int,
-    starts: Sequence[int] | None = None,
-) -> np.ndarray:
-    """Exact worst-start occupation tails for a whole grid in one sweep.
-
-    Returns ``table`` with ``table[s - 1, u - 1] = max_z P_z[kappa_i(s) < u]``
-    for ``s = 1 .. T_max`` and ``u = 1 .. t_cap`` (max restricted to
-    ``starts`` when given).  One forward DP over (counter, start, state).
-
-    Raises
-    ------
-    ProductSpaceTooLarge
-        If its float64 buffers would exceed ``MAX_PATH_BYTES``; checked
-        before anything is allocated.  They are the DP array ``(t_cap + 1,
-        starts, n_states)``, a second one that each step's product is
-        written into, the per-counter sums ``(t_cap + 1, starts)`` and
-        their running sums ``(t_cap, starts)``, and the table.  Every step
-        works in them, in place.
-    """
-    n = kernel.n_states
-    K = kernel.rows
-    in_block = partition.block_of == block
-    if starts is None:
-        starts = range(n)
-    start_idx = np.asarray(list(starts), dtype=int)
-    ns = start_idx.size
-    nbytes = 8 * ((t_cap + 1) * ns * (2 * n + 1) + t_cap * ns + T_max * t_cap)
-    if nbytes > MAX_PATH_BYTES:
-        raise ProductSpaceTooLarge(
-            f"occupation DP over {t_cap + 1} counters x {ns} starts x {n} states, its step "
-            f"buffer and a {T_max} x {t_cap} table need {nbytes:,} B > budget "
-            f"{MAX_PATH_BYTES:,} B"
-        )
-    # p[k, z, y] = P_z[X_s = y, kappa(s) = k], with k = t_cap meaning ">= t_cap"
-    p = np.zeros((t_cap + 1, ns, n))
-    p[0, np.arange(ns), start_idx] = 1.0
-    q = np.empty_like(p)
-    counter_mass = np.empty((t_cap + 1, ns))
-    cum = np.empty((t_cap, ns))
-    table = np.empty((T_max, t_cap))
-    mask_in = in_block.astype(float)
-    mask_out = 1.0 - mask_in
-    for s in range(1, T_max + 1):
-        np.matmul(p.reshape(-1, n), K, out=q.reshape(-1, n))
-        # a step out of the block keeps the counter, a step into it moves the
-        # counter up one, and the top counter keeps its own mass as well
-        np.multiply(q, mask_out, out=p)
-        q *= mask_in
-        p[1:] += q[:-1]
-        p[t_cap] += q[t_cap]
-        p.sum(axis=2, out=counter_mass)
-        counter_mass[:-1].cumsum(axis=0, out=cum)  # P[kappa < u] per start
-        cum.max(axis=1, out=table[s - 1])
-    return table

@@ -15,7 +15,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bounds import (
-    MCTailProvider,
     PeresSousiConstants,
     bound_basic,
     bound_basic2,
@@ -51,7 +50,8 @@ from .decomposition import (
     trace_kernel,
 )
 from .kernel import StationaryDistribution, mixing_profile, stationary_distribution
-from .simulate import occupation_tail_table, simulate_states
+from .simulate import simulate_states
+from .tails import ExactTailProvider, MCTailProvider
 from .wellcovering import (
     WellCoveringQuery,
     bootstrap_mixing_bound,
@@ -211,12 +211,11 @@ def expander_separation(seed: int = 0, m: int = 64, d: int = 8) -> SuiteResult:
 
     # (1) exact DP: no (T <= m/2, t) admits the per-block criterion on block 0
     half = m // 2
-    table = occupation_tail_table(K, part, 0, T_max=half, t_cap=half)
+    exact = ExactTailProvider(K, part, half, half)
     per_block_feasible = False
     for T in range(2, half + 1):
-        for t in range(1, T):
-            if phis[0] / t + table[T - 1, min(t, half) - 1] < 0.25:
-                per_block_feasible = True
+        t = np.arange(1, T)
+        per_block_feasible |= bool((phis[0] / t + exact.query(0, T, t) < 0.25).any())
     alpha = 1.0 / 3.0
     n_blocks = part.n_blocks
     I = list(range(int(0.69 * n_blocks)))  # mass just above the 2/3 floor

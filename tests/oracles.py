@@ -29,7 +29,8 @@ from mixdecomp.bounds import PeresSousiConstants, _t_grid, least_horizon
 from mixdecomp.decomposition import Partition, projected_kernel, qualifying_subsets
 from mixdecomp.errors import HorizonCap, ProductSpaceTooLarge
 from mixdecomp.kernel import StationaryDistribution, StochasticKernel, hitting_analysis
-from mixdecomp.simulate import RowSampler, exact_occupation_tail, wilson_interval
+from mixdecomp.simulate import RowSampler, wilson_interval
+from mixdecomp.tails import exact_occupation_tail
 from mixdecomp.wellcovering import AuditRow, OracleOutcome, WellCoveringQuery, _kappa_grid
 
 
@@ -178,7 +179,7 @@ def scalar_occupation_horizon(
 def occupation_tail_table_fresh(
     kernel: StochasticKernel, partition: Partition, block: int, T_max: int, t_cap: int, starts=None
 ) -> np.ndarray:
-    """``simulate.occupation_tail_table`` with new arrays for every product of a step."""
+    """``tails.occupation_tail_table`` with new arrays for every product of a step."""
     n = kernel.n_states
     K = kernel.rows
     in_block = partition.block_of == block

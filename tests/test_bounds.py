@@ -6,9 +6,6 @@ import pytest
 from mixdecomp import rng as rngmod
 from mixdecomp.bounds import (
     DriftCertificate,
-    ExactTailProvider,
-    MCTailProvider,
-    MinMarginalJointTails,
     PeresSousiConstants,
     bound_basic,
     bound_basic2,
@@ -35,6 +32,7 @@ from mixdecomp.errors import (
     TooManyBlocks,
 )
 from mixdecomp.kernel import StationaryDistribution, StochasticKernel, stationary_distribution
+from mixdecomp.tails import ExactTailProvider, MCTailProvider, MinMarginalJointTails
 
 ONES = PeresSousiConstants()
 
@@ -295,7 +293,7 @@ def test_occupation_bounds_escape_certificate_replaces_simulation(monkeypatch):
     k = StochasticKernel([[1 - 1e-6, 1e-6], [1e-6, 1 - 1e-6]])
     pi = stationary_distribution(k)
     with monkeypatch.context() as m:
-        m.setattr("mixdecomp.bounds.PathStream", refuse)
+        m.setattr("mixdecomp.tails.PathStream", refuse)
         rows = occupation_bounds(k, pi, part, [1.0, 1.0], [0, 1], 1 / 3, 0.9, ONES, 1024, 0)
     for r in rows[:2]:
         assert (r.feasible, r.value, r.ingredients["T"]) == (False, math.inf, None)

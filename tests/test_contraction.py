@@ -26,7 +26,7 @@ K3 = StochasticKernel([[0.5, 0.5, 0.0], [0.25, 0.5, 0.25], [0.0, 0.5, 0.5]])
 
 
 def test_metric_validation():
-    for shape in [(), (3,), (2, 3)]:
+    for shape in [(), (3,), (2, 3), (0, 0)]:
         with pytest.raises(DimensionMismatch):
             BlockMetric(np.zeros(shape))
     with pytest.raises(ValueError):

@@ -9,6 +9,9 @@ the CLI turns into exit code 2, and ``python -O`` would skip an ``assert``.
 Only ``contraction`` imports ``scipy.optimize``, and only its HiGHS
 reference ``wasserstein_dual`` (a test and benchmark oracle) calls
 ``linprog``: every decision the package makes is exact and LP-free.
+``bounds`` reaches simulation only through ``tails``, and only the exact
+tail provider reads the occupation DP table.  The package's public names
+are pinned, so a move cannot drop one unnoticed.
 No linter runs on this repository, so the checks are made here with the
 standard library's ``ast``.  The unused-import check skips ``__init__.py``:
 its imports are the package's public re-exports.
@@ -156,15 +159,15 @@ def test_only_contraction_imports_scipy_optimize():
     assert not found, f"scipy.optimize imported outside contraction.py: {found}"
 
 
-def _linprog_callers(source: str) -> list[str]:
-    """Qualified name of the function around each ``linprog(...)`` call."""
+def _callers(source: str, callee: str) -> list[str]:
+    """Qualified name of the function around each ``callee(...)`` call."""
     found = []
 
     def visit(node, owner):
         for child in ast.iter_child_nodes(node):
             if isinstance(child, ast.Call):
                 func = child.func
-                if getattr(func, "attr", getattr(func, "id", None)) == "linprog":
+                if getattr(func, "attr", getattr(func, "id", None)) == callee:
                     found.append(owner or "<module>")
             scoped = isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
             visit(child, f"{owner}.{child.name}".lstrip(".") if scoped else owner)
@@ -179,16 +182,75 @@ def test_linprog_caller_check_sees_each_form():
         "def f():\n    return scipy.optimize.linprog(c=[1])\n"
         "class A:\n    def g(self):\n        def h():\n            return linprog([1])\n"
     )
-    assert _linprog_callers(source) == ["<module>", "f", "A.g.h"]
+    assert _callers(source, "linprog") == ["<module>", "f", "A.g.h"]
 
 
 def test_only_wasserstein_dual_calls_linprog():
     found = [
         f"{path.stem}.{owner}"
         for path in sorted(PACKAGE.glob("*.py"))
-        for owner in _linprog_callers(path.read_text())
+        for owner in _callers(path.read_text(), "linprog")
     ]
     assert found == ["contraction.wasserstein_dual"], f"linprog callers: {found}"
+
+
+def test_only_the_exact_provider_reads_the_occupation_table():
+    # the table's [T - 1, t - 1] layout is known in one place
+    found = [
+        f"{path.stem}.{owner}"
+        for path in sorted(PACKAGE.glob("*.py"))
+        for owner in _callers(path.read_text(), "occupation_tail_table")
+    ]
+    assert found == ["tails.ExactTailProvider.query"], f"occupation_tail_table callers: {found}"
+
+
+def _sibling_imports(source: str) -> set[str]:
+    """Package modules imported as ``from .x import ...`` or ``from . import x``."""
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom) and node.level:
+            found |= {node.module} if node.module else {alias.name for alias in node.names}
+    return found
+
+
+def test_bounds_reaches_simulation_only_through_tails():
+    source = "from .simulate import a\nfrom . import io, rng\nfrom numpy import b\n"
+    assert _sibling_imports(source) == {"simulate", "io", "rng"}
+    imported = _sibling_imports((PACKAGE / "bounds.py").read_text())
+    assert "tails" in imported and "simulate" not in imported, sorted(imported)
+
+
+# The names mixdecomp/__init__.py imports, and so exports.
+PUBLIC_NAMES = [
+    "AvgHitResult", "BlockMetric", "BoundResult", "ChainSpec", "ContractionEstimate",
+    "DEFAULT_TOLERANCES", "DecompositionReport", "DriftCertificate", "EscapeStatistics",
+    "ExactTailProvider", "HittingTimeTable", "MCTailProvider", "MinMarginalJointTails",
+    "MixingProfile", "OccupationRecord", "Partition", "PeresSousiConstants",
+    "StationaryDistribution", "StochasticKernel", "TailEstimate", "Tolerances",
+    "WellCoveringCertificate", "WellCoveringQuery", "avg_hit_time", "bootstrap_mixing_bound",
+    "bound_basic", "bound_basic2", "bound_contraction", "bound_coupling_point", "bound_drift",
+    "bound_graph_hit", "bound_regular", "calibrate_constants", "check_reversible", "compare_wc",
+    "concentration_audit", "decompose", "empirical_hitting", "empirical_occupation_tail",
+    "escape_analysis", "estimate_contraction", "exact_mixing_time", "exact_occupation_tail",
+    "exit_distribution", "expander_pair", "feasibility_oracle", "fit_drift", "hitting_analysis",
+    "kcip", "lazify", "less_lazy_projection", "mixing_profile", "occupation_regularity",
+    "peres_sousi_audit", "pince_nez", "projected_kernel", "propagation_bound",
+    "propagation_covers", "relaxation_time", "simulate", "stationary_distribution",
+    "time_reversal", "torus_metropolis", "toy_kcip", "trace_kernel", "tree_bound",
+    "verify_drift", "wasserstein",
+]
+
+
+def test_public_names_are_pinned():
+    tree = ast.parse((PACKAGE / "__init__.py").read_text())
+    names = [
+        alias.asname or alias.name
+        for node in tree.body
+        if isinstance(node, ast.ImportFrom)
+        for alias in node.names
+    ]
+    assert sorted(names) == PUBLIC_NAMES
+    assert all(hasattr(mixdecomp, name) for name in names)
 
 
 def _traced_targets() -> dict:

@@ -331,9 +331,9 @@ def test_cli_over_size_budget_is_config_error(tmp_path, monkeypatch, argv):
     def refuse(*args, **kwargs):
         raise AssertionError("simulated paths over the budget")
 
-    monkeypatch.setattr("mixdecomp.bounds.MAX_PATH_BYTES", 1 << 20)
+    monkeypatch.setattr("mixdecomp.tails.MAX_PATH_BYTES", 1 << 20)
     # the provider's stream, and every sampler step anywhere
-    monkeypatch.setattr("mixdecomp.bounds.PathStream", refuse)
+    monkeypatch.setattr("mixdecomp.tails.PathStream", refuse)
     monkeypatch.setattr(RowSampler, "step", refuse)
     assert main(argv + ["--out", str(tmp_path)]) == 1
 
@@ -345,7 +345,7 @@ def test_cli_bounds_on_216_state_torus_completes(tmp_path, monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("simulated paths the escape certificate rules out")
 
-    monkeypatch.setattr("mixdecomp.bounds.PathStream", refuse)
+    monkeypatch.setattr("mixdecomp.tails.PathStream", refuse)
     monkeypatch.setattr(RowSampler, "step", refuse)
     argv = ["bounds", "--chain", "torus_metropolis:m=3,l=3,C=7", "--out", str(tmp_path)]
     assert main(argv) == 0

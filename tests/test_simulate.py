@@ -20,12 +20,11 @@ from mixdecomp.simulate import (
     TailEstimate,
     empirical_hitting,
     empirical_occupation_tail,
-    exact_occupation_tail,
-    occupation_tail_table,
     simulate,
     simulate_states,
     wilson_interval,
 )
+from mixdecomp.tails import exact_occupation_tail, occupation_tail_table
 from oracles import exact_joint_occupation_tail, occupation_tail_table_fresh, stream_correlation
 
 K3 = StochasticKernel([[0.5, 0.5, 0.0], [0.25, 0.5, 0.25], [0.0, 0.5, 0.5]])
@@ -101,6 +100,10 @@ def test_exact_occupation_binomial_closed_form():
         assert p == pytest.approx(binom.cdf(t - 1, 4, 0.5), abs=1e-12)
     assert exact_occupation_tail(k, part, 0, T=4, t=0) == 0.0
     assert exact_occupation_tail(k, part, 0, T=4, t=5) == 1.0
+    # a fractional threshold counts as its ceiling, since kappa is an integer
+    p = exact_occupation_tail(k, part, 0, T=10, t=2.5, start=0)
+    assert p == pytest.approx(binom.cdf(2, 10, 0.5), abs=1e-12)
+    assert exact_occupation_tail(k, part, 0, T=10, t=2.5) == exact_occupation_tail(k, part, 0, T=10, t=3)
 
 
 def test_exact_occupation_monotone_in_t():
@@ -123,7 +126,7 @@ def test_occupation_dp_budget_counts_starts_and_table(monkeypatch):
     # 1,600 B
     k = StochasticKernel(np.full((20, 20), 1 / 20))
     part = Partition.from_block_of(np.arange(20) % 2)
-    module = importlib.import_module("mixdecomp.simulate")
+    module = importlib.import_module("mixdecomp.tails")
     monkeypatch.setattr(module, "MAX_PATH_BYTES", 16_000)
     with pytest.raises(ProductSpaceTooLarge):
         exact_occupation_tail(k, part, 0, T=20, t=10)

@@ -25,10 +25,6 @@ from conftest import random_partition, random_reversible_kernel
 from mixdecomp import rng as rngmod
 from mixdecomp.bounds import (
     _EXP_NEG,
-    EscapeCertifiedTails,
-    ExactTailProvider,
-    MCTailProvider,
-    MinMarginalJointTails,
     PeresSousiConstants,
     _exp_hit_sums,
     bound_basic,
@@ -39,6 +35,14 @@ from mixdecomp.decomposition import Partition, block_mixing_times, qualifying_su
 from mixdecomp.errors import ProductSpaceTooLarge
 from mixdecomp.kernel import stationary_distribution
 from mixdecomp.simulate import RowSampler, simulate_states, wilson_interval
+from mixdecomp.tails import (
+    BlockTails,
+    EscapeCertifiedTails,
+    ExactTailProvider,
+    JointTails,
+    MCTailProvider,
+    MinMarginalJointTails,
+)
 
 T_MAX = 96
 REPS = 6
@@ -243,14 +247,14 @@ def test_mc_provider_checks_path_budget_before_simulating(monkeypatch):
         raise AssertionError("simulated paths over the budget")
 
     # the provider's stream, and every sampler step anywhere
-    monkeypatch.setattr("mixdecomp.bounds.PathStream", refuse)
+    monkeypatch.setattr("mixdecomp.tails.PathStream", refuse)
     monkeypatch.setattr(RowSampler, "step", refuse)
     k, part = pince_nez(8)
     huge = MCTailProvider(k, part, T_max=10**12, reps_per_start=200, seed=0)
     with pytest.raises(ProductSpaceTooLarge):
         huge.query(0, 10, 5)
     # 16 starts x 50 reps x 101 steps x (1 B states + 1 B labels), less one byte
-    monkeypatch.setattr("mixdecomp.bounds.MAX_PATH_BYTES", 16 * 50 * 101 * 2 - 1)
+    monkeypatch.setattr("mixdecomp.tails.MAX_PATH_BYTES", 16 * 50 * 101 * 2 - 1)
     with pytest.raises(ProductSpaceTooLarge):
         MCTailProvider(k, part, T_max=100, reps_per_start=50, seed=0).query_joint([0, 1], 10, 5)
 
@@ -300,7 +304,25 @@ def test_cached_counts_stay_bounded_through_both_searches():
     assert len(set(probes)) > 4
 
 
-# -- the array form of the tail protocol -------------------------------------
+# -- the tail protocols and their array form --------------------------------
+
+
+def test_providers_conform_to_exactly_the_protocols_they_answer():
+    # exact tails answer no joint query and min-marginal tails no per-block one
+    kernel, partition = _chain(0)
+    mc = MCTailProvider(kernel, partition, T_max=T_MAX, reps_per_start=REPS, seed=0)
+    exact = ExactTailProvider(kernel, partition, T_max=T_MAX, t_cap=T_MAX)
+    expected = [
+        (mc, True, True),
+        (exact, True, False),
+        (EscapeCertifiedTails(0, 0.5, T_MAX), True, True),
+        (MinMarginalJointTails(mc), False, True),
+        (MinMarginalJointTails(exact), False, True),
+    ]
+    for provider, block, joint in expected:
+        assert isinstance(provider, BlockTails) is block, provider
+        assert isinstance(provider, JointTails) is joint, provider
+    assert mc.simulated_T == 0  # conformance reads the provenance, not the paths
 
 VEC_BLOCKS = 4
 VEC_T_CAP = 40  # below T_MAX, so exact queries past t_cap answer 1.0

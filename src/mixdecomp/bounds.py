@@ -431,7 +431,6 @@ def bound_graph_hit(
     c: float,
     epsilon: float,
     phi_max: float,
-    envelope: float = 1.0,
     constants: PeresSousiConstants | None = None,
 ) -> GraphHitResult:
     """Hitting-scale bound through the exit-probability digraph.
@@ -481,7 +480,7 @@ def bound_graph_hit(
     if delta <= 0:
         raise ValueError(f"escape condition fails: delta = {delta:.3e} at threshold {threshold:.1f}")
     D = diameter
-    value = envelope * epsilon * phi_max * D * (c * delta) ** (-D) if D > 0 else 0.0
+    value = epsilon * phi_max * D * (c * delta) ** (-D) if D > 0 else 0.0
     bound = BoundResult(
         name="graph_hit",
         value=value,
@@ -491,7 +490,6 @@ def bound_graph_hit(
             "phi_max": phi_max,
             "delta": delta,
             "D": D,
-            "envelope": envelope,
         },
         universal_constant_flag=not constants.calibrated,
     )
@@ -576,7 +574,6 @@ def bound_drift(
     M: float,
     tau_mix_trace: float,
     constants: PeresSousiConstants,
-    gamma: float = 1.0 / 6.0,
 ) -> BoundResult:
     """Mixing bound from a drift condition and the sublevel-trace mixing time.
 
@@ -601,7 +598,6 @@ def bound_drift(
             "v_max": drift.v_max,
             "M": M,
             "tau_mix_trace": tau_mix_trace,
-            "gamma": gamma,
             "c": c,
             "c_prime": cp,
         },
@@ -621,7 +617,6 @@ def bound_contraction(
     D_max: float,
     n: int,
     constants: PeresSousiConstants,
-    envelope: float = 1.0,
 ) -> BoundResult:
     """Mixing bound under an exit-coupling contraction with strength alpha.
 
@@ -657,7 +652,7 @@ def bound_contraction(
     C3 = math.log(8.0 / gamma) + math.log(D_max)
     contraction_log = abs(math.log(1.0 - alpha)) if alpha < 1 else math.inf
     second = C3 / contraction_log if math.isfinite(contraction_log) else 0.0
-    value = envelope * C1 * phi_max * math.log(n) * max(C2 * phi_bar + 1.0, second)
+    value = C1 * phi_max * math.log(n) * max(C2 * phi_bar + 1.0, second)
     return BoundResult(
         name="contraction_coupling",
         value=value,
@@ -677,13 +672,12 @@ def bound_contraction(
             "C1": C1,
             "C2": C2,
             "C3": C3,
-            "envelope": envelope,
         },
         universal_constant_flag=not constants.calibrated,
     )
 
 
-def bound_coupling_point(T: float, epsilon: float, envelope: float = 1.0) -> BoundResult:
+def bound_coupling_point(T: float, epsilon: float) -> BoundResult:
     """Coupling-to-one-point bound ``ceil(e T) * ceil(log(4(1-eps)/(1-4eps)))``.
 
     T bounds the worst expected hitting time of a privileged state carrying
@@ -696,11 +690,11 @@ def bound_coupling_point(T: float, epsilon: float, envelope: float = 1.0) -> Bou
     if T < 1:
         raise ValueError("need T >= 1")
     rounds = math.ceil(math.log(4.0 * (1.0 - epsilon) / (1.0 - 4.0 * epsilon)))
-    value = envelope * math.ceil(math.e * T) * rounds
+    value = float(math.ceil(math.e * T) * rounds)
     return BoundResult(
         name="coupling_point",
         value=value,
-        ingredients={"T": T, "epsilon": epsilon, "rounds": rounds, "envelope": envelope},
+        ingredients={"T": T, "epsilon": epsilon, "rounds": rounds},
         universal_constant_flag=False,
     )
 
@@ -720,11 +714,11 @@ class HittingMixingAudit:
     argmax_set: tuple[int, ...]
 
 
-def exact_mixing_time(kernel: StochasticKernel, pi: StationaryDistribution, cap: int = 2**22) -> int:
-    """Exact TV mixing time (least t with worst-start distance below 1/4)."""
-    prof = mixing_profile(kernel, pi, horizon=cap, epsilons=(0.25,))
+def exact_mixing_time(kernel: StochasticKernel, pi: StationaryDistribution) -> int:
+    """Exact TV mixing time (least t with worst-start distance below 1/4, t <= 2^22)."""
+    prof = mixing_profile(kernel, pi, horizon=2**22, epsilons=(0.25,))
     if prof.mixing_time is None:
-        raise NoFeasibleT(f"mixing time exceeds cap {cap}")
+        raise NoFeasibleT("mixing time exceeds 2^22")
     return prof.mixing_time
 
 

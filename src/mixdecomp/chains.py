@@ -21,6 +21,16 @@ from .errors import AssertionFailed, GraphGenerationFailed, StateSpaceTooLarge
 from .kernel import StationaryDistribution, StochasticKernel, require_dense
 
 
+# The parameters each family takes from a config's [chain] section.
+FAMILY_PARAMS = {
+    "pince_nez": ("m",),
+    "expander_pair": ("m", "d", "epsilon"),
+    "toy_kcip": ("m", "d"),
+    "kcip": ("graph", "size", "c", "n_cap"),
+    "torus_metropolis": ("m", "l", "C", "k_trace"),
+}
+
+
 @dataclass(frozen=True)
 class ChainSpec:
     """Config-style description of a generated chain."""
@@ -29,11 +39,18 @@ class ChainSpec:
     params: dict
     seed: int | None = None
 
-    _FAMILIES = ("pince_nez", "expander_pair", "toy_kcip", "kcip", "torus_metropolis")
-
     def __post_init__(self):
-        if self.family not in self._FAMILIES:
+        if self.family not in FAMILY_PARAMS:
             raise ValueError(f"unknown chain family {self.family!r}")
+        for key in self.params:
+            if key not in FAMILY_PARAMS[self.family]:
+                raise ValueError(
+                    f"unknown key {key!r} in [chain]: {self.family} takes "
+                    f"{', '.join(FAMILY_PARAMS[self.family])}"
+                )
+        graph = self.params.get("graph", "cycle")
+        if self.family == "kcip" and graph not in KCIP_GRAPHS:
+            raise ValueError(f"[chain] graph must be {' or '.join(KCIP_GRAPHS)}, not {graph!r}")
 
 
 def pince_nez(m: int) -> tuple[StochasticKernel, Partition]:
@@ -62,12 +79,13 @@ def pince_nez(m: int) -> tuple[StochasticKernel, Partition]:
     return StochasticKernel(K), partition
 
 
-def random_regular_graph(n: int, d: int, gen: np.random.Generator, max_tries: int = 100) -> np.ndarray:
+def random_regular_graph(n: int, d: int, gen: np.random.Generator) -> np.ndarray:
     """Adjacency matrix of a random d-regular graph via the pairing model.
 
     Stubs are shuffled and paired; colliding stubs (self-loops or repeated
     edges) are collected and re-paired until none remain or no suitable pair
-    exists, in which case the whole attempt is rejected and redrawn.
+    exists, in which case the whole attempt is rejected and redrawn, up to
+    100 times.
     """
     if (n * d) % 2 != 0:
         raise ValueError("n * d must be even")
@@ -81,7 +99,7 @@ def random_regular_graph(n: int, d: int, gen: np.random.Generator, max_tries: in
                     return True
         return not leftover
 
-    for _ in range(max_tries):
+    for _ in range(100):
         edges: set[tuple[int, int]] = set()
         stubs = np.repeat(np.arange(n), d).tolist()
         failed = False
@@ -105,7 +123,7 @@ def random_regular_graph(n: int, d: int, gen: np.random.Generator, max_tries: in
         for u, v in edges:
             adj[u, v] = adj[v, u] = True
         return adj
-    raise GraphGenerationFailed(f"no simple {d}-regular pairing found in {max_tries} tries")
+    raise GraphGenerationFailed(f"no simple {d}-regular pairing found in 100 tries")
 
 
 @dataclass(frozen=True)
@@ -236,9 +254,9 @@ class KcipSampler:
             return new if new != 0 else state
         return state
 
-    def run(self, state: int, steps: int, seed: int, stream_id: int = 0) -> np.ndarray:
+    def run(self, state: int, steps: int, seed: int) -> np.ndarray:
         """Particle-count trace along one trajectory (popcount per step)."""
-        gen = rngmod.stream(seed, stream_id)
+        gen = rngmod.stream(seed, 0)
         vs = gen.integers(0, self.n_vertices, size=steps)
         lams = gen.random(steps)
         counts = np.empty(steps + 1, dtype=np.int64)
@@ -296,20 +314,15 @@ def lattice3d_adjacency(L: int) -> np.ndarray:
     return adj
 
 
-def kcip(
-    adjacency: np.ndarray,
-    c: float,
-    n_cap: int = 3,
-    explicit_limit: int = MAX_DENSE_STATES,
-) -> KcipChain:
+def kcip(adjacency: np.ndarray, c: float, n_cap: int = 3) -> KcipChain:
     """Constrained single-spin chain on a graph at density ``p = c / |V|``.
 
     Updates of vertex v are allowed only while some state in N(v) is
     occupied; permitted updates set v with probability p.  The empty
     configuration is excluded from the state space.  The explicit kernel is
-    enumerated when ``2^|V|`` fits the limit; the partition groups states by
-    their count of pairwise non-adjacent particles (k = 1 .. n_cap) with one
-    remainder block, dropping empty groups.
+    enumerated when ``2^|V|`` fits ``MAX_DENSE_STATES``; the partition groups
+    states by their count of pairwise non-adjacent particles (k = 1 ..
+    n_cap) with one remainder block, dropping empty groups.
     """
     adjacency = np.asarray(adjacency, dtype=bool)
     nv = adjacency.shape[0]
@@ -324,7 +337,7 @@ def kcip(
         [sum(1 << u for u in np.nonzero(adjacency[v])[0]) for v in range(nv)], dtype=np.uint64
     )
     sampler = KcipSampler(neighbor_masks=nbr_masks, n_vertices=nv, p=p)
-    if 2**nv > explicit_limit:
+    if 2**nv > MAX_DENSE_STATES:
         return KcipChain(sampler, None, None, None, None, p)
 
     states = np.arange(1, 2**nv, dtype=np.int64)
@@ -504,6 +517,10 @@ def torus_metropolis(
     )
 
 
+# The graphs a config's kcip chain can name, checked by ChainSpec.
+KCIP_GRAPHS = {"cycle": cycle_adjacency, "lattice3d": lattice3d_adjacency}
+
+
 def generate(spec: ChainSpec):
     """Dispatch a ChainSpec to its generator."""
     fam, p = spec.family, dict(spec.params)
@@ -514,9 +531,7 @@ def generate(spec: ChainSpec):
     if fam == "toy_kcip":
         return toy_kcip(int(p["m"]), int(p["d"]))
     if fam == "kcip":
-        graph = p.get("graph", "cycle")
-        size = int(p.get("size", 5))
-        adj = cycle_adjacency(size) if graph == "cycle" else lattice3d_adjacency(size)
+        adj = KCIP_GRAPHS[p.get("graph", "cycle")](int(p.get("size", 5)))
         return kcip(adj, float(p.get("c", 1.0)), n_cap=int(p.get("n_cap", 3)))
     if fam == "torus_metropolis":
         kt = p.get("k_trace")

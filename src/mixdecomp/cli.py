@@ -1,7 +1,9 @@
 """Command-line interface: analyze | bounds | audit | reproduce | simulate.
 
-Exit codes: 0 success, 1 invalid configuration or arguments, 2 an internal
-invariant assertion failed during a run.
+Exit codes: 0 success; 1 invalid configuration or arguments, or a typed
+error such as ``HorizonCap`` or ``SingularSystem`` during a run; 2 an
+internal invariant assertion failed during a run, or a ``reproduce`` suite
+failed its check.
 """
 
 from __future__ import annotations
@@ -19,6 +21,8 @@ from .suites import SUITE_NAMES
 
 def _chain_sections(args) -> dict:
     sections: dict = {}
+    if args.chain and (args.kernel or args.partition):
+        raise ConfigInvalid("--chain cannot be combined with --kernel or --partition")
     if args.chain:
         family, _, rest = args.chain.partition(":")
         params = {}
@@ -43,8 +47,6 @@ def _constants_section(spec: str | None) -> dict:
     if spec:
         for item in spec.split(","):
             k, _, v = item.partition("=")
-            if k.strip() not in ("c_alpha", "c_alpha_prime", "calibrated"):
-                raise ConfigInvalid(f"unknown constant {k.strip()!r}")
             out[k.strip()] = v.strip()
         out.setdefault("calibrated", "true")
     return out

@@ -60,6 +60,8 @@ def load_kernel(path: str | Path) -> StochasticKernel:
             if len(parts) != 3:
                 raise ValueError(f"{path}: expected 'i j p' triple, got {r!r}")
             i, j, p = int(parts[0]), int(parts[1]), float(parts[2])
+            if not (0 <= i < n and 0 <= j < n):
+                raise ValueError(f"{path}: state index outside 0..{n - 1} in {r!r}")
             mat[i, j] += p
         np.fill_diagonal(mat, np.diag(mat) + 1.0 - mat.sum(axis=1))
         dense = mat
@@ -89,6 +91,8 @@ def load_partition(path: str | Path, n_states: int | None = None) -> Partition:
     size = n_states if n_states is not None else max(s for s, _ in pairs) + 1
     block_of = np.full(size, -1, dtype=int)
     for s, b in pairs:
+        if not (0 <= s < size and b >= 0):
+            raise ValueError(f"{path}: bad pair '{s} {b}' (states 0..{size - 1}, blocks >= 0)")
         block_of[s] = b
     if (block_of < 0).any():
         missing = np.nonzero(block_of < 0)[0]

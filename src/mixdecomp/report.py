@@ -36,6 +36,15 @@ from .wellcovering import MIN_AUDIT_REPS, concentration_audit
 
 SCHEMA_VERSION = 1
 TASK_NAMES = ("analyze", "bounds", "audit", "reproduce")
+# The keys each config section takes.  [chain] also takes its family's
+# parameters, which ChainSpec checks against chains.FAMILY_PARAMS.
+SECTION_KEYS = {
+    "chain": ("family", "seed"),
+    "files": ("kernel", "partition"),
+    "run": ("tasks", "seed", "output_dir", "suite", "horizon", "format"),
+    "constants": ("c_alpha", "c_alpha_prime", "calibrated"),
+    "audit": ("i", "j", "reps"),
+}
 
 
 @dataclass
@@ -66,13 +75,17 @@ class ExperimentConfig:
             sections = {k: {kk: str(vv) for kk, vv in v.items()} for k, v in sections.items()}
         else:
             parser = configparser.ConfigParser()
+            parser.optionxform = str  # keys are case-sensitive, as in JSON
             parser.read_string(text)
             sections = {s: dict(parser.items(s)) for s in parser.sections()}
         return cls.from_sections(sections)
 
     @classmethod
     def from_sections(cls, sections: dict) -> "ExperimentConfig":
-        run = sections.get("run", {})
+        for name in sections:
+            if name not in SECTION_KEYS:
+                raise ConfigInvalid(f"unknown section [{name}]; known: {', '.join(SECTION_KEYS)}")
+        run = _section(sections, "run")
         tasks_raw = run.get("tasks", "")
         tasks = [t.strip() for t in tasks_raw.split(",") if t.strip()]
         if not tasks:
@@ -82,7 +95,7 @@ class ExperimentConfig:
                 raise ConfigInvalid(f"unknown task {t!r}; choose from {TASK_NAMES}")
         try:
             cfg = cls._parse(sections, run, tasks)
-        except ValueError as exc:  # a malformed number, family or constant
+        except ValueError as exc:  # a malformed number or constant, or a chain ChainSpec refuses
             raise ConfigInvalid(str(exc)) from exc
         if cfg.fmt not in ("json", "csv"):
             raise ConfigInvalid(f"unknown format {cfg.fmt!r}")
@@ -96,6 +109,8 @@ class ExperimentConfig:
     def _parse(cls, sections: dict, run: dict, tasks: list[str]) -> "ExperimentConfig":
         chain = None
         kernel_path = partition_path = None
+        if "chain" in sections and "files" in sections:
+            raise ConfigInvalid("config has both [chain] and [files]; give one")
         if "chain" in sections:
             ch = dict(sections["chain"])
             family = ch.pop("family", None)
@@ -104,7 +119,7 @@ class ExperimentConfig:
             seed = int(ch.pop("seed", run.get("seed", 0)))
             chain = ChainSpec(family=family, params=ch, seed=seed)
         elif "files" in sections:
-            fs = sections["files"]
+            fs = _section(sections, "files")
             kernel_path = fs.get("kernel")
             if kernel_path is None:
                 raise ConfigInvalid("files.kernel is required")
@@ -115,13 +130,13 @@ class ExperimentConfig:
                 raise ConfigInvalid(f"partition file not found: {partition_path}")
         else:
             raise ConfigInvalid("config needs a [chain] or [files] section")
-        cons = sections.get("constants", {})
+        cons = _section(sections, "constants")
         constants = PeresSousiConstants(
             c_alpha=float(cons.get("c_alpha", 1.0)),
             c_alpha_prime=float(cons.get("c_alpha_prime", 1.0)),
             calibrated=str(cons.get("calibrated", "false")).lower() == "true",
         )
-        audit = sections.get("audit", {})
+        audit = _section(sections, "audit")
         out = Path(run.get("output_dir", "."))
         return cls(
             chain=chain,
@@ -139,6 +154,16 @@ class ExperimentConfig:
         )
 
 
+def _section(sections: dict, name: str) -> dict:
+    """Section ``name`` of a config (empty if absent), refusing keys it does not take."""
+    section = sections.get(name, {})
+    for key in section:
+        if key not in SECTION_KEYS[name]:
+            known = ", ".join(SECTION_KEYS[name])
+            raise ConfigInvalid(f"unknown key {key!r} in [{name}]; it takes {known}")
+    return section
+
+
 def _load_instance(cfg: ExperimentConfig) -> tuple[StochasticKernel, Partition]:
     if cfg.chain is not None:
         try:
@@ -153,11 +178,14 @@ def _load_instance(cfg: ExperimentConfig) -> tuple[StochasticKernel, Partition]:
         if getattr(made, "kernel", None) is None:
             raise ConfigInvalid("chain family has no explicit kernel at this size")
         return made.kernel, made.partition
-    kernel = iomod.load_kernel(cfg.kernel_path)
-    if cfg.partition_path:
-        partition = iomod.load_partition(cfg.partition_path, kernel.n_states)
-    else:
-        partition = Partition.single_block(kernel.n_states)
+    try:
+        kernel = iomod.load_kernel(cfg.kernel_path)
+        if cfg.partition_path:
+            partition = iomod.load_partition(cfg.partition_path, kernel.n_states)
+        else:
+            partition = Partition.single_block(kernel.n_states)
+    except ValueError as exc:  # a malformed line, number or index in a file
+        raise ConfigInvalid(str(exc)) from exc
     return kernel, partition
 
 

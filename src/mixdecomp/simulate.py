@@ -147,15 +147,15 @@ def simulate(
     T: int,
     seed: int,
     partition: Partition | None = None,
-    block_of=None,
     n_blocks: int | None = None,
 ) -> tuple[np.ndarray | list, OccupationRecord]:
     """One trajectory of length T with its occupation record.
 
     ``chain`` is either a :class:`StochasticKernel` (states are indices,
     blocks come from ``partition``) or any object with a scalar
-    ``step(state, generator)`` method (states are opaque; supply
-    ``block_of``/``n_blocks`` to classify them, else everything is block 0).
+    ``step(state, generator)`` method (states are opaque; the chain's own
+    ``block_of(state)`` method, if it has one, classifies them into
+    ``n_blocks`` blocks, else everything is block 0).
     """
     if T < 1:
         raise ValueError("T must be >= 1")
@@ -171,8 +171,7 @@ def simulate(
         for _ in range(T):
             state = chain.step(state, gen)
             traj.append(state)
-        if block_of is None:
-            block_of = getattr(chain, "block_of", None)
+        block_of = getattr(chain, "block_of", None)
         if block_of is None:
             blocks = np.zeros(T + 1, dtype=np.int64)
             nb = 1

@@ -92,8 +92,8 @@ def _tv_crossing(profile) -> float:
     return t - 1 + (d[t - 1] - 0.25) / (d[t - 1] - d[t])
 
 
-def pince_nez_scaling(seed: int = 0, ms=(8, 16, 32)) -> SuiteResult:
-    """Exact mixing times of the two-loop chain; quadratic scaling fit.
+def pince_nez_scaling(seed: int = 0) -> SuiteResult:
+    """Exact mixing times of the two-loop chain at m = 8, 16, 32; quadratic scaling fit.
 
     Passes when the log-log slope of the interpolated 1/4-crossing times
     lies in [1.8, 2.2] and a Monte Carlo TV estimate agrees with the exact
@@ -101,6 +101,7 @@ def pince_nez_scaling(seed: int = 0, ms=(8, 16, 32)) -> SuiteResult:
     are reported.
     """
     t0 = time.perf_counter()
+    ms = (8, 16, 32)
     rows = []
     taus, crossings = [], []
     profiles = {}
@@ -156,16 +157,17 @@ def _mc_tv_cross_check(K, pi, prof, seed: int, reps: int = 200_000) -> dict:
     return {"gap": gap, "ok": bool(abs(gap) <= bias + 3.0 / math.sqrt(reps) + 1e-3)}
 
 
-def toy_kcip_scaling(seed: int = 0, ms=(4, 8, 16), d: int = 1) -> SuiteResult:
-    """Ladder-chain mixing growth plus the backbone drift certificate.
+def toy_kcip_scaling(seed: int = 0) -> SuiteResult:
+    """Ladder-chain mixing growth (m = 4, 8, 16, d = 1) plus the backbone drift certificate.
 
     The fitted exponent over m must be at most 2.4, and the backbone trace
     must satisfy ``E[e^{Y'/2}] <= 0.98 e^{Y/2} + 0.25`` pointwise.
     """
     t0 = time.perf_counter()
+    ms = (4, 8, 16)
     rows, taus = [], []
     for m in ms:
-        K, part = toy_kcip(m, d)
+        K, part = toy_kcip(m, 1)
         pi = stationary_distribution(K)
         tau = exact_mixing_time(K, pi)
         taus.append(tau)
@@ -174,7 +176,7 @@ def toy_kcip_scaling(seed: int = 0, ms=(4, 8, 16), d: int = 1) -> SuiteResult:
     drift_ok = True
     worst_resid = -math.inf
     for m in ms:
-        lower = toy_kcip_backbone_trace(m, d)
+        lower = toy_kcip_backbone_trace(m, 1)
         V = np.exp(0.5 * np.arange(1, m + 1))
         resid = float((lower.rows @ V - (0.98 * V + 0.25)).max())
         worst_resid = max(worst_resid, resid)
@@ -191,18 +193,20 @@ def toy_kcip_scaling(seed: int = 0, ms=(4, 8, 16), d: int = 1) -> SuiteResult:
     )
 
 
-def expander_separation(seed: int = 0, m: int = 64, d: int = 8) -> SuiteResult:
+def expander_separation(seed: int = 0) -> SuiteResult:
     """Joint-occupation bound beats the per-block bound on the pair chain.
 
-    Three checks at ``epsilon = 1/log m``: (1) exact per-block tails admit
+    The pair chain has m = 64 blocks over an 8-regular base graph.  Three
+    checks at ``epsilon = 1/log m``: (1) exact per-block tails admit
     no feasible horizon T <= m/2; (2) a sampled joint tail certifies the
     joint-bound ingredient at some T <= 50 log(m) / epsilon; (3) the
     resulting joint-bound value is below the per-block-bound value at the
     shared Monte Carlo resolution.
     """
     t0 = time.perf_counter()
+    m = 64
     eps = 1.0 / math.log(m)
-    ep = expander_pair(m, d, eps, seed=seed + 3)
+    ep = expander_pair(m, 8, eps, seed=seed + 3)
     K, part = ep.kernel, ep.partition
     pi = stationary_distribution(K)
     phis, _, _ = block_mixing_times(K, pi, part, horizon=1000)
@@ -321,7 +325,7 @@ def torus_constants(seed: int = 0) -> SuiteResult:
     )
 
 
-def kcip_reversibility(seed: int = 0, steps: int = 10**6) -> SuiteResult:
+def kcip_reversibility(seed: int = 0) -> SuiteResult:
     """Constrained-spin chain on the 5-cycle: detailed balance and liveness.
 
     The enumerated kernel must satisfy detailed balance against the product
@@ -333,7 +337,7 @@ def kcip_reversibility(seed: int = 0, steps: int = 10**6) -> SuiteResult:
     flux = chain.pi.weights[:, None] * chain.kernel.rows
     residual = float(np.abs(flux - flux.T).max())
     start = int(chain.states[0])  # single particle at vertex 0
-    counts = chain.sampler.run(start, steps, seed=seed + 1)
+    counts = chain.sampler.run(start, 10**6, seed=seed + 1)
     min_count = int(counts.min())
     passed = residual <= 1e-12 and min_count >= 1
     return SuiteResult(
@@ -342,7 +346,7 @@ def kcip_reversibility(seed: int = 0, steps: int = 10**6) -> SuiteResult:
         measured={"detailed_balance_residual": residual, "min_particles": min_count},
         threshold="residual <= 1e-12 and min particle count >= 1",
         header=["quantity", "value"],
-        rows=[["residual", residual], ["min_particles", min_count], ["steps", steps]],
+        rows=[["residual", residual], ["min_particles", min_count], ["steps", 10**6]],
         seconds=time.perf_counter() - t0,
     )
 

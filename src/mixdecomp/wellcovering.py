@@ -173,14 +173,14 @@ def _plausible(kappa: np.ndarray, Q: np.ndarray, B: float, T: float) -> np.ndarr
 
 
 def feasibility_oracle(
-    query: WellCoveringQuery, T: int, grid_resolution: int = 64, max_witnesses: int = 4
+    query: WellCoveringQuery, T: int, grid_resolution: int = 64
 ) -> OracleOutcome:
     """Search a discretized simplex for covering violations at horizon T.
 
     A violation is a plausible (kappa, N) pair with some block occupation at
-    or below its threshold share ``t_i / T``; the first ``max_witnesses`` in
-    grid order are listed.  All candidate points are tested at once, in
-    about 4 KB each for 3 blocks (2,145 points at the default resolution).
+    or below its threshold share ``t_i / T``; the first four in grid order
+    are listed.  All candidate points are tested at once, in about 4 KB each
+    for 3 blocks (2,145 points at the default resolution).
     Coverage is certified only up to the grid tolerance ``2 /
     grid_resolution``, which is reported.  At ``T <= max_i t_i`` some share
     is at least 1, which no occupation clears, so the horizon is not covered
@@ -197,14 +197,12 @@ def feasibility_oracle(
     # the 1e-15 keeps a share that equals a grid point up to rounding
     candidates = grid[(grid <= query.thresholds / T + 1e-15).any(axis=1)]
     feasible = candidates[_plausible(candidates, query.q.rows, query.B, T)]
-    witnesses = tuple(tuple(kappa) for kappa in np.round(feasible[:max_witnesses], 9))
+    witnesses = tuple(tuple(kappa) for kappa in np.round(feasible[:4], 9))
     return OracleOutcome(not len(feasible), witnesses, 2.0 / grid_resolution, T)
 
 
-def oracle_wc_time(
-    query: WellCoveringQuery, grid_resolution: int = 64, T_horizon: int = 2**40
-) -> WellCoveringCertificate:
-    """Least horizon the oracle certifies as covered (integer bisection).
+def oracle_wc_time(query: WellCoveringQuery, grid_resolution: int = 64) -> WellCoveringCertificate:
+    """Least horizon up to 2^40 the oracle certifies as covered (integer bisection).
 
     The search starts at ``max_i t_i``, below which the oracle's threshold
     guard already rules every horizon out, so for a monotone oracle
@@ -213,10 +211,10 @@ def oracle_wc_time(
     T = least_horizon(
         lambda horizon: feasibility_oracle(query, horizon, grid_resolution).covered,
         int(query.thresholds.max()),
-        T_horizon,
+        2**40,
     )
     if T is None:
-        raise NoFiniteT(f"oracle found no covered horizon up to {T_horizon}")
+        raise NoFiniteT("oracle found no covered horizon up to 2^40")
     return WellCoveringCertificate(
         value=float(T),
         method="oracle",
@@ -278,12 +276,10 @@ def tree_bound(q: StochasticKernel, phi: float, B: float) -> WellCoveringCertifi
     )
 
 
-def _propagation_measure(
-    q: StochasticKernel, mu: StationaryDistribution | None
-) -> StationaryDistribution:
+def _propagation_measure(q: StochasticKernel) -> StationaryDistribution:
     if not q.is_irreducible():
         raise InvalidComparison("propagation requires an irreducible kernel")
-    return stationary_distribution(q) if mu is None else mu
+    return stationary_distribution(q)
 
 
 def propagation_covers(
@@ -307,7 +303,7 @@ def propagation_covers(
     q = query.q
     n = query.n
     if mu is None:
-        mu = _propagation_measure(q, None)
+        mu = _propagation_measure(q)
     w = mu.weights.tolist()
     Q = q.rows.tolist()
     sqrt_T = math.sqrt(T)
@@ -340,20 +336,16 @@ def propagation_covers(
     return all((np.asarray(lower_bounds(root)) > shares).all() for root in range(n))
 
 
-def propagation_bound(
-    query: WellCoveringQuery,
-    T_horizon: int = 2**60,
-    mu: StationaryDistribution | None = None,
-) -> WellCoveringCertificate:
-    """Least integer horizon :func:`propagation_covers` certifies as covered.
+def propagation_bound(query: WellCoveringQuery) -> WellCoveringCertificate:
+    """Least integer horizon up to 2^60 :func:`propagation_covers` certifies as covered.
 
     This extends the tree induction to arbitrary irreducible kernels and is
     labeled as such in the provenance.
     """
-    mu = _propagation_measure(query.q, mu)
-    T = least_horizon(lambda horizon: propagation_covers(query, horizon, mu), 2, T_horizon)
+    mu = _propagation_measure(query.q)
+    T = least_horizon(lambda horizon: propagation_covers(query, horizon, mu), 2, 2**60)
     if T is None:
-        raise NoFiniteT(f"propagation found no covering horizon up to {T_horizon}")
+        raise NoFiniteT("propagation found no covering horizon up to 2^60")
     return WellCoveringCertificate(
         value=float(T),
         method="propagation",
@@ -374,7 +366,6 @@ def compare_wc(
     transform: str,
     alpha: float | None = None,
     target: StochasticKernel | None = None,
-    target_mu: StationaryDistribution | None = None,
 ) -> WellCoveringCertificate:
     """Derive a covering certificate for a transformed problem.
 
@@ -400,7 +391,7 @@ def compare_wc(
         if (off_new < off_old - 1e-12).any():
             raise InvalidComparison("target kernel does not dominate off-diagonal entries")
         mu_old = stationary_distribution(base).weights
-        mu_new = (target_mu or stationary_distribution(target)).weights
+        mu_new = stationary_distribution(target).weights
         if np.abs(mu_old - mu_new).max() > 1e-8:
             raise InvalidComparison("stationary measures differ")
         return WellCoveringCertificate(
@@ -465,8 +456,6 @@ def bootstrap_mixing_bound(
     covers: Callable[[np.ndarray, float, int], bool],
     constants: PeresSousiConstants,
     phi: Sequence[float] | None = None,
-    phi_horizon: int = 2**20,
-    T_horizon: int = 2**60,
 ) -> BoundResult:
     """Mixing bound through a certified well-covering horizon.
 
@@ -479,7 +468,9 @@ def bootstrap_mixing_bound(
     ``B(T) = sqrt(8 phi_max log(64 n^2 T))``, which is the least T >= 3 with
     ``covers(thresholds, B(T), T - 1)``: one covering probe per horizon.
     The mixing time is then at most ``(4/3) c_alpha T``.  The B term grows
-    only logarithmically in T, so the crossing exists and doubling finds it.
+    only logarithmically in T, so the crossing exists and doubling finds it;
+    the search looks up to 2^60.  Without ``phi``, the block mixing times
+    are computed up to 2^20 steps.
     """
     I = [int(i) for i in I]
     masses = partition.masses(pi)
@@ -490,7 +481,7 @@ def bootstrap_mixing_bound(
         raise ValueError("need 0 < alpha < 1/2 and 1 - alpha < beta < 1")
     n = partition.n_blocks
     if phi is None:
-        phis, _, _ = block_mixing_times(kernel, pi, partition, phi_horizon)
+        phis, _, _ = block_mixing_times(kernel, pi, partition, 2**20)
         if any(p is None for p in phis):
             raise NoFixedPoint("a block mixing time exceeded its horizon")
         phi = [float(p) for p in phis]
@@ -506,9 +497,9 @@ def bootstrap_mixing_bound(
     def ok(T: int) -> bool:
         return T >= 3 and covers(thresholds, B_of(T), T - 1)
 
-    T = least_horizon(ok, 2, T_horizon)
+    T = least_horizon(ok, 2, 2**60)
     if T is None:
-        raise NoFixedPoint(f"no self-consistent horizon up to {T_horizon}")
+        raise NoFixedPoint("no self-consistent horizon up to 2^60")
     value = (4.0 / 3.0) * constants.c_alpha * T
     return BoundResult(
         name="bootstrap_well_covering",

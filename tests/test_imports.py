@@ -10,8 +10,9 @@ Only ``contraction`` imports ``scipy.optimize``, and only its HiGHS
 reference ``wasserstein_dual`` (a test and benchmark oracle) calls
 ``linprog``: every decision the package makes is exact and LP-free.
 ``bounds`` reaches simulation only through ``tails``, and only the exact
-tail provider reads the occupation DP table.  The package's public names
-are pinned, so a move cannot drop one unnoticed.
+tail provider reads the occupation DP table.  Every defaulted parameter of
+a public function is set by some call in the repository.  The package's
+public names are pinned, so a move cannot drop one unnoticed.
 No linter runs on this repository, so the checks are made here with the
 standard library's ``ast``.  The unused-import check skips ``__init__.py``:
 its imports are the package's public re-exports.
@@ -218,6 +219,98 @@ def test_bounds_reaches_simulation_only_through_tails():
     assert _sibling_imports(source) == {"simulate", "io", "rng"}
     imported = _sibling_imports((PACKAGE / "bounds.py").read_text())
     assert "tails" in imported and "simulate" not in imported, sorted(imported)
+
+
+def _defaulted_parameters(source: str) -> list[tuple[str, str, int | None, str]]:
+    """(called name, qualified name, call position, parameter) per defaulted
+    parameter of each public function and method; a constructor is called by
+    its class name.  The position skips ``self``; keyword-only is None."""
+    found = []
+
+    def add(fn, called, qualname, skip):
+        a = fn.args
+        positional = a.posonlyargs + a.args
+        first = len(positional) - len(a.defaults)
+        found.extend(
+            (called, qualname, k - skip, arg.arg)
+            for k, arg in enumerate(positional)
+            if k >= first
+        )
+        found.extend(
+            (called, qualname, None, arg.arg)
+            for arg, default in zip(a.kwonlyargs, a.kw_defaults)
+            if default is not None
+        )
+
+    for node in ast.parse(source).body:
+        if isinstance(node, ast.FunctionDef) and not node.name.startswith("_"):
+            add(node, node.name, node.name, 0)
+        elif isinstance(node, ast.ClassDef) and not node.name.startswith("_"):
+            for fn in node.body:
+                if not isinstance(fn, ast.FunctionDef):
+                    continue
+                static = any(getattr(d, "id", None) == "staticmethod" for d in fn.decorator_list)
+                if fn.name == "__init__":
+                    add(fn, node.name, node.name, 1)
+                elif not fn.name.startswith("_"):
+                    add(fn, fn.name, f"{node.name}.{fn.name}", 0 if static else 1)
+    return found
+
+
+def _call_sites(sources) -> dict[str, list[tuple[bool, int, set[str]]]]:
+    """Per called name, each call's (forwards ``*``/``**``, positional count, keywords)."""
+    calls = {}
+    for source in sources:
+        for node in ast.walk(ast.parse(source)):
+            if not isinstance(node, ast.Call):
+                continue
+            name = getattr(node.func, "attr", getattr(node.func, "id", None))
+            keywords = {k.arg for k in node.keywords}
+            forwards = None in keywords or any(isinstance(x, ast.Starred) for x in node.args)
+            calls.setdefault(name, []).append((forwards, len(node.args), keywords))
+    return calls
+
+
+def _unset_defaults(source: str, calls: dict) -> list[str]:
+    """Defaulted parameters of ``source`` that no call in ``calls`` sets."""
+    return [
+        f"{qualname}({param})"
+        for called, qualname, position, param in _defaulted_parameters(source)
+        if not any(
+            forwards or (position is not None and n_positional > position) or param in keywords
+            for forwards, n_positional, keywords in calls.get(called, [])
+        )
+    ]
+
+
+def test_unset_default_check_sees_each_form():
+    source = (
+        "def f(a, b=1, c=2, *, d=3):\n    return a\n"
+        "class K:\n    def __init__(self, x=0, y=1):\n        pass\n"
+        "    def m(self, z=1):\n        pass\n"
+        "    @staticmethod\n    def s(w=1):\n        pass\n"
+        "    def _hidden(self, v=0):\n        pass\n"
+        "def _private(u=1):\n    pass\n"
+        "f(1, 2)\nf(0, d=4)\nK(y=2).m(*args)\nK.s(3)\n"
+    )
+    assert _unset_defaults(source, _call_sites([source])) == ["f(c)", "K(x)"]
+
+
+def test_every_defaulted_parameter_has_a_caller():
+    # a default no caller overrides is a constant; spelling it as an option
+    # adds a configuration no test or benchmark runs
+    root = Path(__file__).resolve().parents[1]
+    calls = _call_sites(
+        path.read_text()
+        for folder in ("src", "tests", "perfbench")
+        for path in (root / folder).rglob("*.py")
+    )
+    found = {
+        path.stem: unset
+        for path in sorted(PACKAGE.glob("*.py"))
+        if (unset := _unset_defaults(path.read_text(), calls))
+    }
+    assert not found, f"defaulted parameters no call sets: {found}"
 
 
 # The names mixdecomp/__init__.py imports, and so exports.

@@ -1,7 +1,9 @@
 import hashlib
 import json
+import re
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -184,6 +186,25 @@ def test_config_validation_errors(tmp_path):
                     "constants": {"c_alpha": value},
                 }
             )
+    # a key or section the parser does not know is refused, naming it
+    kernel = tmp_path / "k.txt"
+    save_kernel(pince_nez(4)[0], kernel)
+    chain = {"family": "pince_nez", "m": "6"}
+    for extra, match in (
+        ({"constants": {"c_alfa": "2.0", "calibrated": "true"}}, r"'c_alfa' in \[constants\]"),
+        ({"audit": {"i": "0", "jj": "1"}}, r"'jj' in \[audit\]"),
+        ({"run": {"tasks": "analyze", "seeds": "1"}}, r"'seeds' in \[run\]"),
+        ({"chain": {**chain, "q": "3"}}, r"'q' in \[chain\]"),
+        ({"chain": {"family": "kcip", "graph": "foo", "size": "2"}}, r"\[chain\] graph"),
+        ({"files": {"kernel": str(kernel)}}, r"both \[chain\] and \[files\]"),
+        ({"constant": {"c_alpha": "2.0"}}, r"unknown section \[constant\]"),
+    ):
+        with pytest.raises(ConfigInvalid, match=match):
+            ExperimentConfig.from_sections({"chain": chain, "run": {"tasks": "analyze"}, **extra})
+    with pytest.raises(ConfigInvalid, match=r"'partitions' in \[files\]"):
+        ExperimentConfig.from_sections(
+            {"files": {"kernel": str(kernel), "partitions": "p.txt"}, "run": {"tasks": "analyze"}}
+        )
 
 
 def test_config_json_equivalent(tmp_path):
@@ -203,11 +224,58 @@ def test_config_json_equivalent(tmp_path):
     cfg2 = ExperimentConfig.from_file(ini)
     assert cfg2.chain.params == cfg.chain.params
 
+    # keys are case-sensitive in both forms: the torus takes C, not c
+    torus = {"family": "torus_metropolis", "m": "2", "l": "2", "C": "3"}
+    p.write_text(json.dumps({"chain": torus, "run": payload["run"]}))
+    ini.write_text(
+        "[chain]\n" + "".join(f"{k} = {v}\n" for k, v in torus.items())
+        + f"[run]\ntasks = analyze\nseed = 1\noutput_dir = {tmp_path}\n"
+    )
+    from_json, from_ini = ExperimentConfig.from_file(p), ExperimentConfig.from_file(ini)
+    assert from_ini.chain == from_json.chain
+    assert run_experiment(from_ini) == run_experiment(from_json)
+
+
+def test_readme_ini_example_loads(tmp_path):
+    # the documented schema cannot drift from the strict parser
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    (example,) = re.findall(r"```ini\n(.*?)```", readme, flags=re.S)
+    assert "output_dir = results\n" in example
+    path = tmp_path / "experiment.ini"
+    path.write_text(example.replace("output_dir = results", f"output_dir = {tmp_path}"))
+    cfg = ExperimentConfig.from_file(path)
+    assert cfg.chain.family == "pince_nez" and cfg.output_dir == tmp_path
+    assert cfg.tasks == ["analyze", "bounds", "audit"] and cfg.constants.calibrated
+
 
 def test_cli_exit_codes(tmp_path, capsys):
     assert main(["analyze", "--chain", "pince_nez:m=6", "--out", str(tmp_path)]) == 0
+    kernel, part = tmp_path / "k.txt", tmp_path / "p.txt"
+    save_kernel(pince_nez(4)[0], kernel)
+    part.write_text("".join(f"{s} {s // 4}\n" for s in range(8)))
+    ring = "8\n" + "".join(f"{i} {(i + 1) % 8} 0.25\n{(i + 1) % 8} {i} 0.25\n" for i in range(8))
+    argv = ["analyze", "--kernel", str(kernel), "--partition", str(part), "--out", str(tmp_path)]
+    assert main(argv) == 0
+    files = []
+    for name, text in {
+        "kernel_negative": ring + "-1 1 0.1\n",  # would fill row 7
+        "kernel_past_n": ring + "8 1 0.1\n",
+        "kernel_malformed": ring + "0 1 half\n",
+        "partition_negative": "0 0\n1 0\n2 0\n3 0\n4 1\n5 1\n6 1\n-1 1\n",  # would set state 7
+        "partition_past_n": "0 0\n1 0\n2 0\n3 0\n4 1\n5 1\n6 1\n7 1\n8 1\n",
+        "partition_malformed": "0 0\n1 zero\n",
+    }.items():
+        (tmp_path / name).write_text(text)
+        given = {"kernel": kernel, "partition": part, name.split("_")[0]: tmp_path / name}
+        files.append(["--kernel", str(given["kernel"]), "--partition", str(given["partition"])])
     # bad outside input ends in one "config error:" line and exit 1, not a traceback
     for argv in (
+        *(["analyze", *f] for f in files),
+        ["analyze", "--chain", "pince_nez:m=4,q=3"],
+        ["analyze", "--chain", "kcip:graph=foo,size=2"],
+        ["analyze", "--chain", "pince_nez:m=4", "--kernel", str(kernel)],
+        ["analyze", "--chain", "pince_nez:m=4", "--partition", str(part)],
+        ["bounds", "--chain", "pince_nez:m=4", "--constants", "c_alfa=2.0"],
         ["analyze", "--chain", "pince_nez:m<oops"],
         ["analyze", "--chain", "nosuch:m=4"],
         ["analyze", "--chain", "pince_nez"],
@@ -221,8 +289,14 @@ def test_cli_exit_codes(tmp_path, capsys):
         assert main(argv + ["--out", str(tmp_path / "bad")]) == 1, argv
         assert capsys.readouterr().err.startswith("config error: "), argv
     cfg = tmp_path / "bad.ini"
-    cfg.write_text("[run]\ntasks =\n")
-    assert main(["run", str(cfg)]) == 1
+    for text in (
+        "[run]\ntasks =\n",
+        f"[chain]\nfamily = pince_nez\nm = 4\n[files]\nkernel = {kernel}\n[run]\ntasks = analyze\n",
+    ):
+        cfg.write_text(text)
+        capsys.readouterr()
+        assert main(["run", str(cfg)]) == 1
+        assert capsys.readouterr().err.startswith("config error: "), text
 
 
 def test_cli_bounds_and_files(tmp_path):

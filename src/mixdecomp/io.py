@@ -29,10 +29,21 @@ from .errors import StateSpaceTooLarge
 from .kernel import StochasticKernel
 
 
+def _fields(path: str | Path, lineno: int, line: str, types: tuple) -> list:
+    """The leading fields of a data line read by ``types``, naming file and line if they fail."""
+    parts = line.split()
+    try:
+        if len(parts) < len(types):
+            raise ValueError(f"expected {len(types)} fields")
+        return [read(v) for read, v in zip(types, parts)]
+    except ValueError as exc:
+        raise ValueError(f"{path}, line {lineno}: {exc} in {line!r}") from None
+
+
 def load_kernel(path: str | Path) -> StochasticKernel:
     labels: list[str] = []
-    data_lines: list[str] = []
-    for raw in Path(path).read_text().splitlines():
+    data_lines: list[tuple[int, str]] = []  # (1-based line number, text)
+    for lineno, raw in enumerate(Path(path).read_text().splitlines(), 1):
         line = raw.strip()
         if not line:
             continue
@@ -41,27 +52,26 @@ def load_kernel(path: str | Path) -> StochasticKernel:
             if body.lower().startswith("label:"):
                 labels.append(body.split(":", 1)[1].strip())
             continue
-        data_lines.append(line)
+        data_lines.append((lineno, line))
     if not data_lines:
         raise ValueError(f"{path}: no data lines")
-    n = int(data_lines[0].split()[0])
+    (n,) = _fields(path, *data_lines[0], (int,))
     if n > MAX_DENSE_STATES:
         raise StateSpaceTooLarge(f"{path}: {n} states exceed the dense cap of {MAX_DENSE_STATES}")
     rows = data_lines[1:]
     dense = None
-    if len(rows) == n and all(len(r.split()) == n for r in rows):
-        cand = np.array([[float(v) for v in r.split()] for r in rows])
+    if len(rows) == n and all(len(r.split()) == n for _, r in rows):
+        cand = np.array([_fields(path, k, r, (float,) * n) for k, r in rows])
         if np.all(np.abs(cand.sum(axis=1) - 1.0) <= 1e-6):
             dense = cand
     if dense is None:
         mat = np.zeros((n, n))
-        for r in rows:
-            parts = r.split()
-            if len(parts) != 3:
-                raise ValueError(f"{path}: expected 'i j p' triple, got {r!r}")
-            i, j, p = int(parts[0]), int(parts[1]), float(parts[2])
+        for k, r in rows:
+            if len(r.split()) != 3:
+                raise ValueError(f"{path}, line {k}: expected 'i j p' triple, got {r!r}")
+            i, j, p = _fields(path, k, r, (int, int, float))
             if not (0 <= i < n and 0 <= j < n):
-                raise ValueError(f"{path}: state index outside 0..{n - 1} in {r!r}")
+                raise ValueError(f"{path}, line {k}: state index outside 0..{n - 1} in {r!r}")
             mat[i, j] += p
         np.fill_diagonal(mat, np.diag(mat) + 1.0 - mat.sum(axis=1))
         dense = mat
@@ -80,19 +90,20 @@ def save_kernel(kernel: StochasticKernel, path: str | Path) -> None:
 
 def load_partition(path: str | Path, n_states: int | None = None) -> Partition:
     pairs = []
-    for raw in Path(path).read_text().splitlines():
+    for lineno, raw in enumerate(Path(path).read_text().splitlines(), 1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
-        s, b = line.split()[:2]
-        pairs.append((int(s), int(b)))
+        pairs.append((lineno, *_fields(path, lineno, line, (int, int))))
     if not pairs:
         raise ValueError(f"{path}: empty partition file")
-    size = n_states if n_states is not None else max(s for s, _ in pairs) + 1
+    size = n_states if n_states is not None else max(s for _, s, _ in pairs) + 1
     block_of = np.full(size, -1, dtype=int)
-    for s, b in pairs:
+    for k, s, b in pairs:
         if not (0 <= s < size and b >= 0):
-            raise ValueError(f"{path}: bad pair '{s} {b}' (states 0..{size - 1}, blocks >= 0)")
+            raise ValueError(
+                f"{path}, line {k}: bad pair '{s} {b}' (states 0..{size - 1}, blocks >= 0)"
+            )
         block_of[s] = b
     if (block_of < 0).any():
         missing = np.nonzero(block_of < 0)[0]

@@ -72,6 +72,9 @@ class ExperimentConfig:
             sections = json.loads(text)
             if not isinstance(sections, dict):
                 raise ConfigInvalid("JSON config must be an object of sections")
+            for name, section in sections.items():
+                if not isinstance(section, dict):
+                    raise ConfigInvalid(f"JSON config section {name!r} must be an object of keys")
             sections = {k: {kk: str(vv) for kk, vv in v.items()} for k, v in sections.items()}
         else:
             parser = configparser.ConfigParser()
@@ -131,10 +134,13 @@ class ExperimentConfig:
         else:
             raise ConfigInvalid("config needs a [chain] or [files] section")
         cons = _section(sections, "constants")
+        calibrated = str(cons.get("calibrated", "false"))
+        if calibrated.lower() not in ("true", "false"):
+            raise ConfigInvalid(f"constants.calibrated must be true or false, not {calibrated!r}")
         constants = PeresSousiConstants(
             c_alpha=float(cons.get("c_alpha", 1.0)),
             c_alpha_prime=float(cons.get("c_alpha_prime", 1.0)),
-            calibrated=str(cons.get("calibrated", "false")).lower() == "true",
+            calibrated=calibrated.lower() == "true",
         )
         audit = _section(sections, "audit")
         out = Path(run.get("output_dir", "."))

@@ -126,10 +126,14 @@ class RowSampler:
             for h, keys in zip(halves, levels):
                 keys[x] = cums[h - 1 :: 2 * h]
         self._levels = [keys.ravel() for keys in levels]
-        self._cols = cols.ravel()
+        self.cols = cols.ravel()
 
     def step(self, states: np.ndarray, u: np.ndarray) -> np.ndarray:
         """Next state of each ``states[k]`` drawn with the uniform ``u[k]``."""
+        return self.cols.take(self.transitions(states, u))
+
+    def transitions(self, states: np.ndarray, u: np.ndarray) -> np.ndarray:
+        """Index ``states[k] * w + slot`` into ``cols`` of the transition drawn with ``u[k]``."""
         idx = states = states.astype(np.intp, copy=False)
         for level, keys in enumerate(self._levels):
             below = keys.take(idx) < u
@@ -138,7 +142,7 @@ class RowSampler:
             else:
                 idx = states << 1  # level 0 reads the rows themselves
             idx += below
-        return self._cols.take(idx)
+        return idx
 
 
 def simulate(

@@ -50,7 +50,7 @@ from .decomposition import (
     trace_kernel,
 )
 from .kernel import StationaryDistribution, mixing_profile, stationary_distribution
-from .simulate import simulate_states
+from .simulate import PathStream
 from .tails import ExactTailProvider, MCTailProvider
 from .wellcovering import (
     WellCoveringQuery,
@@ -149,8 +149,10 @@ def _mc_tv_cross_check(K, pi, prof, seed: int, reps: int = 200_000) -> dict:
     tvs = 0.5 * np.abs(P - pi.weights[None, :]).sum(axis=1)
     x = int(np.argmax(tvs))
     exact = float(tvs[x])
-    paths = simulate_states(K, x, t, seed=seed + 31, reps=reps)
-    counts = np.bincount(paths[:, -1], minlength=n) / reps
+    stream = PathStream(K, np.full(reps, x), seed + 31)
+    for _ in stream.extend(t):
+        pass
+    counts = np.bincount(stream.states, minlength=n) / reps
     emp = 0.5 * np.abs(counts - pi.weights).sum()
     bias = float(0.5 * np.sqrt(np.clip(counts * (1 - counts), 0, None) / reps).sum())
     gap = float(emp - exact)

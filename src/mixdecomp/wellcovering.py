@@ -48,7 +48,7 @@ from .errors import (
     TooManyBlocks,
 )
 from .kernel import StationaryDistribution, StochasticKernel, stationary_distribution
-from .simulate import RowSampler, index_dtype, wilson_interval
+from .simulate import RowSampler, wilson_interval
 from . import rng as rngmod
 
 
@@ -579,15 +579,9 @@ def concentration_audit(
     if reps < MIN_AUDIT_REPS:
         raise ValueError(f"need reps >= {MIN_AUDIT_REPS} for a meaningful audit")
     proj = projected_kernel(kernel, pi, partition)
-    orientations = (("ij", i, proj.rows[i, j]), ("ji", j, proj.rows[j, i]))
-    runs = [
-        (clock, int(t), seed + 7 * idx_t)
-        for _, clock, _ in orientations
-        for idx_t, t in enumerate(t_grid)
-    ]
-    samples = iter(_transition_ratio_samples(kernel, partition, i, j, runs, reps, start))
+    samples = iter(_transition_ratio_samples(kernel, partition, i, j, t_grid, reps, seed, start))
     rows: list[AuditRow] = []
-    for orient, _, target in orientations:
+    for orient, target in (("ij", proj.rows[i, j]), ("ji", proj.rows[j, i])):
         for t in t_grid:
             stats = next(samples)
             for c in c_grid:
@@ -608,11 +602,10 @@ def concentration_audit(
     return rows
 
 
-# Bytes per replica slot: state, uniform, draw buffer, countdown, crossings,
-# slot origin, run index and result (8 B each), clock block, "previous state
-# in i" and liveness flags (1 B each), and as much again for one step's
-# temporaries (sampler index, next state, its block, comparison masks).
-_AUDIT_SLOT_BYTES = 2 * (8 * 8 + 3)
+# Bytes per replica slot: state, packed counter, slot origin, uniform, draw
+# buffer and result (8 B each) and the liveness flag (1 B), and as much
+# again for one step's temporaries or compaction's copies.
+_AUDIT_SLOT_BYTES = 2 * (6 * 8 + 1)
 
 # Finished slots stay in the arrays, stepped on stale uniforms, until the
 # live ones fall below this share of them; then every array is compacted.
@@ -624,21 +617,24 @@ def _transition_ratio_samples(
     partition: Partition,
     i: int,
     j: int,
-    runs: Sequence[tuple[int, int, int]],
+    t_grid: Sequence[int],
     reps: int,
+    seed: int,
     start: int,
 ) -> list[np.ndarray]:
     """Per-replica ``N_ij(kappa_clock^{-1}(t)) / (t + 1)`` for every run.
 
-    ``runs`` lists ``(clock_block, t, seed)``.  The ``len(runs) * reps``
-    replicas are slots laid out run-major, replicas in index order, and
-    advance together.  Each step, every run with live replicas draws one
-    uniform per live replica from its own generator ``rng.stream(seed, 1)``
-    in slot order, so each run's numbers are those of simulating it alone.
-    A replica finishes on its ``max(t, 1)``-th arrival in the clock block;
-    the crossing on that step is not counted.  Run r stops at its step cap
-    ``200 (t + 1) max(1, n)``.
+    The runs are clocked by block i for each t of ``t_grid``, then by block
+    j; run ``(clock, t_grid[k])`` draws from ``rng.stream(seed + 7 k, 1)``.
+    The ``2 * len(t_grid) * reps`` replicas are slots laid out run-major,
+    replicas in index order, and advance together.  Each step, every run
+    with live replicas draws one uniform per live replica from its own
+    generator in slot order, so each run's numbers are those of simulating
+    it alone.  A replica finishes on its ``max(t, 1)``-th arrival in the
+    clock block; the crossing on that step is not counted.  Run r stops at
+    its step cap ``200 (t + 1) max(1, n)``.
     """
+    runs = [(clock, int(t), seed + 7 * k) for clock in (i, j) for k, t in enumerate(t_grid)]
     n_runs = len(runs)
     n_slots = n_runs * reps
     nbytes = n_slots * _AUDIT_SLOT_BYTES
@@ -647,30 +643,34 @@ def _transition_ratio_samples(
             f"{n_runs} audit runs x {reps} replicas need {nbytes:,} B of replica slots "
             f"> budget {MAX_PATH_BYTES:,} B"
         )
-    if n_runs == 0:
-        return []
     sampler = RowSampler(kernel)
-    blocks = index_dtype(partition.n_blocks)
-    block_of = partition.block_of.astype(blocks)
-    gens = [rngmod.stream(seed, 1) for _, _, seed in runs]
+    # transition index x * w + slot moves x to cols[index]
+    cols, block_of = sampler.cols, partition.block_of
+    crossing = np.repeat(block_of == i, cols.size // kernel.n_states) & (block_of == j)[cols]
+    tables = []  # counter step per transition index for the runs clocked by i, then j
+    for c in (i, j):
+        tables.append(crossing.astype(np.int64))
+        tables[-1][(block_of == c)[cols]] -= 1 << 32
+    firsts = [0, n_slots // 2]  # the runs clocked by j fill the second half of the slots
+    gens = [rngmod.stream(run_seed, 1) for _, _, run_seed in runs]
     caps = [200 * (t + 1) * max(1, kernel.n_states) for _, t, _ in runs]
     due: dict[int, list[int]] = {}  # step -> runs whose cap it is, in order
     for r, cap in enumerate(caps):
         due.setdefault(cap, []).append(r)
 
-    run = np.repeat(np.arange(n_runs, dtype=np.intp), reps)
     origin = np.arange(n_slots, dtype=np.intp)
     state = np.full(n_slots, start, dtype=np.intp)
-    clock = np.repeat(np.array([c for c, _, _ in runs], dtype=blocks), reps)
-    remaining = np.repeat(np.array([max(t, 1) for _, t, _ in runs], dtype=np.int64), reps)
-    crossings = np.zeros(n_slots, dtype=np.int64)
-    prev_in_i = np.full(n_slots, block_of[start] == i)
+    # (clock arrivals still due) << 32 | crossings.  A finished slot parks at
+    # 2^62.  A step adds at most one crossing and takes at most 2^32, so the
+    # packing is exact for the first 2^30 steps (hours of looping).
+    counter = np.repeat(np.array([max(t, 1) << 32 for _, t, _ in runs], dtype=np.int64), reps)
     live = np.ones(n_slots, dtype=bool)
     u = np.empty(n_slots)
     fresh = np.empty(n_slots)
     result = np.empty(n_slots, dtype=np.int64)
     live_count = np.full(n_runs, reps)
     n_live = n_slots
+    edges = [*firsts, n_slots]  # slot range of each clock's runs
     failed: tuple[int, int] | None = None  # (run, replicas left at its cap)
     step = 0
     while n_live:
@@ -684,39 +684,32 @@ def _transition_ratio_samples(
                 at += k
         if dest is fresh:
             u[live] = fresh[:n_live]
-        nxt = sampler.step(state, u)
-        blk = block_of[nxt]
-        arrived = blk == clock
-        remaining -= arrived
-        # live slots count down from >= 1, finished ones from -1
-        fin = np.flatnonzero(remaining == 0)
+        move = sampler.transitions(state, u)
+        state = cols.take(move)
+        for table, lo, hi in zip(tables, edges, edges[1:]):
+            counter[lo:hi] += table.take(move[lo:hi])
+        fin = np.flatnonzero(counter < 1 << 32)
         if fin.size:
-            result[origin[fin]] = crossings[fin]
-            remaining[fin] = -1
+            result[origin[fin]] = counter[fin] - crossing.take(move[fin])
+            counter[fin] = 1 << 62
             live[fin] = False
-            live_count -= np.bincount(run[fin], minlength=n_runs)
+            live_count -= np.bincount(origin[fin] // reps, minlength=n_runs)
             n_live -= fin.size
-        crossings += prev_in_i & (blk == j)
-        prev_in_i = blk == i
-        state = nxt
         for r in due.get(step, ()):
             if live_count[r]:
                 # the runs from r on can no longer change which run is named
                 failed = (r, int(live_count[r]))
-                cut = int(np.searchsorted(run, r))
-                state, clock, remaining, crossings, prev_in_i, origin, run, live, u = (
-                    a[:cut]
-                    for a in (state, clock, remaining, crossings, prev_in_i, origin, run, live, u)
-                )
+                cut = int(np.searchsorted(origin, r * reps))
+                state, counter, origin, live, u = (a[:cut] for a in (state, counter, origin, live, u))
                 live_count[r:] = 0
                 n_live = int(live_count.sum())
         if n_live < _COMPACT_BELOW * state.size:
             keep = np.flatnonzero(live)
-            state, clock, remaining, crossings, prev_in_i, origin, run = (
-                a[keep] for a in (state, clock, remaining, crossings, prev_in_i, origin, run)
-            )
+            state, counter, origin = (a[keep] for a in (state, counter, origin))
             live = np.ones(keep.size, dtype=bool)
             u = u[: keep.size]
+        if state.size < edges[-1]:
+            edges = [*np.searchsorted(origin, firsts).tolist(), state.size]
     if failed is not None:
         r, left = failed
         clock_block, t, _ = runs[r]

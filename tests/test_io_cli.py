@@ -201,6 +201,17 @@ def test_config_validation_errors(tmp_path):
     ):
         with pytest.raises(ConfigInvalid, match=match):
             ExperimentConfig.from_sections({"chain": chain, "run": {"tasks": "analyze"}, **extra})
+    # calibrated is true or false in any case, and nothing else is read as false
+    for value in ("yes", "1", "on", ""):
+        with pytest.raises(ConfigInvalid, match=rf"constants.calibrated .* not '{value}'"):
+            ExperimentConfig.from_sections(
+                {"chain": chain, "run": {"tasks": "bounds"}, "constants": {"calibrated": value}}
+            )
+    for value, want in (("TRUE", True), ("False", False)):
+        cfg = ExperimentConfig.from_sections(
+            {"chain": chain, "run": {"tasks": "bounds"}, "constants": {"calibrated": value}}
+        )
+        assert cfg.constants.calibrated is want
     with pytest.raises(ConfigInvalid, match=r"'partitions' in \[files\]"):
         ExperimentConfig.from_sections(
             {"files": {"kernel": str(kernel), "partitions": "p.txt"}, "run": {"tasks": "analyze"}}
@@ -256,21 +267,26 @@ def test_cli_exit_codes(tmp_path, capsys):
     ring = "8\n" + "".join(f"{i} {(i + 1) % 8} 0.25\n{(i + 1) % 8} {i} 0.25\n" for i in range(8))
     argv = ["analyze", "--kernel", str(kernel), "--partition", str(part), "--out", str(tmp_path)]
     assert main(argv) == 0
-    files = []
-    for name, text in {
-        "kernel_negative": ring + "-1 1 0.1\n",  # would fill row 7
-        "kernel_past_n": ring + "8 1 0.1\n",
-        "kernel_malformed": ring + "0 1 half\n",
-        "partition_negative": "0 0\n1 0\n2 0\n3 0\n4 1\n5 1\n6 1\n-1 1\n",  # would set state 7
-        "partition_past_n": "0 0\n1 0\n2 0\n3 0\n4 1\n5 1\n6 1\n7 1\n8 1\n",
-        "partition_malformed": "0 0\n1 zero\n",
+    # (file text, the 1-based line its error names)
+    for name, (text, lineno) in {
+        "kernel_negative": (ring + "-1 1 0.1\n", 18),  # would fill row 7
+        "kernel_past_n": (ring + "8 1 0.1\n", 18),
+        "kernel_malformed": (ring + "0 1 half\n", 18),
+        "kernel_count_malformed": ("# ring\neight\n" + ring[2:], 2),
+        "kernel_dense_malformed": ("2\n0.5 0.5\n\n0.5 half\n", 4),
+        "partition_negative": ("0 0\n1 0\n2 0\n3 0\n4 1\n5 1\n6 1\n-1 1\n", 8),  # state 7
+        "partition_past_n": ("0 0\n1 0\n2 0\n3 0\n4 1\n5 1\n6 1\n7 1\n8 1\n", 9),
+        "partition_malformed": ("0 0\n1 zero\n", 2),
+        "partition_one_field": ("# blocks\n0 0\n1\n", 3),
     }.items():
         (tmp_path / name).write_text(text)
         given = {"kernel": kernel, "partition": part, name.split("_")[0]: tmp_path / name}
-        files.append(["--kernel", str(given["kernel"]), "--partition", str(given["partition"])])
+        argv = ["analyze", "--kernel", str(given["kernel"]), "--partition", str(given["partition"])]
+        capsys.readouterr()
+        assert main(argv + ["--out", str(tmp_path / "bad")]) == 1, name
+        assert capsys.readouterr().err.startswith(f"config error: {tmp_path / name}, line {lineno}: ")
     # bad outside input ends in one "config error:" line and exit 1, not a traceback
     for argv in (
-        *(["analyze", *f] for f in files),
         ["analyze", "--chain", "pince_nez:m=4,q=3"],
         ["analyze", "--chain", "kcip:graph=foo,size=2"],
         ["analyze", "--chain", "pince_nez:m=4", "--kernel", str(kernel)],
@@ -288,15 +304,26 @@ def test_cli_exit_codes(tmp_path, capsys):
         capsys.readouterr()
         assert main(argv + ["--out", str(tmp_path / "bad")]) == 1, argv
         assert capsys.readouterr().err.startswith("config error: "), argv
-    cfg = tmp_path / "bad.ini"
-    for text in (
-        "[run]\ntasks =\n",
-        f"[chain]\nfamily = pince_nez\nm = 4\n[files]\nkernel = {kernel}\n[run]\ntasks = analyze\n",
+    # (config file, its text, what its error names)
+    for name, text, names in (
+        ("bad.ini", "[run]\ntasks =\n", "run.tasks"),
+        (
+            "bad.ini",
+            f"[chain]\nfamily = pince_nez\nm = 4\n[files]\nkernel = {kernel}\n[run]\ntasks = analyze\n",
+            "[files]",
+        ),
+        (
+            "bad.json",
+            json.dumps({"chain": {"family": "pince_nez", "m": 4}, "run": "analyze"}),
+            "section 'run'",
+        ),
     ):
+        cfg = tmp_path / name
         cfg.write_text(text)
         capsys.readouterr()
         assert main(["run", str(cfg)]) == 1
-        assert capsys.readouterr().err.startswith("config error: "), text
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and names in err, text
 
 
 def test_cli_bounds_and_files(tmp_path):
@@ -408,7 +435,7 @@ def test_cli_over_size_budget_is_config_error(tmp_path, monkeypatch, argv):
     monkeypatch.setattr("mixdecomp.tails.MAX_PATH_BYTES", 1 << 20)
     # the provider's stream, and every sampler step anywhere
     monkeypatch.setattr("mixdecomp.tails.PathStream", refuse)
-    monkeypatch.setattr(RowSampler, "step", refuse)
+    monkeypatch.setattr(RowSampler, "transitions", refuse)
     assert main(argv + ["--out", str(tmp_path)]) == 1
 
 
@@ -420,7 +447,7 @@ def test_cli_bounds_on_216_state_torus_completes(tmp_path, monkeypatch):
         raise AssertionError("simulated paths the escape certificate rules out")
 
     monkeypatch.setattr("mixdecomp.tails.PathStream", refuse)
-    monkeypatch.setattr(RowSampler, "step", refuse)
+    monkeypatch.setattr(RowSampler, "transitions", refuse)
     argv = ["bounds", "--chain", "torus_metropolis:m=3,l=3,C=7", "--out", str(tmp_path)]
     assert main(argv) == 0
     report = json.loads((tmp_path / "report.json").read_text())

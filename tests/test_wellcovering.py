@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -498,21 +499,45 @@ def test_concentration_audit_step_cap_is_typed():
         )
 
 
-@pytest.mark.parametrize("chain", [pince_nez(6), toy_kcip(4, 1)], ids=["pince_nez6", "toy_kcip4"])
+@pytest.mark.parametrize(
+    "chain, blocks, t_grid",
+    [
+        (pince_nez(6), (0, 1), (0, 1, 12, 40, 12)),
+        (toy_kcip(4, 1), (0, 1), (0, 1, 12, 40, 12)),
+        # 8 blocks of 3 states, clocked by block 3 and then block 1; every
+        # run on this grid finishes
+        (toy_kcip(8, 1), (3, 1), (3, 8, 3)),
+    ],
+    ids=["pince_nez6", "toy_kcip4", "toy_kcip8"],
+)
 @pytest.mark.parametrize("at_end", [False, True], ids=["start0", "start_last"])
-def test_concentration_audit_matches_sequential_runs(chain, at_end):
+def test_concentration_audit_matches_sequential_runs(chain, blocks, t_grid, at_end):
     # one batched loop over all (orientation, t) runs, each on its own
     # stream, gives exactly the rows of running them one after another
     k, part = chain
     pi = stationary_distribution(k)
     start = k.n_states - 1 if at_end else 0
-    args = (k, pi, part, 0, 1)
+    args = (k, pi, part, *blocks)
     kwargs = dict(
-        t_grid=(0, 1, 12, 40, 12), c_grid=(0.05, 0.2), reps=1000, seed=5, phi_max=3.0, start=start
+        t_grid=t_grid, c_grid=(0.05, 0.2), reps=1000, seed=5, phi_max=3.0, start=start
     )
     rows = concentration_audit(*args, **kwargs)
     assert rows == sequential_concentration_audit(*args, **kwargs)
-    assert len(rows) == 2 * 5 * 2
+    assert len(rows) == 2 * len(t_grid) * 2
+
+
+def test_concentration_audit_matches_sequential_cap_on_many_blocks():
+    # on (2, 5) the "ij" runs, clocked by block 2, finish; the "ji" run at
+    # t = 1, clocked by block 5 (1.6% of the mass), reaches its cap first
+    k, part = toy_kcip(8, 1)
+    pi = stationary_distribution(k)
+    args = (k, pi, part, 2, 5, (1, 2), (0.1,), 1000, 5, 3.0)
+    with pytest.raises(HorizonCap) as batched:
+        concentration_audit(*args)
+    with pytest.raises(HorizonCap) as sequential:
+        sequential_concentration_audit(*args)
+    assert str(batched.value) == str(sequential.value)
+    assert "visits to block 5 within 9600 steps" in str(batched.value)
 
 
 def test_concentration_audit_names_first_failing_run():
@@ -541,9 +566,28 @@ def test_concentration_audit_checks_slot_budget_before_stepping(monkeypatch):
     monkeypatch.setattr(wellcovering, "MAX_PATH_BYTES", need)
     assert len(concentration_audit(*args)) == 4
     monkeypatch.setattr(wellcovering, "MAX_PATH_BYTES", need - 1)
-    monkeypatch.setattr(RowSampler, "step", refuse)
+    # every sampler step, batched or not, goes through transitions
+    monkeypatch.setattr(RowSampler, "transitions", refuse)
     with pytest.raises(ProductSpaceTooLarge, match="4 audit runs x 1000 replicas"):
         concentration_audit(*args)
+
+
+def test_concentration_audit_peak_memory_is_within_its_slot_budget():
+    # The budget counts the slot arrays held across steps twice over, for one
+    # step's temporaries or compaction's copies.  The traced peak of a whole
+    # audit, sampler and counter-step tables included, stays within it and
+    # above the held arrays alone.
+    k, part = pince_nez(6)
+    pi = stationary_distribution(k)
+    n_slots = 2 * 2 * 20_000
+    tracemalloc.start()
+    try:
+        concentration_audit(k, pi, part, 0, 1, (5, 9), (0.1,), 20_000, 0, 1.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    budget = n_slots * wellcovering._AUDIT_SLOT_BYTES
+    assert budget // 2 <= peak <= budget
 
 
 def test_certificate_json_provenance_chain():

@@ -52,9 +52,11 @@ MAX_DENSE_STATES = 5_000
 # simulate.simulate_states counts (paths, T + 1) states in the smallest
 # integer dtype that holds them; tails.occupation_tail_table counts its
 # float64 (t_cap + 1, starts, n) DP array and (T_max, t_cap) table.
-# tails.MCTailProvider keeps only block labels, in bit planes of ceil(log2
-# n_blocks) / 8 bytes per path and step, yet counts a state and a label in
-# the smallest integer dtypes per path and step up to T_max, however far it
-# simulates: a deliberately conservative bound, over twice the planes'
-# size at any block count, checked before its first step.
+# tails.MCTailProvider keeps only a log of block changes, one event (a path
+# index and two labels in their smallest integer dtypes) per path and step
+# on which the label changes.  Before its first step it counts a state and
+# a label per path and step up to T_max, however far it simulates; before
+# each extension, the events held plus one event per path and new step.
+# wellcovering's concentration audit counts its replica slots and its
+# counter-step tables.
 MAX_PATH_BYTES = 2**31

@@ -2,8 +2,10 @@
 
 Kernel format: first non-comment line is the state count n, followed either
 by n dense rows of n probabilities or by sparse `i j p` triples (0-indexed)
-whose missing row mass is assigned to the diagonal.  Comment lines start
-with '#'; lines of the form `# label: NAME` attach state labels in order.
+whose missing row mass is assigned to the diagonal.  n rows of n numbers
+are dense, and must sum to 1 row by row; with n = 3 they may also be
+triples, which are tried when a row sum is off.  Comment lines start with
+'#'; lines of the form `# label: NAME` attach state labels in order.
 
 Trajectory dump (binary): a 16-byte header (magic ``MXDT``, u32 version,
 u32 state count, u32 T), then ``T + 1`` little-endian u32 state indices.
@@ -27,6 +29,11 @@ from .config import MAX_DENSE_STATES
 from .decomposition import Partition
 from .errors import StateSpaceTooLarge
 from .kernel import StochasticKernel
+
+# Largest distance of a dense kernel file's row sum from 1.  The file's
+# decimal probabilities are checked loosely here; StochasticKernel then
+# applies Tolerances.row_sum to the parsed matrix.
+_DENSE_ROW_SUM_SLACK = 1e-6
 
 
 def _fields(path: str | Path, lineno: int, line: str, types: tuple) -> list:
@@ -59,23 +66,37 @@ def load_kernel(path: str | Path) -> StochasticKernel:
     if n > MAX_DENSE_STATES:
         raise StateSpaceTooLarge(f"{path}: {n} states exceed the dense cap of {MAX_DENSE_STATES}")
     rows = data_lines[1:]
-    dense = None
     if len(rows) == n and all(len(r.split()) == n for _, r in rows):
-        cand = np.array([_fields(path, k, r, (float,) * n) for k, r in rows])
-        if np.all(np.abs(cand.sum(axis=1) - 1.0) <= 1e-6):
-            dense = cand
-    if dense is None:
-        mat = np.zeros((n, n))
-        for k, r in rows:
-            if len(r.split()) != 3:
-                raise ValueError(f"{path}, line {k}: expected 'i j p' triple, got {r!r}")
-            i, j, p = _fields(path, k, r, (int, int, float))
-            if not (0 <= i < n and 0 <= j < n):
-                raise ValueError(f"{path}, line {k}: state index outside 0..{n - 1} in {r!r}")
-            mat[i, j] += p
-        np.fill_diagonal(mat, np.diag(mat) + 1.0 - mat.sum(axis=1))
-        dense = mat
-    return StochasticKernel(dense, tuple(labels) if len(labels) == n else None)
+        mat = np.array([_fields(path, k, r, (float,) * n) for k, r in rows])
+        off = np.flatnonzero(np.abs(mat.sum(axis=1) - 1.0) > _DENSE_ROW_SUM_SLACK)
+        if off.size:
+            k, _ = rows[off[0]]
+            total = mat[off[0]].sum()
+            bad_sum = ValueError(f"{path}, line {k}: dense row sums to {total:.10g}, not 1")
+            if n != 3:
+                raise bad_sum
+            # three rows of three fields may also be three 'i j p' triples
+            try:
+                mat = _sparse_rows(path, n, rows)
+            except ValueError:
+                raise bad_sum from None
+    else:
+        mat = _sparse_rows(path, n, rows)
+    return StochasticKernel(mat, tuple(labels) if len(labels) == n else None)
+
+
+def _sparse_rows(path: str | Path, n: int, rows: list[tuple[int, str]]) -> np.ndarray:
+    """The matrix of ``i j p`` triples, each row's missing mass on its diagonal."""
+    mat = np.zeros((n, n))
+    for k, r in rows:
+        if len(r.split()) != 3:
+            raise ValueError(f"{path}, line {k}: expected 'i j p' triple, got {r!r}")
+        i, j, p = _fields(path, k, r, (int, int, float))
+        if not (0 <= i < n and 0 <= j < n):
+            raise ValueError(f"{path}, line {k}: state index outside 0..{n - 1} in {r!r}")
+        mat[i, j] += p
+    np.fill_diagonal(mat, np.diag(mat) + 1.0 - mat.sum(axis=1))
+    return mat
 
 
 def save_kernel(kernel: StochasticKernel, path: str | Path) -> None:

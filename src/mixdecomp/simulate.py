@@ -86,6 +86,12 @@ class HittingEstimate:
     reps: int
 
 
+def row_width(kernel: StochasticKernel) -> int:
+    """Width of :class:`RowSampler`'s padded rows: the widest row's nonzeros, to a power of two."""
+    d = int((kernel.rows > 0).sum(axis=1).max())
+    return 1 << (d - 1).bit_length()
+
+
 class RowSampler:
     """Vectorized next-state sampling from a transition matrix.
 
@@ -103,8 +109,7 @@ class RowSampler:
     def __init__(self, kernel: StochasticKernel):
         K = kernel.rows
         n = kernel.n_states
-        d = int((K > 0).sum(axis=1).max())
-        w = 1 << (d - 1).bit_length()
+        w = row_width(kernel)
         # The search probes sum pos + h - 1 for h = w/2 .. 1 and adds h to
         # pos where that sum is below u.  The table of level h holds the sums
         # h - 1 + 2hk of every row, row-major, so the flat index into the

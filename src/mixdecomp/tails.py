@@ -48,10 +48,21 @@ class JointTails(Protocol):
     def query_joint(self, I: Sequence[int], T: int, t): ...
 
 
-# Label entries counted per chunk of _count_rows, eight to a plane byte.  It
-# bounds the temporaries of the counting tree: about two plane chunks of
-# 128 KB per bit plane.
-_CHUNK_ENTRIES = 1 << 20
+# Events per chunk of the block-change log and per piece of a count; a
+# piece's temporaries are a few int64 arrays of its length.
+_PIECE = 1 << 14
+
+# Path-steps whose labels are gathered before one pass finds their changes.
+_BATCH = 1 << 16
+
+
+def _pieces(e0: int, e1: int):
+    """The events ``e0 .. e1 - 1`` as ranges ``[a, b)`` that lie in one chunk each."""
+    a = e0
+    while a < e1:
+        b = min(e1, (a // _PIECE + 1) * _PIECE)
+        yield a, b
+        a = b
 
 
 def _thresholds(t) -> np.ndarray:
@@ -117,27 +128,31 @@ class MCTailProvider:
     query at horizon T extends them to the next power of two at least T,
     capped at ``T_max``, which is as far as a doubling search looks.
 
-    The paths are kept only as block labels, in ``ceil(log2 n_blocks)`` bit
-    planes: bit b of byte row r of plane j holds bit j of the label at step
-    ``8 r + b + 1``, one contiguous byte row per 8 steps.  A step ORs one
-    gather from a per-state "spread" table, which places the label's bits at
-    the step's bit position of every plane, into a per-path accumulator; a
-    full accumulator is flushed as one byte row per plane.  ``kappa_i`` over
-    a range of steps is the popcount of the AND of the planes (or their
-    complements) that spell label i, under a mask for partial bytes.
+    The paths are kept only as a log of block changes: a path of a
+    decomposable chain stays in one block for long runs, so the log holds
+    one event per step on which a path's block label changes, made of the
+    path in ``index_dtype(paths)`` and its old and new labels in
+    ``index_dtype(n_blocks)``.  Events fill chunks of ``_PIECE`` events,
+    so growth copies none of them, and a cumulative per-step offset array
+    gives each step's events.  Each step gathers every path's label into a
+    buffer of about ``_BATCH`` path-steps; a full buffer is compared with
+    the labels one step earlier in one pass, and its changes are appended.
 
-    The planes are an append-only list of segments, one per extension, each
-    holding the byte rows from its first new step on; nothing is copied when
-    the paths grow.  An extension that starts inside a byte row drops that
-    partial row from the previous segment and writes it again, complete up
-    to the carried accumulator, as its own first row.
+    Occupation counts of every block, with the paths' labels, are cached
+    for horizon 0, for the simulated horizon and for the two latest probes;
+    a new T is filled from the nearest cached horizon T0 by the events
+    between them.  Upward, with the events (step t_e, label a_e to b_e) of
+    ``T0 < t_e <= T``::
 
-    Occupation counts of every block are cached for horizon 0, for the
-    simulated horizon and for the two latest probes; a new T is filled from
-    the nearest cached horizon by counting the steps in between.  Counts are
-    exact integers, so the base they start from does not change them, and a
-    bisection's next probe counts only the rows inside its bracket, whose
-    last probe is cached.
+        kappa(T) = kappa(T0) + (T - T0) onehot(L(T0))
+                   + sum_e (T + 1 - t_e) (onehot(b_e) - onehot(a_e))
+        L(T) = L(T0) + sum_e (b_e - a_e)
+
+    and downward the same sums with the signs turned.  They are exact
+    integer scatter-adds over pieces of at most ``_PIECE`` events, so the
+    base a count starts from does not change it, and a bisection's next
+    probe counts only the events inside its bracket, whose last probe is
+    cached.
 
     A query reads one occupation vector per path: ``kappa_i``, or for a
     joint key ``max_{i in I} kappa_i``, since every ``kappa_i < t`` exactly
@@ -148,9 +163,10 @@ class MCTailProvider:
     (conservative) ingredient for the bound searches.
 
     Before the first step, ``paths x (T_max + 1) x (state bytes + label
-    bytes)`` is checked against ``MAX_PATH_BYTES``, with the labels'
-    ``index_dtype`` bytes, not their planes' bits: a deliberately
-    conservative bound.  Over it, queries raise ``ProductSpaceTooLarge``.
+    bytes)`` is checked against ``MAX_PATH_BYTES``; before each extension,
+    the events held plus one event per path and new step, the most that
+    the extension can record.  Over either, queries raise
+    ``ProductSpaceTooLarge`` before the extension's first step.
     """
 
     def __init__(
@@ -171,29 +187,18 @@ class MCTailProvider:
             starts = range(kernel.n_states)
         self.start_list = [int(s) for s in starts]
         n_paths = len(self.start_list) * self.reps
-        self._chunk_rows = max(1, _CHUNK_ENTRIES // (8 * max(n_paths, 1)))
-        n_planes = (partition.n_blocks - 1).bit_length()
-        # Accumulator words hold a byte per plane, up to 8 planes a word.
-        # spread[b, w, x]: the label bits of state x in word w, plane j at bit
-        # 8 * (j % 8) + b, so each little-endian byte of a word is one
-        # plane's byte row.
-        word = np.dtype(f"<u{next(size for size in (1, 2, 4, 8) if size >= min(n_planes, 8))}")
-        spread = np.zeros((8, -(-n_planes // 8), kernel.n_states), dtype=word)
-        for j in range(n_planes):
-            bits = ((partition.block_of >> j) & 1).astype(word)
-            for b in range(8):
-                spread[b, j // 8] |= bits << word.type(8 * (j % 8) + b)
+        label = index_dtype(partition.n_blocks)
+        self._block_of = partition.block_of.astype(label)
+        self._event = np.dtype([("path", index_dtype(n_paths)), ("old", label), ("new", label)])
         self._stream: PathStream | None = None
         self._T_sim = 0
-        # (first byte row, planes (n_planes, rows, paths)), one per extension
-        self._segments: list[tuple[int, np.ndarray]] = []
-        acc = np.zeros((n_paths, spread.shape[1]), dtype=word)
-        # per bit position, the (accumulator word, spread table) pairs a step ORs
-        self._or_tables = [list(zip(acc.T, spread[b])) for b in range(8)]
-        # the accumulator's bytes, one row per plane
-        self._acc_planes = acc.view(np.uint8).T[:n_planes]
-        # T -> (n_blocks, paths), least recently probed first
+        self._chunks: list[np.ndarray] = []  # of _PIECE events; only the last is partly filled
+        # events at steps 1 .. s, for s = 0 .. T_sim
+        self._offsets = np.zeros(1, dtype=np.int64)
+        self._now: np.ndarray | None = None  # every path's label at T_sim
+        # T -> (n_blocks, paths) counts and (paths,) labels, least recently probed first
         self._counts: dict[int, np.ndarray] = {}
+        self._labels: dict[int, np.ndarray] = {}
         self._wilson_hi = np.array([wilson_interval(k, self.reps)[1] for k in range(self.reps + 1)])
 
     @property
@@ -211,9 +216,9 @@ class MCTailProvider:
     def max_t(self) -> int:
         return self.T_max
 
-    def _ensure_labels(self, T: int) -> None:
-        """Extend the labels to ``min(T_max, next power of two >= T)`` steps."""
-        n_planes, n_paths = self._acc_planes.shape
+    def _extend(self, T: int) -> None:
+        """Log the block changes up to ``min(T_max, next power of two >= T)`` steps."""
+        n_paths = len(self.start_list) * self.reps
         if self._stream is None:
             item = index_dtype(self.kernel.n_states).itemsize
             item += index_dtype(self.partition.n_blocks).itemsize
@@ -228,88 +233,106 @@ class MCTailProvider:
             self._counts[0] = np.zeros(
                 (self.partition.n_blocks, n_paths), dtype=index_dtype(self.T_max + 1)
             )
+            self._labels[0] = self._now = self._block_of[starts]
         have = self._T_sim
         if T <= have:
             return
         # least_horizon doubles from 2 and bisects below its first feasible
         # doubling, so power-of-two growth never simulates past 2x its probes
         grow = min(self.T_max, 1 << (int(T) - 1).bit_length())
-        first = have // 8
-        if have % 8:
-            # the new segment writes the partial row again from the accumulator
-            head, planes = self._segments.pop()
-            if planes.shape[1] > 1:
-                self._segments.append((head, planes[:, :-1]))
-        planes = np.empty((n_planes, -(-grow // 8) - first, n_paths), dtype=np.uint8)
-        for s, state in enumerate(self._stream.extend(grow - have), have):
-            bit = s % 8
-            for word, spread in self._or_tables[bit]:
-                word |= spread.take(state)
-            if bit == 7:
-                planes[:, s // 8 - first] = self._acc_planes
-                self._acc_planes[:] = 0
-        if grow % 8:
-            # a partial row; the accumulator keeps its bits for the next extension
-            planes[:, -1] = self._acc_planes
-        self._segments.append((first, planes))
+        held = int(self._offsets[-1])
+        nbytes = (held + n_paths * (grow - have)) * self._event.itemsize
+        if nbytes > MAX_PATH_BYTES:
+            raise ProductSpaceTooLarge(
+                f"{held:,} block changes held and {n_paths} paths x {grow - have} new steps "
+                f"may need {nbytes:,} B of events > budget {MAX_PATH_BYTES:,} B"
+            )
+        offsets = np.empty(grow + 1, dtype=np.int64)
+        offsets[: have + 1] = self._offsets
+        # labels[0] holds the labels one step before the batch's first step
+        batch = max(1, _BATCH // max(n_paths, 1))
+        labels = np.empty((batch + 1, n_paths), dtype=self._block_of.dtype)
+        labels[0] = self._now
+        k = 0
+        for s, state in enumerate(self._stream.extend(grow - have), have + 1):
+            k += 1
+            # states are in range; "clip" writes into the row without a buffer
+            self._block_of.take(state, out=labels[k], mode="clip")
+            if k == batch or s == grow:
+                self._record(labels[: k + 1], offsets[s - k : s + 1])
+                labels[0] = labels[k]
+                k = 0
+        self._offsets = offsets
+        self._now = labels[0].copy()
         self._T_sim = grow
 
-    def _count_rows(self, a: int, b: int) -> np.ndarray:
-        """Per-path visits to every block at times ``a .. b - 1``."""
-        n_planes, n_paths = self._acc_planes.shape
-        counts = np.zeros((self.partition.n_blocks, n_paths), dtype=np.int64)
-        if a >= b:
-            return counts
-        lo, hi = a - 1, b - 1  # bit positions
-        r0, r1 = lo // 8, -(-hi // 8)
-        mask = np.full((r1 - r0, 1), 0xFF, dtype=np.uint8)
-        mask[0] &= (0xFF << lo % 8) & 0xFF
-        mask[-1] &= 0xFF >> (-hi % 8)
-        for first, planes in self._segments:
-            stop = min(r1, first + planes.shape[1])
-            for r in range(max(r0, first), stop, self._chunk_rows):
-                end = min(r + self._chunk_rows, stop)
-                rows = planes[:, r - first : end - first]
-                self._count_tree(counts, rows, mask[r - r0 : end - r0], n_planes, 0)
-        return counts
+    def _record(self, labels: np.ndarray, offsets: np.ndarray) -> None:
+        """Append the changes between consecutive rows of ``labels`` to the log.
 
-    def _count_tree(self, counts, planes, sel, j: int, label: int) -> None:
-        """Add to ``counts`` the set bits of ``sel`` split by the labels' low j bits.
-
-        ``sel`` marks the entries whose label's bits from j up equal those
-        of ``label``.  Labels at or above ``n_blocks`` never occur, so a
-        branch that can only reach them is skipped and its sibling keeps
-        ``sel`` unchanged.
+        ``offsets[0]`` is the number of events before the batch; the rest of
+        ``offsets`` is filled with the running totals after each step.
         """
-        if j == 0:
-            counts[label] += np.bitwise_count(sel).sum(axis=0, dtype=np.int32)
-            return
-        j -= 1
-        if label | 1 << j >= self.partition.n_blocks:
-            self._count_tree(counts, planes, sel, j, label)
-            return
-        one = sel & planes[j]
-        self._count_tree(counts, planes, sel ^ one, j, label)
-        self._count_tree(counts, planes, one, j, label | 1 << j)
+        n_paths = labels.shape[1]
+        flat = np.flatnonzero(labels[1:] != labels[:-1])
+        ends = np.arange(1, len(offsets)) * n_paths  # flat index past each step
+        offsets[1:] = offsets[0] + np.searchsorted(flat, ends)
+        path = flat % n_paths
+        old = labels[:-1].reshape(-1).take(flat)
+        new = labels[1:].reshape(-1).take(flat)
+        first = int(offsets[0])
+        for a, b in _pieces(first, first + flat.size):
+            if a % _PIECE == 0:
+                self._chunks.append(np.empty(_PIECE, dtype=self._event))
+            chunk = self._chunks[-1][a % _PIECE : a % _PIECE + b - a]
+            i, j = a - first, b - first
+            chunk["path"], chunk["old"], chunk["new"] = path[i:j], old[i:j], new[i:j]
+
+    def _count(self, T0: int, T: int) -> tuple[np.ndarray, np.ndarray]:
+        """Counts and labels at T from those cached at T0."""
+        labels0 = self._labels[T0]
+        n_paths = labels0.size
+        # the sums between T0 and T, signs turned below for a count downward
+        acc = np.zeros((self.partition.n_blocks, n_paths), dtype=np.int64)
+        acc[labels0, np.arange(n_paths)] = abs(T - T0)
+        flat = acc.reshape(-1)
+        moved = np.zeros(n_paths, dtype=np.int64)
+        offsets = self._offsets
+        lo, hi = min(T0, T), max(T0, T)
+        for a, b in _pieces(int(offsets[lo]), int(offsets[hi])):
+            events = self._chunks[a // _PIECE][a % _PIECE : a % _PIECE + b - a]
+            # the steps of events a .. b - 1, from the offsets clipped to them
+            s0 = int(np.searchsorted(offsets, a, side="right"))
+            s1 = int(np.searchsorted(offsets, b - 1, side="right"))
+            runs = np.diff(np.clip(offsets[s0 - 1 : s1 + 1], a, b))
+            weight = np.repeat(np.arange(T + 1 - s0, T - s1, -1, dtype=np.int64), runs)
+            path = events["path"].astype(np.intp)
+            old = events["old"].astype(np.intp)
+            new = events["new"].astype(np.intp)
+            np.add.at(flat, new * n_paths + path, weight)
+            np.add.at(flat, old * n_paths + path, -weight)
+            np.add.at(moved, path, new - old)
+        if T < T0:
+            np.negative(acc, out=acc)
+            np.negative(moved, out=moved)
+        acc += self._counts[T0]
+        moved += labels0
+        return acc.astype(self._counts[T0].dtype), moved.astype(labels0.dtype)
 
     def _kappa(self, T: int) -> np.ndarray:
         """Occupation counts ``kappa_i(T)`` of every block i, one column per path."""
         kappa = self._counts.pop(T, None)
         if kappa is None:
-            self._ensure_labels(T)
+            self._extend(T)
             near = min(self._counts, key=lambda h: abs(h - T))
-            base = self._counts[near]
-            delta = self._count_rows(min(T, near) + 1, max(T, near) + 1)
-            if T < near:
-                np.negative(delta, out=delta)
-            delta += base
-            kappa = delta.astype(base.dtype)
-        self._counts[T] = kappa
+            kappa, labels = self._count(near, T)
+        else:
+            labels = self._labels.pop(T)
+        self._counts[T], self._labels[T] = kappa, labels
         # keep 0, the simulated horizon and the two latest probes: the next
         # probe of a bisection lies between its last probe and an earlier one
         keep = {0, self._T_sim, *list(self._counts)[-2:]}
         for h in [h for h in self._counts if h not in keep]:
-            del self._counts[h]
+            del self._counts[h], self._labels[h]
         return kappa
 
     def query(self, i: int, T: int, t):

@@ -48,7 +48,7 @@ from .errors import (
     TooManyBlocks,
 )
 from .kernel import StationaryDistribution, StochasticKernel, stationary_distribution
-from .simulate import RowSampler, wilson_interval
+from .simulate import RowSampler, row_width, wilson_interval
 from . import rng as rngmod
 
 
@@ -570,8 +570,8 @@ def concentration_audit(
     Raises
     ------
     ProductSpaceTooLarge
-        If the replicas' slot arrays would exceed ``MAX_PATH_BYTES``;
-        checked before anything is allocated.
+        If the replicas' slot arrays and the counter-step tables would
+        exceed ``MAX_PATH_BYTES``; checked before anything is allocated.
     HorizonCap
         If a run's replicas do not all finish within its step cap; the
         first such run in (orientation, t) order is named.
@@ -607,6 +607,10 @@ def concentration_audit(
 # again for one step's temporaries or compaction's copies.
 _AUDIT_SLOT_BYTES = 2 * (6 * 8 + 1)
 
+# Bytes per transition index x * w + slot: the crossing mask (1 B) and the
+# two int64 counter-step tables.
+_AUDIT_TABLE_BYTES = 1 + 2 * 8
+
 # Finished slots stay in the arrays, stepped on stale uniforms, until the
 # live ones fall below this share of them; then every array is compacted.
 _COMPACT_BELOW = 0.9
@@ -637,11 +641,12 @@ def _transition_ratio_samples(
     runs = [(clock, int(t), seed + 7 * k) for clock in (i, j) for k, t in enumerate(t_grid)]
     n_runs = len(runs)
     n_slots = n_runs * reps
-    nbytes = n_slots * _AUDIT_SLOT_BYTES
+    n_moves = kernel.n_states * row_width(kernel)
+    nbytes = n_slots * _AUDIT_SLOT_BYTES + n_moves * _AUDIT_TABLE_BYTES
     if nbytes > MAX_PATH_BYTES:
         raise ProductSpaceTooLarge(
-            f"{n_runs} audit runs x {reps} replicas need {nbytes:,} B of replica slots "
-            f"> budget {MAX_PATH_BYTES:,} B"
+            f"{n_runs} audit runs x {reps} replicas and {n_moves:,} transition indices need "
+            f"{nbytes:,} B of replica slots and counter-step tables > budget {MAX_PATH_BYTES:,} B"
         )
     sampler = RowSampler(kernel)
     # transition index x * w + slot moves x to cols[index]

@@ -57,6 +57,29 @@ def test_kernel_file_with_nan_rejected(tmp_path):
         load_kernel(path)
 
 
+@pytest.mark.parametrize(
+    "text, line, total",
+    [
+        ("2\n0.5 0.4\n0.5 0.5\n", 2, "0.9"),
+        ("3\n0.2 0.3 0.5\n0.5 0.3 0.1\n0.1 0.1 0.8\n", 3, "0.9"),
+    ],
+)
+def test_dense_kernel_row_off_one_is_named(tmp_path, text, line, total):
+    # an n x n file is dense; with n = 3 its rows also read as triples, and
+    # the row sum is named when that reading fails too
+    path = tmp_path / "off.txt"
+    path.write_text(text)
+    with pytest.raises(ValueError, match=f"off.txt, line {line}: dense row sums to {total}, not 1"):
+        load_kernel(path)
+
+
+def test_three_state_triples_still_read_as_sparse(tmp_path):
+    path = tmp_path / "sparse3.txt"
+    path.write_text("3\n0 1 0.5\n1 2 0.5\n2 0 0.25\n")
+    k = load_kernel(path)
+    assert np.allclose(k.rows, [[0.5, 0.5, 0.0], [0.0, 0.5, 0.5], [0.25, 0.0, 0.75]])
+
+
 def test_kernel_file_over_dense_cap_rejected_before_allocation(tmp_path):
     path = tmp_path / "big.txt"
     path.write_text("5001\n0 1 0.5\n")

@@ -33,8 +33,8 @@ from mixdecomp.bounds import (
 from mixdecomp.chains import pince_nez, toy_kcip
 from mixdecomp.decomposition import Partition, block_mixing_times, qualifying_subsets
 from mixdecomp.errors import ProductSpaceTooLarge
-from mixdecomp.kernel import stationary_distribution
-from mixdecomp.simulate import RowSampler, simulate_states, wilson_interval
+from mixdecomp.kernel import StochasticKernel, stationary_distribution
+from mixdecomp.simulate import RowSampler, index_dtype, simulate_states, wilson_interval
 from mixdecomp.tails import (
     BlockTails,
     EscapeCertifiedTails,
@@ -42,6 +42,7 @@ from mixdecomp.tails import (
     JointTails,
     MCTailProvider,
     MinMarginalJointTails,
+    _PIECE,
 )
 
 T_MAX = 96
@@ -86,9 +87,9 @@ def test_mc_queries_match_brute_force_recount(seed, probes):
     assert mc.query(0, T_MAX + 1, 1) == 1.0 and mc.query_joint([0], 5, 0) == 0.0
 
 
-# Not a multiple of 8, so the last byte row of the label planes is partial.
+# Not a power of two, so the last extension stops at T_max.
 PLANE_T_MAX = 45
-# 1, 2, 3 and 5 blocks take 0, 1, 2 and 3 bit planes, 260 blocks take 9
+# 1 block logs no event; 260 blocks take two-byte labels
 PLANE_CASES = [(1, 7), (2, 7), (3, 7), (5, 9), (260, 300)]
 
 
@@ -115,8 +116,8 @@ def test_plane_counts_match_recount_through_partial_bytes(n_blocks, n_states):
     kernel, partition = _plane_chain(n_blocks, n_states, seed=n_blocks)
     mc = _plane_provider(kernel, partition, seed=7)
     ref = _Recount(kernel, partition, 7, T_max=PLANE_T_MAX)
-    # growth to 2, 4, 16 and 45 steps: within the first byte row, across
-    # rows, and to a partial last row; then counts down from cached horizons
+    # growth to 2, 4, 16 and 45 steps, each counted up from a cached
+    # horizon; then counts down from cached horizons
     probes = [2, 4, 3, 13, PLANE_T_MAX, 9, 1, 40, 0]
     grown = [2, 4, 4, 16, PLANE_T_MAX, PLANE_T_MAX, PLANE_T_MAX, PLANE_T_MAX, PLANE_T_MAX]
     for T, T_sim in zip(probes, grown):
@@ -139,23 +140,30 @@ def test_plane_counts_match_recount_in_any_probe_order(case, seed, Ts):
 
 
 @pytest.mark.parametrize("n_blocks,n_states", PLANE_CASES)
-def test_labels_are_stored_as_bit_planes(n_blocks, n_states):
-    # ceil(log2 n_blocks) bits per path and step, not a byte per label
-    mc = _plane_provider(*_plane_chain(n_blocks, n_states, seed=3), seed=3)
+def test_event_log_holds_one_event_per_label_change(n_blocks, n_states):
+    # one event per path and step on which the block label changes, each of
+    # a path index and two labels in their smallest integer dtypes
+    kernel, partition = _plane_chain(n_blocks, n_states, seed=3)
+    mc = _plane_provider(kernel, partition, seed=3)
     mc._kappa(PLANE_T_MAX)
-    per_path = sum(planes.nbytes for _, planes in mc._segments) / (len(STARTS) * REPS)
-    assert all(planes.dtype == np.uint8 for _, planes in mc._segments)
-    assert per_path <= math.ceil(math.log2(n_blocks)) * math.ceil(PLANE_T_MAX / 8)
+    labels = _Recount(kernel, partition, 3, T_max=PLANE_T_MAX).labels
+    per_step = (labels[:, 1:] != labels[:, :-1]).sum(axis=0)
+    assert np.array_equal(np.diff(mc._offsets), per_step)
+    label = index_dtype(n_blocks).itemsize
+    assert mc._event.itemsize == index_dtype(len(STARTS) * REPS).itemsize + 2 * label
+    assert sum(chunk.size for chunk in mc._chunks) >= per_step.sum()
+    assert all(chunk.dtype == mc._event for chunk in mc._chunks)
 
 
 @pytest.mark.parametrize("n_blocks", [2, 5])
-def test_doubling_peak_memory_is_planes_counts_and_one_chunk(n_blocks):
-    # Extending the labels appends a segment and copies none of the planes
+def test_doubling_peak_memory_is_events_counts_and_one_piece(n_blocks):
+    # Extending the paths appends events to chunks and copies none of those
     # already held, so the peak of the last doubling exceeds what the
-    # provider holds after it (planes, cached counts, sampler and stream)
-    # only by the temporaries of counting one chunk: the tree's two arrays
-    # per plane and a popcount, and the int64 counts of the rows and of the
-    # cached horizons it replaces.  Copying the planes would add half of them.
+    # provider holds after it (events, offsets, cached counts and labels,
+    # sampler and stream) only by the temporaries of recording one batch or
+    # counting one piece, eight int64 arrays of a piece's length at most,
+    # and two int64 count arrays: the accumulator and the counts of the
+    # cached horizon it replaces.  Copying the events would add half of them.
     gen = rngmod.stream(2, 0)
     kernel, partition = random_reversible_kernel(7, gen), random_partition(7, gen, n_blocks)
     T_max = 8192
@@ -169,11 +177,35 @@ def test_doubling_peak_memory_is_planes_counts_and_one_chunk(n_blocks):
         after, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    n_planes, n_paths = len(mc._segments[0][1]), 7 * 300
-    planes = sum(p.nbytes for _, p in mc._segments)
-    chunk = mc._chunk_rows * n_paths
+    n_paths = 7 * 300
+    held = sum(chunk.nbytes for chunk in mc._chunks)
+    events = int(mc._offsets[-1])
+    assert held <= (events + _PIECE) * mc._event.itemsize
+    piece = 8 * 8 * _PIECE
     counts = n_blocks * n_paths * 8
-    assert peak - after <= (2 * n_planes + 2) * chunk + 2 * counts < planes / 2
+    assert peak - after <= piece + 2 * counts < held / 2
+
+
+def test_mc_provider_checks_event_budget_before_each_extension(monkeypatch):
+    # A path that changes block on every step logs 3 B per path and step (a
+    # one-byte path index and two one-byte labels), more than the state and
+    # label bytes that the check before the first step counts.
+    flip = StochasticKernel(np.array([[0.0, 1.0], [1.0, 0.0]]))
+    part = Partition(np.array([0, 1]), 2)
+    # 2 starts x 50 reps x 65 steps x (1 B state + 1 B label): the first check passes
+    monkeypatch.setattr("mixdecomp.tails.MAX_PATH_BYTES", 100 * 65 * 2)
+    mc = MCTailProvider(flip, part, T_max=64, reps_per_start=50, seed=0)
+    assert mc.query(0, 16, 9) == 1.0
+    assert mc.simulated_T == 16 and mc._offsets[-1] == 100 * 16
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("stepped paths over the budget")
+
+    monkeypatch.setattr(RowSampler, "step", refuse)
+    # 1,600 events held and 100 x 48 more at most, 3 B each: 19,200 B > 13,000 B
+    with pytest.raises(ProductSpaceTooLarge, match="1,600 block changes held"):
+        mc.query(0, 40, 9)
+    assert mc.simulated_T == 16
 
 
 _MONOTONE = MCTailProvider(*_chain(11), T_max=T_MAX, reps_per_start=REPS, seed=11, starts=STARTS)

@@ -562,13 +562,39 @@ def test_concentration_audit_checks_slot_budget_before_stepping(monkeypatch):
     k, part = pince_nez(6)
     pi = stationary_distribution(k)
     args = (k, pi, part, 0, 1, (5, 9), (0.1,), 1000, 0, 1.0)
-    need = 2 * 2 * 1000 * wellcovering._AUDIT_SLOT_BYTES
+    # 12 states with rows of up to 3 nonzeros, padded to w = 4
+    tables = 12 * 4 * wellcovering._AUDIT_TABLE_BYTES
+    need = 2 * 2 * 1000 * wellcovering._AUDIT_SLOT_BYTES + tables
     monkeypatch.setattr(wellcovering, "MAX_PATH_BYTES", need)
     assert len(concentration_audit(*args)) == 4
     monkeypatch.setattr(wellcovering, "MAX_PATH_BYTES", need - 1)
     # every sampler step, batched or not, goes through transitions
     monkeypatch.setattr(RowSampler, "transitions", refuse)
     with pytest.raises(ProductSpaceTooLarge, match="4 audit runs x 1000 replicas"):
+        concentration_audit(*args)
+
+
+def test_concentration_audit_counts_its_tables_in_the_budget(monkeypatch):
+    # On a dense kernel the counter-step tables, one entry per transition
+    # index x * w + slot, outweigh the replica slots: 256 x 256 indices of
+    # 17 B against 4 x 1000 slots of 98 B.
+    n = 256
+    k = StochasticKernel(np.full((n, n), 1.0 / n))
+    pi = stationary_distribution(k)
+    part = Partition(np.arange(n) // (n // 2), 2)
+    args = (k, pi, part, 0, 1, (5, 9), (0.1,), 1000, 0, 1.0)
+    slots = 2 * 2 * 1000 * wellcovering._AUDIT_SLOT_BYTES
+    tables = n * n * wellcovering._AUDIT_TABLE_BYTES
+    assert tables > slots
+    monkeypatch.setattr(wellcovering, "MAX_PATH_BYTES", slots + tables)
+    assert len(concentration_audit(*args)) == 4
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("built tables or stepped replicas over the budget")
+
+    monkeypatch.setattr(wellcovering, "MAX_PATH_BYTES", slots + tables - 1)
+    monkeypatch.setattr(wellcovering, "RowSampler", refuse)
+    with pytest.raises(ProductSpaceTooLarge, match="65,536 transition indices"):
         concentration_audit(*args)
 
 

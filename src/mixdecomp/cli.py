@@ -122,12 +122,13 @@ def main(argv=None) -> int:
         if args.command == "simulate":
             cfg = _common_config(args, "analyze")
             kernel, partition = _load_instance(cfg)
-            traj, record = simulate(kernel, args.start, args.steps, args.seed, partition)
+            try:
+                traj, record = simulate(kernel, args.start, args.steps, args.seed, partition)
+            except ValueError as exc:  # a start outside the chain, or no steps
+                raise ConfigInvalid(f"--start {args.start} --steps {args.steps}: {exc}") from exc
             out = Path(args.out) / "trajectory.bin"
             dump_trajectory(out, traj, kernel.n_states)
-            print(
-                f"wrote {out} (T={record.T}, occupation={record.kappa.tolist()})"
-            )
+            print(f"wrote {out} (T={record.T}, occupation={record.kappa.tolist()})")
             return 0
         tasks = args.command
         extra = None

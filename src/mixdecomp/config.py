@@ -50,8 +50,9 @@ MAX_DENSE_STATES = 5_000
 
 # Budget for stored simulated paths and exact occupation DPs, in bytes.
 # simulate.simulate_states counts (paths, T + 1) states in the smallest
-# integer dtype that holds them; tails.occupation_tail_table counts its
-# float64 (t_cap + 1, starts, n) DP array and (T_max, t_cap) table.
+# integer dtype that holds them; tails.occupation_tail_table counts its two
+# float64 (n, t_cap + 1) DP buffers, the (T_max, t_cap) table and, given
+# starts, the (starts, t_cap) rows each step gathers.
 # tails.MCTailProvider keeps only a log of block changes, one event (a path
 # index and two labels in their smallest integer dtypes) per path and step
 # on which the label changes.  Before its first step it counts a state and

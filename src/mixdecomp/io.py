@@ -3,9 +3,10 @@
 Kernel format: first non-comment line is the state count n, followed either
 by n dense rows of n probabilities or by sparse `i j p` triples (0-indexed)
 whose missing row mass is assigned to the diagonal.  n rows of n numbers
-are dense, and must sum to 1 row by row; with n = 3 they may also be
-triples, which are tried when a row sum is off.  Comment lines start with
-'#'; lines of the form `# label: NAME` attach state labels in order.
+are dense, and each must sum to 1 within ``Tolerances.row_sum``; with n = 3
+they may also be triples, which are tried when a row sum is off.  Comment
+lines start with '#'; lines of the form `# label: NAME` attach state labels
+in order.
 
 Trajectory dump (binary): a 16-byte header (magic ``MXDT``, u32 version,
 u32 state count, u32 T), then ``T + 1`` little-endian u32 state indices.
@@ -25,15 +26,10 @@ from pathlib import Path
 
 import numpy as np
 
-from .config import MAX_DENSE_STATES
+from .config import DEFAULT_TOLERANCES, MAX_DENSE_STATES
 from .decomposition import Partition
 from .errors import StateSpaceTooLarge
 from .kernel import StochasticKernel
-
-# Largest distance of a dense kernel file's row sum from 1.  The file's
-# decimal probabilities are checked loosely here; StochasticKernel then
-# applies Tolerances.row_sum to the parsed matrix.
-_DENSE_ROW_SUM_SLACK = 1e-6
 
 
 def _fields(path: str | Path, lineno: int, line: str, types: tuple) -> list:
@@ -68,7 +64,7 @@ def load_kernel(path: str | Path) -> StochasticKernel:
     rows = data_lines[1:]
     if len(rows) == n and all(len(r.split()) == n for _, r in rows):
         mat = np.array([_fields(path, k, r, (float,) * n) for k, r in rows])
-        off = np.flatnonzero(np.abs(mat.sum(axis=1) - 1.0) > _DENSE_ROW_SUM_SLACK)
+        off = np.flatnonzero(np.abs(mat.sum(axis=1) - 1.0) > DEFAULT_TOLERANCES.row_sum)
         if off.size:
             k, _ = rows[off[0]]
             total = mat[off[0]].sum()

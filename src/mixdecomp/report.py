@@ -106,6 +106,10 @@ class ExperimentConfig:
             raise ConfigInvalid(f"run.suite must be one of {SUITE_NAMES}")
         if "audit" in tasks and cfg.audit_reps < MIN_AUDIT_REPS:
             raise ConfigInvalid(f"audit.reps must be at least {MIN_AUDIT_REPS}")
+        # the random streams take only seeds >= 0; chain.seed defaults to run.seed
+        for key, seed in (("run.seed", cfg.seed), ("chain.seed", cfg.chain.seed if cfg.chain else 0)):
+            if seed < 0:
+                raise ConfigInvalid(f"{key} must be nonnegative, not {seed}")
         return cfg
 
     @classmethod
@@ -244,6 +248,8 @@ def run_experiment(cfg: ExperimentConfig) -> dict:
 
 def reproduce(suite: str, seed: int, output_dir: Path) -> dict:
     """Run one reproduction suite, write its CSV and return its summary."""
+    if seed < 0:
+        raise ConfigInvalid(f"seed must be nonnegative, not {seed}")
     res = run_suite(suite, seed=seed)
     iomod.write_csv(Path(output_dir) / f"suite_{res.name}.csv", res.header, res.rows)
     return {

@@ -169,6 +169,8 @@ def simulate(
     if T < 1:
         raise ValueError("T must be >= 1")
     if isinstance(chain, StochasticKernel):
+        if not 0 <= x0 < chain.n_states:
+            raise ValueError(f"start {x0} outside 0..{chain.n_states - 1}")
         part = partition or Partition.single_block(chain.n_states)
         traj = simulate_states(chain, [x0], T, seed)[0].astype(np.int64)
         blocks = part.block_of[traj]
@@ -305,13 +307,9 @@ def empirical_occupation_tail(
     x0: int = 0,
 ) -> TailEstimate:
     """Monte Carlo estimate of ``P[kappa_i(T) < t]`` (joint over a subset)."""
-    if np.isscalar(blocks):
-        block_list = [int(blocks)]
-    else:
-        block_list = [int(b) for b in blocks]
     paths = simulate_states(kernel, x0, T, seed, reps=reps)
     lab = partition.block_of[paths[:, 1:]]
     hits = np.ones(reps, dtype=bool)
-    for b in block_list:
+    for b in np.atleast_1d(blocks):
         hits &= (lab == b).sum(axis=1) < t
     return TailEstimate.from_counts(int(hits.sum()), reps)

@@ -1,9 +1,10 @@
 """Worst-start occupation tails ``max_z P_z[kappa_i(T) < t]`` of the blocks.
 
 Occupation-tail ingredients come in two flavors with explicit provenance:
-exact dynamic programming over (state, counter) product chains, and Monte
-Carlo with Wilson 99% upper confidence bounds.  A search that an exact
-escape probability already decides runs on vacuous tails instead.
+an exact backward recursion over (state, counter) pairs, for every start at
+once, and Monte Carlo with Wilson 99% upper confidence bounds.  A search
+that an exact escape probability already decides runs on vacuous tails
+instead.
 
 A per-block provider (:class:`BlockTails`) answers ``query(i, T, t)``, a
 joint one (:class:`JointTails`) ``query_joint(I, T, t)``; some answer both.
@@ -78,11 +79,13 @@ def _shaped(values, t):
 
 
 class ExactTailProvider:
-    """Worst-start occupation tails by exact DP, one sweep per block.
+    """Worst-start occupation tails by exact DP, one backward sweep per block.
 
     ``query(i, T, t)`` returns ``max_z P_z[kappa_i(T) < t]`` exactly for
     ``T <= T_max`` and ``t <= t_cap``, by one masked gather from block i's
-    table; kappa is an integer, so a threshold t counts as ``ceil(t)``.
+    table, which :func:`occupation_tail_table` fills for every start at once
+    in two ``(n_states, t_cap + 1)`` buffers; kappa is an integer, so a
+    threshold t counts as ``ceil(t)``.
     """
 
     provenance = "exact"
@@ -434,52 +437,43 @@ def occupation_tail_table(
 
     Returns ``table`` with ``table[s - 1, u - 1] = max_z P_z[kappa_i(s) < u]``
     for ``s = 1 .. T_max`` and ``u = 1 .. t_cap`` (max restricted to
-    ``starts`` when given).  One forward DP over (counter, start, state).
+    ``starts`` when given).  One backward recursion gives every start at
+    once: ``g_s(x, c) = P_x[kappa_i(s) < c]``, ``c = 0 .. t_cap``, starts at
+    ``g_0(x, c) = 1[c >= 1]`` and steps by::
+
+        g_s(x, c) = sum_y K(x, y) g_{s-1}(y, c - 1[y in B_i])
+
+    Each step copies the ``(n_states, t_cap + 1)`` array g into a second
+    one, h, with the in-block rows shifted one counter up (column 0 is
+    ``P[kappa < 0] = 0``), then writes ``K @ h`` back into g.
 
     Raises
     ------
     ProductSpaceTooLarge
         If its float64 buffers would exceed ``MAX_PATH_BYTES``; checked
-        before anything is allocated.  They are the DP array ``(t_cap + 1,
-        starts, n_states)``, a second one that each step's product is
-        written into, the per-counter sums ``(t_cap + 1, starts)`` and
-        their running sums ``(t_cap, starts)``, and the table.  Every step
-        works in them, in place.
+        before anything is allocated: g, h, the table and, given
+        ``starts``, their ``(starts, t_cap)`` rows that each step gathers
+        from g.  Every step works in them, in place.
     """
     n = kernel.n_states
-    K = kernel.rows
-    in_block = partition.block_of == block
-    if starts is None:
-        starts = range(n)
-    start_idx = np.asarray(list(starts), dtype=int)
-    ns = start_idx.size
-    nbytes = 8 * ((t_cap + 1) * ns * (2 * n + 1) + t_cap * ns + T_max * t_cap)
+    in_block = (partition.block_of == block)[:, None]
+    rows = slice(None) if starts is None else np.asarray(list(starts), dtype=np.intp)
+    gathered = 0 if starts is None else rows.size
+    nbytes = 8 * (2 * n * (t_cap + 1) + (gathered + T_max) * t_cap)
     if nbytes > MAX_PATH_BYTES:
         raise ProductSpaceTooLarge(
-            f"occupation DP over {t_cap + 1} counters x {ns} starts x {n} states, its step "
-            f"buffer and a {T_max} x {t_cap} table need {nbytes:,} B > budget "
-            f"{MAX_PATH_BYTES:,} B"
+            f"two {n} x {t_cap + 1} occupation DP buffers, {gathered} gathered starts and a "
+            f"{T_max} x {t_cap} table need {nbytes:,} B > budget {MAX_PATH_BYTES:,} B"
         )
-    # p[k, z, y] = P_z[X_s = y, kappa(s) = k], with k = t_cap meaning ">= t_cap"
-    p = np.zeros((t_cap + 1, ns, n))
-    p[0, np.arange(ns), start_idx] = 1.0
-    q = np.empty_like(p)
-    counter_mass = np.empty((t_cap + 1, ns))
-    cum = np.empty((t_cap, ns))
+    g = np.zeros((n, t_cap + 1))
+    g[:, 1:] = 1.0
+    h = np.zeros_like(g)
     table = np.empty((T_max, t_cap))
-    mask_in = in_block.astype(float)
-    mask_out = 1.0 - mask_in
     for s in range(1, T_max + 1):
-        np.matmul(p.reshape(-1, n), K, out=q.reshape(-1, n))
-        # a step out of the block keeps the counter, a step into it moves the
-        # counter up one, and the top counter keeps its own mass as well
-        np.multiply(q, mask_out, out=p)
-        q *= mask_in
-        p[1:] += q[:-1]
-        p[t_cap] += q[t_cap]
-        p.sum(axis=2, out=counter_mass)
-        counter_mass[:-1].cumsum(axis=0, out=cum)  # P[kappa < u] per start
-        cum.max(axis=1, out=table[s - 1])
+        np.copyto(h[:, 1:], g[:, 1:])
+        np.copyto(h[:, 1:], g[:, :-1], where=in_block)
+        np.matmul(kernel.rows, h, out=g)
+        g[rows, 1:].max(axis=0, out=table[s - 1])
     return table
 
 

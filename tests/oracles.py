@@ -8,16 +8,18 @@ a nested search that finds a whole covering time at every outer probe, the
 concentration audit by simulating each (orientation, t) run on its own, the
 heavy-set hitting maximum by one solve for every qualifying subset, the
 occupation horizon search by one scalar tail query per (time, member), the
-exact occupation DP by a step that allocates its products afresh, the
-batched closed-class search by one strong-component search per kernel, and
-the covering oracle's cut test by an interval-transportation LP per grid
-point.
+exact occupation DP by the forward (counter, start, state) sweep, by its own
+backward recursion with fresh arrays at every step and by a forward sweep in
+exact rationals, the batched closed-class search by one strong-component
+search per kernel, and the covering oracle's cut test by an
+interval-transportation LP per grid point.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+from fractions import Fraction
 from typing import Callable, Sequence
 
 import numpy as np
@@ -179,7 +181,11 @@ def scalar_occupation_horizon(
 def occupation_tail_table_fresh(
     kernel: StochasticKernel, partition: Partition, block: int, T_max: int, t_cap: int, starts=None
 ) -> np.ndarray:
-    """``tails.occupation_tail_table`` with new arrays for every product of a step."""
+    """``tails.occupation_tail_table`` by the forward sweep, one DP per start.
+
+    ``p[k, z, y] = P_z[X_s = y, kappa(s) = k]``, with ``k = t_cap`` meaning
+    ``>= t_cap``; every product of a step is a new array.
+    """
     n = kernel.n_states
     K = kernel.rows
     in_block = partition.block_of == block
@@ -197,6 +203,51 @@ def occupation_tail_table_fresh(
         nxt[t_cap] += q[t_cap] * mask_in[0]
         p = nxt
         table[s - 1] = np.cumsum(p.sum(axis=2)[:-1], axis=0).max(axis=1)
+    return table
+
+
+def occupation_tail_table_backward_fresh(
+    kernel: StochasticKernel, partition: Partition, block: int, T_max: int, t_cap: int, starts=None
+) -> np.ndarray:
+    """``tails.occupation_tail_table``'s backward recursion with new arrays at every step."""
+    n = kernel.n_states
+    in_block = (partition.block_of == block)[:, None]
+    rows = np.arange(n) if starts is None else np.asarray(list(starts), dtype=int)
+    g = np.zeros((n, t_cap + 1))
+    g[:, 1:] = 1.0
+    table = np.empty((T_max, t_cap))
+    for s in range(1, T_max + 1):
+        h = np.zeros((n, t_cap + 1))
+        h[:, 1:] = np.where(in_block, g[:, :-1], g[:, 1:])
+        g = kernel.rows @ h
+        table[s - 1] = g[rows, 1:].max(axis=0)
+    return table
+
+
+def occupation_tail_table_rational(
+    kernel: StochasticKernel, partition: Partition, block: int, T_max: int, t_cap: int, starts=None
+) -> list[list[Fraction]]:
+    """The occupation tail table in exact rationals, by the forward sweep per start.
+
+    The kernel's floats are read exactly as ``Fraction``s; ``p[y][k]`` is
+    ``P_z[X_s = y, kappa(s) = k]`` with ``k = t_cap`` meaning ``>= t_cap``.
+    """
+    n = kernel.n_states
+    K = [[Fraction(float(v)) for v in row] for row in kernel.rows]
+    inside = [bool(b == block) for b in partition.block_of]
+    table = [[Fraction(0)] * t_cap for _ in range(T_max)]
+    for z in range(n) if starts is None else starts:
+        p = [[Fraction(int(y == z and k == 0)) for k in range(t_cap + 1)] for y in range(n)]
+        for s in range(T_max):
+            nxt = [[Fraction(0)] * (t_cap + 1) for _ in range(n)]
+            for x in range(n):
+                for y in range(n):
+                    if K[x][y]:
+                        for k, mass in enumerate(p[x]):
+                            nxt[y][min(k + inside[y], t_cap)] += mass * K[x][y]
+            p = nxt
+            below = list(itertools.accumulate(sum(p[y][k] for y in range(n)) for k in range(t_cap)))
+            table[s] = [max(a, b) for a, b in zip(table[s], below)]
     return table
 
 

@@ -12,7 +12,9 @@ reference ``wasserstein_dual`` (a test and benchmark oracle) calls
 ``bounds`` reaches simulation only through ``tails``, and only the exact
 tail provider reads the occupation DP table.  Every defaulted parameter of
 a public function is set by some call in the repository.  The package's
-public names are pinned, so a move cannot drop one unnoticed.
+public names are pinned, so a move cannot drop one unnoticed.  No module
+outside ``config`` holds more float literals below 1e-5 (tolerances written
+in place) than its pinned count.
 No linter runs on this repository, so the checks are made here with the
 standard library's ``ast``.  The unused-import check skips ``__init__.py``:
 its imports are the package's public re-exports.
@@ -311,6 +313,39 @@ def test_every_defaulted_parameter_has_a_caller():
         if (unset := _unset_defaults(path.read_text(), calls))
     }
     assert not found, f"defaulted parameters no call sets: {found}"
+
+
+def _tiny_literals(source: str) -> int:
+    """Float literals with ``0 < |v| < 1e-5``: tolerances written in place."""
+    return sum(
+        isinstance(node, ast.Constant)
+        and isinstance(node.value, float)
+        and 0 < abs(node.value) < 1e-5
+        for node in ast.walk(ast.parse(source))
+    )
+
+
+def test_tiny_literal_count_sees_one():
+    assert _tiny_literals("a = 1e-9\nb = -1e-12\nc = 0.001\nd = 0.0\ne = 1\n") == 2
+
+
+# Tolerance literals per module outside config.py.  The counts may only go
+# down: a new tolerance belongs in config.Tolerances, and a module that
+# moves one there lowers its pin.
+TINY_LITERALS = {
+    "contraction": 10, "wellcovering": 8, "kernel": 4, "suites": 4, "decomposition": 3,
+    "bounds": 1, "chains": 1, "report": 1, "io": 0,
+}
+
+
+def test_tolerance_literals_do_not_grow():
+    found = {
+        path.stem: count
+        for path in sorted(PACKAGE.glob("*.py"))
+        if path.name != "config.py" and (count := _tiny_literals(path.read_text()))
+    }
+    grown = {m: c for m, c in found.items() if c > TINY_LITERALS.get(m, 0)}
+    assert not grown, f"tolerance literals beyond the pinned counts: {grown} (pinned {TINY_LITERALS})"
 
 
 # The names mixdecomp/__init__.py imports, and so exports.

@@ -73,6 +73,15 @@ def test_dense_kernel_row_off_one_is_named(tmp_path, text, line, total):
         load_kernel(path)
 
 
+def test_dense_row_checked_at_the_kernel_row_sum_tolerance(tmp_path):
+    # 1e-7 off passes a loose file check but not the kernel's 1e-9, so the
+    # file check names the file, the line and the sum
+    path = tmp_path / "near.txt"
+    path.write_text("2\n0.5 0.5000001\n0.5 0.5\n")
+    with pytest.raises(ValueError, match="near.txt, line 2: dense row sums to 1.0000001, not 1"):
+        load_kernel(path)
+
+
 def test_three_state_triples_still_read_as_sparse(tmp_path):
     path = tmp_path / "sparse3.txt"
     path.write_text("3\n0 1 0.5\n1 2 0.5\n2 0 0.25\n")
@@ -323,6 +332,9 @@ def test_cli_exit_codes(tmp_path, capsys):
         ["audit", "--chain", "pince_nez:m=4", "--reps", "10"],
         ["audit", "--chain", "pince_nez:m=4", "--blocks", "0,5"],
         ["audit", "--chain", "pince_nez:m=4", "--blocks", "0"],
+        ["simulate", "--chain", "pince_nez:m=4", "--steps", "5", "--start", "-1"],
+        ["simulate", "--chain", "pince_nez:m=4", "--steps", "5", "--start", "99"],
+        ["simulate", "--chain", "pince_nez:m=4", "--steps", "0"],
     ):
         capsys.readouterr()
         assert main(argv + ["--out", str(tmp_path / "bad")]) == 1, argv
@@ -347,6 +359,28 @@ def test_cli_exit_codes(tmp_path, capsys):
         assert main(["run", str(cfg)]) == 1
         err = capsys.readouterr().err
         assert err.startswith("config error: ") and names in err, text
+
+
+@pytest.mark.parametrize(
+    "argv, key",
+    [
+        (["analyze", "--chain", "pince_nez:m=4", "--seed", "-1"], "run.seed"),
+        (["bounds", "--chain", "pince_nez:m=4", "--seed", "-1"], "run.seed"),
+        (["audit", "--chain", "pince_nez:m=4", "--seed", "-1"], "run.seed"),
+        (["simulate", "--chain", "pince_nez:m=4", "--steps", "5", "--seed", "-1"], "run.seed"),
+        (["reproduce", "--suite", "kcip_reversibility", "--seed", "-5"], "seed"),
+    ],
+)
+def test_cli_refuses_negative_seed(tmp_path, capsys, argv, key):
+    assert main(argv + ["--out", str(tmp_path)]) == 1
+    assert capsys.readouterr().err.startswith(f"config error: {key} must be nonnegative")
+
+
+def test_config_refuses_negative_chain_seed(tmp_path, capsys):
+    cfg = tmp_path / "neg.ini"
+    cfg.write_text("[chain]\nfamily = pince_nez\nm = 4\nseed = -3\n[run]\ntasks = analyze\n")
+    assert main(["run", str(cfg)]) == 1
+    assert capsys.readouterr().err.startswith("config error: chain.seed must be nonnegative")
 
 
 def test_cli_bounds_and_files(tmp_path):

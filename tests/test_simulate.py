@@ -1,5 +1,6 @@
 import importlib
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -9,7 +10,7 @@ from scipy.stats import binom
 
 from conftest import random_partition, random_reversible_kernel
 from mixdecomp import rng as rngmod
-from mixdecomp.chains import pince_nez
+from mixdecomp.chains import expander_pair, pince_nez, toy_kcip
 from mixdecomp.decomposition import Partition
 from mixdecomp.errors import AssertionFailed, HorizonCap, ProductSpaceTooLarge
 from mixdecomp.kernel import StochasticKernel, hitting_analysis, lazify
@@ -25,7 +26,13 @@ from mixdecomp.simulate import (
     wilson_interval,
 )
 from mixdecomp.tails import exact_occupation_tail, occupation_tail_table
-from oracles import exact_joint_occupation_tail, occupation_tail_table_fresh, stream_correlation
+from oracles import (
+    exact_joint_occupation_tail,
+    occupation_tail_table_backward_fresh,
+    occupation_tail_table_fresh,
+    occupation_tail_table_rational,
+    stream_correlation,
+)
 
 K3 = StochasticKernel([[0.5, 0.5, 0.0], [0.25, 0.5, 0.25], [0.0, 0.5, 0.5]])
 
@@ -120,24 +127,27 @@ def test_exact_occupation_size_guard():
 
 
 def test_occupation_dp_budget_counts_starts_and_table(monkeypatch):
-    # from all 20 starts the DP array and its step buffer take 2 x 11 x 20 x
-    # 20 x 8 = 70,400 B, the per-counter sums (11 + 10) x 20 x 8 = 3,360 B
-    # and the table 20 x 10 x 8 = 1,600 B; from one start, 3,520 + 168 +
-    # 1,600 B
+    # the DP array and its shifted copy take 2 x 20 x 11 x 8 = 3,520 B and
+    # the table 20 x 10 x 8 = 1,600 B; given starts, each step also gathers
+    # their rows of the DP array, 10 x 8 = 80 B per start
     k = StochasticKernel(np.full((20, 20), 1 / 20))
     part = Partition.from_block_of(np.arange(20) % 2)
     module = importlib.import_module("mixdecomp.tails")
-    monkeypatch.setattr(module, "MAX_PATH_BYTES", 16_000)
+    counted = 3_520 + 1_600
+    monkeypatch.setattr(module, "MAX_PATH_BYTES", counted - 1)
     with pytest.raises(ProductSpaceTooLarge):
         exact_occupation_tail(k, part, 0, T=20, t=10)
     with pytest.raises(ProductSpaceTooLarge):
         occupation_tail_table(k, part, 0, T_max=20, t_cap=10)
-    assert occupation_tail_table(k, part, 0, T_max=20, t_cap=10, starts=[0]).shape == (20, 10)
-    monkeypatch.setattr(module, "MAX_PATH_BYTES", 70_400 + 3_360 + 1_600 - 1)
-    with pytest.raises(ProductSpaceTooLarge):
-        occupation_tail_table(k, part, 0, T_max=20, t_cap=10)
-    monkeypatch.setattr(module, "MAX_PATH_BYTES", 70_400 + 3_360 + 1_600)
+    monkeypatch.setattr(module, "MAX_PATH_BYTES", counted)
     assert occupation_tail_table(k, part, 0, T_max=20, t_cap=10).shape == (20, 10)
+    with pytest.raises(ProductSpaceTooLarge):
+        exact_occupation_tail(k, part, 0, T=20, t=10, start=3)
+    monkeypatch.setattr(module, "MAX_PATH_BYTES", counted + 2 * 80 - 1)
+    with pytest.raises(ProductSpaceTooLarge):
+        occupation_tail_table(k, part, 0, T_max=20, t_cap=10, starts=[0, 3])
+    monkeypatch.setattr(module, "MAX_PATH_BYTES", counted + 2 * 80)
+    assert occupation_tail_table(k, part, 0, T_max=20, t_cap=10, starts=[0, 3]).shape == (20, 10)
 
 
 @pytest.mark.parametrize("seed", [0, 1])
@@ -147,25 +157,81 @@ def test_occupation_table_matches_fresh_products_bit_for_bit(seed):
     k, part = random_reversible_kernel(n, gen), random_partition(n, gen, 3)
     for block, starts in ((0, None), (2, [1, 4])):
         got = occupation_tail_table(k, part, block, T_max=70, t_cap=30, starts=starts)
-        want = occupation_tail_table_fresh(k, part, block, T_max=70, t_cap=30, starts=starts)
+        want = occupation_tail_table_backward_fresh(k, part, block, T_max=70, t_cap=30, starts=starts)
         assert np.array_equal(got, want)
 
 
+def _forward_cases():
+    """(name, kernel, partition, block, T_max, t_cap, starts): 24 cases."""
+    gen = rngmod.stream(77, 0)
+    pair = expander_pair(64, 8, 1 / np.log(64), seed=3)
+    instances = [
+        ("pince_nez(16)", *pince_nez(16), 48, 24),
+        ("toy_kcip(8, 1)", *toy_kcip(8, 1), 48, 24),
+        ("expander_pair(64)", pair.kernel, pair.partition, 32, 32),
+    ]
+    for n in (5, 9, 16):
+        k, part = random_reversible_kernel(n, gen), random_partition(n, gen, 3)
+        instances.append((f"random({n})", k, part, 40, 20))
+    cases = []
+    for name, k, part, T_max, t_cap in instances:
+        for block in (0, part.n_blocks - 1):
+            for starts in (None, sorted(set(gen.integers(0, k.n_states, 3).tolist()))):
+                cases.append((name, k, part, block, T_max, t_cap, starts))
+    return cases
+
+
+def test_occupation_table_matches_forward_sweep():
+    # the backward recursion against the forward (counter, start, state)
+    # sweep: within T_max n eps, and every < 1/4 decision the same
+    cases = _forward_cases()
+    assert len(cases) >= 20
+    for name, k, part, block, T_max, t_cap, starts in cases:
+        got = occupation_tail_table(k, part, block, T_max, t_cap, starts=starts)
+        want = occupation_tail_table_fresh(k, part, block, T_max, t_cap, starts=starts)
+        tol = T_max * k.n_states * np.finfo(float).eps
+        case = (name, block, starts)
+        assert np.abs(got - want).max() <= tol, case
+        assert np.array_equal(got < 0.25, want < 0.25), case
+
+
+@pytest.mark.parametrize("starts", [None, [2]])
+def test_occupation_table_matches_exact_rationals(starts):
+    gen = rngmod.stream(88, 0)
+    k4 = random_reversible_kernel(4, gen)
+    for k, part, block, T, t_cap in (
+        (K3, Partition.from_block_of([0, 0, 1]), 1, 12, 6),
+        (k4, Partition.from_block_of([0, 1, 1, 0]), 0, 10, 5),
+    ):
+        exact = occupation_tail_table_rational(k, part, block, T, t_cap, starts=starts)
+        tol = Fraction(T * k.n_states) * Fraction(np.finfo(float).eps)
+        for table in (
+            occupation_tail_table(k, part, block, T, t_cap, starts=starts),
+            occupation_tail_table_fresh(k, part, block, T, t_cap, starts=starts),
+        ):
+            worst = max(
+                abs(Fraction(float(v)) - e) for row, rows in zip(table, exact) for v, e in zip(row, rows)
+            )
+            assert worst <= tol, float(worst)
+
+
 def test_occupation_dp_peak_memory_is_what_the_budget_counts():
-    # 100 states from every start, t_cap 50, T_max 60: the counted buffers
-    # take 8 x (51 x 100 x 201 + 50 x 100 + 60 x 50) = 8,264,800 B, and each
-    # step works in them; beyond them only numpy's fixed 8,192-element ufunc
-    # buffer (about 70 KB at any size).  Fresh products peak at twice the count.
+    # 400 states, t_cap 200, T_max 300: the DP array and its shifted copy
+    # take 2 x 400 x 201 x 8 = 1,286,400 B and the table 300 x 200 x 8 =
+    # 480,000 B; every step works in them, and beyond them only numpy's
+    # fixed 8,192-element ufunc buffer (about 70 KB at any size).  Given 200
+    # starts, each step also gathers their rows, 200 x 200 x 8 = 320,000 B.
     gen = rngmod.stream(7, 0)
-    k, part = random_reversible_kernel(100, gen), random_partition(100, gen, 4)
-    counted = 8 * (51 * 100 * 201 + 50 * 100 + 60 * 50)
-    tracemalloc.start()
-    try:
-        occupation_tail_table(k, part, 1, T_max=60, t_cap=50)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert counted <= peak <= counted + 128 * 1024
+    k, part = random_reversible_kernel(400, gen), random_partition(400, gen, 4)
+    counted = 8 * (2 * 400 * 201 + 300 * 200)
+    for starts, gathered in ((None, 0), (range(0, 400, 2), 8 * 200 * 200)):
+        tracemalloc.start()
+        try:
+            occupation_tail_table(k, part, 1, T_max=300, t_cap=200, starts=starts)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert counted + gathered <= peak <= counted + gathered + 128 * 1024, starts
 
 
 @pytest.mark.parametrize("seed", range(10))

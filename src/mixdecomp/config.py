@@ -8,6 +8,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from .errors import ProductSpaceTooLarge
+
 
 @dataclass(frozen=True)
 class Tolerances:
@@ -48,16 +50,12 @@ DEFAULT_TOLERANCES = Tolerances()
 # 200 MB.  Larger chains need the sampler interface.
 MAX_DENSE_STATES = 5_000
 
-# Budget for stored simulated paths and exact occupation DPs, in bytes.
-# simulate.simulate_states counts (paths, T + 1) states in the smallest
-# integer dtype that holds them; tails.occupation_tail_table counts its two
-# float64 (n, t_cap + 1) DP buffers, the (T_max, t_cap) table and, given
-# starts, the (starts, t_cap) rows each step gathers.
-# tails.MCTailProvider keeps only a log of block changes, one event (a path
-# index and two labels in their smallest integer dtypes) per path and step
-# on which the label changes.  Before its first step it counts a state and
-# a label per path and step up to T_max, however far it simulates; before
-# each extension, the events held plus one event per path and new step.
-# wellcovering's concentration audit counts its replica slots and its
-# counter-step tables.
+# Byte budget of each array sized from a caller's inputs (paths, events, DP
+# buffers, audit slots and tables, sampler tables); each check names its formula.
 MAX_PATH_BYTES = 2**31
+
+
+def check_bytes(what: str, nbytes: int) -> None:
+    """Refuse ``nbytes`` of ``what`` over ``MAX_PATH_BYTES``, read at call time."""
+    if nbytes > MAX_PATH_BYTES:
+        raise ProductSpaceTooLarge(f"{what} need {nbytes:,} B > budget {MAX_PATH_BYTES:,} B")

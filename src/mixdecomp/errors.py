@@ -98,10 +98,10 @@ class StateSpaceTooLarge(MixdecompError):
 
 
 class ProductSpaceTooLarge(MixdecompError):
-    """A product array exceeds its size budget.
+    """An array sized from a caller's inputs exceeds the byte budget.
 
-    Raised for the (state, counter) tables of the exact occupation dynamic
-    programs and for the (paths, steps) array of batched simulation.
+    Raised by ``config.check_bytes`` before allocating paths, block-change
+    events, DP buffers, audit slots and tables, or sampler tables.
     """
 
 

@@ -17,9 +17,9 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from . import rng as rngmod
-from .config import MAX_PATH_BYTES
+from .config import check_bytes
 from .decomposition import Partition
-from .errors import AssertionFailed, HorizonCap, ProductSpaceTooLarge
+from .errors import AssertionFailed, HorizonCap
 from .kernel import StochasticKernel
 
 # 99% two-sided normal quantile, used by every Wilson interval here.
@@ -104,12 +104,18 @@ class RowSampler:
 
     :meth:`step` takes its uniforms from the caller, one per state in the
     same order, so each caller decides which generator feeds which path.
+
+    Raises
+    ------
+    ProductSpaceTooLarge
+        Before allocating its tables, ``8 n (2w - 1)`` B, over the byte budget.
     """
 
     def __init__(self, kernel: StochasticKernel):
         K = kernel.rows
         n = kernel.n_states
         w = row_width(kernel)
+        check_bytes(f"sampler tables for {n} states x {w} slots", 8 * n * (2 * w - 1))
         # The search probes sum pos + h - 1 for h = w/2 .. 1 and adds h to
         # pos where that sum is below u.  The table of level h holds the sums
         # h - 1 + 2hk of every row, row-major, so the flat index into the
@@ -240,7 +246,7 @@ def simulate_states(
     Raises
     ------
     ProductSpaceTooLarge
-        If the path array would exceed ``MAX_PATH_BYTES``; checked before
+        If the path array would exceed the byte budget; checked before
         anything is allocated.
     """
     if np.isscalar(x0):
@@ -251,11 +257,7 @@ def simulate_states(
         starts = np.asarray(x0, dtype=np.int64)
     dtype = index_dtype(kernel.n_states)
     nbytes = starts.size * (T + 1) * dtype.itemsize
-    if nbytes > MAX_PATH_BYTES:
-        raise ProductSpaceTooLarge(
-            f"{starts.size} paths x {T} steps need {nbytes:,} B of {dtype} states "
-            f"> budget {MAX_PATH_BYTES:,} B"
-        )
+    check_bytes(f"{starts.size} paths x {T + 1} {dtype} states", nbytes)
     out = np.empty((T + 1, starts.size), dtype=dtype)
     out[0] = starts
     for t, state in enumerate(PathStream(kernel, starts, seed).extend(T), 1):

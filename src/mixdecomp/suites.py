@@ -59,15 +59,6 @@ from .wellcovering import (
     propagation_covers,
 )
 
-SUITE_NAMES = (
-    "pince_nez_scaling",
-    "toy_kcip_scaling",
-    "expander_separation",
-    "torus_constants",
-    "kcip_reversibility",
-)
-
-
 @dataclass
 class SuiteResult:
     name: str
@@ -353,17 +344,20 @@ def kcip_reversibility(seed: int = 0) -> SuiteResult:
     )
 
 
+_SUITES = {
+    "pince_nez_scaling": pince_nez_scaling,
+    "toy_kcip_scaling": toy_kcip_scaling,
+    "expander_separation": expander_separation,
+    "torus_constants": torus_constants,
+    "kcip_reversibility": kcip_reversibility,
+}
+SUITE_NAMES = tuple(_SUITES)
+
+
 def run_suite(name: str, seed: int = 0) -> SuiteResult:
-    table = {
-        "pince_nez_scaling": pince_nez_scaling,
-        "toy_kcip_scaling": toy_kcip_scaling,
-        "expander_separation": expander_separation,
-        "torus_constants": torus_constants,
-        "kcip_reversibility": kcip_reversibility,
-    }
-    if name not in table:
+    if name not in _SUITES:
         raise ValueError(f"unknown suite {name!r}; choose from {SUITE_NAMES}")
-    return table[name](seed=seed)
+    return _SUITES[name](seed=seed)
 
 
 # ---------------------------------------------------------------------------

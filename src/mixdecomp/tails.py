@@ -20,9 +20,8 @@ from typing import Protocol, Sequence, runtime_checkable
 
 import numpy as np
 
-from .config import MAX_PATH_BYTES
+from .config import check_bytes
 from .decomposition import Partition
-from .errors import ProductSpaceTooLarge
 from .kernel import StochasticKernel
 from .simulate import WILSON_LEVEL, PathStream, index_dtype, wilson_interval
 
@@ -66,6 +65,15 @@ def _pieces(e0: int, e1: int):
         a = b
 
 
+def _start_rows(starts: Sequence[int], n: int) -> np.ndarray:
+    """``starts`` as an index array, each checked to lie in ``0 .. n - 1``."""
+    rows = np.array([int(s) for s in starts], dtype=np.intp)
+    bad = rows[(rows < 0) | (rows >= n)]
+    if bad.size:
+        raise ValueError(f"start {bad[0]} outside 0..{n - 1}")
+    return rows
+
+
 def _thresholds(t) -> np.ndarray:
     """The thresholds of a query, scalar or array, as a flat float array."""
     return np.asarray(t, dtype=float).ravel()
@@ -85,7 +93,8 @@ class ExactTailProvider:
     ``T <= T_max`` and ``t <= t_cap``, by one masked gather from block i's
     table, which :func:`occupation_tail_table` fills for every start at once
     in two ``(n_states, t_cap + 1)`` buffers; kappa is an integer, so a
-    threshold t counts as ``ceil(t)``.
+    threshold t counts as ``ceil(t)``.  A start outside ``0 .. n_states - 1``
+    raises ``ValueError`` at construction.
     """
 
     provenance = "exact"
@@ -102,7 +111,7 @@ class ExactTailProvider:
         self.partition = partition
         self.T_max = int(T_max)
         self.t_cap = int(t_cap)
-        self.starts = starts
+        self.starts = None if starts is None else _start_rows(starts, kernel.n_states)
         self._tables: dict[int, np.ndarray] = {}
 
     def max_t(self) -> int:
@@ -165,10 +174,11 @@ class MCTailProvider:
     Wilson 99% upper bound (a per-query confidence level), which is a sound
     (conservative) ingredient for the bound searches.
 
-    Before the first step, ``paths x (T_max + 1) x (state bytes + label
-    bytes)`` is checked against ``MAX_PATH_BYTES``; before each extension,
-    the events held plus one event per path and new step, the most that
-    the extension can record.  Over either, queries raise
+    A start outside ``0 .. n_states - 1`` raises ``ValueError`` at
+    construction.  Before the first step, ``paths x (T_max + 1) x (state
+    bytes + label bytes)`` is checked against the byte budget; before each
+    extension, the events held plus one event per path and new step, the
+    most that the extension can record.  Over either, queries raise
     ``ProductSpaceTooLarge`` before the extension's first step.
     """
 
@@ -188,7 +198,7 @@ class MCTailProvider:
         self.seed = seed
         if starts is None:
             starts = range(kernel.n_states)
-        self.start_list = [int(s) for s in starts]
+        self.start_list = _start_rows(starts, kernel.n_states).tolist()
         n_paths = len(self.start_list) * self.reps
         label = index_dtype(partition.n_blocks)
         self._block_of = partition.block_of.astype(label)
@@ -223,14 +233,9 @@ class MCTailProvider:
         """Log the block changes up to ``min(T_max, next power of two >= T)`` steps."""
         n_paths = len(self.start_list) * self.reps
         if self._stream is None:
-            item = index_dtype(self.kernel.n_states).itemsize
-            item += index_dtype(self.partition.n_blocks).itemsize
+            item = index_dtype(self.kernel.n_states).itemsize + self._block_of.itemsize
             nbytes = n_paths * (self.T_max + 1) * item
-            if nbytes > MAX_PATH_BYTES:
-                raise ProductSpaceTooLarge(
-                    f"{n_paths} paths x {self.T_max} steps need {nbytes:,} B of states and "
-                    f"block labels > budget {MAX_PATH_BYTES:,} B"
-                )
+            check_bytes(f"states and labels of {n_paths} paths x {self.T_max + 1} steps", nbytes)
             starts = np.repeat(np.asarray(self.start_list, dtype=np.int64), self.reps)
             self._stream = PathStream(self.kernel, starts, self.seed)
             self._counts[0] = np.zeros(
@@ -244,12 +249,10 @@ class MCTailProvider:
         # doubling, so power-of-two growth never simulates past 2x its probes
         grow = min(self.T_max, 1 << (int(T) - 1).bit_length())
         held = int(self._offsets[-1])
-        nbytes = (held + n_paths * (grow - have)) * self._event.itemsize
-        if nbytes > MAX_PATH_BYTES:
-            raise ProductSpaceTooLarge(
-                f"{held:,} block changes held and {n_paths} paths x {grow - have} new steps "
-                f"may need {nbytes:,} B of events > budget {MAX_PATH_BYTES:,} B"
-            )
+        check_bytes(
+            f"events for {held:,} block changes held and {n_paths} paths x {grow - have} new steps",
+            (held + n_paths * (grow - have)) * self._event.itemsize,
+        )
         offsets = np.empty(grow + 1, dtype=np.int64)
         offsets[: have + 1] = self._offsets
         # labels[0] holds the labels one step before the batch's first step
@@ -450,21 +453,22 @@ def occupation_tail_table(
     Raises
     ------
     ProductSpaceTooLarge
-        If its float64 buffers would exceed ``MAX_PATH_BYTES``; checked
+        If its float64 buffers would exceed the byte budget; checked
         before anything is allocated: g, h, the table and, given
         ``starts``, their ``(starts, t_cap)`` rows that each step gathers
         from g.  Every step works in them, in place.
+    ValueError
+        If a start lies outside ``0 .. n_states - 1``.
     """
     n = kernel.n_states
     in_block = (partition.block_of == block)[:, None]
-    rows = slice(None) if starts is None else np.asarray(list(starts), dtype=np.intp)
+    rows = slice(None) if starts is None else _start_rows(starts, n)
     gathered = 0 if starts is None else rows.size
-    nbytes = 8 * (2 * n * (t_cap + 1) + (gathered + T_max) * t_cap)
-    if nbytes > MAX_PATH_BYTES:
-        raise ProductSpaceTooLarge(
-            f"two {n} x {t_cap + 1} occupation DP buffers, {gathered} gathered starts and a "
-            f"{T_max} x {t_cap} table need {nbytes:,} B > budget {MAX_PATH_BYTES:,} B"
-        )
+    check_bytes(
+        f"two {n} x {t_cap + 1} float64 occupation DP buffers, {gathered} gathered starts "
+        f"and a {T_max} x {t_cap} table",
+        8 * (2 * n * (t_cap + 1) + (gathered + T_max) * t_cap),
+    )
     g = np.zeros((n, t_cap + 1))
     g[:, 1:] = 1.0
     h = np.zeros_like(g)
@@ -493,6 +497,8 @@ def exact_occupation_tail(
     ------
     ProductSpaceTooLarge
         If the DP of :func:`occupation_tail_table` would exceed its budget.
+    ValueError
+        If ``start`` lies outside ``0 .. n_states - 1``.
     """
     starts = None if start is None else [start]
     return ExactTailProvider(kernel, partition, T, min(T, np.ceil(t)), starts).query(block, T, t)

@@ -36,7 +36,7 @@ import numpy as np
 from scipy.sparse import csgraph, csr_matrix
 
 from .bounds import BoundResult, PeresSousiConstants, least_horizon
-from .config import MAX_PATH_BYTES
+from .config import check_bytes
 from .decomposition import Partition, block_mixing_times, projected_kernel
 from .errors import (
     HorizonCap,
@@ -44,7 +44,6 @@ from .errors import (
     NoFiniteT,
     NoFixedPoint,
     NotTreeWalk,
-    ProductSpaceTooLarge,
     TooManyBlocks,
 )
 from .kernel import StationaryDistribution, StochasticKernel, stationary_distribution
@@ -571,7 +570,7 @@ def concentration_audit(
     ------
     ProductSpaceTooLarge
         If the replicas' slot arrays and the counter-step tables would
-        exceed ``MAX_PATH_BYTES``; checked before anything is allocated.
+        exceed the byte budget; checked before anything is allocated.
     HorizonCap
         If a run's replicas do not all finish within its step cap; the
         first such run in (orientation, t) order is named.
@@ -642,12 +641,11 @@ def _transition_ratio_samples(
     n_runs = len(runs)
     n_slots = n_runs * reps
     n_moves = kernel.n_states * row_width(kernel)
-    nbytes = n_slots * _AUDIT_SLOT_BYTES + n_moves * _AUDIT_TABLE_BYTES
-    if nbytes > MAX_PATH_BYTES:
-        raise ProductSpaceTooLarge(
-            f"{n_runs} audit runs x {reps} replicas and {n_moves:,} transition indices need "
-            f"{nbytes:,} B of replica slots and counter-step tables > budget {MAX_PATH_BYTES:,} B"
-        )
+    check_bytes(
+        f"replica slots for {n_runs} audit runs x {reps} replicas and counter-step tables "
+        f"for {n_moves:,} transition indices",
+        n_slots * _AUDIT_SLOT_BYTES + n_moves * _AUDIT_TABLE_BYTES,
+    )
     sampler = RowSampler(kernel)
     # transition index x * w + slot moves x to cols[index]
     cols, block_of = sampler.cols, partition.block_of

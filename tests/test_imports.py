@@ -10,7 +10,9 @@ Only ``contraction`` imports ``scipy.optimize``, and only its HiGHS
 reference ``wasserstein_dual`` (a test and benchmark oracle) calls
 ``linprog``: every decision the package makes is exact and LP-free.
 ``bounds`` reaches simulation only through ``tails``, and only the exact
-tail provider reads the occupation DP table.  Every defaulted parameter of
+tail provider reads the occupation DP table.  Only ``config`` names the byte
+budget ``MAX_PATH_BYTES``, and only its ``check_bytes`` raises
+``ProductSpaceTooLarge``.  Every defaulted parameter of
 a public function is set by some call in the repository.  The package's
 public names are pinned, so a move cannot drop one unnoticed.  No module
 outside ``config`` holds more float literals below 1e-5 (tolerances written
@@ -205,6 +207,60 @@ def test_only_the_exact_provider_reads_the_occupation_table():
         for owner in _callers(path.read_text(), "occupation_tail_table")
     ]
     assert found == ["tails.ExactTailProvider.query"], f"occupation_tail_table callers: {found}"
+
+
+def _budget_sites(source: str) -> list[tuple[str, str]]:
+    """(site, enclosing qualified name) of each name, attribute, import or
+    string naming ``MAX_PATH_BYTES`` and of each ``raise ProductSpaceTooLarge``."""
+    found = []
+
+    def visit(node, owner):
+        for child in ast.iter_child_nodes(node):
+            name = getattr(child, "id", None) or getattr(child, "attr", None)
+            if isinstance(child, ast.alias):
+                name = child.name
+            elif isinstance(child, ast.Constant) and isinstance(child.value, str):
+                name = "MAX_PATH_BYTES" if "MAX_PATH_BYTES" in child.value else None
+            if name == "MAX_PATH_BYTES":
+                found.append((name, owner or "<module>"))
+            if isinstance(child, ast.Raise) and child.exc is not None:
+                exc = child.exc.func if isinstance(child.exc, ast.Call) else child.exc
+                if getattr(exc, "attr", getattr(exc, "id", None)) == "ProductSpaceTooLarge":
+                    found.append(("raise ProductSpaceTooLarge", owner or "<module>"))
+            scoped = isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+            visit(child, f"{owner}.{child.name}".lstrip(".") if scoped else owner)
+
+    visit(ast.parse(source), "")
+    return found
+
+
+def test_budget_site_check_sees_each_form():
+    source = (
+        "from .config import MAX_PATH_BYTES\n"
+        'def f(n):\n    """Refused over ``MAX_PATH_BYTES``."""\n'
+        "    if n > config.MAX_PATH_BYTES:\n        raise ProductSpaceTooLarge(n)\n"
+        "class A:\n    def g(self):\n        raise errors.ProductSpaceTooLarge\n"
+    )
+    assert _budget_sites(source) == [
+        ("MAX_PATH_BYTES", "<module>"),
+        ("MAX_PATH_BYTES", "f"),
+        ("MAX_PATH_BYTES", "f"),
+        ("raise ProductSpaceTooLarge", "f"),
+        ("raise ProductSpaceTooLarge", "A.g"),
+    ]
+
+
+def test_only_config_reads_the_byte_budget():
+    # every refusal before allocation goes through config.check_bytes, so
+    # the budget and its message shape are stated once
+    found = {
+        path.stem: sites
+        for path in sorted(PACKAGE.glob("*.py"))
+        if (sites := _budget_sites(path.read_text()))
+    }
+    raisers = [owner for site, owner in found.pop("config") if site.startswith("raise")]
+    assert raisers == ["check_bytes"], raisers
+    assert not found, f"byte budget named or ProductSpaceTooLarge raised outside config: {found}"
 
 
 def _sibling_imports(source: str) -> set[str]:

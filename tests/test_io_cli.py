@@ -489,7 +489,7 @@ def test_cli_over_size_budget_is_config_error(tmp_path, monkeypatch, argv):
     def refuse(*args, **kwargs):
         raise AssertionError("simulated paths over the budget")
 
-    monkeypatch.setattr("mixdecomp.tails.MAX_PATH_BYTES", 1 << 20)
+    monkeypatch.setattr("mixdecomp.config.MAX_PATH_BYTES", 1 << 20)
     # the provider's stream, and every sampler step anywhere
     monkeypatch.setattr("mixdecomp.tails.PathStream", refuse)
     monkeypatch.setattr(RowSampler, "transitions", refuse)

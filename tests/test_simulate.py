@@ -1,4 +1,3 @@
-import importlib
 import tracemalloc
 from fractions import Fraction
 
@@ -79,6 +78,32 @@ def test_sampler_matches_dense_rows():
     assert tv <= 3.0 * np.sqrt(12 / (4.0 * draws))
 
 
+@pytest.mark.parametrize("n, w, counted", [(256, 256, 1_046_528), (1000, 1024, 16_376_000)])
+def test_sampler_tables_are_budgeted_and_are_its_peak(monkeypatch, n, w, counted):
+    # Dense rows pad to width w: search levels of n (w - 1) float64 sums and
+    # a column table of n w indices, 8 n (2w - 1) B.
+    k = StochasticKernel(np.full((n, n), 1.0 / n))
+    for budget in (counted - 1, counted):
+        monkeypatch.setattr("mixdecomp.config.MAX_PATH_BYTES", budget)
+        tracemalloc.start()
+        try:
+            if budget < counted:
+                with pytest.raises(ProductSpaceTooLarge, match=f"{counted:,} B"):
+                    RowSampler(k)
+            else:
+                assert RowSampler(k).cols.size == n * w
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        if budget < counted:
+            # refused before any table: row_width's n x n nonzero mask and
+            # the raised error's frames
+            assert peak < counted // 4
+        else:
+            # one row's temporaries beyond the tables
+            assert counted <= peak <= counted + 64 * 1024
+
+
 def test_empirical_hitting_examples():
     est = empirical_hitting(K3, [0], x0=0, reps=200, seed=1)
     assert est.mean == 0.0
@@ -132,21 +157,20 @@ def test_occupation_dp_budget_counts_starts_and_table(monkeypatch):
     # their rows of the DP array, 10 x 8 = 80 B per start
     k = StochasticKernel(np.full((20, 20), 1 / 20))
     part = Partition.from_block_of(np.arange(20) % 2)
-    module = importlib.import_module("mixdecomp.tails")
     counted = 3_520 + 1_600
-    monkeypatch.setattr(module, "MAX_PATH_BYTES", counted - 1)
+    monkeypatch.setattr("mixdecomp.config.MAX_PATH_BYTES", counted - 1)
     with pytest.raises(ProductSpaceTooLarge):
         exact_occupation_tail(k, part, 0, T=20, t=10)
     with pytest.raises(ProductSpaceTooLarge):
         occupation_tail_table(k, part, 0, T_max=20, t_cap=10)
-    monkeypatch.setattr(module, "MAX_PATH_BYTES", counted)
+    monkeypatch.setattr("mixdecomp.config.MAX_PATH_BYTES", counted)
     assert occupation_tail_table(k, part, 0, T_max=20, t_cap=10).shape == (20, 10)
     with pytest.raises(ProductSpaceTooLarge):
         exact_occupation_tail(k, part, 0, T=20, t=10, start=3)
-    monkeypatch.setattr(module, "MAX_PATH_BYTES", counted + 2 * 80 - 1)
+    monkeypatch.setattr("mixdecomp.config.MAX_PATH_BYTES", counted + 2 * 80 - 1)
     with pytest.raises(ProductSpaceTooLarge):
         occupation_tail_table(k, part, 0, T_max=20, t_cap=10, starts=[0, 3])
-    monkeypatch.setattr(module, "MAX_PATH_BYTES", counted + 2 * 80)
+    monkeypatch.setattr("mixdecomp.config.MAX_PATH_BYTES", counted + 2 * 80)
     assert occupation_tail_table(k, part, 0, T_max=20, t_cap=10, starts=[0, 3]).shape == (20, 10)
 
 
@@ -343,13 +367,11 @@ def test_path_stream_segments_match_one_simulation(a, b):
 
 
 def test_batched_paths_stored_compact_and_budgeted(monkeypatch):
-    # the package exports the function simulate under the module's name
-    module = importlib.import_module("mixdecomp.simulate")
     paths = simulate_states(K3, 1, 64, seed=3, reps=10)
     assert paths.dtype == np.int8
-    monkeypatch.setattr(module, "MAX_PATH_BYTES", 10 * 65)
+    monkeypatch.setattr("mixdecomp.config.MAX_PATH_BYTES", 10 * 65)
     assert simulate_states(K3, 1, 64, seed=3, reps=10).shape == (10, 65)
-    monkeypatch.setattr(module, "MAX_PATH_BYTES", 10 * 65 - 1)
+    monkeypatch.setattr("mixdecomp.config.MAX_PATH_BYTES", 10 * 65 - 1)
     with pytest.raises(ProductSpaceTooLarge):
         simulate_states(K3, 1, 64, seed=3, reps=10)
 

@@ -43,6 +43,8 @@ from mixdecomp.tails import (
     MCTailProvider,
     MinMarginalJointTails,
     _PIECE,
+    exact_occupation_tail,
+    occupation_tail_table,
 )
 
 T_MAX = 96
@@ -193,7 +195,7 @@ def test_mc_provider_checks_event_budget_before_each_extension(monkeypatch):
     flip = StochasticKernel(np.array([[0.0, 1.0], [1.0, 0.0]]))
     part = Partition(np.array([0, 1]), 2)
     # 2 starts x 50 reps x 65 steps x (1 B state + 1 B label): the first check passes
-    monkeypatch.setattr("mixdecomp.tails.MAX_PATH_BYTES", 100 * 65 * 2)
+    monkeypatch.setattr("mixdecomp.config.MAX_PATH_BYTES", 100 * 65 * 2)
     mc = MCTailProvider(flip, part, T_max=64, reps_per_start=50, seed=0)
     assert mc.query(0, 16, 9) == 1.0
     assert mc.simulated_T == 16 and mc._offsets[-1] == 100 * 16
@@ -206,6 +208,24 @@ def test_mc_provider_checks_event_budget_before_each_extension(monkeypatch):
     with pytest.raises(ProductSpaceTooLarge, match="1,600 block changes held"):
         mc.query(0, 40, 9)
     assert mc.simulated_T == 16
+
+
+@pytest.mark.parametrize("start", [-1, -2, -8, 8])
+def test_tail_providers_refuse_starts_outside_the_chain(monkeypatch, start):
+    # A negative start used to wrap (-1 answered for state 7, -2 for state 6)
+    # and 8 to end in an untyped IndexError.  Under a zero byte budget the
+    # ValueError shows the start is checked before anything is allocated.
+    monkeypatch.setattr("mixdecomp.config.MAX_PATH_BYTES", 0)
+    k, part = pince_nez(4)
+    refused = f"start {start} outside 0..7"
+    with pytest.raises(ValueError, match=refused):
+        ExactTailProvider(k, part, T_max=20, t_cap=10, starts=[0, start])
+    with pytest.raises(ValueError, match=refused):
+        exact_occupation_tail(k, part, 0, T=20, t=10, start=start)
+    with pytest.raises(ValueError, match=refused):
+        occupation_tail_table(k, part, 0, T_max=20, t_cap=10, starts=[start])
+    with pytest.raises(ValueError, match=refused):
+        MCTailProvider(k, part, T_max=20, reps_per_start=10, seed=0, starts=[start, 0])
 
 
 _MONOTONE = MCTailProvider(*_chain(11), T_max=T_MAX, reps_per_start=REPS, seed=11, starts=STARTS)
@@ -286,7 +306,7 @@ def test_mc_provider_checks_path_budget_before_simulating(monkeypatch):
     with pytest.raises(ProductSpaceTooLarge):
         huge.query(0, 10, 5)
     # 16 starts x 50 reps x 101 steps x (1 B states + 1 B labels), less one byte
-    monkeypatch.setattr("mixdecomp.tails.MAX_PATH_BYTES", 16 * 50 * 101 * 2 - 1)
+    monkeypatch.setattr("mixdecomp.config.MAX_PATH_BYTES", 16 * 50 * 101 * 2 - 1)
     with pytest.raises(ProductSpaceTooLarge):
         MCTailProvider(k, part, T_max=100, reps_per_start=50, seed=0).query_joint([0, 1], 10, 5)
 

@@ -565,9 +565,9 @@ def test_concentration_audit_checks_slot_budget_before_stepping(monkeypatch):
     # 12 states with rows of up to 3 nonzeros, padded to w = 4
     tables = 12 * 4 * wellcovering._AUDIT_TABLE_BYTES
     need = 2 * 2 * 1000 * wellcovering._AUDIT_SLOT_BYTES + tables
-    monkeypatch.setattr(wellcovering, "MAX_PATH_BYTES", need)
+    monkeypatch.setattr("mixdecomp.config.MAX_PATH_BYTES", need)
     assert len(concentration_audit(*args)) == 4
-    monkeypatch.setattr(wellcovering, "MAX_PATH_BYTES", need - 1)
+    monkeypatch.setattr("mixdecomp.config.MAX_PATH_BYTES", need - 1)
     # every sampler step, batched or not, goes through transitions
     monkeypatch.setattr(RowSampler, "transitions", refuse)
     with pytest.raises(ProductSpaceTooLarge, match="4 audit runs x 1000 replicas"):
@@ -586,13 +586,13 @@ def test_concentration_audit_counts_its_tables_in_the_budget(monkeypatch):
     slots = 2 * 2 * 1000 * wellcovering._AUDIT_SLOT_BYTES
     tables = n * n * wellcovering._AUDIT_TABLE_BYTES
     assert tables > slots
-    monkeypatch.setattr(wellcovering, "MAX_PATH_BYTES", slots + tables)
+    monkeypatch.setattr("mixdecomp.config.MAX_PATH_BYTES", slots + tables)
     assert len(concentration_audit(*args)) == 4
 
     def refuse(*args, **kwargs):
         raise AssertionError("built tables or stepped replicas over the budget")
 
-    monkeypatch.setattr(wellcovering, "MAX_PATH_BYTES", slots + tables - 1)
+    monkeypatch.setattr("mixdecomp.config.MAX_PATH_BYTES", slots + tables - 1)
     monkeypatch.setattr(wellcovering, "RowSampler", refuse)
     with pytest.raises(ProductSpaceTooLarge, match="65,536 transition indices"):
         concentration_audit(*args)

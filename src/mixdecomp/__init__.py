@@ -66,14 +66,8 @@ from .kernel import (
     stationary_distribution,
     time_reversal,
 )
-from .simulate import (
-    OccupationRecord,
-    TailEstimate,
-    empirical_hitting,
-    empirical_occupation_tail,
-    simulate,
-)
-from .tails import ExactTailProvider, MCTailProvider, MinMarginalJointTails, exact_occupation_tail
+from .simulate import OccupationRecord, simulate
+from .tails import ExactTailProvider, MCTailProvider, MinMarginalJointTails
 from .wellcovering import (
     WellCoveringCertificate,
     WellCoveringQuery,

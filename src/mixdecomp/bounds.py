@@ -254,8 +254,9 @@ def bound_basic2(
     I with stationary mass at least alpha / 2 and an exponential hitting sum
     ``sum_i exp(-floor(c' t / (e phi_i)))``.
 
-    In sampled mode only a seeded family of subsets is checked, which makes
-    the reported value a lower-bound flavor of the exact search.
+    In sampled mode only the seeded family of :func:`sampled_subsets` is
+    checked, which makes the reported value a lower-bound flavor of the
+    exact search.
     """
     if not (0 < alpha < 0.5):
         raise ValueError("need 0 < alpha < 1/2")
@@ -269,7 +270,6 @@ def bound_basic2(
         family = qualifying_subsets(masses, floor_mass)
     elif subset_mode == "sampled":
         family = sampled_subsets(masses, floor_mass, subset_budget, seed)
-        family = sorted(set(family) | {tuple(range(n))})
     else:
         raise ValueError(f"unknown subset_mode {subset_mode!r}")
     if not family:

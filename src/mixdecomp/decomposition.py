@@ -457,10 +457,13 @@ def _minimal_heavy_search(masses: np.ndarray, floor: float) -> Iterator[np.ndarr
 
 
 def sampled_subsets(masses: np.ndarray, floor: float, budget: int, seed: int) -> list[tuple[int, ...]]:
-    """Up to ``budget`` distinct seeded random subsets with mass at least ``floor``.
+    """Seeded random subsets with mass at least ``floor``, and the full set.
 
     Each of at most ``4 budget`` draws picks a uniform size, then a uniform
-    subset of that size; the family is returned sorted.
+    subset of that size, until ``budget`` distinct subsets qualify.  The
+    full set ``(0, .., n - 1)`` joins them when its mass reaches ``floor``,
+    so the family holds at most ``budget + 1`` subsets; it is returned
+    sorted.
     """
     n = len(masses)
     gen = rngmod.stream(seed, 0)
@@ -472,6 +475,8 @@ def sampled_subsets(masses: np.ndarray, floor: float, budget: int, seed: int) ->
         I = tuple(sorted(gen.choice(n, size=size, replace=False).tolist()))
         if masses[list(I)].sum() >= floor:
             family.add(I)
+    if masses.sum() >= floor:
+        family.add(tuple(range(n)))
     return sorted(family)
 
 
@@ -491,8 +496,7 @@ def avg_hit_time(
     Hitting a larger set is never slower, so exact mode solves exactly on
     the family of :func:`minimal_heavy_sets` only, and ``n_qualifying``
     counts those sets.  ``mode='sampled'`` checks only the seeded family of
-    :func:`sampled_subsets` plus the full set, and returns a flagged lower
-    bound.
+    :func:`sampled_subsets`, and returns a flagged lower bound.
 
     Raises
     ------
@@ -504,14 +508,11 @@ def avg_hit_time(
         raise ValueError("alpha must be positive")
     masses = partition.masses(pi)
     floor = alpha / 2.0
-    n = partition.n_blocks
     if mode == "exact":
         subsets = minimal_heavy_sets(masses, floor)
         lower_bound_only = False
     elif mode == "sampled":
         subsets = sampled_subsets(masses, floor, sample_budget, seed)
-        if masses.sum() >= floor:
-            subsets = sorted(set(subsets) | {tuple(range(n))})
         lower_bound_only = True
     else:
         raise ValueError(f"unknown mode {mode!r}")

@@ -1,11 +1,13 @@
-"""Seeded Monte Carlo engine: trajectories, occupation records, estimates.
+"""Seeded Monte Carlo engine: trajectories, occupation records, path streams.
 
 Batched paths advance together through :class:`RowSampler`, which maps
 one uniform per path and step to the next state by inverse CDF over the
 row's nonzeros; the uniforms come from a counter-based stream keyed by the
-seed, so a seed fixes every path.  Occupation counts follow the
-convention that time 0 is excluded: ``kappa_i(T)`` counts steps
-``u = 1 .. T`` with ``X_u`` in block i.
+seed, so a seed fixes every path.  :func:`start_rows` checks every start
+a stream, a tail provider or an audit is given, before anything is
+allocated.  Occupation counts follow the convention that time 0 is
+excluded: ``kappa_i(T)`` counts steps ``u = 1 .. T`` with ``X_u`` in
+block i.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ import numpy as np
 from . import rng as rngmod
 from .config import check_bytes
 from .decomposition import Partition
-from .errors import AssertionFailed, HorizonCap
+from .errors import AssertionFailed
 from .kernel import StochasticKernel
 
 # 99% two-sided normal quantile, used by every Wilson interval here.
@@ -38,21 +40,6 @@ def wilson_interval(successes: int, trials: int, z: float = _Z99) -> tuple[float
     lo = max(0.0, (centre - half) / denom)
     hi = min(1.0, (centre + half) / denom)
     return lo, hi
-
-
-@dataclass(frozen=True)
-class TailEstimate:
-    """Monte Carlo probability estimate with a Wilson 99% interval."""
-
-    point: float
-    wilson_low: float
-    wilson_hi: float
-    reps: int
-
-    @classmethod
-    def from_counts(cls, hits: int, reps: int) -> "TailEstimate":
-        lo, hi = wilson_interval(hits, reps)
-        return cls(point=hits / reps if reps else 0.0, wilson_low=lo, wilson_hi=hi, reps=reps)
 
 
 @dataclass(frozen=True)
@@ -75,15 +62,6 @@ class OccupationRecord:
             raise AssertionFailed(
                 "occupation-counts-sum-to-horizon", f"sum {int(self.kappa.sum())} != T = {self.T}"
             )
-
-
-@dataclass(frozen=True)
-class HittingEstimate:
-    """Sample mean of a hitting time with a 3-standard-error band."""
-
-    mean: float
-    half_width: float
-    reps: int
 
 
 def row_width(kernel: StochasticKernel) -> int:
@@ -175,8 +153,6 @@ def simulate(
     if T < 1:
         raise ValueError("T must be >= 1")
     if isinstance(chain, StochasticKernel):
-        if not 0 <= x0 < chain.n_states:
-            raise ValueError(f"start {x0} outside 0..{chain.n_states - 1}")
         part = partition or Partition.single_block(chain.n_states)
         traj = simulate_states(chain, [x0], T, seed)[0].astype(np.int64)
         blocks = part.block_of[traj]
@@ -201,6 +177,21 @@ def simulate(
     return traj, OccupationRecord(T=T, start=x0, kappa=kappa, transitions=trans)
 
 
+def start_rows(starts: Sequence[int], n: int) -> np.ndarray:
+    """``starts`` as an index array, each checked to be one of ``0 .. n - 1``.
+
+    Raises
+    ------
+    ValueError
+        Naming the first start outside the chain or not an integer.
+    """
+    values = np.asarray(starts)
+    inside = (values >= 0) & (values < n) & (values == np.floor(values))
+    if not inside.all():
+        raise ValueError(f"start {values[~inside][0]} outside 0..{n - 1}")
+    return values.astype(np.intp)
+
+
 def index_dtype(n: int) -> np.dtype:
     """Smallest signed integer dtype that holds the indices ``0 .. n - 1``."""
     for dt in (np.int8, np.int16, np.int32):
@@ -215,13 +206,14 @@ class PathStream:
     Holds a :class:`RowSampler`, the generator ``rng.stream(seed, 0)`` and
     the current state of every path.  Each step draws one uniform per path
     from that generator, so paths extended in segments are bit-identical to
-    paths simulated in one go.
+    paths simulated in one go.  A start outside ``0 .. n_states - 1``
+    raises ``ValueError`` before the sampler is built.
     """
 
     def __init__(self, kernel: StochasticKernel, starts: np.ndarray, seed: int):
+        self.states = start_rows(starts, kernel.n_states)
         self._sampler = RowSampler(kernel)
         self._gen = rngmod.stream(seed, 0)
-        self.states = np.asarray(starts, dtype=np.intp)
 
     def extend(self, k: int) -> Iterator[np.ndarray]:
         """Advance every path k steps, yielding the states after each step.
@@ -245,73 +237,24 @@ def simulate_states(
 
     Raises
     ------
+    ValueError
+        If a start lies outside ``0 .. n_states - 1``.
     ProductSpaceTooLarge
-        If the path array would exceed the byte budget; checked before
-        anything is allocated.
+        If the path array would exceed the byte budget.
+
+    Both are checked before the path array is allocated.
     """
     if np.isscalar(x0):
         if reps is None:
             raise ValueError("reps required for a scalar start")
-        starts = np.full(reps, int(x0), dtype=np.int64)
-    else:
-        starts = np.asarray(x0, dtype=np.int64)
+        x0 = np.full(reps, x0)
+    stream = PathStream(kernel, x0, seed)
+    starts = stream.states
     dtype = index_dtype(kernel.n_states)
     nbytes = starts.size * (T + 1) * dtype.itemsize
     check_bytes(f"{starts.size} paths x {T + 1} {dtype} states", nbytes)
     out = np.empty((T + 1, starts.size), dtype=dtype)
     out[0] = starts
-    for t, state in enumerate(PathStream(kernel, starts, seed).extend(T), 1):
+    for t, state in enumerate(stream.extend(T), 1):
         out[t] = state
     return out.T
-
-
-def empirical_hitting(
-    kernel: StochasticKernel,
-    target: Sequence[int],
-    x0: int,
-    reps: int,
-    seed: int,
-    step_cap: int = 10**9,
-) -> HittingEstimate:
-    """Monte Carlo hitting-time mean with a 3-standard-error band."""
-    if reps < 1:
-        raise ValueError("reps must be >= 1")
-    in_target = np.zeros(kernel.n_states, dtype=bool)
-    in_target[np.asarray(target, dtype=int)] = True
-    sampler = RowSampler(kernel)
-    gen = rngmod.stream(seed, 0)
-    state = np.full(reps, x0, dtype=np.int64)
-    times = np.zeros(reps, dtype=np.int64)
-    active = ~in_target[state]
-    t = 0
-    while active.any():
-        t += 1
-        if t > step_cap:
-            raise HorizonCap(f"{int(active.sum())} replicates exceeded {step_cap} steps")
-        idx = np.nonzero(active)[0]
-        state[idx] = sampler.step(state[idx], gen.random(idx.size))
-        done = in_target[state[idx]]
-        times[idx[done]] = t
-        active[idx[done]] = False
-    mean = float(times.mean())
-    se = float(times.std(ddof=1) / math.sqrt(reps)) if reps > 1 else 0.0
-    return HittingEstimate(mean=mean, half_width=3.0 * se, reps=reps)
-
-
-def empirical_occupation_tail(
-    kernel: StochasticKernel,
-    partition: Partition,
-    blocks: int | Sequence[int],
-    T: int,
-    t: float,
-    reps: int,
-    seed: int,
-    x0: int = 0,
-) -> TailEstimate:
-    """Monte Carlo estimate of ``P[kappa_i(T) < t]`` (joint over a subset)."""
-    paths = simulate_states(kernel, x0, T, seed, reps=reps)
-    lab = partition.block_of[paths[:, 1:]]
-    hits = np.ones(reps, dtype=bool)
-    for b in np.atleast_1d(blocks):
-        hits &= (lab == b).sum(axis=1) < t
-    return TailEstimate.from_counts(int(hits.sum()), reps)

@@ -1,10 +1,11 @@
 """Worst-start occupation tails ``max_z P_z[kappa_i(T) < t]`` of the blocks.
 
 Occupation-tail ingredients come in two flavors with explicit provenance:
-an exact backward recursion over (state, counter) pairs, for every start at
-once, and Monte Carlo with Wilson 99% upper confidence bounds.  A search
-that an exact escape probability already decides runs on vacuous tails
-instead.
+:class:`ExactTailProvider`, an exact backward recursion over (state,
+counter) pairs for every start at once, and :class:`MCTailProvider`, the
+package's one Monte Carlo path, with Wilson 99% upper confidence bounds.
+Both check their starts with :func:`simulate.start_rows`.  A search that
+an exact escape probability already decides runs on vacuous tails instead.
 
 A per-block provider (:class:`BlockTails`) answers ``query(i, T, t)``, a
 joint one (:class:`JointTails`) ``query_joint(I, T, t)``; some answer both.
@@ -23,7 +24,7 @@ import numpy as np
 from .config import check_bytes
 from .decomposition import Partition
 from .kernel import StochasticKernel
-from .simulate import WILSON_LEVEL, PathStream, index_dtype, wilson_interval
+from .simulate import WILSON_LEVEL, PathStream, index_dtype, start_rows, wilson_interval
 
 
 @runtime_checkable
@@ -65,15 +66,6 @@ def _pieces(e0: int, e1: int):
         a = b
 
 
-def _start_rows(starts: Sequence[int], n: int) -> np.ndarray:
-    """``starts`` as an index array, each checked to lie in ``0 .. n - 1``."""
-    rows = np.array([int(s) for s in starts], dtype=np.intp)
-    bad = rows[(rows < 0) | (rows >= n)]
-    if bad.size:
-        raise ValueError(f"start {bad[0]} outside 0..{n - 1}")
-    return rows
-
-
 def _thresholds(t) -> np.ndarray:
     """The thresholds of a query, scalar or array, as a flat float array."""
     return np.asarray(t, dtype=float).ravel()
@@ -111,7 +103,7 @@ class ExactTailProvider:
         self.partition = partition
         self.T_max = int(T_max)
         self.t_cap = int(t_cap)
-        self.starts = None if starts is None else _start_rows(starts, kernel.n_states)
+        self.starts = None if starts is None else start_rows(starts, kernel.n_states)
         self._tables: dict[int, np.ndarray] = {}
 
     def max_t(self) -> int:
@@ -198,7 +190,7 @@ class MCTailProvider:
         self.seed = seed
         if starts is None:
             starts = range(kernel.n_states)
-        self.start_list = _start_rows(starts, kernel.n_states).tolist()
+        self.start_list = start_rows(starts, kernel.n_states).tolist()
         n_paths = len(self.start_list) * self.reps
         label = index_dtype(partition.n_blocks)
         self._block_of = partition.block_of.astype(label)
@@ -462,7 +454,7 @@ def occupation_tail_table(
     """
     n = kernel.n_states
     in_block = (partition.block_of == block)[:, None]
-    rows = slice(None) if starts is None else _start_rows(starts, n)
+    rows = slice(None) if starts is None else start_rows(starts, n)
     gathered = 0 if starts is None else rows.size
     check_bytes(
         f"two {n} x {t_cap + 1} float64 occupation DP buffers, {gathered} gathered starts "
@@ -479,26 +471,3 @@ def occupation_tail_table(
         np.matmul(kernel.rows, h, out=g)
         g[rows, 1:].max(axis=0, out=table[s - 1])
     return table
-
-
-def exact_occupation_tail(
-    kernel: StochasticKernel,
-    partition: Partition,
-    block: int,
-    T: int,
-    t: float,
-    start: int | None = None,
-) -> float:
-    """Exact ``P[kappa_i(T) < t]`` from :class:`ExactTailProvider`.
-
-    With ``start=None`` the max over all point-mass starts is returned.
-
-    Raises
-    ------
-    ProductSpaceTooLarge
-        If the DP of :func:`occupation_tail_table` would exceed its budget.
-    ValueError
-        If ``start`` lies outside ``0 .. n_states - 1``.
-    """
-    starts = None if start is None else [start]
-    return ExactTailProvider(kernel, partition, T, min(T, np.ceil(t)), starts).query(block, T, t)

@@ -47,7 +47,7 @@ from .errors import (
     TooManyBlocks,
 )
 from .kernel import StationaryDistribution, StochasticKernel, stationary_distribution
-from .simulate import RowSampler, row_width, wilson_interval
+from .simulate import RowSampler, row_width, start_rows, wilson_interval
 from . import rng as rngmod
 
 
@@ -568,15 +568,20 @@ def concentration_audit(
 
     Raises
     ------
+    ValueError
+        If ``start`` lies outside ``0 .. n_states - 1``.
     ProductSpaceTooLarge
         If the replicas' slot arrays and the counter-step tables would
-        exceed the byte budget; checked before anything is allocated.
+        exceed the byte budget.
     HorizonCap
         If a run's replicas do not all finish within its step cap; the
         first such run in (orientation, t) order is named.
+
+    The start and the budget are checked before anything is allocated.
     """
     if reps < MIN_AUDIT_REPS:
         raise ValueError(f"need reps >= {MIN_AUDIT_REPS} for a meaningful audit")
+    start_rows([start], kernel.n_states)
     proj = projected_kernel(kernel, pi, partition)
     samples = iter(_transition_ratio_samples(kernel, partition, i, j, t_grid, reps, seed, start))
     rows: list[AuditRow] = []

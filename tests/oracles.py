@@ -11,14 +11,17 @@ occupation horizon search by one scalar tail query per (time, member), the
 exact occupation DP by the forward (counter, start, state) sweep, by its own
 backward recursion with fresh arrays at every step and by a forward sweep in
 exact rationals, the batched closed-class search by one strong-component
-search per kernel, and the covering oracle's cut test by an
-interval-transportation LP per grid point.
+search per kernel, the covering oracle's cut test by an
+interval-transportation LP per grid point, and expected hitting times by
+Monte Carlo.  ``exact_occupation_tail`` asks the exact tail provider one
+query, for tests that compare single tails.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Sequence
 
@@ -32,7 +35,7 @@ from mixdecomp.decomposition import Partition, projected_kernel, qualifying_subs
 from mixdecomp.errors import HorizonCap, ProductSpaceTooLarge
 from mixdecomp.kernel import StationaryDistribution, StochasticKernel, hitting_analysis
 from mixdecomp.simulate import RowSampler, wilson_interval
-from mixdecomp.tails import exact_occupation_tail
+from mixdecomp.tails import ExactTailProvider
 from mixdecomp.wellcovering import AuditRow, OracleOutcome, WellCoveringQuery, _kappa_grid
 
 
@@ -112,6 +115,24 @@ def avg_hit_all_subsets(
         if worst > best:
             best, arg = worst, I
     return best, arg
+
+
+def exact_occupation_tail(
+    kernel: StochasticKernel,
+    partition: Partition,
+    block: int,
+    T: int,
+    t: float,
+    start: int | None = None,
+) -> float:
+    """Exact ``P[kappa_i(T) < t]`` from one :class:`ExactTailProvider` query.
+
+    With ``start=None`` the max over all point-mass starts is returned.
+    The provider raises ``ProductSpaceTooLarge`` over the DP's budget and
+    ``ValueError`` for a start outside ``0 .. n_states - 1``.
+    """
+    starts = None if start is None else [start]
+    return ExactTailProvider(kernel, partition, T, min(T, np.ceil(t)), starts).query(block, T, t)
 
 
 def exact_joint_occupation_tail(
@@ -258,6 +279,53 @@ def stream_correlation(seed: int, n_draws: int = 10**6) -> float:
     a = a - a.mean()
     b = b - b.mean()
     return float((a[:-1] * b[1:]).sum() / math.sqrt((a * a).sum() * (b * b).sum()))
+
+
+@dataclass(frozen=True)
+class HittingEstimate:
+    """Sample mean of a hitting time with a 3-standard-error band."""
+
+    mean: float
+    half_width: float
+    reps: int
+
+
+def empirical_hitting(
+    kernel: StochasticKernel,
+    target: Sequence[int],
+    x0: int,
+    reps: int,
+    seed: int,
+    step_cap: int = 10**9,
+) -> HittingEstimate:
+    """Monte Carlo hitting-time mean with a 3-standard-error band.
+
+    The cross-check of ``kernel.hitting_analysis``: ``reps`` replicas from
+    ``x0`` step through one :class:`RowSampler` on ``rng.stream(seed, 0)``
+    until each reaches ``target``; ``HorizonCap`` past ``step_cap`` steps.
+    """
+    if reps < 1:
+        raise ValueError("reps must be >= 1")
+    in_target = np.zeros(kernel.n_states, dtype=bool)
+    in_target[np.asarray(target, dtype=int)] = True
+    sampler = RowSampler(kernel)
+    gen = rngmod.stream(seed, 0)
+    state = np.full(reps, x0, dtype=np.int64)
+    times = np.zeros(reps, dtype=np.int64)
+    active = ~in_target[state]
+    t = 0
+    while active.any():
+        t += 1
+        if t > step_cap:
+            raise HorizonCap(f"{int(active.sum())} replicates exceeded {step_cap} steps")
+        idx = np.nonzero(active)[0]
+        state[idx] = sampler.step(state[idx], gen.random(idx.size))
+        done = in_target[state[idx]]
+        times[idx[done]] = t
+        active[idx[done]] = False
+    mean = float(times.mean())
+    se = float(times.std(ddof=1) / math.sqrt(reps)) if reps > 1 else 0.0
+    return HittingEstimate(mean=mean, half_width=3.0 * se, reps=reps)
 
 
 def full_transport_lp(mu: np.ndarray, nu: np.ndarray, d: np.ndarray) -> float:

@@ -289,9 +289,20 @@ def test_avg_hit_sampled_uses_shared_subset_sampler():
     k, part = toy_kcip(8, 1)
     pi = stationary_distribution(k)
     res = avg_hit_time(k, pi, part, alpha=0.3, mode="sampled", sample_budget=16, seed=5)
-    family = set(sampled_subsets(part.masses(pi), 0.15, 16, 5)) | {tuple(range(8))}
+    family = sampled_subsets(part.masses(pi), 0.15, 16, 5)
     assert res.n_qualifying == len(family)
     assert res.argmax_subset in family
+
+
+def test_sampled_subsets_hold_the_full_set_when_it_reaches_the_floor():
+    masses = np.array([0.1, 0.2, 0.3, 0.4])
+    for seed in range(5):
+        family = sampled_subsets(masses, 0.25, 3, seed)
+        assert (0, 1, 2, 3) in family and family == sorted(set(family))
+        assert len(family) <= 4
+        assert all(masses[list(I)].sum() >= 0.25 for I in family)
+    # below the floor even the full set does not qualify
+    assert sampled_subsets(masses / 10, 0.25, 3, 0) == []
 
 
 def test_avg_hit_no_qualifying_marker():

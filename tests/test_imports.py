@@ -410,18 +410,16 @@ PUBLIC_NAMES = [
     "DEFAULT_TOLERANCES", "DecompositionReport", "DriftCertificate", "EscapeStatistics",
     "ExactTailProvider", "HittingTimeTable", "MCTailProvider", "MinMarginalJointTails",
     "MixingProfile", "OccupationRecord", "Partition", "PeresSousiConstants",
-    "StationaryDistribution", "StochasticKernel", "TailEstimate", "Tolerances",
-    "WellCoveringCertificate", "WellCoveringQuery", "avg_hit_time", "bootstrap_mixing_bound",
-    "bound_basic", "bound_basic2", "bound_contraction", "bound_coupling_point", "bound_drift",
-    "bound_graph_hit", "bound_regular", "calibrate_constants", "check_reversible", "compare_wc",
-    "concentration_audit", "decompose", "empirical_hitting", "empirical_occupation_tail",
-    "escape_analysis", "estimate_contraction", "exact_mixing_time", "exact_occupation_tail",
-    "exit_distribution", "expander_pair", "feasibility_oracle", "fit_drift", "hitting_analysis",
-    "kcip", "lazify", "less_lazy_projection", "mixing_profile", "occupation_regularity",
-    "peres_sousi_audit", "pince_nez", "projected_kernel", "propagation_bound",
-    "propagation_covers", "relaxation_time", "simulate", "stationary_distribution",
-    "time_reversal", "torus_metropolis", "toy_kcip", "trace_kernel", "tree_bound",
-    "verify_drift", "wasserstein",
+    "StationaryDistribution", "StochasticKernel", "Tolerances", "WellCoveringCertificate",
+    "WellCoveringQuery", "avg_hit_time", "bootstrap_mixing_bound", "bound_basic", "bound_basic2",
+    "bound_contraction", "bound_coupling_point", "bound_drift", "bound_graph_hit", "bound_regular",
+    "calibrate_constants", "check_reversible", "compare_wc", "concentration_audit", "decompose",
+    "escape_analysis", "estimate_contraction", "exact_mixing_time", "exit_distribution",
+    "expander_pair", "feasibility_oracle", "fit_drift", "hitting_analysis", "kcip", "lazify",
+    "less_lazy_projection", "mixing_profile", "occupation_regularity", "peres_sousi_audit",
+    "pince_nez", "projected_kernel", "propagation_bound", "propagation_covers", "relaxation_time",
+    "simulate", "stationary_distribution", "time_reversal", "torus_metropolis", "toy_kcip",
+    "trace_kernel", "tree_bound", "verify_drift", "wasserstein",
 ]
 
 

@@ -34,7 +34,14 @@ from mixdecomp.chains import pince_nez, toy_kcip
 from mixdecomp.decomposition import Partition, block_mixing_times, qualifying_subsets
 from mixdecomp.errors import ProductSpaceTooLarge
 from mixdecomp.kernel import StochasticKernel, stationary_distribution
-from mixdecomp.simulate import RowSampler, index_dtype, simulate_states, wilson_interval
+from mixdecomp.simulate import (
+    PathStream,
+    RowSampler,
+    index_dtype,
+    simulate,
+    simulate_states,
+    wilson_interval,
+)
 from mixdecomp.tails import (
     BlockTails,
     EscapeCertifiedTails,
@@ -43,9 +50,9 @@ from mixdecomp.tails import (
     MCTailProvider,
     MinMarginalJointTails,
     _PIECE,
-    exact_occupation_tail,
     occupation_tail_table,
 )
+from mixdecomp.wellcovering import MIN_AUDIT_REPS, concentration_audit
 
 T_MAX = 96
 REPS = 6
@@ -210,22 +217,35 @@ def test_mc_provider_checks_event_budget_before_each_extension(monkeypatch):
     assert mc.simulated_T == 16
 
 
-@pytest.mark.parametrize("start", [-1, -2, -8, 8])
+@pytest.mark.parametrize("start", [-1, -2, -8, 8, 1.5])
 def test_tail_providers_refuse_starts_outside_the_chain(monkeypatch, start):
     # A negative start used to wrap (-1 answered for state 7, -2 for state 6)
-    # and 8 to end in an untyped IndexError.  Under a zero byte budget the
-    # ValueError shows the start is checked before anything is allocated.
-    monkeypatch.setattr("mixdecomp.config.MAX_PATH_BYTES", 0)
+    # and 8 to end in an untyped IndexError, in the tail providers, in
+    # simulate_states and in the concentration audit; 1.5 was truncated to
+    # 1.  Under a zero byte budget the ValueError shows the start is checked
+    # before anything is allocated.
     k, part = pince_nez(4)
+    pi = stationary_distribution(k)
+    monkeypatch.setattr("mixdecomp.config.MAX_PATH_BYTES", 0)
     refused = f"start {start} outside 0..7"
     with pytest.raises(ValueError, match=refused):
         ExactTailProvider(k, part, T_max=20, t_cap=10, starts=[0, start])
     with pytest.raises(ValueError, match=refused):
-        exact_occupation_tail(k, part, 0, T=20, t=10, start=start)
+        oracles.exact_occupation_tail(k, part, 0, T=20, t=10, start=start)
     with pytest.raises(ValueError, match=refused):
         occupation_tail_table(k, part, 0, T_max=20, t_cap=10, starts=[start])
     with pytest.raises(ValueError, match=refused):
         MCTailProvider(k, part, T_max=20, reps_per_start=10, seed=0, starts=[start, 0])
+    with pytest.raises(ValueError, match=refused):
+        simulate_states(k, start, 4, seed=0, reps=2)
+    with pytest.raises(ValueError, match=refused):
+        simulate_states(k, [0, start], 4, seed=0)
+    with pytest.raises(ValueError, match=refused):
+        PathStream(k, [0, start], seed=0)
+    with pytest.raises(ValueError, match=refused):
+        simulate(k, start, 4, seed=0, partition=part)
+    with pytest.raises(ValueError, match=refused):
+        concentration_audit(k, pi, part, 0, 1, [4], [0.1], MIN_AUDIT_REPS, seed=0, phi_max=1.0, start=start)
 
 
 _MONOTONE = MCTailProvider(*_chain(11), T_max=T_MAX, reps_per_start=REPS, seed=11, starts=STARTS)

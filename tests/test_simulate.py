@@ -114,6 +114,20 @@ def test_empirical_hitting_examples():
     assert abs(e8.mean - exact) <= e8.half_width
 
 
+def test_empirical_occupation_edge_cases():
+    # t = 0 is never met, without simulating; t > T is met by every path;
+    # a horizon past T_max answers the vacuous 1.0 without simulating.
+    part = Partition.from_block_of([0, 0, 1])
+    mc = MCTailProvider(K3, part, T_max=20, reps_per_start=200, seed=0, starts=[0])
+    assert mc.query(0, 20, 0) == 0.0
+    assert mc.query(0, 21, 5) == 1.0
+    assert mc.simulated_T == 0
+    every = wilson_interval(200, 200)[1]
+    assert mc.query(0, 20, 21) == every == pytest.approx(1.0)
+    assert mc.query(0, 20, np.array([0, 21])).tolist() == [0.0, every]
+    assert mc.simulated_T == 20
+
+
 def test_exact_occupation_binomial_closed_form():
     # half-lazy flip chain occupies block 0 like a fair coin
     k = lazify(StochasticKernel([[0.0, 1.0], [1.0, 0.0]]), 0.5)
@@ -247,6 +261,27 @@ def test_occupation_dp_peak_memory_is_what_the_budget_counts():
         finally:
             tracemalloc.stop()
         assert counted + gathered <= peak <= counted + gathered + 128 * 1024, starts
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_mc_tails_cover_exact(seed):
+    # The exact DP value lies inside the 99% Wilson interval of the
+    # provider's count in nearly all cells, and a query answers that
+    # interval's upper end.
+    gen = rngmod.stream(900 + seed, 0)
+    n = int(gen.integers(3, 8))
+    k = random_reversible_kernel(n, gen, half_lazy=True)
+    part = random_partition(n, gen, 2)
+    T, reps = 30, 2000
+    mc = MCTailProvider(k, part, T_max=T, reps_per_start=reps, seed=seed, starts=[0])
+    hits, total = 0, 0
+    for t in (3, 8, 15):
+        exact = exact_occupation_tail(k, part, 0, T, t, start=0)
+        lo, hi = wilson_interval(int((mc._kappa(T)[0] < t).sum()), reps)
+        assert mc.query(0, T, t) == hi
+        total += 1
+        hits += lo - 1e-12 <= exact <= hi + 1e-12
+    assert hits >= total - 1  # tolerate at most one 99%-interval miss per chain
 
 
 def test_mc_tail_coverage_rate_across_cells():

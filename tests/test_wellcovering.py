@@ -1,3 +1,4 @@
+import hashlib
 import math
 import tracemalloc
 
@@ -524,6 +525,22 @@ def test_concentration_audit_matches_sequential_runs(chain, blocks, t_grid, at_e
     rows = concentration_audit(*args, **kwargs)
     assert rows == sequential_concentration_audit(*args, **kwargs)
     assert len(rows) == 2 * len(t_grid) * 2
+
+
+@pytest.mark.parametrize(
+    "chain, pinned",
+    [(pince_nez(6), "c08d306803bd23e2"), (toy_kcip(4, 1), "56826f41f0defa0c")],
+    ids=["pince_nez6", "toy_kcip4"],
+)
+def test_transition_ratio_samples_pinned_byte_for_byte(chain, pinned):
+    # sha256 prefix of every run's per-replica ratios (float64 bytes), seed 5:
+    # the audit's seeded samples stay bit for bit the same
+    k, part = chain
+    samples = wellcovering._transition_ratio_samples(k, part, 0, 1, (0, 1, 12, 40, 12), 300, 5, 0)
+    h = hashlib.sha256()
+    for run in samples:
+        h.update(run.tobytes())
+    assert h.hexdigest()[:16] == pinned
 
 
 def test_concentration_audit_matches_sequential_cap_on_many_blocks():

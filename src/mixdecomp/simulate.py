@@ -1,13 +1,16 @@
 """Seeded Monte Carlo engine: trajectories, occupation records, path streams.
 
 Batched paths advance together through :class:`RowSampler`, which maps
-one uniform per path and step to the next state by inverse CDF over the
-row's nonzeros; the uniforms come from a counter-based stream keyed by the
-seed, so a seed fixes every path.  :func:`start_rows` checks every start
-a stream, a tail provider or an audit is given, before anything is
-allocated.  Occupation counts follow the convention that time 0 is
-excluded: ``kappa_i(T)`` counts steps ``u = 1 .. T`` with ``X_u`` in
-block i.
+one raw 64-bit word per path and step to the next state by inverse CDF
+over the row's nonzeros.  The words come from a counter-based Philox
+stream keyed by the seed, so a seed fixes every path.  A word ``w`` stands
+for the uniform ``(w >> 11) 2^-53`` that ``Generator.random`` would make
+of it; the sampler compares the words with exact integer keys instead of
+comparing that uniform with cumulative sums, and picks the same state.
+:func:`start_rows` checks every start a stream, a tail provider or an
+audit is given, before anything is allocated.  Occupation counts follow
+the convention that time 0 is excluded: ``kappa_i(T)`` counts steps
+``u = 1 .. T`` with ``X_u`` in block i.
 """
 
 from __future__ import annotations
@@ -24,21 +27,29 @@ from .decomposition import Partition
 from .errors import AssertionFailed
 from .kernel import StochasticKernel
 
+# 2^53: Generator.random() makes (w >> 11) 2^-53 of a raw word w.
+_TWO53 = float(1 << 53)
+
 # 99% two-sided normal quantile, used by every Wilson interval here.
 WILSON_LEVEL = 0.99
 _Z99 = 2.5758293035489004
 
 
 def wilson_interval(successes: int, trials: int, z: float = _Z99) -> tuple[float, float]:
-    """Wilson score interval for a binomial proportion."""
+    """Wilson score interval for a binomial proportion.
+
+    The lower end is exactly 0.0 when nothing succeeds and the upper end
+    exactly 1.0 when everything does, where the float formula misses by
+    rounding.
+    """
     if trials <= 0:
         return 0.0, 1.0
     p = successes / trials
     denom = 1.0 + z * z / trials
     centre = p + z * z / (2 * trials)
     half = z * math.sqrt(p * (1 - p) / trials + z * z / (4 * trials * trials))
-    lo = max(0.0, (centre - half) / denom)
-    hi = min(1.0, (centre + half) / denom)
+    lo = 0.0 if successes == 0 else max(0.0, (centre - half) / denom)
+    hi = 1.0 if successes == trials else min(1.0, (centre + half) / denom)
     return lo, hi
 
 
@@ -73,15 +84,22 @@ def row_width(kernel: StochasticKernel) -> int:
 class RowSampler:
     """Vectorized next-state sampling from a transition matrix.
 
-    Each row is sampled by inverse CDF over its own nonzeros: with the same
-    uniform this picks the state the full-row search
-    ``(cumsum(K)[s] < u).sum()`` would, and never a column of probability 0.
+    Each row is sampled by inverse CDF over its own nonzeros: with the word
+    ``w`` it picks the state the full-row search ``(cumsum(K)[s] < u).sum()``
+    would at ``u = (w >> 11) 2^-53``, and never a column of probability 0.
     The slot is found by a branch-free binary search over the row's
     cumulative sums, padded with 1.0 to a power-of-two width ``w``, so a
     step costs ``log2(w)`` gathers whatever the row's width.
 
-    :meth:`step` takes its uniforms from the caller, one per state in the
-    same order, so each caller decides which generator feeds which path.
+    The search compares words with ``uint64`` keys, not uniforms with
+    sums.  For a cumulative sum ``c``, ``c < (w >> 11) 2^-53`` holds exactly
+    when ``w > key``, where ``key = 2^11 (floor(c 2^53) + 1) - 1``: ``c 2^53``
+    and its floor are exact in float64.  Where ``floor(c 2^53) + 1 >= 2^53``
+    (the 1.0 padding, ``c = 1 - 2^-53``, a sum that rounds above 1) the key
+    is ``2^64 - 1``, which no word exceeds.
+
+    :meth:`step` takes its words from the caller, one per state in the same
+    order, so each caller decides which generator feeds which path.
 
     Raises
     ------
@@ -95,13 +113,13 @@ class RowSampler:
         w = row_width(kernel)
         check_bytes(f"sampler tables for {n} states x {w} slots", 8 * n * (2 * w - 1))
         # The search probes sum pos + h - 1 for h = w/2 .. 1 and adds h to
-        # pos where that sum is below u.  The table of level h holds the sums
-        # h - 1 + 2hk of every row, row-major, so the flat index into the
-        # next level is 2 * index + (sum < u): it starts at the row and ends
-        # at row * w + slot, the index into the column table.  Sum w - 1
-        # (1.0 > u) is never probed.
+        # pos where that sum's key is below the word.  The table of level h
+        # holds the keys of sums h - 1 + 2hk of every row, row-major, so the
+        # flat index into the next level is 2 * index + (key < word): it
+        # starts at the row and ends at row * w + slot, the index into the
+        # column table.  Sum w - 1 (1.0, never below) is never probed.
         halves = [w >> k for k in range(1, w.bit_length())]
-        levels = [np.empty((n, w // (2 * h))) for h in halves]
+        levels = [np.empty((n, w // (2 * h)), dtype=np.uint64) for h in halves]
         # Per row: the columns of its nonzeros, padded to w by repeating the
         # last, and the full-row cumulative sums at them, with the last
         # nonzero and the padding set to 1.0.
@@ -112,20 +130,32 @@ class RowSampler:
             cols[x, nz.size :] = nz[-1]
             cums = np.ones(w)
             cums[: nz.size - 1] = np.cumsum(K[x])[nz[:-1]]
-            for h, keys in zip(halves, levels):
-                keys[x] = cums[h - 1 :: 2 * h]
-        self._levels = [keys.ravel() for keys in levels]
+            # floor(c 2^53), saturated at 2^53 - 1, then 2^11 of it plus 2^11 - 1
+            top = np.minimum(np.floor(cums * _TWO53), _TWO53 - 1).astype(np.uint64)
+            keys = top << np.uint64(11) | np.uint64(0x7FF)
+            for h, level in zip(halves, levels):
+                level[x] = keys[h - 1 :: 2 * h]
+        self._levels = [level.ravel() for level in levels]
         self.cols = cols.ravel()
 
-    def step(self, states: np.ndarray, u: np.ndarray) -> np.ndarray:
-        """Next state of each ``states[k]`` drawn with the uniform ``u[k]``."""
-        return self.cols.take(self.transitions(states, u))
+    def step(self, states: np.ndarray, words: np.ndarray) -> np.ndarray:
+        """Next state of each ``states[k]`` drawn with the raw word ``words[k]``."""
+        return self.cols.take(self.transitions(states, words))
 
-    def transitions(self, states: np.ndarray, u: np.ndarray) -> np.ndarray:
-        """Index ``states[k] * w + slot`` into ``cols`` of the transition drawn with ``u[k]``."""
+    def transitions(self, states: np.ndarray, words: np.ndarray) -> np.ndarray:
+        """Index ``states[k] * w + slot`` into ``cols`` of the transition drawn with ``words[k]``.
+
+        Raises
+        ------
+        TypeError
+            If ``words`` is not a ``uint64`` array: uniforms compared with
+            the keys would pick wrong transitions without an error.
+        """
+        if words.dtype != np.uint64:
+            raise TypeError(f"words must be raw uint64 draws, not {words.dtype}")
         idx = states = states.astype(np.intp, copy=False)
         for level, keys in enumerate(self._levels):
-            below = keys.take(idx) < u
+            below = keys.take(idx) < words
             if level:
                 idx <<= 1
             else:
@@ -183,9 +213,12 @@ def start_rows(starts: Sequence[int], n: int) -> np.ndarray:
     Raises
     ------
     ValueError
-        Naming the first start outside the chain or not an integer.
+        If there is no start, or naming the first start outside the chain
+        or not an integer.
     """
     values = np.asarray(starts)
+    if values.size == 0:
+        raise ValueError("no starts given")
     inside = (values >= 0) & (values < n) & (values == np.floor(values))
     if not inside.all():
         raise ValueError(f"start {values[~inside][0]} outside 0..{n - 1}")
@@ -203,17 +236,18 @@ def index_dtype(n: int) -> np.dtype:
 class PathStream:
     """Resumable batched trajectories from one seeded stream.
 
-    Holds a :class:`RowSampler`, the generator ``rng.stream(seed, 0)`` and
-    the current state of every path.  Each step draws one uniform per path
-    from that generator, so paths extended in segments are bit-identical to
-    paths simulated in one go.  A start outside ``0 .. n_states - 1``
-    raises ``ValueError`` before the sampler is built.
+    Holds a :class:`RowSampler`, the bit generator of ``rng.stream(seed, 0)``
+    and the current state of every path.  Each step draws one raw word per
+    path from it with ``random_raw``, so paths extended in segments are
+    bit-identical to paths simulated in one go.  No start, or a start
+    outside ``0 .. n_states - 1``, raises ``ValueError`` before the sampler
+    is built.
     """
 
     def __init__(self, kernel: StochasticKernel, starts: np.ndarray, seed: int):
         self.states = start_rows(starts, kernel.n_states)
         self._sampler = RowSampler(kernel)
-        self._gen = rngmod.stream(seed, 0)
+        self._bits = rngmod.stream(seed, 0).bit_generator
 
     def extend(self, k: int) -> Iterator[np.ndarray]:
         """Advance every path k steps, yielding the states after each step.
@@ -221,8 +255,8 @@ class PathStream:
         The stream advances only as far as the caller iterates.
         """
         for _ in range(k):
-            u = self._gen.random(self.states.shape[0])
-            self.states = self._sampler.step(self.states, u)
+            words = self._bits.random_raw(self.states.shape[0])
+            self.states = self._sampler.step(self.states, words)
             yield self.states
 
 
@@ -238,7 +272,7 @@ def simulate_states(
     Raises
     ------
     ValueError
-        If a start lies outside ``0 .. n_states - 1``.
+        If there is no start, or one lies outside ``0 .. n_states - 1``.
     ProductSpaceTooLarge
         If the path array would exceed the byte budget.
 

@@ -85,8 +85,8 @@ class ExactTailProvider:
     ``T <= T_max`` and ``t <= t_cap``, by one masked gather from block i's
     table, which :func:`occupation_tail_table` fills for every start at once
     in two ``(n_states, t_cap + 1)`` buffers; kappa is an integer, so a
-    threshold t counts as ``ceil(t)``.  A start outside ``0 .. n_states - 1``
-    raises ``ValueError`` at construction.
+    threshold t counts as ``ceil(t)``.  An empty ``starts``, or a start
+    outside ``0 .. n_states - 1``, raises ``ValueError`` at construction.
     """
 
     provenance = "exact"
@@ -166,8 +166,9 @@ class MCTailProvider:
     Wilson 99% upper bound (a per-query confidence level), which is a sound
     (conservative) ingredient for the bound searches.
 
-    A start outside ``0 .. n_states - 1`` raises ``ValueError`` at
-    construction.  Before the first step, ``paths x (T_max + 1) x (state
+    An empty ``starts``, or a start outside ``0 .. n_states - 1``, raises
+    ``ValueError`` at construction: with no paths every tail would read 0.
+    Before the first step, ``paths x (T_max + 1) x (state
     bytes + label bytes)`` is checked against the byte budget; before each
     extension, the events held plus one event per path and new step, the
     most that the extension can record.  Over either, queries raise
@@ -450,7 +451,7 @@ def occupation_tail_table(
         ``starts``, their ``(starts, t_cap)`` rows that each step gathers
         from g.  Every step works in them, in place.
     ValueError
-        If a start lies outside ``0 .. n_states - 1``.
+        If ``starts`` is empty or a start lies outside ``0 .. n_states - 1``.
     """
     n = kernel.n_states
     in_block = (partition.block_of == block)[:, None]

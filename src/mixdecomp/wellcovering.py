@@ -606,7 +606,7 @@ def concentration_audit(
     return rows
 
 
-# Bytes per replica slot: state, packed counter, slot origin, uniform, draw
+# Bytes per replica slot: state, packed counter, slot origin, word, draw
 # buffer and result (8 B each) and the liveness flag (1 B), and as much
 # again for one step's temporaries or compaction's copies.
 _AUDIT_SLOT_BYTES = 2 * (6 * 8 + 1)
@@ -615,7 +615,7 @@ _AUDIT_SLOT_BYTES = 2 * (6 * 8 + 1)
 # two int64 counter-step tables.
 _AUDIT_TABLE_BYTES = 1 + 2 * 8
 
-# Finished slots stay in the arrays, stepped on stale uniforms, until the
+# Finished slots stay in the arrays, stepped on stale words, until the
 # live ones fall below this share of them; then every array is compacted.
 _COMPACT_BELOW = 0.9
 
@@ -636,9 +636,9 @@ def _transition_ratio_samples(
     j; run ``(clock, t_grid[k])`` draws from ``rng.stream(seed + 7 k, 1)``.
     The ``2 * len(t_grid) * reps`` replicas are slots laid out run-major,
     replicas in index order, and advance together.  Each step, every run
-    with live replicas draws one uniform per live replica from its own
-    generator in slot order, so each run's numbers are those of simulating
-    it alone.  A replica finishes on its ``max(t, 1)``-th arrival in the
+    with live replicas draws one raw word per live replica from its own
+    generator's ``random_raw`` in slot order, so each run's numbers are
+    those of simulating it alone.  A replica finishes on its ``max(t, 1)``-th arrival in the
     clock block; the crossing on that step is not counted.  Run r stops at
     its step cap ``200 (t + 1) max(1, n)``.
     """
@@ -673,8 +673,8 @@ def _transition_ratio_samples(
     # packing is exact for the first 2^30 steps (hours of looping).
     counter = np.repeat(np.array([max(t, 1) << 32 for _, t, _ in runs], dtype=np.int64), reps)
     live = np.ones(n_slots, dtype=bool)
-    u = np.empty(n_slots)
-    fresh = np.empty(n_slots)
+    u = np.empty(n_slots, dtype=np.uint64)
+    fresh = np.empty(n_slots, dtype=np.uint64)
     result = np.empty(n_slots, dtype=np.int64)
     live_count = np.full(n_runs, reps)
     n_live = n_slots
@@ -683,12 +683,12 @@ def _transition_ratio_samples(
     step = 0
     while n_live:
         step += 1
-        # all live: draw in place; else dead slots keep their stale uniforms
+        # all live: draw in place; else dead slots keep their stale words
         dest = u if n_live == state.size else fresh
         at = 0
         for r, k in enumerate(live_count.tolist()):
             if k:
-                gens[r].random(out=dest[at : at + k])
+                dest[at : at + k] = gens[r].bit_generator.random_raw(k)
                 at += k
         if dest is fresh:
             u[live] = fresh[:n_live]

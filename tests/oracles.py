@@ -319,7 +319,7 @@ def empirical_hitting(
         if t > step_cap:
             raise HorizonCap(f"{int(active.sum())} replicates exceeded {step_cap} steps")
         idx = np.nonzero(active)[0]
-        state[idx] = sampler.step(state[idx], gen.random(idx.size))
+        state[idx] = sampler.step(state[idx], gen.bit_generator.random_raw(idx.size))
         done = in_target[state[idx]]
         times[idx[done]] = t
         active[idx[done]] = False
@@ -445,7 +445,7 @@ def transition_ratio_sample(
     """Per-replica ``N_ij(kappa_clock^{-1}(t)) / (t + 1)`` for one run alone.
 
     Each step gathers the live replicas through ``np.nonzero``, draws one
-    uniform each from ``rng.stream(seed, 1)`` and scatters them back.
+    raw word each from ``rng.stream(seed, 1)`` and scatters them back.
     """
     sampler = RowSampler(kernel)
     gen = rngmod.stream(seed, 1)
@@ -462,7 +462,7 @@ def transition_ratio_sample(
         if idx.size == 0:
             break
         prev = state[idx]
-        nxt = sampler.step(prev, gen.random(idx.size))
+        nxt = sampler.step(prev, gen.bit_generator.random_raw(idx.size))
         state[idx] = nxt
         arrived_clock = in_clock[nxt]
         done_now = arrived_clock & (visits[idx] + 1 >= t)

@@ -202,7 +202,7 @@ def test_exit_distribution_rows_match_resimulation():
         idx = np.nonzero(active)[0]
         if idx.size == 0:
             break
-        state[idx] = sampler.step(state[idx], gen.random(idx.size))
+        state[idx] = sampler.step(state[idx], gen.bit_generator.random_raw(idx.size))
         moved = part.block_of[state[idx]] != b0
         out_block[idx[moved]] = part.block_of[state[idx[moved]]]
         active[idx[moved]] = False

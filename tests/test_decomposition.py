@@ -509,7 +509,7 @@ def test_trace_one_step_law_matches_simulation():
         idx = np.nonzero(active)[0]
         if idx.size == 0:
             break
-        state[idx] = sampler.step(state[idx], gen.random(idx.size))
+        state[idx] = sampler.step(state[idx], gen.bit_generator.random_raw(idx.size))
         arrived = in_block[state[idx]]
         first[idx[arrived]] = state[idx[arrived]]
         active[idx[arrived]] = False

@@ -1,4 +1,5 @@
 import hashlib
+import math
 import tracemalloc
 from fractions import Fraction
 
@@ -45,6 +46,15 @@ def test_wilson_interval_basic():
     assert lo <= 0.1 <= hi
 
 
+def test_wilson_interval_is_exact_at_the_ends():
+    # the float formula gave an upper end of 0.9999999999999998 at 200 of 200
+    # and a lower end above 0 at 0 of n for hundreds of n
+    for n in range(1, 3000):
+        assert wilson_interval(n, n)[1] == 1.0
+        assert wilson_interval(0, n)[0] == 0.0
+    assert wilson_interval(200, 200)[1] == 1.0
+
+
 def test_simulate_deterministic_and_conserving():
     part = Partition.from_block_of([0, 0, 1])
     t1, rec1 = simulate(K3, 0, 500, seed=9, partition=part)
@@ -72,7 +82,7 @@ def test_sampler_matches_dense_rows():
     sampler = RowSampler(k)
     draws = 200_000
     states = np.zeros(draws, dtype=np.int64)
-    nxt = sampler.step(states, gen.random(draws))
+    nxt = sampler.step(states, gen.bit_generator.random_raw(draws))
     emp = np.bincount(nxt, minlength=12) / draws
     tv = 0.5 * np.abs(emp - k.rows[0]).sum()
     assert tv <= 3.0 * np.sqrt(12 / (4.0 * draws))
@@ -124,7 +134,7 @@ def test_empirical_occupation_edge_cases():
     assert mc.query(0, 21, 5) == 1.0
     assert mc.simulated_T == 0
     every = wilson_interval(200, 200)[1]
-    assert mc.query(0, 20, 21) == every == pytest.approx(1.0)
+    assert mc.query(0, 20, 21) == every == 1.0
     assert mc.query(0, 20, np.array([0, 21])).tolist() == [0.0, every]
     assert mc.simulated_T == 20
 
@@ -415,6 +425,13 @@ def test_path_stream_steps_pinned_byte_for_byte(chain, pinned):
     assert _digest(stream.extend(64)) == pinned
 
 
+def _boundary_words(c: float) -> list[int]:
+    # the largest word whose uniform (w >> 11) 2^-53 is not above c, and the
+    # next one, where the pick moves past c
+    key = (min(math.floor(c * 2.0**53), 2**53 - 1) << 11) | 0x7FF
+    return [key, key + 1] if key < 2**64 - 1 else [key]
+
+
 @st.composite
 def _row_draw(draw):
     n = draw(st.integers(1, 24))
@@ -424,30 +441,71 @@ def _row_draw(draw):
         w = np.array(draw(st.lists(st.floats(0.01, 1.0), min_size=len(support), max_size=len(support))))
         K[x, support] = w / w.sum()
     s = draw(st.integers(0, n - 1))
-    # the largest uniform a generator draws is 1 - 2**-53
-    u = draw(st.floats(0.0, 1.0, exclude_min=True, exclude_max=True) | st.just(np.nextafter(1.0, 0.0)))
-    return K, s, u
+    # any word, or one at a key of row s's sums or just past it
+    cums = np.cumsum(K[s])[np.flatnonzero(K[s])[:-1]]
+    near = [w for c in cums for w in _boundary_words(float(c))]
+    words = st.integers(0, 2**64 - 1)
+    return K, s, draw(words | st.sampled_from(near) if near else words)
 
 
 # This row's cumsum ends at 0.9999999999999998, below the largest uniform:
 # the full-row search with its last column forced to 1.0 drew column 3.
 _ZERO_TAIL_ROW = [0.41391896417788415, 0.3947212968057879, 0.19135973901632777, 0.0]
+# Sums 0.1, 0.1, 0.30000000000000004: the word at the last sum's key makes
+# that sum as its uniform and picks column 2; the next word picks column 3.
+_KEY_ROW = np.array([[0.1, 0.0, 0.2, 0.7]] + [[0.25] * 4] * 3)
+_KEY_WORDS = _boundary_words(0.1 + 0.2)
+# Its second sum, 1.0000000000000002, rounds above 1: no word reaches it.
+_ABOVE_ONE_ROW = np.array([[0.5, 0.5000000000000002, 1e-17], [1 / 3] * 3, [0.0, 0.0, 1.0]])
 
 
 @settings(max_examples=300, deadline=None)
 @given(_row_draw())
-@example((np.array([_ZERO_TAIL_ROW] + [[0.25] * 4] * 3), 0, np.nextafter(1.0, 0.0)))
+@example((_KEY_ROW, 0, 0))
+@example((_KEY_ROW, 0, 2**64 - 1))
+@example((_KEY_ROW, 0, _KEY_WORDS[0]))
+@example((_KEY_ROW, 0, _KEY_WORDS[1]))
+@example((np.array([_ZERO_TAIL_ROW] + [[0.25] * 4] * 3), 0, 2**64 - 1))
+@example((_ABOVE_ONE_ROW, 0, 2**64 - 1))
+@example((_ABOVE_ONE_ROW, 0, _boundary_words(0.5)[1]))
 def test_sparse_sampler_matches_full_row_search(case):
-    K, s, u = case
-    got = int(RowSampler(StochasticKernel(K)).step(np.array([s]), np.array([u]))[0])
+    K, s, word = case
+    got = int(RowSampler(StochasticKernel(K)).step(np.array([s]), np.array([word], dtype=np.uint64))[0])
+    u = (word >> 11) * 2.0**-53  # Generator.random's uniform from this word
     cum = np.cumsum(K, axis=1)[s]
     nonzero = np.flatnonzero(K[s])
-    # u = 0 is excluded: there the full-row rule picks column 0 whatever its probability
-    if u <= cum[nonzero[-1]]:
+    if u == 0.0:
+        # the full-row rule picks column 0 whatever its probability
+        assert got == nonzero[0]
+    elif u <= cum[nonzero[-1]]:
         assert got == int((cum < u).sum())
     else:
         assert got == nonzero[-1]
     assert K[s, got] > 0
+
+
+def test_sampler_key_words_straddle_the_sum():
+    sampler = RowSampler(StochasticKernel(_KEY_ROW))
+    words = np.array(_KEY_WORDS, dtype=np.uint64)
+    assert sampler.step(np.zeros(2, dtype=np.intp), words).tolist() == [2, 3]
+
+
+@pytest.mark.parametrize("seed", [0, 1, 5, 2**40 + 3])
+def test_generator_random_is_the_top_53_bits_of_raw_words(seed):
+    # the sampler's words pick what these uniforms would
+    n = 4099
+    words = rngmod.stream(seed, 0).bit_generator.random_raw(n)
+    u = rngmod.stream(seed, 0).random(n)
+    assert np.array_equal(u, (words >> np.uint64(11)) * 2.0**-53)
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.int64, np.uint32])
+def test_sampler_refuses_words_that_are_not_uint64(dtype):
+    sampler = RowSampler(K3)
+    with pytest.raises(TypeError, match="uint64"):
+        sampler.step(np.zeros(3, dtype=np.intp), np.full(3, 0.5).astype(dtype))
+    with pytest.raises(TypeError, match="uint64"):
+        sampler.transitions(np.zeros(3, dtype=np.intp), np.full(3, 0.5).astype(dtype))
 
 
 def test_pince_nez_occupation_symmetry():

@@ -217,6 +217,24 @@ def test_mc_provider_checks_event_budget_before_each_extension(monkeypatch):
     assert mc.simulated_T == 16
 
 
+@pytest.mark.parametrize("starts", [[], (), np.array([], dtype=np.int64)], ids=["list", "tuple", "array"])
+def test_tail_providers_refuse_an_empty_start_list(monkeypatch, starts):
+    # With no paths the Monte Carlo provider answered 0.0 to every positive
+    # threshold, and the exact one ended in numpy's untyped "zero-size
+    # array" error after allocating its buffers.  Under a zero byte budget
+    # the ValueError shows the list is checked before anything is allocated.
+    k, part = pince_nez(4)
+    monkeypatch.setattr("mixdecomp.config.MAX_PATH_BYTES", 0)
+    with pytest.raises(ValueError, match="no starts"):
+        MCTailProvider(k, part, T_max=20, reps_per_start=10, seed=0, starts=starts)
+    with pytest.raises(ValueError, match="no starts"):
+        ExactTailProvider(k, part, T_max=20, t_cap=10, starts=starts)
+    with pytest.raises(ValueError, match="no starts"):
+        occupation_tail_table(k, part, 0, T_max=20, t_cap=10, starts=starts)
+    with pytest.raises(ValueError, match="no starts"):
+        PathStream(k, starts, seed=0)
+
+
 @pytest.mark.parametrize("start", [-1, -2, -8, 8, 1.5])
 def test_tail_providers_refuse_starts_outside_the_chain(monkeypatch, start):
     # A negative start used to wrap (-1 answered for state 7, -2 for state 6)

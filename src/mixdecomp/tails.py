@@ -168,10 +168,10 @@ class MCTailProvider:
 
     An empty ``starts``, or a start outside ``0 .. n_states - 1``, raises
     ``ValueError`` at construction: with no paths every tail would read 0.
-    Before the first step, ``paths x (T_max + 1) x (state
-    bytes + label bytes)`` is checked against the byte budget; before each
-    extension, the events held plus one event per path and new step, the
-    most that the extension can record.  Over either, queries raise
+    Before the first step, ``paths x (T_max + 1) x (state bytes + label
+    bytes)`` is checked against the byte budget; before each extension,
+    the events held plus one event per path and new step, the most that
+    the extension can record.  Over either, queries raise
     ``ProductSpaceTooLarge`` before the extension's first step.
     """
 

@@ -638,9 +638,9 @@ def _transition_ratio_samples(
     replicas in index order, and advance together.  Each step, every run
     with live replicas draws one raw word per live replica from its own
     generator's ``random_raw`` in slot order, so each run's numbers are
-    those of simulating it alone.  A replica finishes on its ``max(t, 1)``-th arrival in the
-    clock block; the crossing on that step is not counted.  Run r stops at
-    its step cap ``200 (t + 1) max(1, n)``.
+    those of simulating it alone.  A replica finishes on its
+    ``max(t, 1)``-th arrival in the clock block; the crossing on that step
+    is not counted.  Run r stops at its step cap ``200 (t + 1) max(1, n)``.
     """
     runs = [(clock, int(t), seed + 7 * k) for clock in (i, j) for k, t in enumerate(t_grid)]
     n_runs = len(runs)

@@ -7,10 +7,13 @@ stream keyed by the seed, so a seed fixes every path.  A word ``w`` stands
 for the uniform ``(w >> 11) 2^-53`` that ``Generator.random`` would make
 of it; the sampler compares the words with exact integer keys instead of
 comparing that uniform with cumulative sums, and picks the same state.
-:func:`start_rows` checks every start a stream, a tail provider or an
-audit is given, before anything is allocated.  Occupation counts follow
-the convention that time 0 is excluded: ``kappa_i(T)`` counts steps
-``u = 1 .. T`` with ``X_u`` in block i.
+A :class:`PathStream` steps through the sampler's guide table instead:
+one gather per path-step settles every word whose bucket of top bits
+holds no key, and the search settles the rest, so the paths are the
+search's.  :func:`start_rows` checks every start a stream, a tail
+provider or an audit is given, before anything is allocated.  Occupation
+counts follow the convention that time 0 is excluded: ``kappa_i(T)``
+counts steps ``u = 1 .. T`` with ``X_u`` in block i.
 """
 
 from __future__ import annotations
@@ -30,6 +33,15 @@ from .kernel import StochasticKernel
 # 2^53: Generator.random() makes (w >> 11) 2^-53 of a raw word w.
 _TWO53 = float(1 << 53)
 
+# log2 of the most entries of a path stream's guide; its shifted next
+# states stay below 2^15 and are kept in int16, 64 KB.
+_GUIDE_LOG2 = 15
+# Bytes per guide entry counted by the budget besides its label: the peak
+# of building the table, when the next states are held in intp (8 B) with
+# the row and word arrays (16 B) while the search at the last words runs
+# (18 B: its index array, a gathered key array and two compare masks).
+_GUIDE_BUILD_BYTES = 42
+
 # 99% two-sided normal quantile, used by every Wilson interval here.
 WILSON_LEVEL = 0.99
 _Z99 = 2.5758293035489004
@@ -41,7 +53,14 @@ def wilson_interval(successes: int, trials: int, z: float = _Z99) -> tuple[float
     The lower end is exactly 0.0 when nothing succeeds and the upper end
     exactly 1.0 when everything does, where the float formula misses by
     rounding.
+
+    Raises
+    ------
+    ValueError
+        If ``successes`` lies outside ``0 .. trials``.
     """
+    if not 0 <= successes <= max(trials, 0):
+        raise ValueError(f"successes {successes} outside 0..{trials}")
     if trials <= 0:
         return 0.0, 1.0
     p = successes / trials
@@ -100,6 +119,7 @@ class RowSampler:
 
     :meth:`step` takes its words from the caller, one per state in the same
     order, so each caller decides which generator feeds which path.
+    :meth:`guide` tabulates the search for :class:`PathStream`.
 
     Raises
     ------
@@ -137,10 +157,53 @@ class RowSampler:
                 level[x] = keys[h - 1 :: 2 * h]
         self._levels = [level.ravel() for level in levels]
         self.cols = cols.ravel()
+        self.n_states = n
 
     def step(self, states: np.ndarray, words: np.ndarray) -> np.ndarray:
         """Next state of each ``states[k]`` drawn with the raw word ``words[k]``."""
         return self.cols.take(self.transitions(states, words))
+
+    def guide(self, block_of: np.ndarray | None = None) -> tuple[int, np.ndarray, np.ndarray | None]:
+        """Guide table of the search: ``(b, next, labels)`` for words cut into ``2^b`` buckets.
+
+        ``b`` is the largest with ``n 2^b <= 2^15``.  Entry ``x << b | j`` of
+        ``next`` holds ``x' << b`` when the search picks state ``x'`` from row
+        ``x`` for every word ``w`` with ``w >> (64 - b) == j``, and -1 where a
+        key ``k`` of the row lies in the bucket below its last word,
+        ``j 2^(64-b) <= k < (j + 1) 2^(64-b) - 1``: inside such a bucket the
+        pick changes.  The pick only grows with the word, so an entry is the
+        search's own answer at its bucket's first word, marked where the
+        answer at the last word differs.  ``next`` is kept in the smallest
+        signed dtype that holds its indices (int16).  Given ``block_of``,
+        ``labels`` holds ``block_of[x']`` of each unmarked entry, in its dtype.
+
+        Raises
+        ------
+        ProductSpaceTooLarge
+            Before anything is allocated, if ``n 2^b (42 + label bytes)``
+            B, the table and the temporaries of building it, is over the
+            byte budget.
+        """
+        n = self.n_states
+        bits = _GUIDE_LOG2 - (n - 1).bit_length()
+        size = n << bits
+        label = 0 if block_of is None else block_of.itemsize
+        check_bytes(
+            f"guide of {n} states x {1 << bits} word buckets", size * (_GUIDE_BUILD_BYTES + label)
+        )
+        rows = np.repeat(np.arange(n, dtype=np.intp), 1 << bits)
+        words = np.arange(size, dtype=np.uint64)
+        words &= np.uint64((1 << bits) - 1)
+        words <<= np.uint64(64 - bits)
+        nxt = self.transitions(rows, words)
+        words |= np.uint64((1 << (64 - bits)) - 1)
+        straddle = self.transitions(rows, words) != nxt
+        del rows, words
+        self.cols.take(nxt, out=nxt, mode="clip")
+        labels = None if block_of is None else block_of.take(nxt)
+        nxt <<= bits
+        nxt[straddle] = -1
+        return bits, nxt.astype(index_dtype(size)), labels
 
     def transitions(self, states: np.ndarray, words: np.ndarray) -> np.ndarray:
         """Index ``states[k] * w + slot`` into ``cols`` of the transition drawn with ``words[k]``.
@@ -213,12 +276,18 @@ def start_rows(starts: Sequence[int], n: int) -> np.ndarray:
     Raises
     ------
     ValueError
-        If there is no start, or naming the first start outside the chain
-        or not an integer.
+        If ``starts`` is not a flat sequence of numbers (a nested list
+        would make paths share words, a string or a bool is no state), if
+        there is no start, or naming the first start outside the chain or
+        not an integer.
     """
     values = np.asarray(starts)
+    if values.ndim != 1:
+        raise ValueError(f"starts must be a flat sequence of states, not of shape {values.shape}")
     if values.size == 0:
         raise ValueError("no starts given")
+    if values.dtype.kind not in "iuf":
+        raise ValueError(f"starts must be state indices, not {values.dtype}")
     inside = (values >= 0) & (values < n) & (values == np.floor(values))
     if not inside.all():
         raise ValueError(f"start {values[~inside][0]} outside 0..{n - 1}")
@@ -236,18 +305,60 @@ def index_dtype(n: int) -> np.dtype:
 class PathStream:
     """Resumable batched trajectories from one seeded stream.
 
-    Holds a :class:`RowSampler`, the bit generator of ``rng.stream(seed, 0)``
-    and the current state of every path.  Each step draws one raw word per
-    path from it with ``random_raw``, so paths extended in segments are
-    bit-identical to paths simulated in one go.  No start, or a start
+    Holds a :class:`RowSampler`, its :meth:`~RowSampler.guide`, the bit
+    generator of ``rng.stream(seed, 0)`` and every path's current state
+    ``x``, kept as the guide row ``x << b``.  Each step draws one raw word
+    ``w`` per path from it with ``random_raw`` and gathers the next state
+    from guide entry ``x << b | w >> (64 - b)``; the few paths whose entry
+    is marked go through the sampler's search.  A step picks what the
+    search picks, so paths extended in segments are bit-identical to paths
+    simulated in one go, and to the search's paths.  No start, or a start
     outside ``0 .. n_states - 1``, raises ``ValueError`` before the sampler
     is built.
+
+    Given ``block_of``, the guide also holds every next state's label, and
+    :meth:`step` can write them.
     """
 
-    def __init__(self, kernel: StochasticKernel, starts: np.ndarray, seed: int):
-        self.states = start_rows(starts, kernel.n_states)
+    def __init__(
+        self,
+        kernel: StochasticKernel,
+        starts: np.ndarray,
+        seed: int,
+        block_of: np.ndarray | None = None,
+    ):
+        rows = start_rows(starts, kernel.n_states)
         self._sampler = RowSampler(kernel)
+        self._shift, self._next, self._labels = self._sampler.guide(block_of)
+        self._drop = np.uint64(64 - self._shift)
+        self._block_of = block_of
+        self._guided = (rows << self._shift).astype(self._next.dtype)
         self._bits = rngmod.stream(seed, 0).bit_generator
+
+    @property
+    def states(self) -> np.ndarray:
+        """Every path's current state."""
+        return self._guided >> self._shift
+
+    def step(self, labels: np.ndarray | None = None) -> None:
+        """Advance every path one step.
+
+        With ``labels``, the block label of each path's new state is
+        written into it; the stream must have been given ``block_of``.
+        """
+        words = self._bits.random_raw(self._guided.size)
+        entry = (words >> self._drop).view(np.intp)
+        entry |= self._guided
+        # entries are in range; "clip" gathers into the output without a buffer
+        self._next.take(entry, out=self._guided, mode="clip")
+        if labels is not None:
+            self._labels.take(entry, out=labels, mode="clip")
+        odd = np.flatnonzero(self._guided < 0)
+        if odd.size:
+            states = self._sampler.step(entry[odd] >> self._shift, words[odd])
+            self._guided[odd] = states << self._shift
+            if labels is not None:
+                labels[odd] = self._block_of.take(states)
 
     def extend(self, k: int) -> Iterator[np.ndarray]:
         """Advance every path k steps, yielding the states after each step.
@@ -255,8 +366,7 @@ class PathStream:
         The stream advances only as far as the caller iterates.
         """
         for _ in range(k):
-            words = self._bits.random_raw(self.states.shape[0])
-            self.states = self._sampler.step(self.states, words)
+            self.step()
             yield self.states
 
 

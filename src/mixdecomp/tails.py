@@ -138,9 +138,10 @@ class MCTailProvider:
     path in ``index_dtype(paths)`` and its old and new labels in
     ``index_dtype(n_blocks)``.  Events fill chunks of ``_PIECE`` events,
     so growth copies none of them, and a cumulative per-step offset array
-    gives each step's events.  Each step gathers every path's label into a
-    buffer of about ``_BATCH`` path-steps; a full buffer is compared with
-    the labels one step earlier in one pass, and its changes are appended.
+    gives each step's events.  Each step of the stream writes every path's
+    new label, gathered from its guide, into a buffer of about ``_BATCH``
+    path-steps; a full buffer is compared with the labels one step earlier
+    in one pass, and its changes are appended.
 
     Occupation counts of every block, with the paths' labels, are cached
     for horizon 0, for the simulated horizon and for the two latest probes;
@@ -230,7 +231,7 @@ class MCTailProvider:
             nbytes = n_paths * (self.T_max + 1) * item
             check_bytes(f"states and labels of {n_paths} paths x {self.T_max + 1} steps", nbytes)
             starts = np.repeat(np.asarray(self.start_list, dtype=np.int64), self.reps)
-            self._stream = PathStream(self.kernel, starts, self.seed)
+            self._stream = PathStream(self.kernel, starts, self.seed, self._block_of)
             self._counts[0] = np.zeros(
                 (self.partition.n_blocks, n_paths), dtype=index_dtype(self.T_max + 1)
             )
@@ -253,10 +254,9 @@ class MCTailProvider:
         labels = np.empty((batch + 1, n_paths), dtype=self._block_of.dtype)
         labels[0] = self._now
         k = 0
-        for s, state in enumerate(self._stream.extend(grow - have), have + 1):
+        for s in range(have + 1, grow + 1):
             k += 1
-            # states are in range; "clip" writes into the row without a buffer
-            self._block_of.take(state, out=labels[k], mode="clip")
+            self._stream.step(labels[k])
             if k == batch or s == grow:
                 self._record(labels[: k + 1], offsets[s - k : s + 1])
                 labels[0] = labels[k]

@@ -55,6 +55,13 @@ def test_wilson_interval_is_exact_at_the_ends():
     assert wilson_interval(200, 200)[1] == 1.0
 
 
+@pytest.mark.parametrize("successes, trials", [(5, 3), (-1, 3), (1, 0)])
+def test_wilson_interval_refuses_successes_outside_the_trials(successes, trials):
+    # 5 of 3 used to end in "math domain error" from the square root
+    with pytest.raises(ValueError, match=f"successes {successes} outside 0..{trials}"):
+        wilson_interval(successes, trials)
+
+
 def test_simulate_deterministic_and_conserving():
     part = Partition.from_block_of([0, 0, 1])
     t1, rec1 = simulate(K3, 0, 500, seed=9, partition=part)
@@ -112,6 +119,39 @@ def test_sampler_tables_are_budgeted_and_are_its_peak(monkeypatch, n, w, counted
         else:
             # one row's temporaries beyond the tables
             assert counted <= peak <= counted + 64 * 1024
+
+
+@pytest.mark.parametrize("label", [None, np.int8, np.int32])
+def test_guide_is_budgeted_and_is_its_peak(monkeypatch, label):
+    # 32 dense rows cut words into 2^10 buckets: 32,768 entries of 42 B
+    # each (the next states and the temporaries of building them) and the
+    # labels' bytes.  The sampler's own tables take 16,128 B.
+    k = StochasticKernel(np.full((32, 32), 1.0 / 32))
+    sampler = RowSampler(k)
+    block_of = None if label is None else np.arange(32, dtype=label) % 4
+    size = 32 << 10
+    labels = 0 if label is None else np.dtype(label).itemsize
+    counted = size * (42 + labels)
+    for budget in (counted - 1, counted):
+        monkeypatch.setattr("mixdecomp.config.MAX_PATH_BYTES", budget)
+        tracemalloc.start()
+        try:
+            if budget < counted:
+                with pytest.raises(ProductSpaceTooLarge, match=f"{counted:,} B"):
+                    sampler.guide(block_of)
+            else:
+                bits, nxt, got = sampler.guide(block_of)
+                assert bits == 10 and nxt.size == size
+                assert got is None if label is None else got.dtype == label
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        if budget < counted:
+            assert peak < 4096  # refused before anything is allocated
+        else:
+            # the labels come after the temporaries are freed, so the count
+            # less the labels is the peak
+            assert counted - size * labels <= peak <= counted + 64 * 1024
 
 
 def test_empirical_hitting_examples():
@@ -398,11 +438,37 @@ def test_path_stream_segments_match_one_simulation(a, b):
 def test_batched_paths_stored_compact_and_budgeted(monkeypatch):
     paths = simulate_states(K3, 1, 64, seed=3, reps=10)
     assert paths.dtype == np.int8
-    monkeypatch.setattr("mixdecomp.config.MAX_PATH_BYTES", 10 * 65)
-    assert simulate_states(K3, 1, 64, seed=3, reps=10).shape == (10, 65)
-    monkeypatch.setattr("mixdecomp.config.MAX_PATH_BYTES", 10 * 65 - 1)
-    with pytest.raises(ProductSpaceTooLarge):
-        simulate_states(K3, 1, 64, seed=3, reps=10)
+    # 1,000 paths x 1,500 one-byte states, more than the stream's guide
+    # (3 x 8,192 entries x 42 B = 1,032,192 B), which the same budget bounds
+    monkeypatch.setattr("mixdecomp.config.MAX_PATH_BYTES", 1000 * 1500)
+    assert simulate_states(K3, 1, 1499, seed=3, reps=1000).shape == (1000, 1500)
+    monkeypatch.setattr("mixdecomp.config.MAX_PATH_BYTES", 1000 * 1500 - 1)
+    with pytest.raises(ProductSpaceTooLarge, match="1000 paths x 1500 int8 states"):
+        simulate_states(K3, 1, 1499, seed=3, reps=1000)
+
+
+@pytest.mark.parametrize(
+    "starts, refused",
+    [
+        ([[0, 1], [2, 0]], "flat sequence of states, not of shape \\(2, 2\\)"),
+        (["1"], "state indices, not <U1"),
+        ([True, False], "state indices, not bool"),
+    ],
+    ids=["nested", "string", "bool"],
+)
+def test_path_stream_refuses_starts_that_are_not_flat_state_indices(monkeypatch, starts, refused):
+    # Nested starts drew one word per row for every path of the row, so its
+    # paths were correlated; a string ended in numpy's UFuncTypeError and
+    # True was taken as state 1.  Under a zero byte budget the ValueError
+    # shows the starts are checked before anything is allocated.
+    monkeypatch.setattr("mixdecomp.config.MAX_PATH_BYTES", 0)
+    with pytest.raises(ValueError, match=refused):
+        PathStream(K3, starts, seed=0)
+    with pytest.raises(ValueError, match=refused):
+        simulate_states(K3, starts, 4, seed=0)
+    if np.ndim(starts[0]) == 0:
+        with pytest.raises(ValueError, match=refused):
+            simulate_states(K3, starts[0], 4, seed=0, reps=2)
 
 
 def _digest(arrays) -> str:
@@ -470,7 +536,9 @@ _ABOVE_ONE_ROW = np.array([[0.5, 0.5000000000000002, 1e-17], [1 / 3] * 3, [0.0, 
 @example((_ABOVE_ONE_ROW, 0, _boundary_words(0.5)[1]))
 def test_sparse_sampler_matches_full_row_search(case):
     K, s, word = case
-    got = int(RowSampler(StochasticKernel(K)).step(np.array([s]), np.array([word], dtype=np.uint64))[0])
+    words = np.array([word], dtype=np.uint64)
+    got = int(RowSampler(StochasticKernel(K)).step(np.array([s]), words)[0])
+    assert _guided_step(StochasticKernel(K), np.array([s]), words)[0].tolist() == [got]
     u = (word >> 11) * 2.0**-53  # Generator.random's uniform from this word
     cum = np.cumsum(K, axis=1)[s]
     nonzero = np.flatnonzero(K[s])
@@ -488,6 +556,85 @@ def test_sampler_key_words_straddle_the_sum():
     sampler = RowSampler(StochasticKernel(_KEY_ROW))
     words = np.array(_KEY_WORDS, dtype=np.uint64)
     assert sampler.step(np.zeros(2, dtype=np.intp), words).tolist() == [2, 3]
+
+
+class _Words:
+    """Stands in for a stream's bit generator: hands out the given words in order."""
+
+    def __init__(self, words):
+        self.words = np.asarray(words, dtype=np.uint64)
+
+    def random_raw(self, n):
+        out, self.words = self.words[:n], self.words[n:]
+        return out
+
+
+def _guided_step(kernel, rows, words, block_of=None):
+    """States, and labels given ``block_of``, after one step of paths at ``rows`` on ``words``."""
+    stream = PathStream(kernel, rows, seed=0, block_of=block_of)
+    stream._bits = _Words(words)
+    labels = None if block_of is None else np.empty(rows.size, dtype=block_of.dtype)
+    stream.step(labels)
+    return stream.states, labels
+
+
+def _row_keys(row) -> np.ndarray:
+    """The search keys of a row's cumulative sums at its nonzeros but the last."""
+    cums = np.cumsum(row)[np.flatnonzero(row)[:-1]]
+    return np.array([_boundary_words(float(c))[0] for c in cums], dtype=np.uint64)
+
+
+# Dyadic sums 1/4 and 1/2, whose keys lie just above a bucket's first word;
+# a sum rounding below 1; a sum rounding above 1; a single nonzero.
+_EDGE_ROWS = np.array(
+    [[0.25, 0.25, 0.5, 0.0], _ZERO_TAIL_ROW, [0.5, 0.5000000000000002, 1e-17, 0.0], [0.0, 0.0, 0.0, 1.0]]
+)
+
+
+def _guide_cases():
+    pair = expander_pair(64, 8, 1 / np.log(64), seed=3)
+    dense = random_reversible_kernel(40, rngmod.stream(8, 0), density=1.0)
+    return [
+        pytest.param(pince_nez(16)[0], 10, id="pince_nez(16)"),
+        pytest.param(toy_kcip(8, 1)[0], 10, id="toy_kcip(8, 1)"),
+        pytest.param(pair.kernel, 8, id="expander_pair(64)"),
+        pytest.param(dense, 9, id="dense(40)"),
+        pytest.param(StochasticKernel(_EDGE_ROWS), 13, id="edge rows"),
+        pytest.param(StochasticKernel(np.array([[0.0, 1.0], [1.0, 0.0]])), 14, id="single nonzeros"),
+    ]
+
+
+@pytest.mark.parametrize("kernel, bits", _guide_cases())
+def test_guided_steps_match_the_search(kernel, bits):
+    # Every row's words k - 1, k and k + 1 at each of its keys k, both
+    # edges of every bucket and random words: the guided step picks what
+    # the search picks, and its labels are those of the search's states.
+    n = kernel.n_states
+    drop = 64 - bits
+    edges = np.arange(1 << bits, dtype=np.uint64) << np.uint64(drop)
+    edges = np.concatenate([edges, edges | np.uint64((1 << drop) - 1)])
+    gen = rngmod.stream(1, 2).bit_generator
+    rows, words, marked = [], [], np.zeros((n, 1 << bits), dtype=bool)
+    for x in range(n):
+        keys = _row_keys(kernel.rows[x])
+        # keys end in 11 one bits, so k - 1 does not wrap
+        near = [keys - np.uint64(1), keys, keys + np.uint64(1)]
+        row_words = np.concatenate([*near, edges, gen.random_raw(64)])
+        rows.append(np.full(row_words.size, x))
+        words.append(row_words)
+        # a key below its bucket's last word splits the bucket
+        inside = keys[(keys & np.uint64((1 << drop) - 1)) != np.uint64((1 << drop) - 1)]
+        marked[x, (inside >> np.uint64(drop)).astype(np.intp)] = True
+    rows, words = np.concatenate(rows), np.concatenate(words)
+    block_of = (np.arange(n) % 3).astype(np.int8)
+    want = RowSampler(kernel).step(rows, words)
+    states, labels = _guided_step(kernel, rows, words, block_of)
+    assert np.array_equal(states, want)
+    assert np.array_equal(labels, block_of[want])
+    assert np.array_equal(_guided_step(kernel, rows, words)[0], want)
+    got_bits, nxt, _ = RowSampler(kernel).guide()
+    assert got_bits == bits
+    assert np.array_equal(nxt.reshape(n, -1) < 0, marked)
 
 
 @pytest.mark.parametrize("seed", [0, 1, 5, 2**40 + 3])

@@ -36,7 +36,6 @@ from mixdecomp.errors import ProductSpaceTooLarge
 from mixdecomp.kernel import StochasticKernel, stationary_distribution
 from mixdecomp.simulate import (
     PathStream,
-    RowSampler,
     index_dtype,
     simulate,
     simulate_states,
@@ -196,23 +195,25 @@ def test_doubling_peak_memory_is_events_counts_and_one_piece(n_blocks):
 
 
 def test_mc_provider_checks_event_budget_before_each_extension(monkeypatch):
-    # A path that changes block on every step logs 3 B per path and step (a
-    # one-byte path index and two one-byte labels), more than the state and
+    # A path that changes block on every step logs 4 B per path and step (a
+    # two-byte path index and two one-byte labels), more than the state and
     # label bytes that the check before the first step counts.
     flip = StochasticKernel(np.array([[0.0, 1.0], [1.0, 0.0]]))
     part = Partition(np.array([0, 1]), 2)
-    # 2 starts x 50 reps x 65 steps x (1 B state + 1 B label): the first check passes
-    monkeypatch.setattr("mixdecomp.config.MAX_PATH_BYTES", 100 * 65 * 2)
-    mc = MCTailProvider(flip, part, T_max=64, reps_per_start=50, seed=0)
+    # 2 starts x 5,000 reps x 100 steps x (1 B state + 1 B label): the first
+    # check passes, and so does the stream's guide, 2 x 16,384 entries x 43 B
+    monkeypatch.setattr("mixdecomp.config.MAX_PATH_BYTES", 10_000 * 100 * 2)
+    mc = MCTailProvider(flip, part, T_max=99, reps_per_start=5000, seed=0)
     assert mc.query(0, 16, 9) == 1.0
-    assert mc.simulated_T == 16 and mc._offsets[-1] == 100 * 16
+    assert mc.simulated_T == 16 and mc._offsets[-1] == 10_000 * 16
 
     def refuse(*args, **kwargs):
         raise AssertionError("stepped paths over the budget")
 
-    monkeypatch.setattr(RowSampler, "step", refuse)
-    # 1,600 events held and 100 x 48 more at most, 3 B each: 19,200 B > 13,000 B
-    with pytest.raises(ProductSpaceTooLarge, match="1,600 block changes held"):
+    # every step of the stream, guided or not
+    monkeypatch.setattr(PathStream, "step", refuse)
+    # 160,000 events held and 10,000 x 48 more at most, 4 B each: 2,560,000 B > 2,000,000 B
+    with pytest.raises(ProductSpaceTooLarge, match="160,000 block changes held"):
         mc.query(0, 40, 9)
     assert mc.simulated_T == 16
 
@@ -336,9 +337,9 @@ def test_mc_provider_checks_path_budget_before_simulating(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("simulated paths over the budget")
 
-    # the provider's stream, and every sampler step anywhere
+    # the provider's stream, and every path step anywhere
     monkeypatch.setattr("mixdecomp.tails.PathStream", refuse)
-    monkeypatch.setattr(RowSampler, "step", refuse)
+    monkeypatch.setattr(PathStream, "step", refuse)
     k, part = pince_nez(8)
     huge = MCTailProvider(k, part, T_max=10**12, reps_per_start=200, seed=0)
     with pytest.raises(ProductSpaceTooLarge):

@@ -542,6 +542,11 @@ class AuditRow:
 MIN_AUDIT_REPS = 1000
 
 
+def _is_integer(value) -> bool:
+    """Is ``value`` a Python or numpy integer (a bool is not)?"""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
 def concentration_audit(
     kernel: StochasticKernel,
     pi: StationaryDistribution,
@@ -562,14 +567,17 @@ def concentration_audit(
     projected rate, and the frequency of deviations above each c is tabled
     against ``4 exp(-c^2 (t+1) / (8 phi_max))``.  Both orientations (clocked
     by i against Kbar(i,j), clocked by j against Kbar(j,i)) are audited.
-    Every (orientation, t) run draws from its own stream
-    ``rng.stream(seed + 7 * idx_t, 1)``, and all runs step together in one
-    loop (:func:`_transition_ratio_samples`).
+    Both runs at ``t_grid[idx_t]`` draw the same stream
+    ``rng.stream(seed + 7 * idx_t, 1)`` from the same start, so their first
+    ``max(t, 1) - 1`` steps are the same and are stepped once; then all
+    runs step together in one loop (:func:`_transition_ratio_samples`).
 
     Raises
     ------
     ValueError
-        If ``start`` lies outside ``0 .. n_states - 1``.
+        If ``i`` or ``j`` is not a block index, a ``t_grid`` entry is not a
+        nonnegative integer, ``phi_max`` is not positive, or ``start`` lies
+        outside ``0 .. n_states - 1``; the value is named.
     ProductSpaceTooLarge
         If the replicas' slot arrays and the counter-step tables would
         exceed the byte budget.
@@ -577,10 +585,19 @@ def concentration_audit(
         If a run's replicas do not all finish within its step cap; the
         first such run in (orientation, t) order is named.
 
-    The start and the budget are checked before anything is allocated.
+    The inputs and the budget are checked before anything is allocated.
     """
     if reps < MIN_AUDIT_REPS:
         raise ValueError(f"need reps >= {MIN_AUDIT_REPS} for a meaningful audit")
+    n_blocks = partition.n_blocks
+    for name, block in (("i", i), ("j", j)):
+        if not (_is_integer(block) and 0 <= block < n_blocks):
+            raise ValueError(f"block {name} = {block!r} outside 0..{n_blocks - 1}")
+    for t in t_grid:
+        if not (_is_integer(t) and t >= 0):
+            raise ValueError(f"t_grid entry {t!r} is not a nonnegative integer")
+    if not phi_max > 0:
+        raise ValueError(f"phi_max must be > 0, not {phi_max!r}")
     start_rows([start], kernel.n_states)
     proj = projected_kernel(kernel, pi, partition)
     samples = iter(_transition_ratio_samples(kernel, partition, i, j, t_grid, reps, seed, start))
@@ -620,6 +637,60 @@ _AUDIT_TABLE_BYTES = 1 + 2 * 8
 _COMPACT_BELOW = 0.9
 
 
+def _shared_steps(
+    sampler: RowSampler,
+    tables: list[np.ndarray],
+    gens: list[np.random.Generator],
+    ages: list[int],
+    reps: int,
+    state: np.ndarray,
+    counter: np.ndarray,
+    u: np.ndarray,
+    spare: np.ndarray,
+) -> None:
+    """Step every pair of runs through the steps it shares, in place.
+
+    Run k and run ``len(ages) + k`` draw the same stream from the same
+    start, and no replica finishes before its ``max(t, 1)``-th step, so the
+    pair is stepped once for its first ``ages[k] = max(t_k, 1) - 1`` steps,
+    on words from ``gens[k]``, with the counter steps of both clocks
+    (``tables``) kept.  Meanwhile the pairs sit in the slots by age, longest
+    first, so the pairs still sharing steps are always a prefix of them:
+    each pair's states once, its counters clocked by i in the first half and
+    by j in the second.  Then ``state`` and ``counter`` are regrouped
+    run-major through ``spare``, and each run's generator is set where its
+    pair's is.  ``state`` comes in filled with the start, and ``u`` and
+    ``spare`` are scratch, so only one step's temporaries are allocated, as
+    in the loop.
+    """
+    n_pairs = len(ages)
+    half = n_pairs * reps
+    order = sorted(range(n_pairs), key=lambda k: -ages[k])
+    for p, k in enumerate(order):
+        counter[p * reps : (p + 1) * reps] = (ages[k] + 1) << 32
+    counter[half:] = counter[:half]
+    sharing = n_pairs
+    for age in range(max(ages, default=0)):
+        while ages[order[sharing - 1]] <= age:
+            sharing -= 1
+        m = sharing * reps
+        for p, k in enumerate(order[:sharing]):
+            u[p * reps : (p + 1) * reps] = gens[k].bit_generator.random_raw(reps)
+        move = sampler.transitions(state[:m], u[:m])
+        sampler.cols.take(move, out=state[:m])
+        counter[:m] += tables[0].take(move)
+        counter[half : half + m] += tables[1].take(move)
+    state[half:] = state[:half]
+    for a in (state, counter):
+        regrouped = spare.view(a.dtype)
+        for p, k in enumerate(order):
+            for lo in (0, half):
+                regrouped[lo + k * reps : lo + (k + 1) * reps] = a[lo + p * reps : lo + (p + 1) * reps]
+        a[:] = regrouped
+    for k in range(n_pairs):
+        gens[n_pairs + k].bit_generator.state = gens[k].bit_generator.state
+
+
 def _transition_ratio_samples(
     kernel: StochasticKernel,
     partition: Partition,
@@ -633,17 +704,22 @@ def _transition_ratio_samples(
     """Per-replica ``N_ij(kappa_clock^{-1}(t)) / (t + 1)`` for every run.
 
     The runs are clocked by block i for each t of ``t_grid``, then by block
-    j; run ``(clock, t_grid[k])`` draws from ``rng.stream(seed + 7 k, 1)``.
-    The ``2 * len(t_grid) * reps`` replicas are slots laid out run-major,
-    replicas in index order, and advance together.  Each step, every run
-    with live replicas draws one raw word per live replica from its own
-    generator's ``random_raw`` in slot order, so each run's numbers are
-    those of simulating it alone.  A replica finishes on its
-    ``max(t, 1)``-th arrival in the clock block; the crossing on that step
-    is not counted.  Run r stops at its step cap ``200 (t + 1) max(1, n)``.
+    j; both runs ``(i, t_grid[k])`` and ``(j, t_grid[k])`` draw from
+    ``rng.stream(seed + 7 k, 1)`` from the same start.  A replica finishes
+    on its ``max(t, 1)``-th arrival in the clock block, so none finishes
+    before its ``max(t, 1)``-th step and the two runs of a pair take the
+    same first ``max(t, 1) - 1`` steps: those are stepped once, with both
+    clocks' counters kept.  Then the ``2 * len(t_grid) * reps`` replicas
+    are slots laid out run-major, replicas in index order, and advance
+    together.  Each step, every run with live replicas draws one raw word
+    per live replica from its own generator's ``random_raw`` in slot order,
+    so each run's numbers are those of simulating it alone.  The crossing
+    on a replica's finishing step is not counted.  Run r stops at its step
+    cap ``200 (t + 1) max(1, n)``.
     """
     runs = [(clock, int(t), seed + 7 * k) for clock in (i, j) for k, t in enumerate(t_grid)]
     n_runs = len(runs)
+    n_pairs = n_runs // 2
     n_slots = n_runs * reps
     n_moves = kernel.n_states * row_width(kernel)
     check_bytes(
@@ -662,20 +738,22 @@ def _transition_ratio_samples(
     firsts = [0, n_slots // 2]  # the runs clocked by j fill the second half of the slots
     gens = [rngmod.stream(run_seed, 1) for _, _, run_seed in runs]
     caps = [200 * (t + 1) * max(1, kernel.n_states) for _, t, _ in runs]
-    due: dict[int, list[int]] = {}  # step -> runs whose cap it is, in order
+    ages = [max(t, 1) - 1 for _, t, _ in runs[:n_pairs]]
+    due: dict[int, list[int]] = {}  # loop step -> runs whose cap it is, in order
     for r, cap in enumerate(caps):
-        due.setdefault(cap, []).append(r)
+        due.setdefault(cap - ages[r % n_pairs], []).append(r)
 
     origin = np.arange(n_slots, dtype=np.intp)
     state = np.full(n_slots, start, dtype=np.intp)
     # (clock arrivals still due) << 32 | crossings.  A finished slot parks at
     # 2^62.  A step adds at most one crossing and takes at most 2^32, so the
     # packing is exact for the first 2^30 steps (hours of looping).
-    counter = np.repeat(np.array([max(t, 1) << 32 for _, t, _ in runs], dtype=np.int64), reps)
+    counter = np.empty(n_slots, dtype=np.int64)
     live = np.ones(n_slots, dtype=bool)
     u = np.empty(n_slots, dtype=np.uint64)
     fresh = np.empty(n_slots, dtype=np.uint64)
     result = np.empty(n_slots, dtype=np.int64)
+    _shared_steps(sampler, tables, gens, ages, reps, state, counter, u, fresh)
     live_count = np.full(n_runs, reps)
     n_live = n_slots
     edges = [*firsts, n_slots]  # slot range of each clock's runs

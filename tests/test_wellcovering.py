@@ -1,5 +1,6 @@
 import hashlib
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -508,8 +509,11 @@ def test_concentration_audit_step_cap_is_typed():
         # 8 blocks of 3 states, clocked by block 3 and then block 1; every
         # run on this grid finishes
         (toy_kcip(8, 1), (3, 1), (3, 8, 3)),
+        # descending, mixed t: the pairs share 39, 2 and 11 steps, so the
+        # shared steps take the pairs in another order than t_grid's
+        (pince_nez(6), (0, 1), (40, 3, 12)),
     ],
-    ids=["pince_nez6", "toy_kcip4", "toy_kcip8"],
+    ids=["pince_nez6", "toy_kcip4", "toy_kcip8", "pince_nez6_descending"],
 )
 @pytest.mark.parametrize("at_end", [False, True], ids=["start0", "start_last"])
 def test_concentration_audit_matches_sequential_runs(chain, blocks, t_grid, at_end):
@@ -570,6 +574,60 @@ def test_concentration_audit_names_first_failing_run():
     assert str(batched.value) == (
         "1000 of 1000 audit replicates did not reach 3 visits to block 1 within 1600 steps"
     )
+
+
+def test_concentration_audit_steps_each_pairs_shared_prefix_once(monkeypatch):
+    # At t = 5 and t = 9 no replica finishes before its 5th or 9th step, so
+    # each pair of orientations is stepped once for 4 and 8 steps: both
+    # pairs for 4 steps, then the t = 9 pair alone for 4, then all 4 runs.
+    k, part = pince_nez(6)
+    pi = stationary_distribution(k)
+    rows = []
+    transitions = RowSampler.transitions
+
+    def counted(self, states, words):
+        rows.append(states.size)
+        return transitions(self, states, words)
+
+    monkeypatch.setattr(RowSampler, "transitions", counted)
+    args = (k, pi, part, 0, 1, (5, 9), (0.1,), 1000, 0, 1.0)
+    batched = concentration_audit(*args)
+    assert rows[:9] == [2000] * 4 + [1000] * 4 + [4000]
+    monkeypatch.setattr(RowSampler, "transitions", transitions)
+    assert batched == sequential_concentration_audit(*args)
+
+
+@pytest.mark.parametrize(
+    "blocks, t_grid, phi_max, named",
+    [
+        ((0, 1), (-1,), 1.0, "t_grid entry -1 "),
+        ((0, 1), (5, 2.5), 1.0, "t_grid entry 2.5 "),
+        ((0, 1), (True,), 1.0, "t_grid entry True "),
+        ((0, 2), (5,), 1.0, "block j = 2 outside 0..1"),
+        ((-1, 1), (5,), 1.0, "block i = -1 outside 0..1"),
+        ((0.0, 1), (5,), 1.0, "block i = 0.0 outside 0..1"),
+        ((0, 1), (5,), 0.0, "phi_max must be > 0, not 0.0"),
+        ((0, 1), (5,), -2.0, "phi_max must be > 0, not -2.0"),
+        ((0, 1), (5,), math.nan, "phi_max must be > 0, not nan"),
+    ],
+    ids=["t_negative", "t_fraction", "t_bool", "j_outside", "i_negative", "i_float",
+         "phi_zero", "phi_negative", "phi_nan"],
+)
+def test_concentration_audit_refuses_bad_inputs_before_allocating(
+    monkeypatch, blocks, t_grid, phi_max, named
+):
+    # blocks (0, 2) on the 2-block pince_nez(4) would step the whole cap of
+    # 2,566,400 steps before failing; t = -1 makes the cap 0 and the bound
+    # 4; phi_max = 0 divides by zero after sampling
+    def refuse(*args, **kwargs):
+        raise AssertionError("allocated before checking the inputs")
+
+    k, part = pince_nez(4)
+    pi = stationary_distribution(k)
+    monkeypatch.setattr(wellcovering, "projected_kernel", refuse)
+    monkeypatch.setattr(wellcovering, "RowSampler", refuse)
+    with pytest.raises(ValueError, match=re.escape(named)):
+        concentration_audit(k, pi, part, *blocks, t_grid, (0.1,), 1000, 0, phi_max)
 
 
 def test_concentration_audit_checks_slot_budget_before_stepping(monkeypatch):

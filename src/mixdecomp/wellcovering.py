@@ -592,7 +592,7 @@ def concentration_audit(
     n_blocks = partition.n_blocks
     for name, block in (("i", i), ("j", j)):
         if not (_is_integer(block) and 0 <= block < n_blocks):
-            raise ValueError(f"block {name} = {block!r} outside 0..{n_blocks - 1}")
+            raise ValueError(f"block {name} = {block!r} is not one of 0..{n_blocks - 1}")
     for t in t_grid:
         if not (_is_integer(t) and t >= 0):
             raise ValueError(f"t_grid entry {t!r} is not a nonnegative integer")

@@ -603,9 +603,9 @@ def test_concentration_audit_steps_each_pairs_shared_prefix_once(monkeypatch):
         ((0, 1), (-1,), 1.0, "t_grid entry -1 "),
         ((0, 1), (5, 2.5), 1.0, "t_grid entry 2.5 "),
         ((0, 1), (True,), 1.0, "t_grid entry True "),
-        ((0, 2), (5,), 1.0, "block j = 2 outside 0..1"),
-        ((-1, 1), (5,), 1.0, "block i = -1 outside 0..1"),
-        ((0.0, 1), (5,), 1.0, "block i = 0.0 outside 0..1"),
+        ((0, 2), (5,), 1.0, "block j = 2 is not one of 0..1"),
+        ((-1, 1), (5,), 1.0, "block i = -1 is not one of 0..1"),
+        ((0.0, 1), (5,), 1.0, "block i = 0.0 is not one of 0..1"),
         ((0, 1), (5,), 0.0, "phi_max must be > 0, not 0.0"),
         ((0, 1), (5,), -2.0, "phi_max must be > 0, not -2.0"),
         ((0, 1), (5,), math.nan, "phi_max must be > 0, not nan"),

@@ -135,14 +135,19 @@ def least_horizon(feasible: Callable[[int], bool], T_start: int, T_horizon: int)
 
     Doubling starts at ``max(2, T_start)``; bisection then searches above
     half the first feasible doubling, so ``feasible`` must be monotone in T.
-    Returns None when no doubling up to ``T_horizon`` is feasible.
+    When the doublings step over ``T_horizon``, it is probed itself before
+    giving up, and the bisection runs below it.  Returns None when neither
+    a doubling up to ``T_horizon`` nor ``T_horizon`` is feasible, or when
+    ``T_horizon`` lies below the first doubling.
     """
-    T = max(2, T_start)
+    T0 = T = max(2, T_start)
     while T <= T_horizon and not feasible(T):
         T *= 2
-    if T > T_horizon:
-        return None
     lo, hi = T // 2, T
+    if T > T_horizon:
+        if T0 > T_horizon or lo == T_horizon or not feasible(T_horizon):
+            return None
+        hi = T_horizon
     while lo + 1 < hi:
         mid = (lo + hi) // 2
         if feasible(mid):
@@ -153,33 +158,56 @@ def least_horizon(feasible: Callable[[int], bool], T_start: int, T_horizon: int)
 
 
 def _least_occupation_horizon(
-    family: Sequence, hit_terms: Callable, tail: Callable, t_cap: int, T_horizon: int
+    family: Sequence,
+    hit_terms: Callable,
+    tail: Callable,
+    horizons: Callable,
+    t_cap: int,
+    T_horizon: int,
 ) -> int | None:
     """Least horizon T at which some grid time t < T meets the 1/4 criterion.
 
     With ``hit = hit_terms(grid)`` for ``grid = _t_grid(T, t_cap)``, T is
     feasible when, for some t on the grid, every x in ``family`` has
     ``hit(x) < 1/4`` and ``hit(x) + tail(x, T, grid) < 1/4`` at t; both
-    answer for the whole grid as an array.  A probe walks the family in
-    order with a mask of the grid times that every earlier member meets.
-    Tails are nonnegative, so a member's tail is asked only while some
-    masked time has its hitting term below 1/4, and the walk stops at the
-    first empty mask.  That asks the same (T, member) pairs as trying the
-    times one by one, largest first, each over the family until a member
-    fails.
+    answer for the whole grid as an array.  A walk at horizon H goes
+    through the family in order with a mask of the grid times that every
+    earlier member meets with its tail at H.  Tails are nonnegative, so a
+    member's tail is asked only while some masked time has its hitting
+    term below 1/4, and the walk stops at the first empty mask.  At H = T
+    that asks the same (T, member) pairs as trying the times one by one,
+    largest first, each over the family until a member fails.
+
+    Probe T walks at each of ``horizons(T)`` in turn, the last being T, and
+    passes at the first walk that ends with a time left, keeping T's own
+    grid and hitting terms throughout.  A provider yields a horizon
+    ``H < T`` only when its tails at T are never above those at H, bit for
+    bit; the criterion only gets easier as tails fall, so a walk that
+    passes at H would pass at T, and every probe answers as the walk at T
+    alone does.  A probe fails at once when the hitting terms of the
+    members read so far leave no grid time below 1/4.
     """
 
     def feasible(T: int) -> bool:
         grid = _t_grid(T, t_cap)
         hit = hit_terms(grid)
-        met = np.ones(grid.size, dtype=bool)
-        for x in family:
-            h = hit(x)
-            met &= h < 0.25
-            if not met.any():
-                return False
-            met &= h + tail(x, T, grid) < 0.25
-        return bool(met.any())
+        terms = []  # the hitting terms of the members read so far
+        below = np.ones(grid.size, dtype=bool)  # times every one of them is below 1/4 at
+        for H in horizons(T):
+            met = np.ones(grid.size, dtype=bool)
+            for k, x in enumerate(family):
+                if k == len(terms):
+                    terms.append(hit(x))
+                    below &= terms[k] < 0.25
+                    if not below.any():
+                        return False
+                met &= terms[k] < 0.25
+                if not met.any():
+                    break
+                met &= terms[k] + tail(x, H, grid) < 0.25
+            if met.any():
+                return True
+        return False
 
     return least_horizon(feasible, 2, T_horizon)
 
@@ -214,7 +242,12 @@ def bound_basic(
     cpg = constants.c_alpha_prime
     phi = np.asarray(phi, dtype=float)
     T_star = _least_occupation_horizon(
-        I, lambda t: lambda i: phi[i] / (cpg * t), tails.query, tails.max_t(), T_horizon
+        I,
+        lambda t: lambda i: phi[i] / (cpg * t),
+        tails.query,
+        tails.horizons,
+        tails.max_t(),
+        T_horizon,
     )
     return BoundResult(
         name="basic_occupation",
@@ -280,6 +313,7 @@ def bound_basic2(
         family,
         lambda t: _exp_hit_sums(phi, cpo, t),
         joint_tails.query_joint,
+        joint_tails.horizons,
         joint_tails.max_t(),
         T_horizon,
     )
@@ -353,7 +387,13 @@ def occupation_bounds(
     One Monte Carlo tail provider (``T_max`` steps, 200 replicas per start)
     feeds ``basic_occupation`` over the blocks I and, up to
     ``MAX_EXACT_BLOCKS`` blocks, ``basic_joint_occupation`` over min-marginal
-    joint tails; both searches stop at ``T_max``.  A search is first checked
+    joint tails; both searches stop at ``T_max``.  The paths are simulated
+    only as far as a search asks: a probe is tried first on the paths
+    already simulated, then on paths grown by ``max(64, T // 16)`` steps at
+    a time, and passes at the first horizon whose tails meet its criterion.
+    On fixed paths a tail never rises with the horizon, so that answer is
+    the probe's own, bit for bit, and only the provenance's ``T_sim`` tells
+    how far the paths went.  A search is first checked
     against the exact probability ``stay_j`` of never leaving block j by
     ``T_max``: when ``stay_j >= 1/4`` for a block j outside some searched
     block (basic) or outside some qualifying subset (joint), no horizon can

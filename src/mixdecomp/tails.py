@@ -11,8 +11,14 @@ A per-block provider (:class:`BlockTails`) answers ``query(i, T, t)``, a
 joint one (:class:`JointTails`) ``query_joint(I, T, t)``; some answer both.
 Each answers a scalar threshold t with a float, and an array of thresholds
 with an array of the same shape, equal entry by entry to the scalar
-queries.  A horizon search asks each family member once per probed horizon,
-for its whole threshold grid.
+queries.  A horizon search asks each family member once per horizon it
+tries, for its whole threshold grid.
+
+Both protocols also name, by ``horizons(T)``, the horizons ``H <= T``,
+increasing and ending at T, at which a search may try to certify its probe
+T.  A provider whose tails at T are never above its tails at any ``H <= T``
+lets a probe pass on tails it already holds (the Monte Carlo provider's
+paths); one that cannot promise that bit for bit answers ``[T]``.
 """
 
 from __future__ import annotations
@@ -35,6 +41,8 @@ class BlockTails(Protocol):
 
     def max_t(self) -> int: ...
 
+    def horizons(self, T: int) -> Sequence[int]: ...
+
     def query(self, i: int, T: int, t): ...
 
 
@@ -46,6 +54,8 @@ class JointTails(Protocol):
 
     def max_t(self) -> int: ...
 
+    def horizons(self, T: int) -> Sequence[int]: ...
+
     def query_joint(self, I: Sequence[int], T: int, t): ...
 
 
@@ -55,6 +65,11 @@ _PIECE = 1 << 14
 
 # Path-steps whose labels are gathered before one pass finds their changes.
 _BATCH = 1 << 16
+
+# A search tries its probe T at horizons max(_HORIZON_STEP_MIN, T //
+# _HORIZON_PARTS) apart, from the simulated horizon up.
+_HORIZON_PARTS = 16
+_HORIZON_STEP_MIN = 64
 
 
 def _pieces(e0: int, e1: int):
@@ -87,6 +102,8 @@ class ExactTailProvider:
     in two ``(n_states, t_cap + 1)`` buffers; kappa is an integer, so a
     threshold t counts as ``ceil(t)``.  An empty ``starts``, or a start
     outside ``0 .. n_states - 1``, raises ``ValueError`` at construction.
+    A search certifies a probe T at T alone: the DP's float tails fall in T
+    mathematically, but rounding need not keep that order bit for bit.
     """
 
     provenance = "exact"
@@ -109,6 +126,9 @@ class ExactTailProvider:
     def max_t(self) -> int:
         return self.t_cap
 
+    def horizons(self, T: int) -> list[int]:
+        return [T]
+
     def query(self, i: int, T: int, t):
         u = np.ceil(_thresholds(t))
         # 0 below one step; past t_cap or T_max unknown, so the vacuous 1.0;
@@ -129,8 +149,17 @@ class MCTailProvider:
 
     Paths start from every start state (``reps_per_start`` replicas each)
     and come from one resumable :class:`PathStream`, simulated lazily: a
-    query at horizon T extends them to the next power of two at least T,
-    capped at ``T_max``, which is as far as a doubling search looks.
+    query at horizon T extends them to T, capped at ``T_max``.
+
+    A search certifies its probe T from the paths already simulated where
+    it can: ``horizons(T)`` yields ``min(T_sim, T)`` first, then every
+    ``max(64, T // 16)`` steps, and T last.  On fixed paths ``kappa_i``
+    never falls as the horizon grows, so each start's count of paths below
+    a threshold never rises; its Wilson upper bound rises with the count,
+    and the max over starts and over a joint key keep that order.  So a
+    probe's criterion met with the tails at some ``H <= T`` is met at T
+    itself, bit for bit on the same paths, and the search stops simulating
+    at the first horizon that certifies the probe.
 
     The paths are kept only as a log of block changes: a path of a
     decomposable chain stays in one block for long runs, so the log holds
@@ -202,6 +231,7 @@ class MCTailProvider:
         self._chunks: list[np.ndarray] = []  # of _PIECE events; only the last is partly filled
         # events at steps 1 .. s, for s = 0 .. T_sim
         self._offsets = np.zeros(1, dtype=np.int64)
+        self._offset_buf = self._offsets  # _offsets is its first T_sim + 1 entries
         self._now: np.ndarray | None = None  # every path's label at T_sim
         # T -> (n_blocks, paths) counts and (paths,) labels, least recently probed first
         self._counts: dict[int, np.ndarray] = {}
@@ -223,8 +253,25 @@ class MCTailProvider:
     def max_t(self) -> int:
         return self.T_max
 
+    def horizons(self, T: int) -> list[int]:
+        """``min(T_sim, T)`` if positive, then every ``max(64, T // 16)`` steps, then T.
+
+        A horizon past ``T_max`` answers the vacuous 1.0, so a probe there
+        is tried at T alone, as a search that never looked below it would.
+        """
+        if T > self.T_max:
+            return [T]
+        step = max(_HORIZON_STEP_MIN, T // _HORIZON_PARTS)
+        return [*range(min(self._T_sim, T) or step, T, step), T]
+
     def _extend(self, T: int) -> None:
-        """Log the block changes up to ``min(T_max, next power of two >= T)`` steps."""
+        """Log the block changes up to ``min(T_max, T)`` steps.
+
+        The paths grow to the horizon asked, so a search that certifies a
+        probe below it never simulates the steps in between.  The offsets'
+        capacity at least doubles when it is outgrown, so many small
+        extensions copy them ``O(log T_max)`` times.
+        """
         n_paths = len(self.start_list) * self.reps
         if self._stream is None:
             item = index_dtype(self.kernel.n_states).itemsize + self._block_of.itemsize
@@ -239,16 +286,18 @@ class MCTailProvider:
         have = self._T_sim
         if T <= have:
             return
-        # least_horizon doubles from 2 and bisects below its first feasible
-        # doubling, so power-of-two growth never simulates past 2x its probes
-        grow = min(self.T_max, 1 << (int(T) - 1).bit_length())
+        grow = min(self.T_max, int(T))
         held = int(self._offsets[-1])
         check_bytes(
             f"events for {held:,} block changes held and {n_paths} paths x {grow - have} new steps",
             (held + n_paths * (grow - have)) * self._event.itemsize,
         )
-        offsets = np.empty(grow + 1, dtype=np.int64)
-        offsets[: have + 1] = self._offsets
+        offsets = self._offset_buf
+        if offsets.size <= grow:
+            capacity = min(self.T_max, max(grow, 2 * (offsets.size - 1)))
+            offsets = np.empty(capacity + 1, dtype=np.int64)
+            offsets[: have + 1] = self._offsets
+            self._offset_buf = offsets
         # labels[0] holds the labels one step before the batch's first step
         batch = max(1, _BATCH // max(n_paths, 1))
         labels = np.empty((batch + 1, n_paths), dtype=self._block_of.dtype)
@@ -261,7 +310,7 @@ class MCTailProvider:
                 self._record(labels[: k + 1], offsets[s - k : s + 1])
                 labels[0] = labels[k]
                 k = 0
-        self._offsets = offsets
+        self._offsets = offsets[: grow + 1]
         self._now = labels[0].copy()
         self._T_sim = grow
 
@@ -382,6 +431,9 @@ class EscapeCertifiedTails:
     def max_t(self) -> int:
         return self.T_max
 
+    def horizons(self, T: int) -> list[int]:
+        return [T]
+
     def query(self, i: int, T: int, t):
         return _shaped(np.ones(np.size(t)), t)
 
@@ -394,7 +446,9 @@ class MinMarginalJointTails:
     ``P[all kappa_i < t] <= min_i P[kappa_i < t]`` holds pointwise, so any
     per-block provider lifts to a sound joint provider.  Each block's tails
     at the current horizon and thresholds are kept, so a family of subsets
-    asked at the same (T, t) asks every block once.
+    asked at the same (T, t) asks every block once.  A minimum of tails
+    that each keep their order in T keeps it too, so a search tries the
+    per-block provider's horizons.
     """
 
     def __init__(self, per_block: BlockTails):
@@ -408,6 +462,9 @@ class MinMarginalJointTails:
 
     def max_t(self) -> int:
         return self.per_block.max_t()
+
+    def horizons(self, T: int) -> Sequence[int]:
+        return self.per_block.horizons(T)
 
     def query_joint(self, I: Sequence[int], T: int, t):
         u = _thresholds(t)

@@ -17,6 +17,7 @@ from mixdecomp.bounds import (
     calibrate_constants,
     exact_mixing_time,
     fit_drift,
+    least_horizon,
     occupation_bounds,
     peres_sousi_audit,
     verify_drift,
@@ -49,6 +50,9 @@ class DictTails:
     def max_t(self):
         return self.cap
 
+    def horizons(self, T):
+        return [T]  # fn need not fall in T
+
     def query(self, i, T, t):
         return self.fn(i, T, t)
 
@@ -74,6 +78,26 @@ def test_bound_basic_degenerate_tail():
     assert 8 * phi[0] <= T <= 8 * phi[0] * 1.25
     assert r.value == pytest.approx((4.0 / 3.0) * T)
     assert r.universal_constant_flag
+
+
+def test_search_probes_a_horizon_the_doublings_step_over():
+    # The doublings go 8,192 then 16,384 past a horizon of 12,000; the
+    # search used to give up there and report no feasible horizon.
+    probes = []
+
+    def feasible(T):
+        probes.append(T)
+        return T >= 10_000
+
+    assert least_horizon(feasible, 2, 12_000) == 10_000
+    assert probes[12:14] == [8192, 12_000] and max(probes) == 12_000
+    assert least_horizon(lambda T: False, 2, 12_000) is None
+    assert least_horizon(lambda T: T >= 10_000, 2, 9_999) is None
+    tails = DictTails(lambda i, T, t: 0.0 if T >= 10_000 else 1.0)
+    r = bound_basic([1.0], tails, 1 / 3, 0.75, [0], ONES, T_horizon=12_000)
+    assert r.feasible and r.ingredients["T"] == 10_000 and r.notes == ""
+    r = bound_basic([1.0], tails, 1 / 3, 0.75, [0], ONES, T_horizon=9_999)
+    assert not r.feasible and r.notes == "no feasible horizon up to 9999"
 
 
 def test_bound_basic_monotone_in_phi():

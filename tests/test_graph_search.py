@@ -107,13 +107,19 @@ def digraphs(draw, max_n=8):
 )
 @example(k=5, T_start=40, T_horizon=100)  # T_start > k, as the covering oracle starts
 @example(k=3, T_start=3, T_horizon=2)  # horizon below the first probe
+@example(k=3, T_start=0, T_horizon=3)  # the doubling to 4 steps over the feasible horizon
+@example(k=4, T_start=0, T_horizon=4)  # the horizon is the last doubling
 def test_least_horizon_matches_scan(k, T_start, T_horizon):
     def feasible(T):
         return T >= k
 
     T0 = max(2, T_start)
-    doublings = itertools.takewhile(lambda T: T <= T_horizon, (T0 << i for i in itertools.count()))
-    if any(feasible(T) for T in doublings):
+    doublings = list(
+        itertools.takewhile(lambda T: T <= T_horizon, (T0 << i for i in itertools.count()))
+    )
+    # after at least one doubling, T_horizon itself is probed before giving up
+    probed = doublings + [T_horizon] if doublings else []
+    if any(feasible(T) for T in probed):
         expected = next(T for T in itertools.count(T0 // 2 + 1) if feasible(T))
     else:
         expected = None

@@ -523,8 +523,8 @@ def test_cli_bounds_tail_provenance_pinned(tmp_path):
     report = json.loads((tmp_path / "report.json").read_text())
     rows = report["tasks"]["bounds"]["comparison"]
     assert [r["ingredients"].get("tail_provenance") for r in rows] == [
-        "mc(reps=200,seed=1,level=0.99/query,T_sim=4096)",
-        "min-marginal(mc(reps=200,seed=1,level=0.99/query,T_sim=4096))",
+        "mc(reps=200,seed=1,level=0.99/query,T_sim=2304)",
+        "min-marginal(mc(reps=200,seed=1,level=0.99/query,T_sim=2304))",
         None,
     ]
 

@@ -8,8 +8,10 @@ queries are probed in random order to reach cached horizons from below and
 from above.
 
 The tests at the end hold every provider's array answers to its scalar
-answers, and the grid-batched horizon search to the search over single
-thresholds that ``oracles.scalar_occupation_horizon`` keeps.
+answers, the grid-batched horizon search to the search over single
+thresholds that ``oracles.scalar_occupation_horizon`` keeps, and the search
+that tries each probe at the provider's horizons to the one that tries it
+at the probe alone.
 """
 
 import math
@@ -22,6 +24,7 @@ from hypothesis import strategies as st
 
 import oracles
 from conftest import random_partition, random_reversible_kernel
+from mixdecomp import bounds
 from mixdecomp import rng as rngmod
 from mixdecomp.bounds import (
     _EXP_NEG,
@@ -29,6 +32,7 @@ from mixdecomp.bounds import (
     _exp_hit_sums,
     bound_basic,
     bound_basic2,
+    least_horizon,
 )
 from mixdecomp.chains import pince_nez, toy_kcip
 from mixdecomp.decomposition import Partition, block_mixing_times, qualifying_subsets
@@ -95,7 +99,7 @@ def test_mc_queries_match_brute_force_recount(seed, probes):
     assert mc.query(0, T_MAX + 1, 1) == 1.0 and mc.query_joint([0], 5, 0) == 0.0
 
 
-# Not a power of two, so the last extension stops at T_max.
+# Not a power of two, nor are some probes, so extensions stop off powers of two.
 PLANE_T_MAX = 45
 # 1 block logs no event; 260 blocks take two-byte labels
 PLANE_CASES = [(1, 7), (2, 7), (3, 7), (5, 9), (260, 300)]
@@ -124,10 +128,10 @@ def test_plane_counts_match_recount_through_partial_bytes(n_blocks, n_states):
     kernel, partition = _plane_chain(n_blocks, n_states, seed=n_blocks)
     mc = _plane_provider(kernel, partition, seed=7)
     ref = _Recount(kernel, partition, 7, T_max=PLANE_T_MAX)
-    # growth to 2, 4, 16 and 45 steps, each counted up from a cached
+    # growth to 2, 4, 13 and 45 steps, each counted up from a cached
     # horizon; then counts down from cached horizons
     probes = [2, 4, 3, 13, PLANE_T_MAX, 9, 1, 40, 0]
-    grown = [2, 4, 4, 16, PLANE_T_MAX, PLANE_T_MAX, PLANE_T_MAX, PLANE_T_MAX, PLANE_T_MAX]
+    grown = [2, 4, 4, 13, PLANE_T_MAX, PLANE_T_MAX, PLANE_T_MAX, PLANE_T_MAX, PLANE_T_MAX]
     for T, T_sim in zip(probes, grown):
         _assert_kappa_matches(mc, ref, T)
         assert mc.simulated_T == T_sim
@@ -212,9 +216,10 @@ def test_mc_provider_checks_event_budget_before_each_extension(monkeypatch):
 
     # every step of the stream, guided or not
     monkeypatch.setattr(PathStream, "step", refuse)
-    # 160,000 events held and 10,000 x 48 more at most, 4 B each: 2,560,000 B > 2,000,000 B
+    # a query extends the paths to its own horizon, 64: 160,000 events held
+    # and 10,000 x 48 more at most, 4 B each: 2,560,000 B > 2,000,000 B
     with pytest.raises(ProductSpaceTooLarge, match="160,000 block changes held"):
-        mc.query(0, 40, 9)
+        mc.query(0, 64, 9)
     assert mc.simulated_T == 16
 
 
@@ -284,9 +289,9 @@ def test_mc_tails_monotone_in_horizon_and_threshold(i, Ts, ts):
 
 
 def test_lazy_horizons_count_as_one_full_simulation():
-    # up, down, past an earlier extension, and the cap at T_max
+    # up, down, past an earlier extension, and up to T_max
     probes = [5, 3, 17, 2, 64, 33, 0, 65, 96, 50]
-    grown = [8, 8, 32, 32, 64, 64, 64, 96, 96, 96]
+    grown = [5, 5, 17, 17, 64, 64, 64, 65, 96, 96]
     full = MCTailProvider(*_chain(4), T_max=T_MAX, reps_per_start=REPS, seed=4, starts=STARTS)
     full._kappa(T_MAX)
     lazy = MCTailProvider(*_chain(4), T_max=T_MAX, reps_per_start=REPS, seed=4, starts=STARTS)
@@ -306,8 +311,8 @@ def test_mc_provider_simulates_only_as_far_as_queried():
     assert mc.provenance == "mc(reps=4,seed=0,level=0.99/query,T_sim=2048)"
     joint = MinMarginalJointTails(mc)
     joint.query_joint([0], 2049, 100)
-    assert mc.simulated_T == 4096
-    assert joint.provenance == "min-marginal(mc(reps=4,seed=0,level=0.99/query,T_sim=4096))"
+    assert mc.simulated_T == 2049
+    assert joint.provenance == "min-marginal(mc(reps=4,seed=0,level=0.99/query,T_sim=2049))"
 
 
 # A per-query miss rate near 6e-7: a miss means the providers disagree, not chance.
@@ -415,6 +420,51 @@ def test_providers_conform_to_exactly_the_protocols_they_answer():
         assert isinstance(provider, JointTails) is joint, provider
     assert mc.simulated_T == 0  # conformance reads the provenance, not the paths
 
+
+@settings(max_examples=40, deadline=None)
+@given(
+    seed=st.integers(0, 2**16),
+    probes=st.lists(st.integers(1, T_MAX + 5), min_size=1, max_size=6),
+    ts=st.lists(st.floats(0.5, T_MAX + 1.0), min_size=1, max_size=8),
+)
+def test_horizons_rise_to_the_probe_with_tails_never_below_its_own(seed, probes, ts):
+    # Every provider's horizons increase and end at the probe; exact and
+    # escape tails are tried at the probe alone, min-marginal tails at their
+    # per-block provider's horizons, and Monte Carlo tails at a horizon H
+    # are never below those at the probe, on the paths already drawn.
+    kernel, partition = _chain(seed)
+    mc = MCTailProvider(kernel, partition, T_max=T_MAX, reps_per_start=REPS, seed=seed, starts=STARTS)
+    exact = ExactTailProvider(kernel, partition, T_max=T_MAX, t_cap=T_MAX, starts=STARTS)
+    escape = EscapeCertifiedTails(0, 0.5, T_MAX)
+    joint = MinMarginalJointTails(mc)
+    t = np.array(ts)
+    for T in probes:
+        horizons = mc.horizons(T)
+        for provider in (mc, exact, escape, joint, MinMarginalJointTails(exact)):
+            hs = list(provider.horizons(T))
+            assert hs[-1] == T and all(a < b for a, b in zip(hs, hs[1:])), (provider, hs)
+        assert exact.horizons(T) == escape.horizons(T) == [T]
+        assert joint.horizons(T) == horizons
+        for H in horizons:
+            assert 0 < H <= T
+            for i in range(N_BLOCKS):
+                assert (mc.query(i, H, t) >= mc.query(i, T, t)).all()
+            assert (mc.query_joint([0, 2], H, t) >= mc.query_joint([0, 2], T, t)).all()
+            assert (joint.query_joint([0, 2], H, t) >= joint.query_joint([0, 2], T, t)).all()
+
+
+def test_mc_horizons_start_at_the_simulated_horizon_in_steps_of_a_sixteenth():
+    k, part = pince_nez(8)
+    mc = MCTailProvider(k, part, T_max=4096, reps_per_start=4, seed=0, starts=[0])
+    assert mc.horizons(100) == [64, 100]
+    assert mc.horizons(4096) == list(range(256, 4097, 256))
+    mc.query(0, 1000, 5)
+    assert mc.horizons(4096) == [*range(1000, 4096, 256), 4096]
+    assert mc.horizons(1100) == [1000, 1068, 1100]  # 1100 // 16 = 68
+    assert mc.horizons(600) == [600]
+    assert mc.horizons(4097) == [4097]  # past T_max the tails are vacuous
+    assert mc.simulated_T == 1000
+
 VEC_BLOCKS = 4
 VEC_T_CAP = 40  # below T_MAX, so exact queries past t_cap answer 1.0
 
@@ -467,25 +517,47 @@ def test_array_queries_equal_elementwise_scalar_queries(seed, T, ts, key, two_ro
             assert joint == min(provider.query(j, T, u) for j in key)
 
 
-class _Recording:
-    """A tail provider that records every (T, member) pair it is asked."""
-
-    provenance = "recording"
+class _Eager:
+    """A tail provider whose searches certify each probe T at T alone."""
 
     def __init__(self, inner):
         self.inner = inner
-        self.asked = set()
+
+    @property
+    def provenance(self):
+        return self.inner.provenance
 
     def max_t(self):
         return self.inner.max_t()
 
+    def horizons(self, T):
+        return [T]
+
     def query(self, i, T, t):
-        self.asked.add((T, i))
         return self.inner.query(i, T, t)
 
     def query_joint(self, I, T, t):
-        self.asked.add((T, tuple(I)))
         return self.inner.query_joint(I, T, t)
+
+
+class _Recording(_Eager):
+    """An eager tail provider that records every (T, member) pair it is asked.
+
+    It is eager because the scalar reference search asks each probe's tails
+    at the probe alone.
+    """
+
+    def __init__(self, inner):
+        super().__init__(inner)
+        self.asked = set()
+
+    def query(self, i, T, t):
+        self.asked.add((T, i))
+        return super().query(i, T, t)
+
+    def query_joint(self, I, T, t):
+        self.asked.add((T, tuple(I)))
+        return super().query_joint(I, T, t)
 
 
 SEARCH_T = 1024
@@ -551,6 +623,60 @@ def test_batched_joint_search_asks_what_the_scalar_search_asks(kind, chain, seed
     assert result.ingredients["T"] == T_ref
     assert rec.asked == ref_rec.asked
     assert _same_work(mine, ref)
+
+
+LAZY_T = 1024
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    seed=st.integers(0, 2**16),
+    n_blocks=st.integers(2, 3),
+    scale=st.floats(0.5, 30.0),
+)
+def test_lazy_search_answers_every_probe_as_the_eager_search(seed, n_blocks, scale):
+    # One provider runs the searches of occupation_bounds in turn and tries
+    # each probe at its horizons; an equal one, wrapped, tries every probe
+    # at the probe alone.  Every probe answers alike, so the searches ask
+    # the same probes and settle on the same T, and the lazy provider has
+    # simulated no further than the eager one after each search.
+    gen = rngmod.stream(seed, 0)
+    kernel = random_reversible_kernel(6, gen)
+    partition = random_partition(6, gen, n_blocks=n_blocks)
+    masses = partition.masses(stationary_distribution(kernel))
+    phi = scale * gen.uniform(0.5, 1.5, n_blocks)
+    I = list(range(n_blocks))
+    ones = PeresSousiConstants()
+
+    def searches(wrap):
+        mc = MCTailProvider(kernel, partition, T_max=LAZY_T, reps_per_start=100, seed=seed)
+        probes, found, simulated = [], [], []
+
+        def recorded(feasible, T_start, T_horizon):
+            def probe(T):
+                probes.append((T, feasible(T)))
+                return probes[-1][1]
+
+            return least_horizon(probe, T_start, T_horizon)
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(bounds, "least_horizon", recorded)
+            for search in (
+                lambda: bound_basic(phi, wrap(mc), 1 / 3, 0.75, I, ones, masses, T_horizon=LAZY_T),
+                lambda: bound_basic2(
+                    phi, masses, wrap(MinMarginalJointTails(mc)), 1 / 3, ones, T_horizon=LAZY_T
+                ),
+                lambda: bound_basic2(phi, masses, wrap(mc), 1 / 3, ones, T_horizon=LAZY_T),
+            ):
+                found.append(search().ingredients["T"])
+                simulated.append(mc.simulated_T)
+        return probes, found, simulated
+
+    lazy_probes, lazy_T, lazy_sim = searches(lambda p: p)
+    eager_probes, eager_T, eager_sim = searches(_Eager)
+    assert lazy_probes == eager_probes
+    assert lazy_T == eager_T
+    assert all(a <= b for a, b in zip(lazy_sim, eager_sim)), (lazy_sim, eager_sim)
 
 
 def test_exp_hit_sums_match_math_exp_across_underflow():

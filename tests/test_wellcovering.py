@@ -392,13 +392,13 @@ _SEED0_TABLE = [
 # far each chain's shared Monte Carlo provider simulated
 _SEED0_TAIL_PROVENANCE = [
     [
-        "mc(reps=200,seed=21,level=0.99/query,T_sim=2048)",
-        "min-marginal(mc(reps=200,seed=21,level=0.99/query,T_sim=2048))",
+        "mc(reps=200,seed=21,level=0.99/query,T_sim=1920)",
+        "min-marginal(mc(reps=200,seed=21,level=0.99/query,T_sim=1920))",
         None,
     ],
     [
-        "mc(reps=200,seed=21,level=0.99/query,T_sim=8192)",
-        "min-marginal(mc(reps=200,seed=21,level=0.99/query,T_sim=8192))",
+        "mc(reps=200,seed=21,level=0.99/query,T_sim=6144)",
+        "min-marginal(mc(reps=200,seed=21,level=0.99/query,T_sim=6656))",
         None,
     ],
 ]

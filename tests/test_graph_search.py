@@ -108,7 +108,7 @@ def digraphs(draw, max_n=8):
 @example(k=5, T_start=40, T_horizon=100)  # T_start > k, as the covering oracle starts
 @example(k=3, T_start=3, T_horizon=2)  # horizon below the first probe
 @example(k=3, T_start=0, T_horizon=3)  # the doubling to 4 steps over the feasible horizon
-@example(k=4, T_start=0, T_horizon=4)  # the horizon is the last doubling
+@example(k=5, T_start=0, T_horizon=4)  # the horizon is the last doubling, probed once
 def test_least_horizon_matches_scan(k, T_start, T_horizon):
     def feasible(T):
         return T >= k

@@ -22,8 +22,8 @@ from scipy.sparse import csgraph, csr_matrix
 from .decomposition import (
     Partition,
     avg_hit_time,
-    escape_analysis,
-    escape_tail_at,
+    escape_analyses,
+    escape_tails_at,
     qualifying_subsets,
     sampled_subsets,
 )
@@ -407,7 +407,7 @@ def occupation_bounds(
     """
     masses = partition.masses(pi)
     nb = partition.n_blocks
-    stay = [float(escape_tail_at(kernel, partition, j, T_max).max()) for j in range(nb)]
+    stay = [float(tail.max()) for tail in escape_tails_at(kernel, partition, range(nb), T_max)]
     mc = MCTailProvider(kernel, partition, T_max, reps_per_start=200, seed=seed)
 
     def run(search, tails, leaves_out: Callable[[int], bool]) -> BoundResult:
@@ -437,7 +437,7 @@ def occupation_bounds(
                 lambda j: masses[np.arange(nb) != j].sum() >= alpha / 2.0,
             )
         )
-    delta = min(float(escape_tail_at(kernel, partition, i, 1).min()) for i in range(nb))
+    delta = min(float(tail.min()) for tail in escape_tails_at(kernel, partition, range(nb), 1))
     try:
         hit_scale = avg_hit_time(kernel, pi, partition, alpha).value if delta > 0 else None
     except TooManyBlocks:  # more minimal heavy sets than the solve budget
@@ -498,9 +498,11 @@ def bound_graph_hit(
     threshold = epsilon * phi_max
     worst_stay = 0.0
     edges = []
-    for i in range(nb):
-        stats = escape_analysis(kernel, partition, i)
-        worst_stay = max(worst_stay, float(escape_tail_at(kernel, partition, i, threshold).max()))
+    blocks = range(nb)
+    escapes = escape_analyses(kernel, partition, blocks)
+    tails = escape_tails_at(kernel, partition, blocks, threshold)
+    for i, stats, tail in zip(blocks, escapes, tails):
+        worst_stay = max(worst_stay, float(tail.max()))
         mins = stats.exit_block_distribution.min(axis=0)
         for j in range(nb):
             if j != i and mins[j] >= c:

@@ -22,7 +22,7 @@ import numpy as np
 import scipy.optimize
 
 from . import rng as rngmod
-from .decomposition import Partition, escape_analysis, escape_tail_at
+from .decomposition import Partition, escape_analyses, escape_analysis, escape_tails_at
 from .errors import AssertionFailed, DimensionMismatch, TooLarge
 from .kernel import StochasticKernel
 
@@ -206,12 +206,12 @@ def exit_distribution(kernel: StochasticKernel, partition: Partition, x: int) ->
 
 
 def exit_distributions_all(kernel: StochasticKernel, partition: Partition) -> np.ndarray:
-    """Exit mixtures for every state, one escape solve per block."""
+    """Exit mixtures for every state, the blocks' escape systems solved in
+    stacks of equal size (:func:`~mixdecomp.decomposition.escape_analyses`)."""
     n = kernel.n_states
     nb = partition.n_blocks
     out = np.zeros((n, nb))
-    for i in range(nb):
-        stats = escape_analysis(kernel, partition, i)
+    for i, stats in enumerate(escape_analyses(kernel, partition, range(nb))):
         mus = 0.5 * stats.exit_block_distribution
         mus[:, i] += 0.5
         out[stats.members] = mus
@@ -275,13 +275,15 @@ def wasserstein_dual(mu: np.ndarray, nu: np.ndarray, metric: BlockMetric) -> flo
 
 
 def _alpha_candidates(ws: np.ndarray, ds: np.ndarray) -> np.ndarray:
-    # dyadic-fraction family, a uniform grid, and the data-driven ratios
-    grid = {1.0 - 2.0**-k / m for k in range(11) for m in range(1, 17)}
-    grid.update(np.linspace(1.0 / 256.0, 1.0, 256).tolist())
-    grid.update((ws[ds > 0] / ds[ds > 0]).tolist())
-    grid.add(1e-6)
-    arr = np.asarray(sorted(g for g in grid if 0 < g <= 1.0))
-    return arr
+    # dyadic-fraction family, a uniform grid, and the data-driven ratios;
+    # np.unique sorts and drops repeats
+    dyadic = 1.0 - np.ldexp(1.0, -np.arange(11))[:, None] / np.arange(1, 17)
+    grid = np.unique(
+        np.concatenate(
+            [dyadic.ravel(), np.linspace(1.0 / 256.0, 1.0, 256), ws[ds > 0] / ds[ds > 0], [1e-6]]
+        )
+    )
+    return grid[(grid > 0) & (grid <= 1.0)]
 
 
 # Number of worst pairs kept as evidence in a contraction estimate.
@@ -420,11 +422,9 @@ def occupation_regularity(
     logn = math.log(n) if n >= 2 else 0.0
     s1 = a1 * phi_max * logn
     s2 = a2 * phi_max * logn
-    stay1 = []
-    stay2 = []
-    for i in range(partition.n_blocks):
-        stay1.append(float(escape_tail_at(kernel, partition, i, s1).min()))
-        stay2.append(float(escape_tail_at(kernel, partition, i, s2).max()))
+    blocks = range(partition.n_blocks)
+    stay1 = [float(tail.min()) for tail in escape_tails_at(kernel, partition, blocks, s1)]
+    stay2 = [float(tail.max()) for tail in escape_tails_at(kernel, partition, blocks, s2)]
     delta1 = min(stay1)
     delta2 = 1.0 - max(stay2)
     return RegularityReport(

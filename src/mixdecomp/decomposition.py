@@ -11,7 +11,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Iterator
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 import scipy.linalg
@@ -30,8 +30,7 @@ from .kernel import (
     StationaryDistribution,
     StochasticKernel,
     hitting_analysis,
-    mixing_profile,
-    search_closed_classes,
+    mixing_profiles,
 )
 
 
@@ -140,62 +139,199 @@ def trace_kernel(
 
     The trace inherits irreducibility, reversibility and any diagonal
     laziness of the parent kernel, and its stationary distribution is the
-    parent's restricted to the block and renormalized.
+    parent's restricted to the block and renormalized.  It is the one-block
+    case of :func:`trace_kernels`.
 
     Raises
     ------
     SingularReturn
         If ``I - K_BB`` is numerically singular, which signals that
         excursions out of the block need not return.
+    ValueError
+        If ``block`` is not a block index.
     """
-    A, B = _block_and_rest(partition, block)
-    if A.size == 0:
-        raise ValueError(f"block {block} is empty")
-    KAA, KAB = _sub_blocks(kernel, A, A, B)
-    if B.size == 0:
-        return StochasticKernel(KAA, _sub_labels(kernel, A))
-    KBB, KBA = _sub_blocks(kernel, B, B, A)
-    try:
-        # the return law and, in the last column, the mean time outside A
-        sol = scipy.linalg.solve(np.eye(B.size) - KBB, np.column_stack([KBA, np.ones(B.size)]))
-    except scipy.linalg.LinAlgError as exc:
-        raise SingularReturn(f"(I - K_BB) singular for block {block}: {exc}") from exc
-    rows = KAA + KAB @ sol[:, :-1]
-    err = np.abs(rows.sum(axis=1) - 1.0).max()
+    return trace_kernels(kernel, partition, [block])[0]
+
+
+def trace_kernels(
+    kernel: StochasticKernel, partition: Partition, blocks: Sequence[int]
+) -> tuple[StochasticKernel, ...]:
+    """The :func:`trace_kernel` of each of ``blocks``, in order.
+
+    The return systems ``(I - K_BB)`` of blocks of equal size are solved as
+    one stack by one ``scipy.linalg.solve`` call, which solves slice by
+    slice, so each trace is the one its block alone gives, byte for byte.
+    A failing block raises only once every stack is solved, and the first
+    in the order of ``blocks`` is named, as one block at a time would.
+
+    Raises
+    ------
+    SingularReturn
+        If some block's ``I - K_BB`` is numerically singular or its solved
+        rows fail the forward-error check.
+    ValueError
+        If a block is not a block index, before anything is solved.
+    """
+    n = kernel.n_states
+    return _in_block_order(
+        partition,
+        blocks,
+        lambda s: (n - s) * (n + 1),
+        lambda ids, inside: _trace_stack(kernel, ids, inside),
+    )
+
+
+def _trace_stack(kernel: StochasticKernel, blocks: list, inside: np.ndarray) -> list:
+    """Traces of the equal-size blocks whose states ``inside`` marks, or for
+    a failing block the SingularReturn naming it."""
+    K = kernel.rows
+    A, B = _rows(inside), _rows(~inside)
+    KAA = K[A[:, :, None], A[:, None, :]]
+    b, r = B.shape
+    if r == 0:
+        return [StochasticKernel(KAA[k], _sub_labels(kernel, A[k])) for k in range(b)]
+    s = A.shape[1]
+    KAB = K[A[:, :, None], B[:, None, :]]
+    # the return law and, in the last column, the mean time outside A
+    rhs = np.empty((b, r, s + 1))
+    rhs[:, :, :s] = K[B[:, :, None], A[:, None, :]]
+    rhs[:, :, s] = 1.0
+    M = _identity_minus(K[B[:, :, None], B[:, None, :]])
+    (sol,), errors = _solve_each(M, rhs)
+    rows = KAA + KAB @ sol[:, :, :-1]
+    err = np.abs(rows.sum(axis=2) - 1.0).max(axis=1)
+    least = rows.min(axis=(1, 2))
     # long excursions carry round-off in proportion, in the row sums and as
     # slightly negative entries, which are clipped
-    allowed = _forward_error(B.size, sol[:, -1])
-    if not max(err, -rows.min()) <= allowed:
-        raise SingularReturn(
-            f"trace rows sum to 1 +- {err:.2e}, least entry {rows.min():.2e}, "
-            f"allowed {allowed:.2e}; block {block} may be escaping"
-        )
+    allowed = _forward_error(r, sol[:, :, -1])
     rows = np.maximum(rows, 0.0)
-    rows = rows / rows.sum(axis=1, keepdims=True)
-    return StochasticKernel(rows, _sub_labels(kernel, A))
+    rows = rows / rows.sum(axis=2, keepdims=True)
+    out: list = []
+    for k, block in enumerate(blocks):
+        if errors[k] is not None:
+            out.append(SingularReturn(f"(I - K_BB) singular for block {block}: {errors[k]}"))
+            out[-1].__cause__ = errors[k]
+        elif not max(err[k], -least[k]) <= allowed[k]:
+            out.append(
+                SingularReturn(
+                    f"trace rows sum to 1 +- {err[k]:.2e}, least entry {least[k]:.2e}, "
+                    f"allowed {allowed[k]:.2e}; block {block} may be escaping"
+                )
+            )
+        else:
+            out.append(StochasticKernel(rows[k], _sub_labels(kernel, A[k])))
+    return out
 
 
-def _block_and_rest(partition: Partition, block: int) -> tuple[np.ndarray, np.ndarray]:
-    """A block's states and the states outside it, both increasing."""
-    inside = partition.block_of == block
-    return np.flatnonzero(inside), np.flatnonzero(~inside)
+def _is_integer(value) -> bool:
+    """Is ``value`` a Python or numpy integer (a bool is not)?"""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
-def _sub_blocks(
-    kernel: StochasticKernel, rows: np.ndarray, *cols: np.ndarray
-) -> tuple[np.ndarray, ...]:
-    """The C-contiguous sub-blocks ``K[rows][:, c]`` for each column set c.
+# A stack of equal-size blocks holds at most this many n x n float64 arrays'
+# worth of per-block systems, n the kernel's state count, so a stacked solve
+# holds a bounded multiple of the kernel's own bytes however many blocks.
+_STACK_KERNELS = 4
 
-    The rows are taken once, and that ``len(rows) x n`` copy is freed on
-    return, before any solve allocates.
+
+def _stacks(
+    partition: Partition, blocks: Sequence[int], entries: Callable[[int], int]
+) -> list[tuple[np.ndarray, np.ndarray]]:
+    """The blocks grouped by size into stacks, each ``(at, inside)``.
+
+    ``at`` lists the positions in ``blocks`` of the stack's blocks,
+    increasing, and ``inside[k]`` marks the states of block ``blocks[at[k]]``.
+    Blocks of size s are stacked at most ``_STACK_KERNELS n^2 / entries(s)``
+    at a time (at least one), ``entries(s)`` being the entries one block
+    adds to the stack's arrays.
+
+    Raises
+    ------
+    ValueError
+        If a block is not an integer in ``0 .. n_blocks - 1`` (a bool is
+        not one); the value is named.  Checked before anything is allocated.
     """
-    taken = kernel.rows.take(rows, axis=0)
-    return tuple(taken.take(c, axis=1) for c in cols)
+    n_blocks = partition.n_blocks
+    for block in blocks:
+        if not (_is_integer(block) and 0 <= block < n_blocks):
+            raise ValueError(f"block {block!r} is not one of 0..{n_blocks - 1}")
+    ids = np.asarray(blocks, dtype=np.intp)
+    n = partition.n_states
+    sizes = np.bincount(partition.block_of, minlength=n_blocks)[ids]
+    stacks = []
+    for size in np.unique(sizes).tolist():
+        group = np.flatnonzero(sizes == size)
+        per = max(1, _STACK_KERNELS * n * n // max(1, entries(size)))
+        for cut in range(0, group.size, per):
+            at = group[cut : cut + per]
+            stacks.append((at, partition.block_of == ids[at, None]))
+    return stacks
 
 
-def _forward_error(n: int, h: np.ndarray) -> float:
-    """Round-off allowed in a row sum from an n-state solve with mean times h."""
-    scale = np.finfo(float).eps * n * (1.0 + float(np.abs(h).max()))
+def _identity_minus(M: np.ndarray) -> np.ndarray:
+    """``I - M[k]`` for each square matrix of a stack, in place, equal entry
+    for entry to ``np.eye(r) - M[k]`` (``0.0 - x`` is ``+0.0`` at ``x = 0``)."""
+    np.subtract(0.0, M, out=M)
+    diagonal = np.arange(M.shape[-1])
+    M[:, diagonal, diagonal] += 1.0
+    return M
+
+
+def _in_block_order(
+    partition: Partition,
+    blocks: Sequence[int],
+    entries: Callable[[int], int],
+    per_stack: Callable[[list, np.ndarray], Sequence],
+) -> tuple:
+    """``per_stack(stack's blocks, their inside mask)`` over the stacks of
+    :func:`_stacks`, its per-block results put back in the order of
+    ``blocks``.  A result may be an exception: the first in that order is
+    raised once every stack is done, as one block at a time would raise."""
+    found: list = [None] * len(blocks)
+    for at, inside in _stacks(partition, blocks, entries):
+        for k, item in zip(at, per_stack([blocks[k] for k in at], inside)):
+            found[k] = item
+    for item in found:
+        if isinstance(item, Exception):
+            raise item
+    return tuple(found)
+
+
+def _rows(mask: np.ndarray) -> np.ndarray:
+    """The columns set in each row of a 2-D mask with equal row counts."""
+    return np.nonzero(mask)[1].reshape(mask.shape[0], -1)
+
+
+def _solve_each(M: np.ndarray, *rhs: np.ndarray) -> tuple[list[np.ndarray], list]:
+    """Solve ``M[k] x = r[k]`` for each stack r of right-hand sides.
+
+    Each right-hand side stack is one ``scipy.linalg.solve`` call.  Returns
+    the solution stacks and, per system k, None or the ``LinAlgError`` that
+    solving it alone raises: when a stacked call fails, the systems are
+    solved one at a time, so that each failing one is known.  So are 1 x 1
+    systems, which scipy divides when alone but factors in a stack.
+    """
+    if M.shape[-1] > 1:
+        try:
+            return [scipy.linalg.solve(M, r) for r in rhs], [None] * len(M)
+        except scipy.linalg.LinAlgError:
+            pass
+    sols = [np.zeros(r.shape) for r in rhs]
+    errors: list = []
+    for k in range(len(M)):
+        try:
+            for sol, r in zip(sols, rhs):
+                sol[k] = scipy.linalg.solve(M[k], r[k])
+            errors.append(None)
+        except scipy.linalg.LinAlgError as exc:
+            errors.append(exc)
+    return sols, errors
+
+
+def _forward_error(n: int, h: np.ndarray) -> np.ndarray:
+    """Round-off allowed in a row sum from an n-state solve with mean times
+    ``h[k]``, for each system k of a stack."""
+    scale = np.finfo(float).eps * n * (1.0 + np.abs(h).max(axis=-1))
     return DEFAULT_TOLERANCES.forward_error * scale
 
 
@@ -256,41 +392,105 @@ def escape_analysis(
 ) -> EscapeStatistics:
     """Exact escape-time expectations and exit-block distribution.
 
+    The one-block case of :func:`escape_analyses`.
+
     Raises
     ------
     NoExit
         If the block has no transition leaving it.
+    ValueError
+        If ``block`` is not a block index.
     """
-    A, B = _block_and_rest(partition, block)
-    KII, KIB = _sub_blocks(kernel, A, A, B)
-    out_mass = 1.0 - KII.sum(axis=1)
-    if B.size == 0 or out_mass.max() <= 1e-14:
-        raise NoExit(f"block {block} is closed")
-    try:
-        expected = scipy.linalg.solve(np.eye(A.size) - KII, np.ones(A.size))
-    except scipy.linalg.LinAlgError as exc:
-        raise NoExit(f"block {block}: escape system singular ({exc})") from exc
-    # exit-block distribution: first outside state aggregated by block
-    hit_outside = scipy.linalg.solve(np.eye(A.size) - KII, KIB)  # (|A| x |B|)
-    exit_blocks = np.zeros((A.size, partition.n_blocks))
-    lab_B = partition.block_of[B]
+    return escape_analyses(kernel, partition, [block])[0]
+
+
+def escape_analyses(
+    kernel: StochasticKernel, partition: Partition, blocks: Sequence[int]
+) -> tuple[EscapeStatistics, ...]:
+    """The :func:`escape_analysis` of each of ``blocks``, in order.
+
+    The escape systems ``(I - K_II)`` of blocks of equal size are solved as
+    one stack in two ``scipy.linalg.solve`` calls, against ``1`` and against
+    ``K_IB``; each solves slice by slice, so every block's statistics are
+    the ones it alone gives, byte for byte.  A failing block raises only
+    once every stack is solved, and the first in the order of ``blocks`` is
+    named.
+
+    Raises
+    ------
+    NoExit
+        If some block has no transition leaving it, or its escape system is
+        singular or its exit rows fail the forward-error check.
+    ValueError
+        If a block is not a block index, before anything is solved.
+    """
+    return _in_block_order(
+        partition,
+        blocks,
+        lambda s: s * (partition.n_states + 1),
+        lambda ids, inside: _escape_stack(kernel, partition, ids, inside),
+    )
+
+
+def _escape_stack(
+    kernel: StochasticKernel, partition: Partition, blocks: list, inside: np.ndarray
+) -> list:
+    """Escape statistics of the equal-size blocks whose states ``inside``
+    marks, or for a failing block the NoExit naming it."""
+    K = kernel.rows
+    A, B = _rows(inside), _rows(~inside)
+    b, s = A.shape
+    KII = K[A[:, :, None], A[:, None, :]]
+    out: list = [None] * b
+    if B.shape[1] == 0:
+        closed = np.ones(b, dtype=bool)
+    else:
+        closed = (1.0 - KII.sum(axis=2)).max(axis=1) <= 1e-14
+    for k in np.flatnonzero(closed):
+        out[k] = NoExit(f"block {blocks[k]} is closed")
+    open_ = np.flatnonzero(~closed)
+    if open_.size == 0:
+        return out
+    A, B = A[open_], B[open_]
+    M = _identity_minus(KII[open_])
+    KIB = K[A[:, :, None], B[:, None, :]]
+    (expected, hit_outside), errors = _solve_each(M, np.ones((open_.size, s, 1)), KIB)
+    for k, exc in zip(open_, errors):
+        if exc is not None:
+            out[k] = NoExit(f"block {blocks[k]}: escape system singular ({exc})")
+            out[k].__cause__ = exc
+    solved = np.flatnonzero([exc is None for exc in errors])
+    open_, A, B = open_[solved], A[solved], B[solved]
+    expected, hit_outside = expected[solved, :, 0], hit_outside[solved]  # (b, |A|), (b, |A|, |B|)
+    # exit-block distribution: first outside state aggregated by block.  Block
+    # j's columns, in the order they have in B, are its members.  Each block's
+    # gather is laid out as numpy lays out one block's ``hit[:, cols]``
+    # (column by column), so that the sums add in the same order.
+    b = open_.size
+    hit = np.zeros((b, kernel.n_states, s))  # hit[k, y] = hit_outside[k][:, position of y]
+    hit[np.arange(b)[:, None], B] = hit_outside.transpose(0, 2, 1)
+    exit_blocks = np.zeros((b, s, partition.n_blocks))
     for j in range(partition.n_blocks):
-        cols = np.nonzero(lab_B == j)[0]
-        if cols.size:
-            exit_blocks[:, j] = hit_outside[:, cols].sum(axis=1)
+        gathered = np.take(hit, partition.members(j), axis=1).transpose(0, 2, 1)
+        exit_blocks[:, :, j] = gathered.sum(axis=2)
     # metastable blocks make (I - K_II) ill-conditioned; allow round-off in
     # proportion to the longest expected escape time before renormalizing
-    row_err = np.abs(exit_blocks.sum(axis=1) - 1.0).max()
-    allowed = _forward_error(A.size, expected)
-    if not row_err <= allowed:
-        raise NoExit(f"exit distribution rows sum to 1 +- {row_err:.2e} > {allowed:.2e}")
-    exit_blocks /= exit_blocks.sum(axis=1, keepdims=True)
-    return EscapeStatistics(
-        block=block,
-        members=A,
-        expected=expected,
-        exit_block_distribution=exit_blocks,
-    )
+    row_err = np.abs(exit_blocks.sum(axis=2) - 1.0).max(axis=1)
+    allowed = _forward_error(s, expected)
+    exit_blocks /= exit_blocks.sum(axis=2, keepdims=True)
+    for j, k in enumerate(open_):
+        if not row_err[j] <= allowed[j]:
+            out[k] = NoExit(
+                f"exit distribution rows sum to 1 +- {row_err[j]:.2e} > {allowed[j]:.2e}"
+            )
+        else:
+            out[k] = EscapeStatistics(
+                block=blocks[k],
+                members=A[j],
+                expected=expected[j],
+                exit_block_distribution=exit_blocks[j],
+            )
+    return out
 
 
 def escape_tail_at(
@@ -299,21 +499,48 @@ def escape_tail_at(
     """Exact ``P[tau_esc > floor(t)]`` per in-block start, via squaring.
 
     A threshold within 4 ulp below an integer counts as that integer, so a
-    product such as ``(1 / 49) * 49`` is one step, not zero.
+    product such as ``(1 / 49) * 49`` is one step, not zero.  The one-block
+    case of :func:`escape_tails_at`.
+
+    Raises
+    ------
+    ValueError
+        If ``block`` is not a block index.
     """
-    A = partition.members(block)
-    KII = kernel.rows.take(A, axis=0).take(A, axis=1)
+    return escape_tails_at(kernel, partition, [block], t)[0]
+
+
+def escape_tails_at(
+    kernel: StochasticKernel, partition: Partition, blocks: Sequence[int], t: float
+) -> tuple[np.ndarray, ...]:
+    """The :func:`escape_tail_at` of each of ``blocks`` at ``t``, in order.
+
+    The substochastic blocks ``K_II`` of equal size are raised to the power
+    together, one stacked binary exponentiation, whose products are the
+    per-block ones byte for byte.
+
+    Raises
+    ------
+    ValueError
+        If a block is not a block index, before anything is computed.
+    """
     t = max(float(t), 0.0)
-    s = math.floor(t + 4 * math.ulp(t))
-    if s == 0:
-        return np.ones(A.size)
-    # binary exponentiation on the substochastic block
-    result = np.ones(A.size)
-    base = KII
-    e = s
+    steps = math.floor(t + 4 * math.ulp(t))
+    return _in_block_order(
+        partition, blocks, lambda s: s * s, lambda ids, inside: _tail_stack(kernel, inside, steps)
+    )
+
+
+def _tail_stack(kernel: StochasticKernel, inside: np.ndarray, steps: int) -> np.ndarray:
+    """``P[tau_esc > steps]`` per start in each of the equal-size blocks
+    whose states ``inside`` marks, by binary exponentiation."""
+    A = _rows(inside)
+    result = np.ones(A.shape)
+    base = kernel.rows[A[:, :, None], A[:, None, :]]
+    e = steps
     while e:
         if e & 1:
-            result = base @ result
+            result = (base @ result[:, :, None])[:, :, 0]
         e >>= 1
         if e:
             base = base @ base
@@ -329,17 +556,18 @@ def block_mixing_times(
     """Mixing time of every block trace (the per-block time scale phi_i).
 
     Each profile stops at its 1/4 crossing, so it carries only that time.
-    The traces are built first and share one strong-component search.
+    The traces are built first (:func:`trace_kernels`), then profiled
+    together (:func:`mixing_profiles`), with one strong-component search.
     """
-    traces = tuple(trace_kernel(kernel, partition, i) for i in range(partition.n_blocks))
-    search_closed_classes(traces)
-    profiles = []
-    for i, Ki in enumerate(traces):
+    blocks = range(partition.n_blocks)
+    traces = trace_kernels(kernel, partition, blocks)
+    pis = []
+    for i in blocks:
         sub = pi.weights[partition.members(i)]
-        sub_pi = StationaryDistribution(sub / sub.sum())
-        profiles.append(mixing_profile(Ki, sub_pi, horizon, epsilons=(0.25,)))
+        pis.append(StationaryDistribution(sub / sub.sum()))
+    profiles = mixing_profiles(traces, pis, horizon, (0.25,), False)
     phis = tuple(p.mixing_time for p in profiles)
-    return phis, tuple(profiles), traces
+    return phis, profiles, traces
 
 
 def decompose(

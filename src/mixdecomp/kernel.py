@@ -302,39 +302,103 @@ def mixing_profile(
     ReducibleKernel
         If the kernel is not irreducible.
     """
+    return mixing_profiles([kernel], [pi], horizon, epsilons, full)[0]
+
+
+def mixing_profiles(
+    kernels: Sequence[StochasticKernel],
+    pis: Sequence[StationaryDistribution],
+    horizon: int,
+    epsilons: Sequence[float],
+    full: bool,
+) -> tuple[MixingProfile, ...]:
+    """The :func:`mixing_profile` of each kernel, in order.
+
+    The kernels of equal size are iterated as one ``(b, n, n)`` stack of
+    powers, and each leaves the stack at its own last step, so every
+    profile is the one its kernel alone gives, byte for byte.  The stacks
+    hold a few copies of the kernels' own bytes.  The irreducibility of all
+    the kernels is one class search.
+
+    Raises
+    ------
+    ReducibleKernel
+        If some kernel is not irreducible.
+    """
     if horizon < 1:
         raise ValueError("horizon must be >= 1")
-    if not kernel.is_irreducible():
-        raise ReducibleKernel("mixing profile needs an irreducible kernel")
-    if pi.n_states != kernel.n_states:
-        raise DimensionMismatch("pi length must equal the kernel's state count")
-    K = kernel.rows
-    n = kernel.n_states
-    P = np.eye(n)
-    w = pi.weights[None, :]
-    distances = [float(0.5 * np.abs(P - w).sum(axis=1).max())]
+    search_closed_classes(kernels)
+    for kernel, pi in zip(kernels, pis, strict=True):
+        if not kernel.is_irreducible():
+            raise ReducibleKernel("mixing profile needs an irreducible kernel")
+        if pi.n_states != kernel.n_states:
+            raise DimensionMismatch("pi length must equal the kernel's state count")
     eps_sorted = sorted(set(epsilons))
-    eps_times: dict[float, int | None] = {e: None for e in eps_sorted}
     smallest = min(eps_sorted) if eps_sorted else 0.25
     target_eps = min(smallest, 0.25)
-    for t in range(1, horizon + 1):
-        P = P @ K
-        d = float(0.5 * np.abs(P - w).sum(axis=1).max())
-        distances.append(d)
-        for e in eps_sorted:
-            if eps_times[e] is None and d < e:
-                eps_times[e] = t
-        if not full and d < target_eps:
-            break
-    dist = np.asarray(distances)
-    mix = next((t for t in range(1, len(dist)) if dist[t] < 0.25), None)
-    return MixingProfile(
-        distances=_frozen(dist),
-        epsilon_times=eps_times,
-        mixing_time=mix,
-        horizon=horizon,
-        horizon_exceeded=mix is None,
-    )
+    sizes = np.array([k.n_states for k in kernels], dtype=np.intp)
+    profiles: list[MixingProfile | None] = [None] * len(kernels)
+    for n in np.unique(sizes):
+        group = np.flatnonzero(sizes == n)
+        K = np.stack([kernels[j].rows for j in group])
+        w = np.stack([pis[j].weights for j in group])
+        for j, dist in zip(group, _tv_distances(K, w, horizon, target_eps, full)):
+            eps_times = {e: _first_below(dist, e) for e in eps_sorted}
+            mix = _first_below(dist, 0.25)
+            profiles[j] = MixingProfile(
+                distances=_frozen(dist),
+                epsilon_times=eps_times,
+                mixing_time=mix,
+                horizon=horizon,
+                horizon_exceeded=mix is None,
+            )
+    return tuple(profiles)
+
+
+def _first_below(dist: np.ndarray, eps: float) -> int | None:
+    """The least step ``t >= 1`` with ``dist[t] < eps``, or None."""
+    below = np.flatnonzero(dist[1:] < eps)
+    return int(below[0]) + 1 if below.size else None
+
+
+def _tv_distances(
+    K: np.ndarray, w: np.ndarray, horizon: int, target_eps: float, full: bool
+) -> list[np.ndarray]:
+    """Worst-start TV distances of each kernel of the ``(b, n, n)`` stack K
+    to its stationary law ``w[k]``, from step 0 to its first step below
+    ``target_eps`` (or to the horizon when ``full``, or when none is)."""
+    b, n, _ = K.shape
+    W = np.repeat(w[:, None, :], n, axis=1)  # a full subtrahend: no broadcast per step
+    P = np.empty_like(K)
+    P[:] = np.eye(n)
+    nxt = np.empty_like(K)
+    dev = np.empty_like(K)
+    live = np.arange(b)  # the stack's slices, by index into K as given
+    table = np.empty((64, b))  # table[t, k]: distance of live slice k at step t
+    done: list[np.ndarray | None] = [None] * b
+    for t in range(horizon + 1):
+        if t:
+            np.matmul(P, K, out=nxt)
+            P, nxt = nxt, P
+        if t == table.shape[0]:
+            table = np.concatenate([table, np.empty_like(table)])
+        np.subtract(P, W, out=dev)
+        np.abs(dev, out=dev)
+        d = table[t]
+        np.multiply(0.5, dev.sum(axis=2).max(axis=1), out=d)
+        if full or not t or min(d.tolist()) >= target_eps:
+            continue
+        crossed = d < target_eps
+        for k in np.flatnonzero(crossed):
+            done[live[k]] = table[: t + 1, k].copy()
+        keep = ~crossed
+        if not keep.any():
+            return done
+        live, K, W, P, table = live[keep], K[keep], W[keep], P[keep], table[:, keep]
+        nxt, dev = np.empty_like(P), np.empty_like(P)
+    for k, j in enumerate(live):
+        done[j] = table[: horizon + 1, k].copy()
+    return done
 
 
 def relaxation_time(kernel: StochasticKernel, pi: StationaryDistribution) -> float:

@@ -45,6 +45,7 @@ from .contraction import (
 from .decomposition import (
     Partition,
     block_mixing_times,
+    escape_analyses,
     escape_analysis,
     projected_kernel,
     trace_kernel,
@@ -410,7 +411,7 @@ def calibrated_bound_table(seed: int = 0) -> tuple[list[BoundRow], PeresSousiCon
         reg = {r.name: r for r in occupation}["regular_escape"].ingredients
         hit_scale = reg["phi_bar_hit"]
         worst_escape = max(
-            float(escape_analysis(K, part, i).expected.max()) for i in range(part.n_blocks)
+            float(e.expected.max()) for e in escape_analyses(K, part, range(part.n_blocks))
         )
         eps_gh = 4.0 * worst_escape / phi_max
         gh = bound_graph_hit(K, part, c=0.3 if part.n_blocks > 2 else 0.99, epsilon=eps_gh, phi_max=phi_max, constants=constants)

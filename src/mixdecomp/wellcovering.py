@@ -37,7 +37,7 @@ from scipy.sparse import csgraph, csr_matrix
 
 from .bounds import BoundResult, PeresSousiConstants, least_horizon
 from .config import check_bytes
-from .decomposition import Partition, block_mixing_times, projected_kernel
+from .decomposition import Partition, _is_integer, block_mixing_times, projected_kernel
 from .errors import (
     HorizonCap,
     InvalidComparison,
@@ -540,11 +540,6 @@ class AuditRow:
 
 # Fewest replicas per (orientation, t) run of a concentration audit.
 MIN_AUDIT_REPS = 1000
-
-
-def _is_integer(value) -> bool:
-    """Is ``value`` a Python or numpy integer (a bool is not)?"""
-    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
 def concentration_audit(

@@ -262,6 +262,31 @@ def test_transport_lps_match_vertex_dual_on_worst_torus_pair():
     assert wasserstein_dual(mu, nu, metric) == pytest.approx(w, abs=1e-9)
 
 
+def _set_alpha_candidates(ws, ds):
+    """The candidate factors as a Python set, sorted."""
+    grid = {1.0 - 2.0**-k / m for k in range(11) for m in range(1, 17)}
+    grid.update(np.linspace(1.0 / 256.0, 1.0, 256).tolist())
+    grid.update((ws[ds > 0] / ds[ds > 0]).tolist())
+    grid.add(1e-6)
+    return np.asarray(sorted(g for g in grid if 0 < g <= 1.0))
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_alpha_candidates_match_the_sorted_set(seed):
+    gen = rngmod.stream(seed, 0)
+    ds = gen.integers(0, 4, size=200).astype(float)
+    ws = np.where(gen.random(200) < 0.5, gen.uniform(0.0, 3.0, size=200), ds * 0.75)
+    if seed == 0:  # the torus suite's own pairs
+        tc = torus_metropolis(3, 3, 7.0, k_trace=1)
+        metric = BlockMetric.hamming_on_bitmasks(3)
+        xs, ys = np.triu_indices(tc.kernel.n_states, 1)
+        mus = exit_distributions_all(tc.kernel, tc.partition)
+        ws = wasserstein(mus[xs], mus[ys], metric)
+        ds = metric.d[tc.partition.block_of[xs], tc.partition.block_of[ys]]
+    grid = contraction._alpha_candidates(ws, ds)
+    assert grid.tobytes() == _set_alpha_candidates(ws, ds).tobytes()
+
+
 def _loop_margin_fit(ws, ds):
     """The margin fit as one pass over every pair per candidate factor."""
     fits = []

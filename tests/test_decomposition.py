@@ -1,6 +1,7 @@
 import hashlib
 import itertools
 import math
+import re
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import random_partition, random_reversible_kernel
+from mixdecomp import decomposition
 from mixdecomp import rng as rngmod
 from mixdecomp.chains import cycle_adjacency, kcip, pince_nez, torus_metropolis, toy_kcip
 from mixdecomp.config import DEFAULT_TOLERANCES
@@ -17,20 +19,25 @@ from mixdecomp.decomposition import (
     avg_hit_time,
     block_mixing_times,
     decompose,
+    escape_analyses,
     escape_analysis,
     escape_tail_at,
+    escape_tails_at,
     less_lazy_projection,
     minimal_heavy_sets,
     projected_kernel,
     sampled_subsets,
     trace_kernel,
+    trace_kernels,
 )
+from mixdecomp.contraction import exit_distribution, exit_distributions_all, occupation_regularity
 from mixdecomp.errors import AbsorbingBlock, NoExit, SingularReturn, TooManyBlocks
 from mixdecomp.kernel import (
     StationaryDistribution,
     StochasticKernel,
     check_reversible,
     hitting_analysis,
+    mixing_profile,
     stationary_distribution,
 )
 from mixdecomp.simulate import RowSampler
@@ -482,6 +489,99 @@ def test_block_solves_pinned_byte_for_byte(name):
         _digest(e.exit_block_distribution for e in escapes),
         _digest(hitting_analysis(k, part.members(i)).expected for i in blocks),
     ) == pinned
+
+
+def _unequal_toy_kcip():
+    # blocks of 5, 7, 5 and 7 states: two sizes, two blocks of each
+    k, _ = toy_kcip(8, 1)
+    return k, Partition.from_block_of(np.repeat([0, 1, 2, 3], [5, 7, 5, 7]))
+
+
+_BATCHED_CHAINS = {
+    "pince_nez(8)": lambda: pince_nez(8),
+    "toy_kcip(8, 1)": lambda: toy_kcip(8, 1),
+    "torus_metropolis(3, 3, 7.0, k_trace=1)": lambda: _kernel_and_partition(
+        torus_metropolis(3, 3, 7.0, k_trace=1)
+    ),
+    "toy_kcip(8, 1), blocks of 5, 7, 5, 7": _unequal_toy_kcip,
+    "random 9 states, one block per state": lambda: (
+        random_reversible_kernel(9, rngmod.stream(3, 0)),
+        Partition(np.arange(9), 9),
+    ),
+}
+
+
+@pytest.mark.parametrize("split", [False, True])
+@pytest.mark.parametrize("name", sorted(_BATCHED_CHAINS))
+def test_batched_block_work_equals_one_block_calls(name, split, monkeypatch):
+    k, part = _BATCHED_CHAINS[name]()
+    n, blocks = k.n_states, range(part.n_blocks)
+    if split:  # one block per return-system stack: every group of two or more is cut
+        monkeypatch.setattr(decomposition, "_STACK_KERNELS", 1)
+        stacks = decomposition._stacks(part, blocks, lambda s: (n - s) * (n + 1))
+        assert len(stacks) == part.n_blocks > np.unique(np.bincount(part.block_of)).size
+    pi = stationary_distribution(k)
+    phis, profiles, traces = block_mixing_times(k, pi, part, horizon=10**6)
+    for i in blocks:
+        alone = trace_kernel(k, part, i)
+        assert traces[i].rows.tobytes() == alone.rows.tobytes()
+        sub = pi.weights[part.members(i)]
+        profile = mixing_profile(alone, StationaryDistribution(sub / sub.sum()), 10**6, (0.25,))
+        assert profiles[i].distances.tobytes() == profile.distances.tobytes()
+        assert phis[i] == profile.mixing_time
+    mus = exit_distributions_all(k, part)
+    assert all(mus[x].tobytes() == exit_distribution(k, part, x).tobytes() for x in range(n))
+    reg = occupation_regularity(k, part, 0.5, 4.0, max(phis))
+    stay1 = [escape_tail_at(k, part, i, reg.threshold1).min() for i in blocks]
+    stay2 = [escape_tail_at(k, part, i, reg.threshold2).max() for i in blocks]
+    assert (reg.delta1, reg.delta2) == (min(stay1), 1.0 - max(stay2))
+    for t in (1, 8192):  # the stay probabilities of occupation_bounds
+        stay = escape_tails_at(k, part, blocks, t)
+        assert all(stay[i].tobytes() == escape_tail_at(k, part, i, t).tobytes() for i in blocks)
+
+
+def test_batched_failures_name_the_first_block_in_order():
+    # blocks 1 and 2 (one state each) are stacked and solved before block 0
+    # (two states); when block 0 fails too, it is the one named
+    part = Partition.from_block_of([0, 0, 1, 2])
+    rows = [[0.5, 0.5, 0, 0], [0.25, 0.25, 0.25, 0.25], [0, 0, 1, 0], [0, 0.5, 0, 0.5]]
+    absorbing = StochasticKernel(rows)  # state 2 absorbs: returns past it fail
+    with pytest.raises(SingularReturn, match="singular for block 0:"):
+        trace_kernels(absorbing, part, range(3))
+    with pytest.raises(SingularReturn, match="singular for block 2:"):
+        trace_kernels(absorbing, part, [1, 2])
+    rows[1] = [0.5, 0.5, 0, 0]
+    closed = StochasticKernel(rows)  # blocks 0 and 1 have no exit
+    with pytest.raises(NoExit, match="block 0 is closed"):
+        exit_distributions_all(closed, part)
+    with pytest.raises(NoExit, match="block 1 is closed"):
+        escape_analyses(closed, part, [2, 1])
+
+
+_ONE_BLOCK_CALLS = {
+    "trace_kernel": lambda k, part, block: trace_kernel(k, part, block),
+    "escape_analysis": lambda k, part, block: escape_analysis(k, part, block),
+    "escape_tail_at": lambda k, part, block: escape_tail_at(k, part, block, 10),
+}
+
+
+@pytest.mark.parametrize("block", [2, -1, 1.5, True, np.int64(2)])
+@pytest.mark.parametrize("call", sorted(_ONE_BLOCK_CALLS))
+def test_block_index_is_checked_before_any_solve(call, block, monkeypatch):
+    k, part = pince_nez(4)  # two blocks
+    solves = []
+    monkeypatch.setattr(scipy.linalg, "solve", lambda *args: solves.append(1))
+    with pytest.raises(ValueError, match=re.escape(f"block {block!r} is not one of 0..1")):
+        _ONE_BLOCK_CALLS[call](k, part, block)
+    assert not solves
+
+
+def test_numpy_integer_blocks_are_block_indices():
+    k, part = pince_nez(4)
+    trace = trace_kernel(k, part, np.int64(1))
+    assert trace.rows.tobytes() == trace_kernel(k, part, 1).rows.tobytes()
+    tail = escape_tail_at(k, part, np.int32(0), 3)
+    assert tail.tobytes() == escape_tail_at(k, part, 0, 3).tobytes()
 
 
 def test_decompose_report_fields():

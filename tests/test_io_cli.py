@@ -177,15 +177,16 @@ def test_report_hash_stable_across_runs(tmp_path):
 
 
 def test_experiment_computes_block_mixing_times_once(tmp_path, monkeypatch):
-    # every block mixing time is one trace profile in the decomposition module
+    # every block mixing time is one trace profile in the decomposition
+    # module, and the traces are profiled together
     calls = []
-    inner = decomposition.mixing_profile
+    inner = decomposition.mixing_profiles
 
-    def counting(*args, **kwargs):
-        calls.append(1)
-        return inner(*args, **kwargs)
+    def counting(kernels, *args, **kwargs):
+        calls.extend(1 for _ in kernels)
+        return inner(kernels, *args, **kwargs)
 
-    monkeypatch.setattr(decomposition, "mixing_profile", counting)
+    monkeypatch.setattr(decomposition, "mixing_profiles", counting)
     cfg = ExperimentConfig.from_sections(
         {
             "chain": {"family": "pince_nez", "m": "4"},

@@ -402,8 +402,10 @@ def occupation_bounds(
     ``regular_escape`` follows with ``epsilon = 1 / phi_max``, so its stay
     threshold ``epsilon phi_max`` is one step, and delta the least one-step
     stay probability.  It is left out when delta is 0, when no block subset
-    reaches the hitting scale's mass floor, or when the exact hitting scale
-    has more than ``MAX_HEAVY_SETS`` minimal heavy sets to solve.
+    reaches the hitting scale's mass floor, when the hitting scale is 0 (a
+    minimal heavy set holds every state, as the one block of a one-block
+    partition does), or when the exact hitting scale has more than
+    ``MAX_HEAVY_SETS`` minimal heavy sets to solve.
     """
     masses = partition.masses(pi)
     nb = partition.n_blocks
@@ -442,7 +444,7 @@ def occupation_bounds(
         hit_scale = avg_hit_time(kernel, pi, partition, alpha).value if delta > 0 else None
     except TooManyBlocks:  # more minimal heavy sets than the solve budget
         hit_scale = None
-    if hit_scale is not None:
+    if hit_scale:  # neither None nor 0
         results.append(
             bound_regular(
                 1.0 / max(phi),
@@ -568,7 +570,7 @@ class DriftCertificate:
 
 
 def verify_drift(
-    kernel: StochasticKernel, V: np.ndarray, a: float, b: float, k: int = 1
+    kernel: StochasticKernel, V: np.ndarray, a: float, b: float, k: int
 ) -> DriftCertificate:
     """Exact pointwise check of the k-step drift inequality."""
     V = np.asarray(V, dtype=float)

@@ -406,9 +406,6 @@ class TorusSampler:
         out[j] = nxt
         return tuple(out)
 
-    def block_of(self, state: tuple[int, ...]) -> int:
-        return int(sum((1 << i) for i, v in enumerate(state) if v >= self.ell))
-
 
 @dataclass
 class TorusChain:
@@ -438,8 +435,8 @@ def torus_product_mass(m: int, ell: int, C: float, coord_set: Sequence[int]) -> 
 
 
 def torus_metropolis(
-    m: int, ell: int, C: float, k_trace: int | None = None, explicit_limit: int = MAX_DENSE_STATES
-) -> TorusChain:
+    m: int, ell: int, C: float, k_trace: int | None = None
+) -> TorusChain | TorusSampler:
     """Metropolis chain on ``Z_{2 ell}^m`` targeting a product measure.
 
     The proposal moves one uniform coordinate by -1, 0 or +1 (each with
@@ -451,16 +448,18 @@ def torus_metropolis(
 
     With ``k_trace`` set, the returned chain is the trace on the states whose
     coordinates all stay at least k away from the half boundary, partitioned
-    the same way.
+    the same way.  Above ``MAX_DENSE_STATES`` states no kernel is built: a
+    :class:`TorusSampler` is returned, or with ``k_trace`` set
+    ``StateSpaceTooLarge`` is raised.
     """
     if ell < 2 or C <= 1:
         raise ValueError("need ell >= 2 and C > 1")
     side = 2 * ell
     n = side**m
-    if n > explicit_limit:
+    if n > MAX_DENSE_STATES:
         if k_trace is not None:
             raise StateSpaceTooLarge(
-                f"(2 ell)^m = {n} exceeds {explicit_limit}; traces need the explicit kernel"
+                f"(2 ell)^m = {n} exceeds {MAX_DENSE_STATES}; traces need the explicit kernel"
             )
         return TorusSampler(m, ell, C)
     coords = np.stack(np.meshgrid(*[np.arange(side)] * m, indexing="ij"), axis=-1).reshape(-1, m)

@@ -294,34 +294,30 @@ _FIT_ENTRIES = 1 << 20
 
 
 def estimate_contraction(
-    kernel: StochasticKernel,
-    partition: Partition,
-    metric: BlockMetric,
-    pair_budget: int | None = None,
-    seed: int = 0,
+    kernel: StochasticKernel, partition: Partition, metric: BlockMetric
 ) -> ContractionEstimate:
     """Fit the tightest certified (factor, slack) pair from exit couplings.
 
     All state pairs are inspected exactly when the squared state count is at
     most 1e6 (same-block pairs included: they only strengthen the
-    certificate); otherwise a seeded sample stratified by block pair is used
-    and the result is labeled non-certified coverage.  Among factors alpha
-    with fitted slack ``beta(alpha)``, the returned pair maximizes the
-    coupling-bound margin ``(1 - alpha) - 2 beta``.  The ``KEEP_WORST``
-    pairs with the largest excess over ``alpha d`` are kept as evidence.
+    certificate); otherwise about ``4 n`` pairs drawn from ``rng.stream(0,
+    0)``, stratified by block pair, are used and the result is labeled
+    non-certified coverage.  Among factors alpha with fitted slack
+    ``beta(alpha)``, the returned pair maximizes the coupling-bound margin
+    ``(1 - alpha) - 2 beta``.  The ``KEEP_WORST`` pairs with the largest
+    excess over ``alpha d`` are kept as evidence.
     """
     n = kernel.n_states
     if metric.n != partition.n_blocks:
         raise DimensionMismatch("metric must live on the partition blocks")
     mus = exit_distributions_all(kernel, partition)
     lab = partition.block_of
-    exact = n * n <= 10**6
-    if exact and pair_budget is None:
+    if n * n <= 10**6:
         xs, ys = np.triu_indices(n, 1)
         coverage = "exact-all-pairs"
     else:
-        gen = rngmod.stream(seed, 0)
-        budget = pair_budget or 4 * n
+        gen = rngmod.stream(0, 0)
+        budget = 4 * n
         members = [np.nonzero(lab == b)[0] for b in range(partition.n_blocks)]
         nb = partition.n_blocks
         strata = [(bi, bj) for bi in range(nb) for bj in range(bi, nb)]

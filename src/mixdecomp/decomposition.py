@@ -565,7 +565,7 @@ def block_mixing_times(
     for i in blocks:
         sub = pi.weights[partition.members(i)]
         pis.append(StationaryDistribution(sub / sub.sum()))
-    profiles = mixing_profiles(traces, pis, horizon, (0.25,), False)
+    profiles = mixing_profiles(traces, pis, horizon, (0.25,))
     phis = tuple(p.mixing_time for p in profiles)
     return phis, profiles, traces
 

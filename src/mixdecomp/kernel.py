@@ -182,9 +182,9 @@ class MixingProfile:
     """Worst-start total variation distance to stationarity per step.
 
     ``distances[t]`` is ``max_x || K^t(x, .) - pi ||_TV`` for ``t = 0 .. horizon``
-    (truncated early once every requested epsilon threshold has been crossed,
-    unless a full sweep was forced).  ``mixing_time`` is the least ``t >= 1``
-    with distance below 1/4, or None with ``horizon_exceeded`` set.
+    (truncated early once every requested epsilon threshold has been
+    crossed).  ``mixing_time`` is the least ``t >= 1`` with distance below
+    1/4, or None with ``horizon_exceeded`` set.
     """
 
     distances: np.ndarray
@@ -284,7 +284,6 @@ def mixing_profile(
     pi: StationaryDistribution,
     horizon: int,
     epsilons: Sequence[float] = (0.25, 0.1, 0.05, 0.01),
-    full: bool = False,
 ) -> MixingProfile:
     """Exact TV mixing profile over all point-mass starts.
 
@@ -293,16 +292,16 @@ def mixing_profile(
     horizon : int
         Maximum number of steps to iterate.
     epsilons : sequence of float
-        Thresholds for which crossing times are reported.
-    full : bool
-        Iterate all the way to the horizon even after every threshold is met.
+        Thresholds for which crossing times are reported.  The profile
+        stops at its first step below all of them and below 1/4, or at the
+        horizon.
 
     Raises
     ------
     ReducibleKernel
         If the kernel is not irreducible.
     """
-    return mixing_profiles([kernel], [pi], horizon, epsilons, full)[0]
+    return mixing_profiles([kernel], [pi], horizon, epsilons)[0]
 
 
 def mixing_profiles(
@@ -310,7 +309,6 @@ def mixing_profiles(
     pis: Sequence[StationaryDistribution],
     horizon: int,
     epsilons: Sequence[float],
-    full: bool,
 ) -> tuple[MixingProfile, ...]:
     """The :func:`mixing_profile` of each kernel, in order.
 
@@ -342,7 +340,7 @@ def mixing_profiles(
         group = np.flatnonzero(sizes == n)
         K = np.stack([kernels[j].rows for j in group])
         w = np.stack([pis[j].weights for j in group])
-        for j, dist in zip(group, _tv_distances(K, w, horizon, target_eps, full)):
+        for j, dist in zip(group, _tv_distances(K, w, horizon, target_eps)):
             eps_times = {e: _first_below(dist, e) for e in eps_sorted}
             mix = _first_below(dist, 0.25)
             profiles[j] = MixingProfile(
@@ -361,12 +359,10 @@ def _first_below(dist: np.ndarray, eps: float) -> int | None:
     return int(below[0]) + 1 if below.size else None
 
 
-def _tv_distances(
-    K: np.ndarray, w: np.ndarray, horizon: int, target_eps: float, full: bool
-) -> list[np.ndarray]:
+def _tv_distances(K: np.ndarray, w: np.ndarray, horizon: int, target_eps: float) -> list[np.ndarray]:
     """Worst-start TV distances of each kernel of the ``(b, n, n)`` stack K
     to its stationary law ``w[k]``, from step 0 to its first step below
-    ``target_eps`` (or to the horizon when ``full``, or when none is)."""
+    ``target_eps`` (or to the horizon, when none is)."""
     b, n, _ = K.shape
     W = np.repeat(w[:, None, :], n, axis=1)  # a full subtrahend: no broadcast per step
     P = np.empty_like(K)
@@ -386,7 +382,7 @@ def _tv_distances(
         np.abs(dev, out=dev)
         d = table[t]
         np.multiply(0.5, dev.sum(axis=2).max(axis=1), out=d)
-        if full or not t or min(d.tolist()) >= target_eps:
+        if not t or min(d.tolist()) >= target_eps:
             continue
         crossed = d < target_eps
         for k in np.flatnonzero(crossed):

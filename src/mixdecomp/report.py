@@ -41,7 +41,7 @@ TASK_NAMES = ("analyze", "bounds", "audit", "reproduce")
 SECTION_KEYS = {
     "chain": ("family", "seed"),
     "files": ("kernel", "partition"),
-    "run": ("tasks", "seed", "output_dir", "suite", "horizon", "format"),
+    "run": ("tasks", "seed", "output_dir", "suite", "format"),
     "constants": ("c_alpha", "c_alpha_prime", "calibrated"),
     "audit": ("i", "j", "reps"),
 }
@@ -61,7 +61,6 @@ class ExperimentConfig:
     audit_blocks: tuple[int, int] = (0, 1)
     audit_reps: int = 2000
     suite: str | None = None
-    horizon: int = 1 << 22
     fmt: str = "json"
 
     @classmethod
@@ -159,7 +158,6 @@ class ExperimentConfig:
             audit_blocks=(int(audit.get("i", 0)), int(audit.get("j", 1))),
             audit_reps=int(audit.get("reps", 2000)),
             suite=run.get("suite"),
-            horizon=int(run.get("horizon", 1 << 22)),
             fmt=run.get("format", "json"),
         )
 
@@ -231,7 +229,7 @@ def run_experiment(cfg: ExperimentConfig) -> dict:
     # analyze (on more than one block), bounds and audit share one decomposition
     dec = None
     if {"bounds", "audit"} & set(cfg.tasks) or ("analyze" in cfg.tasks and partition.n_blocks > 1):
-        dec = decompose(kernel, pi, partition, horizon=cfg.horizon)
+        dec = decompose(kernel, pi, partition, horizon=1 << 22)
     if "analyze" in cfg.tasks:
         report["tasks"]["analyze"] = _task_analyze(kernel, pi, partition, cfg, dec)
     if "bounds" in cfg.tasks:
@@ -282,7 +280,7 @@ def _emit_csv_views(cfg: ExperimentConfig, report: dict) -> None:
 
 def _task_analyze(kernel, pi, partition, cfg, dec) -> dict:
     rev = check_reversible(kernel, pi)
-    prof = mixing_profile(kernel, pi, horizon=cfg.horizon, epsilons=(0.25, 0.1, 0.05))
+    prof = mixing_profile(kernel, pi, horizon=1 << 22, epsilons=(0.25, 0.1, 0.05))
     out = {
         "kernel_hash": kernel_hash(kernel),
         "pi": _val([float(w) for w in pi.weights], "exact"),

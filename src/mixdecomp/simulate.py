@@ -83,7 +83,7 @@ class OccupationRecord:
     """
 
     T: int
-    start: object
+    start: int
     kappa: np.ndarray
     transitions: np.ndarray
 
@@ -228,42 +228,18 @@ class RowSampler:
 
 
 def simulate(
-    chain,
-    x0,
-    T: int,
-    seed: int,
-    partition: Partition | None = None,
-    n_blocks: int | None = None,
-) -> tuple[np.ndarray | list, OccupationRecord]:
-    """One trajectory of length T with its occupation record.
+    kernel: StochasticKernel, x0: int, T: int, seed: int, partition: Partition | None = None
+) -> tuple[np.ndarray, OccupationRecord]:
+    """One trajectory of length T from state ``x0`` with its occupation record.
 
-    ``chain`` is either a :class:`StochasticKernel` (states are indices,
-    blocks come from ``partition``) or any object with a scalar
-    ``step(state, generator)`` method (states are opaque; the chain's own
-    ``block_of(state)`` method, if it has one, classifies them into
-    ``n_blocks`` blocks, else everything is block 0).
+    Blocks come from ``partition``, else every state is block 0.
     """
     if T < 1:
         raise ValueError("T must be >= 1")
-    if isinstance(chain, StochasticKernel):
-        part = partition or Partition.single_block(chain.n_states)
-        traj = simulate_states(chain, [x0], T, seed)[0].astype(np.int64)
-        blocks = part.block_of[traj]
-        nb = part.n_blocks
-    else:
-        gen = rngmod.stream(seed, 0)
-        traj = [x0]
-        state = x0
-        for _ in range(T):
-            state = chain.step(state, gen)
-            traj.append(state)
-        block_of = getattr(chain, "block_of", None)
-        if block_of is None:
-            blocks = np.zeros(T + 1, dtype=np.int64)
-            nb = 1
-        else:
-            blocks = np.array([block_of(s) for s in traj], dtype=np.int64)
-            nb = n_blocks if n_blocks is not None else int(blocks.max()) + 1
+    part = partition or Partition.single_block(kernel.n_states)
+    traj = simulate_states(kernel, [x0], T, seed)[0].astype(np.int64)
+    blocks = part.block_of[traj]
+    nb = part.n_blocks
     kappa = np.bincount(blocks[1:], minlength=nb).astype(np.int64)
     trans = np.zeros((nb, nb), dtype=np.int64)
     np.add.at(trans, (blocks[:-1][: T - 1], blocks[1:][: T - 1]), 1)
@@ -370,13 +346,12 @@ class PathStream:
             yield self.states
 
 
-def simulate_states(
-    kernel: StochasticKernel, x0: Sequence[int] | int, T: int, seed: int, reps: int | None = None
-) -> np.ndarray:
-    """Batched trajectories; returns an int array of shape (reps, T + 1).
+def simulate_states(kernel: StochasticKernel, x0: Sequence[int], T: int, seed: int) -> np.ndarray:
+    """Batched trajectories, one from each start of ``x0``; returns an int
+    array of shape ``(len(x0), T + 1)``.
 
     States are stored in ``index_dtype(n_states)``.  Each step is written as
-    one contiguous row of a time-major ``(T + 1, reps)`` array, and its
+    one contiguous row of a time-major ``(T + 1, len(x0))`` array, and its
     transpose is returned.
 
     Raises
@@ -388,10 +363,6 @@ def simulate_states(
 
     Both are checked before the path array is allocated.
     """
-    if np.isscalar(x0):
-        if reps is None:
-            raise ValueError("reps required for a scalar start")
-        x0 = np.full(reps, x0)
     stream = PathStream(kernel, x0, seed)
     starts = stream.states
     dtype = index_dtype(kernel.n_states)

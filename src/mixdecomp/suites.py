@@ -100,7 +100,7 @@ def pince_nez_scaling(seed: int = 0) -> SuiteResult:
     for m in ms:
         K, part = pince_nez(m)
         pi = stationary_distribution(K)
-        prof = mixing_profile(K, pi, horizon=60 * m * m, full=False)
+        prof = mixing_profile(K, pi, horizon=60 * m * m)
         profiles[m] = (K, pi, prof)
         crossing = _tv_crossing(prof)
         taus.append(prof.mixing_time)

@@ -47,7 +47,7 @@ from .errors import (
     TooManyBlocks,
 )
 from .kernel import StationaryDistribution, StochasticKernel, stationary_distribution
-from .simulate import RowSampler, row_width, start_rows, wilson_interval
+from .simulate import RowSampler, row_width, wilson_interval
 from . import rng as rngmod
 
 
@@ -553,7 +553,6 @@ def concentration_audit(
     reps: int,
     seed: int,
     phi_max: float,
-    start: int = 0,
 ) -> list[AuditRow]:
     """Empirical exceedance of transition-count concentration vs its bound.
 
@@ -562,8 +561,8 @@ def concentration_audit(
     projected rate, and the frequency of deviations above each c is tabled
     against ``4 exp(-c^2 (t+1) / (8 phi_max))``.  Both orientations (clocked
     by i against Kbar(i,j), clocked by j against Kbar(j,i)) are audited.
-    Both runs at ``t_grid[idx_t]`` draw the same stream
-    ``rng.stream(seed + 7 * idx_t, 1)`` from the same start, so their first
+    Every replica starts at state 0.  Both runs at ``t_grid[idx_t]`` draw
+    the same stream ``rng.stream(seed + 7 * idx_t, 1)``, so their first
     ``max(t, 1) - 1`` steps are the same and are stepped once; then all
     runs step together in one loop (:func:`_transition_ratio_samples`).
 
@@ -571,8 +570,8 @@ def concentration_audit(
     ------
     ValueError
         If ``i`` or ``j`` is not a block index, a ``t_grid`` entry is not a
-        nonnegative integer, ``phi_max`` is not positive, or ``start`` lies
-        outside ``0 .. n_states - 1``; the value is named.
+        nonnegative integer, or ``phi_max`` is not positive; the value is
+        named.
     ProductSpaceTooLarge
         If the replicas' slot arrays and the counter-step tables would
         exceed the byte budget.
@@ -593,9 +592,8 @@ def concentration_audit(
             raise ValueError(f"t_grid entry {t!r} is not a nonnegative integer")
     if not phi_max > 0:
         raise ValueError(f"phi_max must be > 0, not {phi_max!r}")
-    start_rows([start], kernel.n_states)
     proj = projected_kernel(kernel, pi, partition)
-    samples = iter(_transition_ratio_samples(kernel, partition, i, j, t_grid, reps, seed, start))
+    samples = iter(_transition_ratio_samples(kernel, partition, i, j, t_grid, reps, seed))
     rows: list[AuditRow] = []
     for orient, target in (("ij", proj.rows[i, j]), ("ji", proj.rows[j, i])):
         for t in t_grid:
@@ -654,7 +652,7 @@ def _shared_steps(
     each pair's states once, its counters clocked by i in the first half and
     by j in the second.  Then ``state`` and ``counter`` are regrouped
     run-major through ``spare``, and each run's generator is set where its
-    pair's is.  ``state`` comes in filled with the start, and ``u`` and
+    pair's is.  ``state`` comes in filled with state 0, and ``u`` and
     ``spare`` are scratch, so only one step's temporaries are allocated, as
     in the loop.
     """
@@ -694,17 +692,16 @@ def _transition_ratio_samples(
     t_grid: Sequence[int],
     reps: int,
     seed: int,
-    start: int,
 ) -> list[np.ndarray]:
     """Per-replica ``N_ij(kappa_clock^{-1}(t)) / (t + 1)`` for every run.
 
     The runs are clocked by block i for each t of ``t_grid``, then by block
-    j; both runs ``(i, t_grid[k])`` and ``(j, t_grid[k])`` draw from
-    ``rng.stream(seed + 7 k, 1)`` from the same start.  A replica finishes
-    on its ``max(t, 1)``-th arrival in the clock block, so none finishes
-    before its ``max(t, 1)``-th step and the two runs of a pair take the
-    same first ``max(t, 1) - 1`` steps: those are stepped once, with both
-    clocks' counters kept.  Then the ``2 * len(t_grid) * reps`` replicas
+    j; every replica starts at state 0, and both runs ``(i, t_grid[k])``
+    and ``(j, t_grid[k])`` draw from ``rng.stream(seed + 7 k, 1)``.  A
+    replica finishes on its ``max(t, 1)``-th arrival in the clock block, so
+    none finishes before its ``max(t, 1)``-th step and the two runs of a
+    pair take the same first ``max(t, 1) - 1`` steps: those are stepped
+    once, with both clocks' counters kept.  Then the ``2 * len(t_grid) * reps`` replicas
     are slots laid out run-major, replicas in index order, and advance
     together.  Each step, every run with live replicas draws one raw word
     per live replica from its own generator's ``random_raw`` in slot order,
@@ -739,7 +736,7 @@ def _transition_ratio_samples(
         due.setdefault(cap - ages[r % n_pairs], []).append(r)
 
     origin = np.arange(n_slots, dtype=np.intp)
-    state = np.full(n_slots, start, dtype=np.intp)
+    state = np.zeros(n_slots, dtype=np.intp)
     # (clock arrivals still due) << 32 | crossings.  A finished slot parks at
     # 2^62.  A step adds at most one crossing and takes at most 2^32, so the
     # packing is exact for the first 2^30 steps (hours of looping).

@@ -440,11 +440,10 @@ def transition_ratio_sample(
     t: int,
     reps: int,
     seed: int,
-    start: int,
 ) -> np.ndarray:
     """Per-replica ``N_ij(kappa_clock^{-1}(t)) / (t + 1)`` for one run alone.
 
-    Each step gathers the live replicas through ``np.nonzero``, draws one
+    Every replica starts at state 0.  Each step gathers the live replicas through ``np.nonzero``, draws one
     raw word each from ``rng.stream(seed, 1)`` and scatters them back.
     """
     sampler = RowSampler(kernel)
@@ -452,7 +451,7 @@ def transition_ratio_sample(
     in_i = partition.block_of == i
     in_j = partition.block_of == j
     in_clock = partition.block_of == clock_block
-    state = np.full(reps, start, dtype=np.int64)
+    state = np.zeros(reps, dtype=np.int64)
     visits = np.zeros(reps, dtype=np.int64)
     crossings = np.zeros(reps, dtype=np.int64)
     active = np.ones(reps, dtype=bool)
@@ -489,7 +488,6 @@ def sequential_concentration_audit(
     reps: int,
     seed: int,
     phi_max: float,
-    start: int = 0,
 ) -> list[AuditRow]:
     """The concentration audit's rows, one run after another in (orientation, t) order."""
     proj = projected_kernel(kernel, pi, partition)
@@ -497,7 +495,7 @@ def sequential_concentration_audit(
     for orient, clock, target in (("ij", i, proj.rows[i, j]), ("ji", j, proj.rows[j, i])):
         for idx_t, t in enumerate(t_grid):
             stats = transition_ratio_sample(
-                kernel, partition, i, j, clock, int(t), reps, seed + 7 * idx_t, start
+                kernel, partition, i, j, clock, int(t), reps, seed + 7 * idx_t
             )
             for c in c_grid:
                 exceed = int((np.abs(stats - target) > c).sum())

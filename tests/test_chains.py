@@ -171,8 +171,7 @@ def test_torus_trace_partition():
 
 def test_torus_sampler_matches_explicit_row():
     tc = torus_metropolis(2, 2, 3.0)  # 16 states
-    sampler = torus_metropolis(2, 2, 3.0, explicit_limit=1)
-    assert isinstance(sampler, TorusSampler)
+    sampler = TorusSampler(2, 2, 3.0)
     gen = rngmod.stream(3, 0)
     start = (1, 2)
     idx = {tuple(c): i for i, c in enumerate(tc.states)}
@@ -187,8 +186,9 @@ def test_torus_sampler_matches_explicit_row():
 
 
 def test_torus_explicit_guard():
+    # 4^7 = 16,384 states, over MAX_DENSE_STATES: refused before any allocation
     with pytest.raises(StateSpaceTooLarge):
-        torus_metropolis(4, 3, 7.0, k_trace=1, explicit_limit=100)
+        torus_metropolis(7, 2, 3.0, k_trace=1)
 
 
 def test_generators_validate():

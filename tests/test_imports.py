@@ -13,7 +13,8 @@ reference ``wasserstein_dual`` (a test and benchmark oracle) calls
 tail provider reads the occupation DP table.  Only ``config`` names the byte
 budget ``MAX_PATH_BYTES``, and only its ``check_bytes`` raises
 ``ProductSpaceTooLarge``.  Every defaulted parameter of
-a public function is set by some call in the repository.  The package's
+a public function is set by some call in the package or the benchmark, not
+to its own default, except a listed few that only tests set.  The package's
 public names are pinned, so a move cannot drop one unnoticed.  No module
 outside ``config`` holds more float literals below 1e-5 (tolerances written
 in place) than its pinned count.
@@ -279,10 +280,11 @@ def test_bounds_reaches_simulation_only_through_tails():
     assert "tails" in imported and "simulate" not in imported, sorted(imported)
 
 
-def _defaulted_parameters(source: str) -> list[tuple[str, str, int | None, str]]:
-    """(called name, qualified name, call position, parameter) per defaulted
-    parameter of each public function and method; a constructor is called by
-    its class name.  The position skips ``self``; keyword-only is None."""
+def _defaulted_parameters(source: str) -> list[tuple[str, str, int | None, str, ast.expr]]:
+    """(called name, qualified name, call position, parameter, default) per
+    defaulted parameter of each public function and method; a constructor is
+    called by its class name.  The position skips ``self``; keyword-only is
+    None."""
     found = []
 
     def add(fn, called, qualname, skip):
@@ -290,12 +292,12 @@ def _defaulted_parameters(source: str) -> list[tuple[str, str, int | None, str]]
         positional = a.posonlyargs + a.args
         first = len(positional) - len(a.defaults)
         found.extend(
-            (called, qualname, k - skip, arg.arg)
+            (called, qualname, k - skip, arg.arg, a.defaults[k - first])
             for k, arg in enumerate(positional)
             if k >= first
         )
         found.extend(
-            (called, qualname, None, arg.arg)
+            (called, qualname, None, arg.arg, default)
             for arg, default in zip(a.kwonlyargs, a.kw_defaults)
             if default is not None
         )
@@ -315,29 +317,38 @@ def _defaulted_parameters(source: str) -> list[tuple[str, str, int | None, str]]
     return found
 
 
-def _call_sites(sources) -> dict[str, list[tuple[bool, int, set[str]]]]:
-    """Per called name, each call's (forwards ``*``/``**``, positional count, keywords)."""
+def _call_sites(sources) -> dict[str, list[tuple[bool, list[ast.expr], dict[str, ast.expr]]]]:
+    """Per called name, each call's (forwards ``*``/``**``, positional
+    arguments, keyword arguments)."""
     calls = {}
     for source in sources:
         for node in ast.walk(ast.parse(source)):
             if not isinstance(node, ast.Call):
                 continue
             name = getattr(node.func, "attr", getattr(node.func, "id", None))
-            keywords = {k.arg for k in node.keywords}
+            keywords = {k.arg: k.value for k in node.keywords}
             forwards = None in keywords or any(isinstance(x, ast.Starred) for x in node.args)
-            calls.setdefault(name, []).append((forwards, len(node.args), keywords))
+            calls.setdefault(name, []).append((forwards, node.args, keywords))
     return calls
 
 
-def _unset_defaults(source: str, calls: dict) -> list[str]:
-    """Defaulted parameters of ``source`` that no call in ``calls`` sets."""
+def _unset_defaults(source: str, calls: dict, spelled_default_sets: bool = False) -> list[str]:
+    """Defaulted parameters of ``source`` that no call in ``calls`` sets.  A
+    call that spells out the parameter's own default sets it only with
+    ``spelled_default_sets``."""
+
+    def sets(forwards, positional, keywords, position, param, default):
+        if forwards:
+            return True
+        given = keywords.get(param)
+        if given is None and position is not None and len(positional) > position:
+            given = positional[position]
+        return given is not None and (spelled_default_sets or ast.dump(given) != ast.dump(default))
+
     return [
         f"{qualname}({param})"
-        for called, qualname, position, param in _defaulted_parameters(source)
-        if not any(
-            forwards or (position is not None and n_positional > position) or param in keywords
-            for forwards, n_positional, keywords in calls.get(called, [])
-        )
+        for called, qualname, position, param, default in _defaulted_parameters(source)
+        if not any(sets(*call, position, param, default) for call in calls.get(called, []))
     ]
 
 
@@ -354,21 +365,64 @@ def test_unset_default_check_sees_each_form():
     assert _unset_defaults(source, _call_sites([source])) == ["f(c)", "K(x)"]
 
 
+def test_production_caller_check_sees_each_form():
+    # a production call that passes the default itself, by position or by
+    # keyword, sets nothing; a test call that passes it still counts as the
+    # listed parameter's test caller, and a parameter no call passes at all
+    # has none
+    source = "def f(a, b=1, c=(1, 2), d=None, e=0):\n    return a\n"
+    production = "f(0, 1)\nf(0, c=(1, 2))\nf(0, d=x)\n"
+    tests = "f(0, b=2)\nf(0, c=(1, 2))\n"
+    assert _unset_defaults(source, _call_sites([production])) == ["f(b)", "f(c)", "f(e)"]
+    assert _unset_defaults(source, _call_sites([tests]), spelled_default_sets=True) == ["f(d)", "f(e)"]
+
+
+# Defaulted parameters that only tests set.  Entries may only be removed: a
+# parameter no call in the package or the benchmark sets is a constant, and
+# a new one belongs in the code as its value, not in this list.
+TEST_ONLY_DEFAULTS = {
+    "bounds.peres_sousi_audit(budget)": "the sampled family's size, kept small by the tests",
+    "bounds.peres_sousi_audit(seed)": "the sampled family's stream; dropping it re-seeds the tests",
+    "cli.main(argv)": "the tests drive the CLI in process; the console script reads sys.argv",
+    "kernel.hitting_analysis(horizon)": "tests read the exact hitting tails; the package reads the mean",
+    "simulate.wilson_interval(z)": "a test widens the band; dropping z would copy Wilson into it",
+    "suites.expander_separation(seed)": "run_suite calls it through _SUITES, where the ast cannot see",
+    "suites.kcip_reversibility(seed)": "run_suite calls it through _SUITES, where the ast cannot see",
+    "suites.pince_nez_scaling(seed)": "run_suite calls it through _SUITES, where the ast cannot see",
+    "suites.toy_kcip_scaling(seed)": "run_suite calls it through _SUITES, where the ast cannot see",
+    "tails.ExactTailProvider(starts)": "tests keep their brute-force oracles small with few starts",
+    "tails.MCTailProvider(starts)": "tests keep their brute-force oracles small with few starts",
+    "wellcovering.compare_wc(alpha)": "exported comparison calculus with no package caller",
+    "wellcovering.compare_wc(target)": "exported comparison calculus with no package caller",
+    "wellcovering.oracle_wc_time(grid_resolution)": "tests spell out the grid, 64; the acceptance tests pin it",
+}
+
+
 def test_every_defaulted_parameter_has_a_caller():
-    # a default no caller overrides is a constant; spelling it as an option
-    # adds a configuration no test or benchmark runs
+    # a default that no call in the package or the benchmark overrides is a
+    # constant, and spelling it as an option adds a configuration nothing
+    # runs; the few that only tests set are listed, and tests must set them
     root = Path(__file__).resolve().parents[1]
-    calls = _call_sites(
-        path.read_text()
-        for folder in ("src", "tests", "perfbench")
-        for path in (root / folder).rglob("*.py")
+
+    def sources(*folders):
+        return [path.read_text() for folder in folders for path in (root / folder).rglob("*.py")]
+
+    modules = {path.stem: path.read_text() for path in sorted(PACKAGE.glob("*.py"))}
+
+    def unset(calls, spelled_default_sets=False):
+        return {
+            f"{stem}.{p}"
+            for stem, source in modules.items()
+            for p in _unset_defaults(source, calls, spelled_default_sets)
+        }
+
+    test_only = unset(_call_sites(sources("src", "perfbench")))
+    assert test_only == set(TEST_ONLY_DEFAULTS), (
+        f"set only by tests, not listed: {sorted(test_only - set(TEST_ONLY_DEFAULTS))}; "
+        f"listed, but set in the package or the benchmark: {sorted(set(TEST_ONLY_DEFAULTS) - test_only)}"
     )
-    found = {
-        path.stem: unset
-        for path in sorted(PACKAGE.glob("*.py"))
-        if (unset := _unset_defaults(path.read_text(), calls))
-    }
-    assert not found, f"defaulted parameters no call sets: {found}"
+    untested = test_only & unset(_call_sites(sources("tests")), spelled_default_sets=True)
+    assert not untested, f"listed, but no test passes them: {sorted(untested)}"
 
 
 def _tiny_literals(source: str) -> int:

@@ -362,6 +362,41 @@ def test_cli_exit_codes(tmp_path, capsys):
         assert err.startswith("config error: ") and names in err, text
 
 
+def test_run_horizon_key_is_refused(tmp_path, capsys):
+    # [run] horizon is gone: 0 ended in an untyped ValueError and a small
+    # value in the exit-2 invariant block-mixing-horizon
+    cfg = tmp_path / "horizon.ini"
+    cfg.write_text("[chain]\nfamily = pince_nez\nm = 4\n[run]\ntasks = analyze\nhorizon = 0\n")
+    assert main(["run", str(cfg)]) == 1
+    assert capsys.readouterr().err.startswith("config error: unknown key 'horizon' in [run]")
+
+
+# The three-state kernel of README's library tour, in the dense file format.
+README_KERNEL = "3\n0.5 0.5 0.0\n0.25 0.5 0.25\n0.0 0.5 0.5\n"
+
+
+@pytest.mark.parametrize("command", ["analyze", "bounds", "audit", "simulate"])
+def test_cli_on_one_block_kernel_file(tmp_path, capsys, command):
+    # without a partition the whole kernel is one block: each command
+    # finishes, or refuses with one typed line, never with a traceback
+    kernel = tmp_path / "k.txt"
+    kernel.write_text(README_KERNEL)
+    code = main([command, "--kernel", str(kernel), "--out", str(tmp_path)])
+    err = capsys.readouterr().err
+    assert code == 0 or (code == 1 and err.startswith(("config error: ", "error: "))), (code, err)
+
+
+def test_cli_bounds_on_one_block_leaves_out_regular_escape(tmp_path):
+    # the one minimal heavy set is every state, hit at time 0: a hitting
+    # scale of 0 gave bound_regular "inputs must be positive" and exit 1
+    kernel = tmp_path / "k.txt"
+    kernel.write_text(README_KERNEL)
+    assert main(["bounds", "--kernel", str(kernel), "--out", str(tmp_path)]) == 0
+    report = json.loads((tmp_path / "report.json").read_text())
+    names = [row["name"] for row in report["tasks"]["bounds"]["comparison"]]
+    assert names == ["basic_occupation", "basic_joint_occupation"]
+
+
 @pytest.mark.parametrize(
     "argv, key",
     [

@@ -153,7 +153,7 @@ def test_mixing_profile_monotone(seed):
     n = int(gen.integers(3, 13))
     k = random_reversible_kernel(n, gen)
     pi = stationary_distribution(k)
-    prof = mixing_profile(k, pi, horizon=400, full=True)
+    prof = mixing_profile(k, pi, horizon=400)
     diffs = np.diff(prof.distances)
     assert (diffs <= 1e-12).all()
     assert prof.distances[0] == pytest.approx(1.0 - pi.weights.min(), abs=1e-12)
@@ -167,8 +167,8 @@ def test_profile_matches_time_reversal():
     k = random_reversible_kernel(8, gen)
     pi = stationary_distribution(k)
     rev = time_reversal(k, pi)
-    p1 = mixing_profile(k, pi, horizon=200, full=True)
-    p2 = mixing_profile(rev, pi, horizon=200, full=True)
+    p1 = mixing_profile(k, pi, horizon=200)
+    p2 = mixing_profile(rev, pi, horizon=200)
     assert np.allclose(p1.distances, p2.distances, atol=1e-10)
 
 

@@ -405,22 +405,9 @@ def _brute_joint(K, lab, blocks, T, t):
     return worst
 
 
-def test_simulate_with_sampler_object():
-    class FlipSampler:
-        def step(self, state, gen):
-            return 1 - state if gen.random() < 0.5 else state
-
-        def block_of(self, state):
-            return state
-
-    traj, rec = simulate(FlipSampler(), 0, 100, seed=5, n_blocks=2)
-    assert len(traj) == 101
-    assert rec.kappa.sum() == 100
-
-
 def test_batched_paths_shape_and_determinism():
-    paths = simulate_states(K3, 1, 64, seed=3, reps=10)
-    paths2 = simulate_states(K3, 1, 64, seed=3, reps=10)
+    paths = simulate_states(K3, np.full(10, 1), 64, seed=3)
+    paths2 = simulate_states(K3, np.full(10, 1), 64, seed=3)
     assert paths.shape == (10, 65)
     assert np.array_equal(paths, paths2)
 
@@ -436,15 +423,15 @@ def test_path_stream_segments_match_one_simulation(a, b):
 
 
 def test_batched_paths_stored_compact_and_budgeted(monkeypatch):
-    paths = simulate_states(K3, 1, 64, seed=3, reps=10)
+    paths = simulate_states(K3, np.full(10, 1), 64, seed=3)
     assert paths.dtype == np.int8
     # 1,000 paths x 1,500 one-byte states, more than the stream's guide
     # (3 x 8,192 entries x 42 B = 1,032,192 B), which the same budget bounds
     monkeypatch.setattr("mixdecomp.config.MAX_PATH_BYTES", 1000 * 1500)
-    assert simulate_states(K3, 1, 1499, seed=3, reps=1000).shape == (1000, 1500)
+    assert simulate_states(K3, np.full(1000, 1), 1499, seed=3).shape == (1000, 1500)
     monkeypatch.setattr("mixdecomp.config.MAX_PATH_BYTES", 1000 * 1500 - 1)
     with pytest.raises(ProductSpaceTooLarge, match="1000 paths x 1500 int8 states"):
-        simulate_states(K3, 1, 1499, seed=3, reps=1000)
+        simulate_states(K3, np.full(1000, 1), 1499, seed=3)
 
 
 @pytest.mark.parametrize(
@@ -468,7 +455,7 @@ def test_path_stream_refuses_starts_that_are_not_flat_state_indices(monkeypatch,
         simulate_states(K3, starts, 4, seed=0)
     if np.ndim(starts[0]) == 0:
         with pytest.raises(ValueError, match=refused):
-            simulate_states(K3, starts[0], 4, seed=0, reps=2)
+            simulate_states(K3, np.full(2, starts[0]), 4, seed=0)
 
 
 def _digest(arrays) -> str:
@@ -660,7 +647,7 @@ def test_pince_nez_occupation_symmetry():
     # of (T + 1); Monte Carlo mean within 3 standard errors of that floor
     k, part = pince_nez(8)
     T, reps = 10_000, 400
-    paths = simulate_states(k, 0, T, seed=12, reps=reps)
+    paths = simulate_states(k, np.full(reps, 0), T, seed=12)
     kappa1 = (part.block_of[paths[:, 1:]] == 0).sum(axis=1)
     mean = kappa1.mean()
     se = kappa1.std(ddof=1) / np.sqrt(reps)

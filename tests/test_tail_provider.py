@@ -55,7 +55,6 @@ from mixdecomp.tails import (
     _PIECE,
     occupation_tail_table,
 )
-from mixdecomp.wellcovering import MIN_AUDIT_REPS, concentration_audit
 
 T_MAX = 96
 REPS = 6
@@ -244,12 +243,10 @@ def test_tail_providers_refuse_an_empty_start_list(monkeypatch, starts):
 @pytest.mark.parametrize("start", [-1, -2, -8, 8, 1.5])
 def test_tail_providers_refuse_starts_outside_the_chain(monkeypatch, start):
     # A negative start used to wrap (-1 answered for state 7, -2 for state 6)
-    # and 8 to end in an untyped IndexError, in the tail providers, in
-    # simulate_states and in the concentration audit; 1.5 was truncated to
-    # 1.  Under a zero byte budget the ValueError shows the start is checked
-    # before anything is allocated.
+    # and 8 to end in an untyped IndexError, in the tail providers and in
+    # simulate_states; 1.5 was truncated to 1.  Under a zero byte budget the
+    # ValueError shows the start is checked before anything is allocated.
     k, part = pince_nez(4)
-    pi = stationary_distribution(k)
     monkeypatch.setattr("mixdecomp.config.MAX_PATH_BYTES", 0)
     refused = f"start {start} outside 0..7"
     with pytest.raises(ValueError, match=refused):
@@ -261,15 +258,13 @@ def test_tail_providers_refuse_starts_outside_the_chain(monkeypatch, start):
     with pytest.raises(ValueError, match=refused):
         MCTailProvider(k, part, T_max=20, reps_per_start=10, seed=0, starts=[start, 0])
     with pytest.raises(ValueError, match=refused):
-        simulate_states(k, start, 4, seed=0, reps=2)
+        simulate_states(k, np.full(2, start), 4, seed=0)
     with pytest.raises(ValueError, match=refused):
         simulate_states(k, [0, start], 4, seed=0)
     with pytest.raises(ValueError, match=refused):
         PathStream(k, [0, start], seed=0)
     with pytest.raises(ValueError, match=refused):
         simulate(k, start, 4, seed=0, partition=part)
-    with pytest.raises(ValueError, match=refused):
-        concentration_audit(k, pi, part, 0, 1, [4], [0.1], MIN_AUDIT_REPS, seed=0, phi_max=1.0, start=start)
 
 
 _MONOTONE = MCTailProvider(*_chain(11), T_max=T_MAX, reps_per_start=REPS, seed=11, starts=STARTS)

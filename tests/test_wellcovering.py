@@ -462,7 +462,7 @@ def test_local_to_global_spreading_on_pince_nez():
             break
         T *= 2
     reps = 4000
-    paths = simulate_states(k, 0, T, seed=77, reps=reps)
+    paths = simulate_states(k, np.full(reps, 0), T, seed=77)
     lab = part.block_of[paths]
     bad = np.ones(reps, dtype=bool)
     for i in range(2):
@@ -515,17 +515,13 @@ def test_concentration_audit_step_cap_is_typed():
     ],
     ids=["pince_nez6", "toy_kcip4", "toy_kcip8", "pince_nez6_descending"],
 )
-@pytest.mark.parametrize("at_end", [False, True], ids=["start0", "start_last"])
-def test_concentration_audit_matches_sequential_runs(chain, blocks, t_grid, at_end):
+def test_concentration_audit_matches_sequential_runs(chain, blocks, t_grid):
     # one batched loop over all (orientation, t) runs, each on its own
     # stream, gives exactly the rows of running them one after another
     k, part = chain
     pi = stationary_distribution(k)
-    start = k.n_states - 1 if at_end else 0
     args = (k, pi, part, *blocks)
-    kwargs = dict(
-        t_grid=t_grid, c_grid=(0.05, 0.2), reps=1000, seed=5, phi_max=3.0, start=start
-    )
+    kwargs = dict(t_grid=t_grid, c_grid=(0.05, 0.2), reps=1000, seed=5, phi_max=3.0)
     rows = concentration_audit(*args, **kwargs)
     assert rows == sequential_concentration_audit(*args, **kwargs)
     assert len(rows) == 2 * len(t_grid) * 2
@@ -540,7 +536,7 @@ def test_transition_ratio_samples_pinned_byte_for_byte(chain, pinned):
     # sha256 prefix of every run's per-replica ratios (float64 bytes), seed 5:
     # the audit's seeded samples stay bit for bit the same
     k, part = chain
-    samples = wellcovering._transition_ratio_samples(k, part, 0, 1, (0, 1, 12, 40, 12), 300, 5, 0)
+    samples = wellcovering._transition_ratio_samples(k, part, 0, 1, (0, 1, 12, 40, 12), 300, 5)
     h = hashlib.sha256()
     for run in samples:
         h.update(run.tobytes())

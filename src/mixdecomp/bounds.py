@@ -595,7 +595,8 @@ def fit_drift(kernel: StochasticKernel, V: np.ndarray, k: int) -> DriftCertifica
     """Largest-contraction drift certificate for a given V and step count.
 
     The contraction rate a is chosen from a uniform grid of ``DRIFT_A_GRID``
-    values in (0, 1].
+    values in (0, 1], with the least b that rate admits; the pair is then
+    checked by :func:`verify_drift`.
     """
     V = np.asarray(V, dtype=float)
     KV = V.copy()
@@ -603,14 +604,11 @@ def fit_drift(kernel: StochasticKernel, V: np.ndarray, k: int) -> DriftCertifica
         KV = kernel.rows @ KV
     best = None
     for a in np.linspace(1.0 / DRIFT_A_GRID, 1.0, DRIFT_A_GRID):
-        b = float((KV - (1.0 - a) * V).max())
-        if b < 0:
-            b = 0.0
-        cert = DriftCertificate(V, float(a), b, k, float(V.max()), True, 0.0)
+        b = max(float((KV - (1.0 - a) * V).max()), 0.0)
         score = b / a  # smaller sublevel scale is a better certificate
         if best is None or score < best[0]:
-            best = (score, cert)
-    return best[1]
+            best = (score, float(a), b)
+    return verify_drift(kernel, V, best[1], best[2], k)
 
 
 def bound_drift(

@@ -1,8 +1,8 @@
 """Seeded generators for the benchmark chain families.
 
-Each generator returns an explicit :class:`StochasticKernel` together with
-its canonical partition; the constrained-spin family also exposes an
-implicit bit-set sampler for large graphs.
+Each generator builds an explicit :class:`StochasticKernel` together with
+its canonical partition, or raises ``StateSpaceTooLarge`` before it
+allocates anything when the chain has more than ``MAX_DENSE_STATES`` states.
 """
 
 from __future__ import annotations
@@ -15,9 +15,8 @@ import numpy as np
 from scipy.sparse import csgraph, csr_matrix
 
 from . import rng as rngmod
-from .config import MAX_DENSE_STATES
 from .decomposition import Partition, trace_kernel
-from .errors import AssertionFailed, GraphGenerationFailed, StateSpaceTooLarge
+from .errors import AssertionFailed, GraphGenerationFailed
 from .kernel import StationaryDistribution, StochasticKernel, require_dense
 
 
@@ -133,7 +132,6 @@ class ExpanderPair:
     kernel: StochasticKernel
     partition: Partition
     lower_states: np.ndarray
-    upper_states: np.ndarray
     walk_kernel: StochasticKernel  # 3/4-lazy walk on the base graph
     adjacency: np.ndarray
 
@@ -183,7 +181,6 @@ def expander_pair(m: int, d: int, epsilon: float, seed: int = 0) -> ExpanderPair
         kernel=StochasticKernel(K),
         partition=Partition.from_block_of(block_of),
         lower_states=np.arange(m),
-        upper_states=np.arange(m, 2 * m),
         walk_kernel=StochasticKernel(Q),
         adjacency=adj,
     )
@@ -234,7 +231,7 @@ def toy_kcip_backbone_trace(m: int, d: int) -> StochasticKernel:
 
 @dataclass
 class KcipSampler:
-    """Implicit one-step sampler over bit-set states (all-zeros excluded).
+    """Seeded trajectory runner over bit-set states (all-zeros excluded).
 
     Each step picks a uniform vertex v and a uniform threshold; if some
     neighbor of v is occupied, v is set with probability p and cleared
@@ -244,15 +241,6 @@ class KcipSampler:
     neighbor_masks: np.ndarray  # uint64 bitmask of N(v) per vertex
     n_vertices: int
     p: float
-
-    def step(self, state: int, gen: np.random.Generator) -> int:
-        v = int(gen.integers(self.n_vertices))
-        lam = float(gen.random())
-        if state & int(self.neighbor_masks[v]):
-            bit = 1 << v
-            new = (state | bit) if lam <= self.p else (state & ~bit)
-            return new if new != 0 else state
-        return state
 
     def run(self, state: int, steps: int, seed: int) -> np.ndarray:
         """Particle-count trace along one trajectory (popcount per step)."""
@@ -280,11 +268,10 @@ class KcipSampler:
 @dataclass
 class KcipChain:
     sampler: KcipSampler
-    kernel: StochasticKernel | None
-    partition: Partition | None
-    states: np.ndarray | None  # bitmask per enumerated state index
-    pi: StationaryDistribution | None
-    p: float
+    kernel: StochasticKernel
+    partition: Partition
+    states: np.ndarray  # bitmask per enumerated state index
+    pi: StationaryDistribution
     block_description: tuple[str, ...] = ()
 
 
@@ -319,15 +306,14 @@ def kcip(adjacency: np.ndarray, c: float, n_cap: int = 3) -> KcipChain:
 
     Updates of vertex v are allowed only while some state in N(v) is
     occupied; permitted updates set v with probability p.  The empty
-    configuration is excluded from the state space.  The explicit kernel is
-    enumerated when ``2^|V|`` fits ``MAX_DENSE_STATES``; the partition groups
-    states by their count of pairwise non-adjacent particles (k = 1 ..
-    n_cap) with one remainder block, dropping empty groups.
+    configuration is excluded from the state space, which leaves
+    ``2^|V| - 1`` states; the partition groups states by their count of
+    pairwise non-adjacent particles (k = 1 .. n_cap) with one remainder
+    block, dropping empty groups.
     """
     adjacency = np.asarray(adjacency, dtype=bool)
     nv = adjacency.shape[0]
-    if nv > 63:
-        raise StateSpaceTooLarge("bitmask sampler supports at most 63 vertices")
+    require_dense(2**nv - 1)
     p = c / nv
     if not (0 < p < 1):
         raise ValueError("need 0 < c/|V| < 1")
@@ -337,9 +323,6 @@ def kcip(adjacency: np.ndarray, c: float, n_cap: int = 3) -> KcipChain:
         [sum(1 << u for u in np.nonzero(adjacency[v])[0]) for v in range(nv)], dtype=np.uint64
     )
     sampler = KcipSampler(neighbor_masks=nbr_masks, n_vertices=nv, p=p)
-    if 2**nv > MAX_DENSE_STATES:
-        return KcipChain(sampler, None, None, None, None, p)
-
     states = np.arange(1, 2**nv, dtype=np.int64)
     index_of = {int(s): i for i, s in enumerate(states)}
     ns = states.size
@@ -375,36 +358,12 @@ def kcip(adjacency: np.ndarray, c: float, n_cap: int = 3) -> KcipChain:
     desc = tuple(
         (f"{b + 1} non-adjacent particles" if b < n_cap else "remainder") for b in present
     )
-    return KcipChain(sampler, kernel, Partition.from_block_of(block_of), states, pi, p, desc)
+    return KcipChain(sampler, kernel, Partition.from_block_of(block_of), states, pi, desc)
 
 
 # ---------------------------------------------------------------------------
 # Metropolis chain on a discrete torus with a separable energy
 # ---------------------------------------------------------------------------
-
-
-@dataclass
-class TorusSampler:
-    """One-step sampler for the torus chain (states are coordinate tuples)."""
-
-    m: int
-    ell: int
-    C: float
-
-    def step(self, state: tuple[int, ...], gen: np.random.Generator) -> tuple[int, ...]:
-        side = 2 * self.ell
-        j = int(gen.integers(self.m))
-        delta = int(gen.integers(3)) - 1  # proposal mass 1/(3m) per option
-        u = float(gen.random())
-        nxt = state[j] + delta
-        if delta == 0 or not (0 <= nxt < side):
-            return state
-        dh = min(nxt, side - 1 - nxt) - min(state[j], side - 1 - state[j])
-        if dh > 0 and u > self.m ** (-self.C * dh):
-            return state
-        out = list(state)
-        out[j] = nxt
-        return tuple(out)
 
 
 @dataclass
@@ -414,10 +373,6 @@ class TorusChain:
     pi: StationaryDistribution
     states: np.ndarray  # (n, m) coordinate table
     coord_weight: np.ndarray  # unnormalized per-coordinate weight w(u)
-    m: int
-    ell: int
-    c_exponent: float
-    trace_states: np.ndarray | None = None  # indices into the full chain
 
 
 def torus_energy(coords: np.ndarray, ell: int) -> np.ndarray:
@@ -434,9 +389,7 @@ def torus_product_mass(m: int, ell: int, C: float, coord_set: Sequence[int]) -> 
     return float((w[sel].sum() / w.sum()) ** m)
 
 
-def torus_metropolis(
-    m: int, ell: int, C: float, k_trace: int | None = None
-) -> TorusChain | TorusSampler:
+def torus_metropolis(m: int, ell: int, C: float, k_trace: int | None = None) -> TorusChain:
     """Metropolis chain on ``Z_{2 ell}^m`` targeting a product measure.
 
     The proposal moves one uniform coordinate by -1, 0 or +1 (each with
@@ -448,20 +401,15 @@ def torus_metropolis(
 
     With ``k_trace`` set, the returned chain is the trace on the states whose
     coordinates all stay at least k away from the half boundary, partitioned
-    the same way.  Above ``MAX_DENSE_STATES`` states no kernel is built: a
-    :class:`TorusSampler` is returned, or with ``k_trace`` set
-    ``StateSpaceTooLarge`` is raised.
+    the same way; the trace is taken from the full ``(2 ell)^m``-state kernel.
     """
     if ell < 2 or C <= 1:
         raise ValueError("need ell >= 2 and C > 1")
+    if k_trace is not None and not (0 <= k_trace <= ell - 1):
+        raise ValueError("k_trace must lie in 0 .. ell-1")
     side = 2 * ell
     n = side**m
-    if n > MAX_DENSE_STATES:
-        if k_trace is not None:
-            raise StateSpaceTooLarge(
-                f"(2 ell)^m = {n} exceeds {MAX_DENSE_STATES}; traces need the explicit kernel"
-            )
-        return TorusSampler(m, ell, C)
+    require_dense(n)
     coords = np.stack(np.meshgrid(*[np.arange(side)] * m, indexing="ij"), axis=-1).reshape(-1, m)
     H = torus_energy(coords, ell)
     logpi = -C * H * np.log(m)
@@ -489,12 +437,8 @@ def torus_metropolis(
     u = np.arange(side)
     coord_weight = np.exp(-C * np.minimum(u, side - 1 - u) * np.log(m))
     if k_trace is None:
-        return TorusChain(
-            kernel, Partition.from_block_of(z_index), pi, coords, coord_weight, m, ell, C
-        )
+        return TorusChain(kernel, Partition.from_block_of(z_index), pi, coords, coord_weight)
     k = k_trace
-    if not (0 <= k <= ell - 1):
-        raise ValueError("k_trace must lie in 0 .. ell-1")
     keep = ((coords <= ell - 1 - k) | (coords >= ell + k)).all(axis=1)
     keep_idx = np.nonzero(keep)[0]
     marker = np.zeros(n, dtype=int)
@@ -504,15 +448,7 @@ def torus_metropolis(
     sub_w = pi.weights[keep_idx]
     sub_pi = StationaryDistribution(sub_w / sub_w.sum())
     return TorusChain(
-        traced,
-        Partition.from_block_of(z_index[keep_idx]),
-        sub_pi,
-        coords[keep_idx],
-        coord_weight,
-        m,
-        ell,
-        C,
-        trace_states=keep_idx,
+        traced, Partition.from_block_of(z_index[keep_idx]), sub_pi, coords[keep_idx], coord_weight
     )
 
 
@@ -520,21 +456,20 @@ def torus_metropolis(
 KCIP_GRAPHS = {"cycle": cycle_adjacency, "lattice3d": lattice3d_adjacency}
 
 
-def generate(spec: ChainSpec):
-    """Dispatch a ChainSpec to its generator."""
+def generate(spec: ChainSpec) -> tuple[StochasticKernel, Partition]:
+    """The kernel and canonical partition of the chain a ChainSpec names."""
     fam, p = spec.family, dict(spec.params)
     if fam == "pince_nez":
         return pince_nez(int(p["m"]))
-    if fam == "expander_pair":
-        return expander_pair(int(p["m"]), int(p["d"]), float(p["epsilon"]), spec.seed or 0)
     if fam == "toy_kcip":
         return toy_kcip(int(p["m"]), int(p["d"]))
-    if fam == "kcip":
+    if fam == "expander_pair":
+        made = expander_pair(int(p["m"]), int(p["d"]), float(p["epsilon"]), spec.seed or 0)
+    elif fam == "kcip":
         adj = KCIP_GRAPHS[p.get("graph", "cycle")](int(p.get("size", 5)))
-        return kcip(adj, float(p.get("c", 1.0)), n_cap=int(p.get("n_cap", 3)))
-    if fam == "torus_metropolis":
+        made = kcip(adj, float(p.get("c", 1.0)), n_cap=int(p.get("n_cap", 3)))
+    else:  # torus_metropolis, the one family left: ChainSpec checks the name
         kt = p.get("k_trace")
-        return torus_metropolis(
-            int(p["m"]), int(p["l"]), float(p["C"]), None if kt is None else int(kt)
-        )
-    raise ValueError(fam)
+        kt = None if kt is None else int(kt)
+        made = torus_metropolis(int(p["m"]), int(p["l"]), float(p["C"]), kt)
+    return made.kernel, made.partition

@@ -175,17 +175,11 @@ def _section(sections: dict, name: str) -> dict:
 def _load_instance(cfg: ExperimentConfig) -> tuple[StochasticKernel, Partition]:
     if cfg.chain is not None:
         try:
-            made = generate(cfg.chain)
+            return generate(cfg.chain)
         except KeyError as exc:
             raise ConfigInvalid(f"chain {cfg.chain.family!r} needs parameter {exc}") from exc
         except ValueError as exc:
             raise ConfigInvalid(f"chain {cfg.chain.family!r}: {exc}") from exc
-        if isinstance(made, tuple):
-            return made[0], made[1]
-        # generator-specific result objects; samplers carry no kernel
-        if getattr(made, "kernel", None) is None:
-            raise ConfigInvalid("chain family has no explicit kernel at this size")
-        return made.kernel, made.partition
     try:
         kernel = iomod.load_kernel(cfg.kernel_path)
         if cfg.partition_path:

@@ -112,9 +112,14 @@ class WellCoveringCertificate:
 # ---------------------------------------------------------------------------
 
 
+# Resolution of the oracle's kappa grid: its points are k / ORACLE_GRID.
+ORACLE_GRID = 64
+
+
 @functools.lru_cache(maxsize=None)
-def _kappa_grid(n: int, resolution: int) -> np.ndarray:
-    """Grid points ``k / resolution`` of the n-simplex, built once per (n, resolution)."""
+def _kappa_grid(n: int) -> np.ndarray:
+    """Grid points ``k / ORACLE_GRID`` of the n-simplex, built once per n."""
+    resolution = ORACLE_GRID
     if n == 1:
         grid = np.array([[1.0]])
     elif n == 2:
@@ -171,36 +176,31 @@ def _plausible(kappa: np.ndarray, Q: np.ndarray, B: float, T: float) -> np.ndarr
     return (lower <= upper).all(axis=1) & (lower @ enter <= upper @ leave).all(axis=1)
 
 
-def feasibility_oracle(
-    query: WellCoveringQuery, T: int, grid_resolution: int = 64
-) -> OracleOutcome:
+def feasibility_oracle(query: WellCoveringQuery, T: int) -> OracleOutcome:
     """Search a discretized simplex for covering violations at horizon T.
 
     A violation is a plausible (kappa, N) pair with some block occupation at
     or below its threshold share ``t_i / T``; the first four in grid order
     are listed.  All candidate points are tested at once, in about 4 KB each
-    for 3 blocks (2,145 points at the default resolution).
-    Coverage is certified only up to the grid tolerance ``2 /
-    grid_resolution``, which is reported.  At ``T <= max_i t_i`` some share
-    is at least 1, which no occupation clears, so the horizon is not covered
-    whatever the grid says (and no witness is listed); this guard makes the
-    outcome monotone from the first T on.
+    for 3 blocks (2,145 points).  Coverage is certified only up to the grid
+    tolerance ``2 / ORACLE_GRID``, which is reported.  At ``T <= max_i t_i``
+    some share is at least 1, which no occupation clears, so the horizon is
+    not covered whatever the grid says (and no witness is listed); this guard
+    makes the outcome monotone from the first T on.
     """
     if query.n > 3:
         raise TooManyBlocks("feasibility oracle supports n <= 3")
-    if grid_resolution < 64:
-        raise ValueError("grid_resolution must be >= 64")
     if T <= query.thresholds.max():
-        return OracleOutcome(False, (), 2.0 / grid_resolution, T)
-    grid = _kappa_grid(query.n, grid_resolution)
+        return OracleOutcome(False, (), 2.0 / ORACLE_GRID, T)
+    grid = _kappa_grid(query.n)
     # the 1e-15 keeps a share that equals a grid point up to rounding
     candidates = grid[(grid <= query.thresholds / T + 1e-15).any(axis=1)]
     feasible = candidates[_plausible(candidates, query.q.rows, query.B, T)]
     witnesses = tuple(tuple(kappa) for kappa in np.round(feasible[:4], 9))
-    return OracleOutcome(not len(feasible), witnesses, 2.0 / grid_resolution, T)
+    return OracleOutcome(not len(feasible), witnesses, 2.0 / ORACLE_GRID, T)
 
 
-def oracle_wc_time(query: WellCoveringQuery, grid_resolution: int = 64) -> WellCoveringCertificate:
+def oracle_wc_time(query: WellCoveringQuery) -> WellCoveringCertificate:
     """Least horizon up to 2^40 the oracle certifies as covered (integer bisection).
 
     The search starts at ``max_i t_i``, below which the oracle's threshold
@@ -208,7 +208,7 @@ def oracle_wc_time(query: WellCoveringQuery, grid_resolution: int = 64) -> WellC
     ``T > value`` holds exactly when ``T >= 3`` and ``T - 1`` is covered.
     """
     T = least_horizon(
-        lambda horizon: feasibility_oracle(query, horizon, grid_resolution).covered,
+        lambda horizon: feasibility_oracle(query, horizon).covered,
         int(query.thresholds.max()),
         2**40,
     )
@@ -220,7 +220,7 @@ def oracle_wc_time(query: WellCoveringQuery, grid_resolution: int = 64) -> WellC
         thresholds=tuple(query.thresholds.tolist()),
         B=query.B,
         kernel=query.q,
-        provenance=(f"oracle(grid={grid_resolution})",),
+        provenance=(f"oracle(grid={ORACLE_GRID})",),
     )
 
 

@@ -12,8 +12,9 @@ exact occupation DP by the forward (counter, start, state) sweep, by its own
 backward recursion with fresh arrays at every step and by a forward sweep in
 exact rationals, the batched closed-class search by one strong-component
 search per kernel, the covering oracle's cut test by an
-interval-transportation LP per grid point, and expected hitting times by
-Monte Carlo.  ``exact_occupation_tail`` asks the exact tail provider one
+interval-transportation LP per grid point, expected hitting times by
+Monte Carlo, and the constrained spin chain's seeded particle-count trace
+by replaying its update rule, read off the graph, one move at a time.  ``exact_occupation_tail`` asks the exact tail provider one
 query, for tests that compare single tails.
 """
 
@@ -36,7 +37,13 @@ from mixdecomp.errors import HorizonCap, ProductSpaceTooLarge
 from mixdecomp.kernel import StationaryDistribution, StochasticKernel, hitting_analysis
 from mixdecomp.simulate import RowSampler, wilson_interval
 from mixdecomp.tails import ExactTailProvider
-from mixdecomp.wellcovering import AuditRow, OracleOutcome, WellCoveringQuery, _kappa_grid
+from mixdecomp.wellcovering import (
+    ORACLE_GRID,
+    AuditRow,
+    OracleOutcome,
+    WellCoveringQuery,
+    _kappa_grid,
+)
 
 
 def trace_kernel_dp_oracle(
@@ -392,13 +399,13 @@ def interval_transport_feasible(kappa: np.ndarray, Q: np.ndarray, B: float, T: f
 
 
 def feasibility_oracle_reference(
-    query: WellCoveringQuery, T: int, grid_resolution: int = 64, max_witnesses: int = 4
+    query: WellCoveringQuery, T: int, max_witnesses: int = 4
 ) -> OracleOutcome:
     """``feasibility_oracle`` by one :func:`interval_transport_feasible` call per grid point."""
-    tolerance = 2.0 / grid_resolution
+    tolerance = 2.0 / ORACLE_GRID
     if T <= query.thresholds.max():
         return OracleOutcome(False, (), tolerance, T)
-    grid = _kappa_grid(query.n, grid_resolution)
+    grid = _kappa_grid(query.n)
     witnesses = []
     for kappa in grid[(grid <= query.thresholds / T + 1e-15).any(axis=1)]:
         if interval_transport_feasible(kappa, query.q.rows, query.B, T):
@@ -511,3 +518,35 @@ def sequential_concentration_audit(
                     )
                 )
     return rows
+
+
+def kcip_rule_step(adjacency: np.ndarray, p: float, state: int, v: int, lam: float) -> int:
+    """One move of the constrained spin rule on a bit-set state.
+
+    Vertex v may change only while one of its graph neighbors is occupied;
+    it is then set when ``lam <= p`` and cleared otherwise, unless clearing
+    it would leave no particle.
+    """
+    if not any(state >> int(u) & 1 for u in np.nonzero(adjacency[v])[0]):
+        return state
+    if lam <= p:
+        return state | 1 << v
+    return state & ~(1 << v) or state
+
+
+def kcip_popcount_replay(
+    adjacency: np.ndarray, p: float, state: int, steps: int, seed: int
+) -> np.ndarray:
+    """``KcipSampler.run``'s particle-count trace, one :func:`kcip_rule_step` at a time.
+
+    The vertices and thresholds are drawn as ``run`` draws them: all
+    ``steps`` vertices, then all thresholds, from ``rng.stream(seed, 0)``.
+    """
+    gen = rngmod.stream(seed, 0)
+    vs = gen.integers(0, adjacency.shape[0], size=steps)
+    lams = gen.random(steps)
+    counts = [bin(state).count("1")]
+    for v, lam in zip(vs, lams):
+        state = kcip_rule_step(adjacency, p, state, int(v), float(lam))
+        counts.append(bin(state).count("1"))
+    return np.array(counts, dtype=np.int64)

@@ -216,15 +216,15 @@ def test_criterion_07_well_covering_soundness():
         q = path_kernel(n)
         for phi, B in ((5.0, 1.0), (12.0, 1.5)):
             query = WellCoveringQuery(q, np.full(n, phi), B)
-            oracle = oracle_wc_time(query, 64).value
+            oracle = oracle_wc_time(query).value
             tree = tree_bound(q, phi, B).value
             prop = propagation_bound(query).value
             sound &= oracle <= tree and oracle <= prop
             details.append(f"n={n},phi={phi}: {oracle:.0f}<={prop:.0f}<={tree:.0f}")
     # scaling monotonicity within grid tolerance
     q2 = path_kernel(2)
-    v1 = oracle_wc_time(WellCoveringQuery(q2, np.array([4.0, 4.0]), 1.0), 64).value
-    v3 = oracle_wc_time(WellCoveringQuery(q2, np.array([12.0, 12.0]), 1.0), 64).value
+    v1 = oracle_wc_time(WellCoveringQuery(q2, np.array([4.0, 4.0]), 1.0)).value
+    v3 = oracle_wc_time(WellCoveringQuery(q2, np.array([12.0, 12.0]), 1.0)).value
     scale_ok = v3 <= 3.0 * v1 * (1.0 + 2.0 / 64.0) + 1.0
     ok = sound and scale_ok
     _report(7, "well-covering soundness ordering", ok, "; ".join(details) + f"; scale {v3}<=3x{v1}")

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -6,8 +7,6 @@ import pytest
 from mixdecomp import rng as rngmod
 from mixdecomp.chains import (
     ChainSpec,
-    KcipSampler,
-    TorusSampler,
     cycle_adjacency,
     expander_pair,
     generate,
@@ -24,6 +23,8 @@ from mixdecomp.decomposition import Partition, trace_kernel
 from mixdecomp.errors import StateSpaceTooLarge
 from mixdecomp.kernel import check_reversible, stationary_distribution
 from mixdecomp.simulate import simulate
+
+from oracles import kcip_popcount_replay, kcip_rule_step
 
 
 def test_chainspec_validation():
@@ -126,8 +127,23 @@ def test_kcip_lone_particle_never_dies():
     assert counts.min() >= 1
 
 
-def test_kcip_sampler_matches_kernel_row():
-    chain = kcip(lattice3d_adjacency(2), c=1.0)
+@pytest.mark.parametrize(
+    "adj,start",
+    [(cycle_adjacency(5), 1), (lattice3d_adjacency(2), 0b1011)],
+    ids=["cycle5", "lattice3d2"],
+)
+def test_kcip_run_replays_the_rule(adj, start):
+    # the rule the two tests below check against the kernel is the one run
+    # applies, draw for draw
+    chain = kcip(adj, c=1.0)
+    got = chain.sampler.run(start, 20_000, seed=5)
+    want = kcip_popcount_replay(adj, 1.0 / adj.shape[0], start, 20_000, seed=5)
+    assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+
+def test_kcip_rule_matches_kernel_row():
+    adj = lattice3d_adjacency(2)
+    chain = kcip(adj, c=1.0)
     assert chain.kernel.n_states == 255
     start_mask = int(chain.states[4])
     idx = {int(s): i for i, s in enumerate(chain.states)}
@@ -135,7 +151,8 @@ def test_kcip_sampler_matches_kernel_row():
     draws = 100_000
     counts = np.zeros(chain.kernel.n_states)
     for _ in range(draws):
-        counts[idx[chain.sampler.step(start_mask, gen)]] += 1
+        v = int(gen.integers(8))
+        counts[idx[kcip_rule_step(adj, 1.0 / 8, start_mask, v, float(gen.random()))]] += 1
     emp = counts / draws
     row = chain.kernel.rows[4]
     support = int((row > 0).sum())
@@ -169,22 +186,6 @@ def test_torus_trace_partition():
     assert check_reversible(tc.kernel, tc.pi).is_reversible
 
 
-def test_torus_sampler_matches_explicit_row():
-    tc = torus_metropolis(2, 2, 3.0)  # 16 states
-    sampler = TorusSampler(2, 2, 3.0)
-    gen = rngmod.stream(3, 0)
-    start = (1, 2)
-    idx = {tuple(c): i for i, c in enumerate(tc.states)}
-    draws = 60_000
-    counts = np.zeros(16)
-    for _ in range(draws):
-        counts[idx[sampler.step(start, gen)]] += 1
-    emp = counts / draws
-    row = tc.kernel.rows[idx[start]]
-    tv = 0.5 * np.abs(emp - row).sum()
-    assert tv <= 3.0 * np.sqrt((row > 0).sum() / (4.0 * draws))
-
-
 def test_torus_explicit_guard():
     # 4^7 = 16,384 states, over MAX_DENSE_STATES: refused before any allocation
     with pytest.raises(StateSpaceTooLarge):
@@ -202,11 +203,28 @@ def test_generators_validate():
         expander_pair(16, 4, 0.5)
 
 
+def _refusal(call) -> tuple[Exception, int]:
+    """The error ``call`` raises, with the peak bytes traced (numpy buffers included) until then."""
+    tracemalloc.start()
+    try:
+        call()
+    except Exception as exc:
+        return exc, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    raise AssertionError("call was not refused")
+
+
 def test_generators_check_dense_cap_before_allocating(monkeypatch):
     with pytest.raises(StateSpaceTooLarge):
         pince_nez(10**6)
     with pytest.raises(StateSpaceTooLarge):
         toy_kcip(10**6, 1)
+    # 4^7 = 16,384 and 2^13 - 1 = 8,191 states, each refused with no
+    # coordinate table, bitmask or state list built
+    for call in (lambda: torus_metropolis(7, 2, 3.0), lambda: kcip(cycle_adjacency(13), 1.0)):
+        exc, peak = _refusal(call)
+        assert isinstance(exc, StateSpaceTooLarge) and peak < 1 << 20
 
     def refuse(*args, **kwargs):
         raise AssertionError("base graph drawn before the size check")
@@ -214,6 +232,13 @@ def test_generators_check_dense_cap_before_allocating(monkeypatch):
     monkeypatch.setattr("mixdecomp.chains.random_regular_graph", refuse)
     with pytest.raises(StateSpaceTooLarge):
         expander_pair(2502, 4, 0.1)
+
+
+def test_torus_checks_k_trace_before_allocating():
+    # the 4,096-state kernel alone would take 134 MB
+    exc, peak = _refusal(lambda: torus_metropolis(4, 4, 7.0, k_trace=9))
+    assert isinstance(exc, ValueError) and "k_trace" in str(exc)
+    assert peak < 1 << 20
 
 
 def test_expander_spectral_floor():
@@ -230,8 +255,9 @@ def test_kcip_rejects_disconnected_graph():
         kcip(adj, c=1.0)
 
 
-def test_kcip_sampler_multistep_marginal_matches_kernel_power():
-    chain = kcip(lattice3d_adjacency(2), c=1.0)
+def test_kcip_rule_multistep_marginal_matches_kernel_power():
+    adj = lattice3d_adjacency(2)
+    chain = kcip(adj, c=1.0)
     idx = {int(s): i for i, s in enumerate(chain.states)}
     steps = 5
     start_i = 4
@@ -242,7 +268,8 @@ def test_kcip_sampler_multistep_marginal_matches_kernel_power():
     for _ in range(draws):
         s = int(chain.states[start_i])
         for _ in range(steps):
-            s = chain.sampler.step(s, gen)
+            v = int(gen.integers(8))
+            s = kcip_rule_step(adj, 1.0 / 8, s, v, float(gen.random()))
         counts[idx[s]] += 1
     tv = 0.5 * np.abs(counts / draws - row).sum()
     support = int((row > 1e-12).sum())

@@ -394,7 +394,6 @@ TEST_ONLY_DEFAULTS = {
     "tails.MCTailProvider(starts)": "tests keep their brute-force oracles small with few starts",
     "wellcovering.compare_wc(alpha)": "exported comparison calculus with no package caller",
     "wellcovering.compare_wc(target)": "exported comparison calculus with no package caller",
-    "wellcovering.oracle_wc_time(grid_resolution)": "tests spell out the grid, 64; the acceptance tests pin it",
 }
 
 

@@ -12,6 +12,7 @@ from mixdecomp import decomposition
 from mixdecomp import rng as rngmod
 from mixdecomp.chains import pince_nez
 from mixdecomp.cli import main
+from mixdecomp.config import MAX_DENSE_STATES
 from mixdecomp.decomposition import Partition
 from mixdecomp.errors import ConfigInvalid, StateSpaceTooLarge
 from mixdecomp.io import (
@@ -506,9 +507,15 @@ def test_reproduce_suite_csv_rows(tmp_path):
     assert len(lines) == 1 + 3  # header + one row per chain size
 
 
-def test_cli_oversized_chain_is_config_error(tmp_path):
-    code = main(["analyze", "--chain", "torus_metropolis:m=8,l=3,C=7", "--out", str(tmp_path)])
+@pytest.mark.parametrize(
+    "chain,n_states",
+    [("torus_metropolis:m=8,l=3,C=7", 6**8), ("kcip:graph=lattice3d,size=3", 2**27 - 1)],
+)
+def test_cli_oversized_chain_is_config_error(tmp_path, capsys, chain, n_states):
+    code = main(["analyze", "--chain", chain, "--out", str(tmp_path)])
+    err = capsys.readouterr().err
     assert code == 1
+    assert err == f"error: dense kernels capped at {MAX_DENSE_STATES} states, got {n_states}\n"
 
 
 @pytest.mark.parametrize(

@@ -104,7 +104,7 @@ def test_tree_bound_validates_structure():
 def test_soundness_ordering_oracle_tree_propagation(n, phi, B):
     q = path_kernel(n)
     query = WellCoveringQuery(q, np.full(n, phi), B)
-    oracle = oracle_wc_time(query, 64)
+    oracle = oracle_wc_time(query)
     tree = tree_bound(q, phi, B)
     prop = propagation_bound(query)
     assert oracle.value <= prop.value
@@ -133,8 +133,8 @@ def test_oracle_monotone_in_thresholds_and_B():
 
 
 def test_oracle_threshold_scaling():
-    v1 = oracle_wc_time(WellCoveringQuery(Q2, np.array([4.0, 4.0]), 1.0), 64).value
-    v3 = oracle_wc_time(WellCoveringQuery(Q2, np.array([12.0, 12.0]), 1.0), 64).value
+    v1 = oracle_wc_time(WellCoveringQuery(Q2, np.array([4.0, 4.0]), 1.0)).value
+    v3 = oracle_wc_time(WellCoveringQuery(Q2, np.array([12.0, 12.0]), 1.0)).value
     tol = 2.0 / 64.0
     assert v3 <= 3.0 * v1 * (1.0 + tol) + 1.0
 
@@ -244,7 +244,7 @@ def test_bootstrap_matches_nested_covering_search(chain, I, covering):
     cons = PeresSousiConstants()
     if covering == "oracle":
         covers = oracle_predicate(proj)
-        wc_time = lambda t, B: oracle_wc_time(WellCoveringQuery(proj, t, B), 64).value
+        wc_time = lambda t, B: oracle_wc_time(WellCoveringQuery(proj, t, B)).value
     else:
         covers = propagation_predicate(proj)
         wc_time = lambda t, B: propagation_bound(WellCoveringQuery(proj, t, B)).value
@@ -297,7 +297,7 @@ def test_cut_test_matches_lp_reference(case):
     # every grid point alike, so the oracle's outcome, witnesses included,
     # is the reference's
     query, T, gen = case
-    grid = wellcovering._kappa_grid(query.n, 64)
+    grid = wellcovering._kappa_grid(query.n)
     points = grid[np.sort(gen.choice(len(grid), size=min(len(grid), 65), replace=False))]
     Q = query.q.rows
     decided = wellcovering._plausible(points, Q, query.B, T)

@@ -133,8 +133,8 @@ def test_kcip_lone_particle_never_dies():
     ids=["cycle5", "lattice3d2"],
 )
 def test_kcip_run_replays_the_rule(adj, start):
-    # the rule the two tests below check against the kernel is the one run
-    # applies, draw for draw
+    # the rule the test_kcip_rule_* tests check against the kernel is the one
+    # run applies, draw for draw
     chain = kcip(adj, c=1.0)
     got = chain.sampler.run(start, 20_000, seed=5)
     want = kcip_popcount_replay(adj, 1.0 / adj.shape[0], start, 20_000, seed=5)
